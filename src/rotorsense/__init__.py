@@ -48,7 +48,6 @@ from .events import (
 from .fusion import FusedState, KinematicPredictor, MotionPrior, predict, run_fusion, update
 from .metrics import localization_error, rmae
 from .motion import (
-    MotionParams,
     ObjectiveEvaluator,
     PatchGeometry,
     SpeedEstimate,

@@ -20,13 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 from .errors import ConfigError
 from .events import EventBatch, EventBundle, Events, concat_events
 from .motion import ObjectiveEvaluator, PatchGeometry, patch_for
@@ -158,53 +151,6 @@ def grow_batch(
     return GrowResult(batch=EventBatch(tuple(taken)), reason=reason, next_index=m)
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _count_column_pairs(
-        col_keys, col_starts, col_sizes, xy_offsets, xs, ys, ts, r2, rt, density
-    ):  # pragma: no cover - exercised via local_density
-        # Events are sorted by (xy cell, t). For each source cell and each of
-        # the 9 xy-neighbor columns, a two-pointer sweep tracks the exact
-        # [t - rt, t + rt] candidate window, leaving only the disc check.
-        n_cols = col_keys.size
-        for c in range(n_cols):
-            si = col_starts[c]
-            se = si + col_sizes[c]
-            for o in range(xy_offsets.size):
-                target = col_keys[c] + xy_offsets[o]
-                lo, hi = 0, n_cols
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if col_keys[mid] < target:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo >= n_cols or col_keys[lo] != target:
-                    continue
-                cni = col_starts[lo]
-                cne = cni + col_sizes[lo]
-                b_lo = cni
-                b_hi = cni
-                for a in range(si, se):
-                    xa, ya, ta = xs[a], ys[a], ts[a]
-                    t_min = ta - rt
-                    t_max = ta + rt
-                    while b_lo < cne and ts[b_lo] < t_min:
-                        b_lo += 1
-                    if b_hi < b_lo:
-                        b_hi = b_lo
-                    while b_hi < cne and ts[b_hi] <= t_max:
-                        b_hi += 1
-                    hits = 0
-                    for b in range(b_lo, b_hi):
-                        dx = xa - xs[b]
-                        dy = ya - ys[b]
-                        if dx * dx + dy * dy <= r2:
-                            hits += 1
-                    density[a] += hits
-
-
 def _count_pairs_numpy(
     src_cell, nbr_cell, cell_starts, cell_sizes, xs, ys, ts, r2, rt, density, max_pairs_per_chunk
 ):
@@ -244,9 +190,8 @@ def local_density(
     A neighbor satisfies both dx^2 + dy^2 <= space_radius^2 and
     |dt| <= time_radius. Uses a uniform grid hash with cells at least as
     large as the radii, so only the 27 adjacent cells need exact checks;
-    counting is exact, linear-time expected. The pair check runs in a
-    compiled kernel when numba is importable, with an equivalent
-    vectorized fallback.
+    counting is exact, linear-time expected. Candidate pairs are
+    enumerated in vectorized chunks of at most max_pairs_per_chunk.
 
     This is the exact reference count; ``density_downsample`` weights
     events by the cheaper ``voxel_density`` instead.
@@ -266,45 +211,30 @@ def local_density(
     rt_f = np.float32(time_radius_us)
     density_sorted = np.zeros(n, dtype=np.int64)
 
-    if _HAVE_NUMBA:
-        # sort by (xy cell, t) so each column is time-ordered
-        t_span = int(t_rel.max()) + 1
-        order = np.argsort(xy_key * t_span + t_rel, kind="stable")
-        skey = xy_key[order]
-        xs, ys, ts = x[order], y[order], t[order]
-        boundaries = np.flatnonzero(np.diff(skey)) + 1
-        col_starts = np.concatenate([[0], boundaries]).astype(np.int64)
-        col_sizes = np.diff(np.concatenate([col_starts, [n]])).astype(np.int64)
-        col_keys = skey[col_starts]
-        xy_offsets = np.array(
-            [ox * ky + oy for ox in (-1, 0, 1) for oy in (-1, 0, 1)], dtype=np.int64
-        )
-        _count_column_pairs(col_keys, col_starts, col_sizes, xy_offsets, xs, ys, ts, r2, rt_f, density_sorted)
-    else:
-        ct = t_rel // int(math.ceil(time_radius_us))
-        kt = int(ct.max()) + 2
-        key = xy_key * kt + ct
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        xs, ys, ts = x[order], y[order], t[order]
-        boundaries = np.flatnonzero(np.diff(skey)) + 1
-        cell_starts = np.concatenate([[0], boundaries]).astype(np.int64)
-        cell_sizes = np.diff(np.concatenate([cell_starts, [n]])).astype(np.int64)
-        cell_keys = skey[cell_starts]
-        offsets = np.array(
-            [((ox * ky) + oy) * kt + ot for ox in (-1, 0, 1) for oy in (-1, 0, 1) for ot in (-1, 0, 1)],
-            dtype=np.int64,
-        )
-        n_cells = cell_keys.size
-        targets = (cell_keys[None, :] + offsets[:, None]).ravel()
-        pos = np.searchsorted(cell_keys, targets)
-        pos_c = np.minimum(pos, n_cells - 1)
-        valid = cell_keys[pos_c] == targets
-        src_cell = np.tile(np.arange(n_cells, dtype=np.int64), offsets.size)[valid]
-        nbr_cell = pos_c[valid]
-        _count_pairs_numpy(
-            src_cell, nbr_cell, cell_starts, cell_sizes, xs, ys, ts, r2, rt_f, density_sorted, max_pairs_per_chunk
-        )
+    ct = t_rel // int(math.ceil(time_radius_us))
+    kt = int(ct.max()) + 2
+    key = xy_key * kt + ct
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    xs, ys, ts = x[order], y[order], t[order]
+    boundaries = np.flatnonzero(np.diff(skey)) + 1
+    cell_starts = np.concatenate([[0], boundaries]).astype(np.int64)
+    cell_sizes = np.diff(np.concatenate([cell_starts, [n]])).astype(np.int64)
+    cell_keys = skey[cell_starts]
+    offsets = np.array(
+        [((ox * ky) + oy) * kt + ot for ox in (-1, 0, 1) for oy in (-1, 0, 1) for ot in (-1, 0, 1)],
+        dtype=np.int64,
+    )
+    n_cells = cell_keys.size
+    targets = (cell_keys[None, :] + offsets[:, None]).ravel()
+    pos = np.searchsorted(cell_keys, targets)
+    pos_c = np.minimum(pos, n_cells - 1)
+    valid = cell_keys[pos_c] == targets
+    src_cell = np.tile(np.arange(n_cells, dtype=np.int64), offsets.size)[valid]
+    nbr_cell = pos_c[valid]
+    _count_pairs_numpy(
+        src_cell, nbr_cell, cell_starts, cell_sizes, xs, ys, ts, r2, rt_f, density_sorted, max_pairs_per_chunk
+    )
     density = np.empty(n, dtype=np.int64)
     density[order] = density_sorted
     return density

@@ -117,21 +117,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     events, geometry = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
     os.makedirs(args.out, exist_ok=True)
-    write_events(tracked.events, geometry, os.path.join(args.out, f"filtered.{args.format}"), args.format)
-    with open(os.path.join(args.out, "assignments.csv"), "w", newline="\n") as fh:
-        fh.write("event_index,prop_id\n")
-        for idx, prop in enumerate(tracked.assignments):
-            fh.write(f"{idx},{int(prop)}\n")
-    with open(os.path.join(args.out, "tracks.csv"), "w", newline="\n") as fh:
-        fh.write("prop_id,centroid_x,centroid_y,n_events\n")
-        for prop, centroid in enumerate(tracked.centroids):
-            n = int((tracked.assignments == prop).sum())
-            fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
-    pl.write_manifest(
-        os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed,
-        [os.path.join(args.out, f"filtered.{args.format}"), os.path.join(args.out, "assignments.csv"),
-         os.path.join(args.out, "tracks.csv")],
-    )
+    artifacts = pl.write_preprocess_artifacts(args.out, tracked, geometry, args.format)
+    pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, artifacts)
     print(f"kept {len(tracked.events)}/{len(events)} events in {len(tracked.centroids)} tracks -> {args.out}")
     return EXIT_OK
 
@@ -160,11 +147,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg.validate()
     events, _ = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
-    estimates = []
-    for prop, center in enumerate(tracked.warp_centers):
-        track = pl.estimate_track(tracked.track_events(prop), center, cfg, prop_id=prop)
-        estimates.extend(track.estimates)
-    estimates.sort(key=lambda e: (e.t_ref_us, e.prop_id))
+    _, estimates = pl.estimate_tracks(tracked, cfg)
     os.makedirs(args.out, exist_ok=True)
     speeds_path = os.path.join(args.out, "speeds.csv")
     pl.write_speed_csv(speeds_path, estimates)
@@ -239,7 +222,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         gps_sigma_m=cfg.gps_sigma_m, process_noise_scale=cfg.process_noise_scale,
     )
     with open(args.out_csv, "w", newline="\n") as fh:
-        fh.write("t,x,y,z,vx,vy,vz,cov_trace\n")
+        fh.write(pl.FUSED_HEADER + "\n")
         for state in result.states:
             vals = ",".join(repr(float(v)) for v in state.mean)
             fh.write(f"{state.t_us},{vals},{float(np.trace(state.cov))!r}\n")
@@ -267,8 +250,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     {"metric": "rmae_percent", "prop_id": prop, "value": rmae(rows[:, 2], np.array(gt)), "n_estimates": len(gt)}
                 )
     if args.fused and args.truth_state:
-        fused = _read_fused_csv(args.fused)
-        truth = _read_state_csv(args.truth_state)
+        fused = pl.read_table(args.fused, pl.FUSED_HEADER)
+        truth = pl.read_table(args.truth_state, pl.STATE_HEADER, extra_columns=True)
         mean_err, cdf = localization_error(fused, truth)
         entries.append({"metric": "mean_3d_error_m", "value": mean_err})
         entries.append({"metric": "error_cdf", "value": [[q, e] for q, e in cdf]})
@@ -282,28 +265,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for entry in entries:
         print(json.dumps(entry, sort_keys=True))
     return EXIT_OK
-
-
-def _read_fused_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.strip().split(",")])
-    return np.array(rows)
-
-
-def _read_state_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r") as fh:
-        fh.readline()
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            rows.append([float(v) for v in parts[:7]])
-    return np.array(rows)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:

@@ -17,134 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 from .errors import ConfigError, DegenerateInputError, EstimationError
 from .events import EventBatch, Events
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _count_and_score(
-        flat, counts_buf, touched_buf, acc_table, spa_table, empty_term, area
-    ):  # pragma: no cover - exercised via ObjectiveEvaluator
-        m = 0
-        for k in range(flat.size):
-            v = flat[k]
-            c = counts_buf[v]
-            if c == 0:
-                touched_buf[m] = v
-                m += 1
-            counts_buf[v] = c + 1
-        r = (area - m) * empty_term
-        cap = acc_table.size - 1
-        for k in range(m):
-            v = touched_buf[k]
-            h = counts_buf[v]
-            if h > cap:
-                h = cap
-            r += acc_table[h] + spa_table[h]
-            counts_buf[v] = 0
-        return r
-
-    @njit(cache=True)
-    def _warp_count_score(
-        dx, dy, cos_t, sin_t, x_shift, y_shift, side,
-        counts_buf, touched_buf, acc_table, spa_table, empty_term, area,
-    ):  # pragma: no cover - exercised via ObjectiveEvaluator
-        # one pass: rotate, rasterize, and tally occupied pixels with no
-        # intermediate arrays
-        m = 0
-        for k in range(dx.size):
-            wx = cos_t[k] * dx[k] - sin_t[k] * dy[k] + x_shift
-            wy = sin_t[k] * dx[k] + cos_t[k] * dy[k] + y_shift
-            ix = int(np.floor(wx))
-            iy = int(np.floor(wy))
-            if 0 <= ix < side and 0 <= iy < side:
-                v = ix * side + iy
-                c = counts_buf[v]
-                if c == 0:
-                    touched_buf[m] = v
-                    m += 1
-                counts_buf[v] = c + 1
-        r = (area - m) * empty_term
-        cap = acc_table.size - 1
-        for k in range(m):
-            v = touched_buf[k]
-            h = counts_buf[v]
-            if h > cap:
-                h = cap
-            r += acc_table[h] + spa_table[h]
-            counts_buf[v] = 0
-        return r
-
-    @njit(cache=True)
-    def _grid_scan(
-        dx, dy, dt, omega0, step, n_steps, x_shift, y_shift, side,
-        counts_buf, touched_buf, acc_table, spa_table, empty_term, area, out,
-    ):  # pragma: no cover - exercised via ObjectiveEvaluator.value_grid
-        # per-event rotations advance by a fixed composition between grid
-        # steps, so the whole scan costs one trig pass plus n_steps
-        # rasterize-and-score sweeps
-        n = dx.size
-        c = np.cos(dt * omega0)
-        s = np.sin(dt * omega0)
-        dc = np.cos(dt * step)
-        ds = np.sin(dt * step)
-        cap = acc_table.size - 1
-        for g in range(n_steps):
-            m = 0
-            for k in range(n):
-                wx = c[k] * dx[k] - s[k] * dy[k] + x_shift
-                wy = s[k] * dx[k] + c[k] * dy[k] + y_shift
-                ix = int(np.floor(wx))
-                iy = int(np.floor(wy))
-                if 0 <= ix < side and 0 <= iy < side:
-                    v = ix * side + iy
-                    cnt = counts_buf[v]
-                    if cnt == 0:
-                        touched_buf[m] = v
-                        m += 1
-                    counts_buf[v] = cnt + 1
-            r = (area - m) * empty_term
-            for k in range(m):
-                v = touched_buf[k]
-                h = counts_buf[v]
-                if h > cap:
-                    h = cap
-                r += acc_table[h] + spa_table[h]
-                counts_buf[v] = 0
-            out[g] = r
-            if g + 1 < n_steps:
-                for k in range(n):
-                    ck = c[k] * dc[k] - s[k] * ds[k]
-                    s[k] = s[k] * dc[k] + c[k] * ds[k]
-                    c[k] = ck
 
 # Cap inside exp(): overflow guard only. Well-aligned desk-scale batches
 # stack ~100 events per pixel, so the cap must sit far above that or the
 # peak flattens; float64 holds exp(300) comfortably.
 H_MAX_DEFAULT = 300.0
 US_TO_S = 1e-6
-
-
-@dataclass(frozen=True)
-class MotionParams:
-    """Angular rates (rad/s); image-axis rates are held at zero over the
-    short windows this estimator operates on."""
-
-    omega_t: float
-    omega_x: float = 0.0
-    omega_y: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.omega_x != 0.0 or self.omega_y != 0.0:
-            raise ConfigError("image-axis rates are fixed at zero in this implementation")
 
 
 @dataclass(frozen=True)
@@ -269,11 +149,12 @@ class ObjectiveEvaluator:
     """Reusable objective R(omega) for one event batch.
 
     Precomputes center-relative coordinates and time offsets so each
-    candidate speed costs one trig pass plus a bincount; a whole grid of
-    candidates is evaluated in one flattened pass. Coordinate math runs
-    in float32 (sub-micropixel error over a patch), and only occupied
-    pixels are exponentiated; empty pixels contribute the closed-form
-    constant (1 + 1/eps) each.
+    candidate speed costs one trig pass, a rotation into the patch frame
+    and a bincount; a uniform grid of candidates shares a single trig
+    pass (see ``value_grid``). Coordinate math runs in float32
+    (sub-micropixel error over a patch), and only occupied pixels are
+    exponentiated; empty pixels contribute the closed-form constant
+    (1 + 1/eps) each. Everything is plain vectorized numpy.
     """
 
     def __init__(
@@ -318,16 +199,6 @@ class ObjectiveEvaluator:
         self._sin = np.empty(n, np.float32)
         self._wx = np.empty(n, np.float32)
         self._wy = np.empty(n, np.float32)
-        if _HAVE_NUMBA:
-            # integer per-pixel counts index these tables: exp(min(h, h_max))
-            # and the matching sparsity term, so scoring never calls exp
-            cap = int(math.ceil(self.h_max))
-            h = np.minimum(np.arange(cap + 1, dtype=np.float64), self.h_max)
-            e = np.exp(h)
-            self._acc_table = self.w_acc * e
-            self._spa_table = self.w_spa / (e - 1.0 + self.eps)
-            self._counts_buf = np.zeros(patch.area, np.int32)
-            self._touched_buf = np.empty(max(n, 1), np.int32)
 
     def _indices_from(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         side = self._side
@@ -344,47 +215,17 @@ class ObjectiveEvaluator:
             ix, iy = ix[inside], iy[inside]
         return ix * side + iy
 
-    def _flat_indices(self, omega_rad_s: float) -> np.ndarray:
-        np.multiply(self._dt, np.float32(omega_rad_s), out=self._theta)
-        np.cos(self._theta, out=self._cos)
-        np.sin(self._theta, out=self._sin)
-        return self._indices_from(self._cos, self._sin)
-
-    def counts(self, omega_rad_s: float) -> np.ndarray:
-        """Flat per-pixel counts of the warped image at a candidate speed."""
-        side = self._side
-        if self.n_events == 0:
-            return np.zeros(side * side, dtype=np.int64)
-        return np.bincount(self._flat_indices(omega_rad_s), minlength=side * side)
-
-    def _score(self, counts: np.ndarray, area: int) -> float:
+    def _score(self, counts: np.ndarray) -> float:
         occupied = counts[counts > 0].astype(np.float64)
         np.minimum(occupied, self.h_max, out=occupied)
         e = np.exp(occupied)
         r_acc = float(e.sum())
         r_spa = float((1.0 / (e - 1.0 + self.eps)).sum())
-        return self.w_acc * r_acc + self.w_spa * r_spa + (area - occupied.size) * self._empty_term
-
-    def _score_from_flat(self, flat: np.ndarray) -> float:
-        if _HAVE_NUMBA:
-            return float(
-                _count_and_score(
-                    flat, self._counts_buf, self._touched_buf,
-                    self._acc_table, self._spa_table, self._empty_term, self.patch.area,
-                )
-            )
-        return self._score(np.bincount(flat, minlength=self.patch.area), self.patch.area)
+        return self.w_acc * r_acc + self.w_spa * r_spa + (self.patch.area - occupied.size) * self._empty_term
 
     def _score_at(self, c: np.ndarray, s: np.ndarray) -> float:
-        if _HAVE_NUMBA:
-            return float(
-                _warp_count_score(
-                    self._dx, self._dy, c, s, self._x_shift, self._y_shift, self._side,
-                    self._counts_buf, self._touched_buf,
-                    self._acc_table, self._spa_table, self._empty_term, self.patch.area,
-                )
-            )
-        return self._score_from_flat(self._indices_from(c, s))
+        """R for per-event rotations (cos, sin): rotate, bincount, score."""
+        return self._score(np.bincount(self._indices_from(c, s), minlength=self.patch.area))
 
     def value(self, omega_rad_s: float) -> float:
         if self.n_events == 0:
@@ -411,14 +252,6 @@ class ObjectiveEvaluator:
         if not uniform:
             for k, w in enumerate(omegas):
                 out[k] = self.value(float(w))
-            return out
-        if _HAVE_NUMBA:
-            _grid_scan(
-                self._dx, self._dy, self._dt, np.float32(omegas[0]), np.float32(steps[0]),
-                omegas.size, self._x_shift, self._y_shift, self._side,
-                self._counts_buf, self._touched_buf,
-                self._acc_table, self._spa_table, self._empty_term, self.patch.area, out,
-            )
             return out
         c = np.cos(self._dt * np.float32(omegas[0]))
         s = np.sin(self._dt * np.float32(omegas[0]))

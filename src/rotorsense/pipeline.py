@@ -24,7 +24,7 @@ from .batching import StopReason, density_downsample, grow_batch
 from .config import PipelineConfig, parse_scenario
 from .dynamics import COMMANDS, rad_s_to_rpm, rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
-from .events import Events, read_events, slice_bundles, write_events
+from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
 from .preprocess import build_heatmaps, filter_noise, robust_center, segment_propellers
@@ -36,28 +36,52 @@ LOG = logging.getLogger(__name__)
 # --- CSV artifact helpers (repr floats: deterministic and round-trippable) ---
 
 
+SPEED_HEADER = "t_ref,prop_id,rpm,objective"
+XYZ_HEADER = "t,x,y,z"
+STATE_HEADER = "t,x,y,z,vx,vy,vz"
+FUSED_HEADER = STATE_HEADER + ",cov_trace"
+
+
 def write_speed_csv(path: str, estimates: list[SpeedEstimate]) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("t_ref,prop_id,rpm,objective\n")
+        fh.write(SPEED_HEADER + "\n")
         for est in estimates:
             fh.write(f"{est.t_ref_us},{est.prop_id},{est.rpm!r},{est.objective_value!r}\n")
 
 
-def read_speed_csv(path: str) -> np.ndarray:
-    """Rows of (t_ref_us, prop_id, rpm, objective)."""
+def read_table(path: str, header: str, *, extra_columns: bool = False) -> np.ndarray:
+    """Float rows of a comma-separated table whose header is `header`.
+
+    With extra_columns, the file's header may name further columns after
+    `header`; every row must still match the header's field count, but
+    only the leading columns are parsed. A wrong header, a wrong field
+    count or a non-numeric field raises DataError naming path:line.
+    """
+    names = header.split(",")
+    width = len(names)
     rows = []
     with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "t_ref,prop_id,rpm,objective":
-            raise DataError(f"{path}:1: unexpected header {header!r}")
+        found = fh.readline().strip()
+        fields = found.split(",")
+        if fields[:width] != names or (len(fields) != width and not extra_columns):
+            raise DataError(f"{path}:1: unexpected header {found!r}, expected {header!r}")
+        n_fields = len(fields)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            rows.append([float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])])
-    return np.array(rows) if rows else np.zeros((0, 4))
+            if len(parts) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            try:
+                rows.append([float(v) for v in parts[:width]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from exc
+    return np.array(rows) if rows else np.zeros((0, width))
+
+
+def read_speed_csv(path: str) -> np.ndarray:
+    """Rows of (t_ref_us, prop_id, rpm, objective)."""
+    return read_table(path, SPEED_HEADER)
 
 
 def write_truth_rpm_csv(path: str, truth: GroundTruth, centers: list[tuple[float, float]]) -> None:
@@ -100,7 +124,7 @@ def read_truth_rpm_csv(path: str) -> tuple[np.ndarray, list[tuple[float, float]]
 def write_state_csv(path: str, times_us: np.ndarray, states: np.ndarray, extra: dict[str, np.ndarray] | None = None) -> None:
     """States as t,x,y,z,vx,vy,vz plus optional named columns."""
     extra = extra or {}
-    header = "t,x,y,z,vx,vy,vz" + "".join(f",{k}" for k in extra)
+    header = STATE_HEADER + "".join(f",{k}" for k in extra)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for k in range(len(times_us)):
@@ -111,25 +135,13 @@ def write_state_csv(path: str, times_us: np.ndarray, states: np.ndarray, extra: 
 
 def write_xyz_csv(path: str, rows: np.ndarray) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,y,z\n")
+        fh.write(XYZ_HEADER + "\n")
         for row in rows:
             fh.write(f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n")
 
 
 def read_xyz_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,y,z":
-            raise DataError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            rows.append([float(v) for v in parts])
-    return np.array(rows) if rows else np.zeros((0, 4))
+    return read_table(path, XYZ_HEADER)
 
 
 def write_command_csv(path: str, rows: list[tuple[int, str]]) -> None:
@@ -244,7 +256,7 @@ def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
         assign_parts.append(assignment)
     if not parts:
         return TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), centroids, list(centroids))
-    merged = parts[0] if len(parts) == 1 else _concat(parts)
+    merged = concat_events(parts)
     assignments = np.concatenate(assign_parts)
     tracked = TrackedStream(merged, assignments, centroids, list(centroids))
     tracked.warp_centers = [
@@ -254,14 +266,24 @@ def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
     return tracked
 
 
-def _concat(parts: list[Events]) -> Events:
-    return Events(
-        np.concatenate([p.t for p in parts]),
-        np.concatenate([p.x for p in parts]),
-        np.concatenate([p.y for p in parts]),
-        np.concatenate([p.p for p in parts]),
-        validate=False,
-    )
+def write_preprocess_artifacts(
+    out_dir: str, tracked: TrackedStream, geometry: SensorGeometry, fmt: str
+) -> list[str]:
+    """Write filtered.<fmt>, assignments.csv and tracks.csv; returns their paths."""
+    filtered_path = os.path.join(out_dir, f"filtered.{fmt}")
+    write_events(tracked.events, geometry, filtered_path, fmt)
+    assign_path = os.path.join(out_dir, "assignments.csv")
+    with open(assign_path, "w", newline="\n") as fh:
+        fh.write("event_index,prop_id\n")
+        for idx, prop in enumerate(tracked.assignments):
+            fh.write(f"{idx},{int(prop)}\n")
+    tracks_path = os.path.join(out_dir, "tracks.csv")
+    with open(tracks_path, "w", newline="\n") as fh:
+        fh.write("prop_id,centroid_x,centroid_y,n_events\n")
+        for prop, centroid in enumerate(tracked.centroids):
+            n = int((tracked.assignments == prop).sum())
+            fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
+    return [filtered_path, assign_path, tracks_path]
 
 
 # --- Estimate stage (speed tracking loop) ---
@@ -365,6 +387,20 @@ def estimate_track(
             omega_prior = None
         i = grown.next_index
     return out
+
+
+def estimate_tracks(
+    tracked: TrackedStream, cfg: PipelineConfig
+) -> tuple[list[TrackEstimates], list[SpeedEstimate]]:
+    """Run ``estimate_track`` on every track; returns the per-track results
+    and all estimates ordered by (t_ref, prop_id)."""
+    per_track = [
+        estimate_track(tracked.track_events(prop), center, cfg, prop_id=prop)
+        for prop, center in enumerate(tracked.warp_centers)
+    ]
+    estimates = [est for track in per_track for est in track.estimates]
+    estimates.sort(key=lambda e: (e.t_ref_us, e.prop_id))
+    return per_track, estimates
 
 
 # --- Full pipeline ---
@@ -497,32 +533,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
     # stage: preprocess
     with _stage("preprocess"):
         tracked = preprocess_stream(events, cfg)
-    filtered_path = os.path.join(out_dir, f"filtered.{cfg.output_format}")
-    write_events(tracked.events, geometry, filtered_path, cfg.output_format)
-    artifacts.append(filtered_path)
-    assign_path = os.path.join(out_dir, "assignments.csv")
-    with open(assign_path, "w", newline="\n") as fh:
-        fh.write("event_index,prop_id\n")
-        for idx, prop in enumerate(tracked.assignments):
-            fh.write(f"{idx},{int(prop)}\n")
-    artifacts.append(assign_path)
-    tracks_path = os.path.join(out_dir, "tracks.csv")
-    with open(tracks_path, "w", newline="\n") as fh:
-        fh.write("prop_id,centroid_x,centroid_y,n_events\n")
-        for prop, centroid in enumerate(tracked.centroids):
-            n = int((tracked.assignments == prop).sum())
-            fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
-    artifacts.append(tracks_path)
+    artifacts.extend(write_preprocess_artifacts(out_dir, tracked, geometry, cfg.output_format))
 
     # stage: estimate
-    per_track = []
-    all_estimates: list[SpeedEstimate] = []
     with _stage("estimate"):
-        for prop, center in enumerate(tracked.warp_centers):
-            track = estimate_track(tracked.track_events(prop), center, cfg, prop_id=prop)
-            per_track.append(track)
-            all_estimates.extend(track.estimates)
-    all_estimates.sort(key=lambda e: (e.t_ref_us, e.prop_id))
+        per_track, all_estimates = estimate_tracks(tracked, cfg)
     speeds_path = os.path.join(out_dir, "speeds.csv")
     write_speed_csv(speeds_path, all_estimates)
     artifacts.append(speeds_path)
@@ -594,7 +609,7 @@ def benchmark_estimate_stage(
     """Throughput of the estimate stage (batch growth + downsampling +
     speed search) in consumed events per second, single-threaded.
 
-    The stage runs once untimed to warm compiled kernels and caches,
+    The stage runs once untimed to warm allocations and caches,
     then `repeats` timed passes; the best pass is the least
     scheduler-contaminated measurement and decides the result.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .events import Events
 
 
@@ -165,16 +165,15 @@ def segment_propellers(
     k: int,
     max_iters: int = 100,
     tol: float = 1e-3,
-    seed: int | None = None,
 ) -> list[PropellerTrack]:
     """Split a filtered stream into k per-propeller tracks.
 
     Lloyd's iteration on spatial coordinates with deterministic
-    farthest-point seeding (the seed argument is accepted for interface
-    stability but the seeding needs no randomness). An emptied cluster
-    is re-seeded at the point currently farthest from its assigned
-    centroid. The within-cluster sum of squares is asserted nonincreasing
-    every iteration. Tracks come back ordered by centroid (y, x).
+    farthest-point seeding, so no random seed is needed. An emptied
+    cluster is re-seeded at the point currently farthest from its
+    assigned centroid. The within-cluster sum of squares is checked to
+    be nonincreasing every iteration; an increase raises NumericalError.
+    Tracks come back ordered by centroid (y, x).
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -202,9 +201,8 @@ def segment_propellers(
         for c in range(k):
             new_centroids[c] = coords[assign == c].mean(axis=0)
         objective = float(np.sum((coords - new_centroids[assign]) ** 2))
-        assert objective <= prev_objective + 1e-6 * max(1.0, min(prev_objective, objective)), (
-            f"k-means objective increased: {prev_objective} -> {objective}"
-        )
+        if not objective <= prev_objective + 1e-6 * max(1.0, min(prev_objective, objective)):
+            raise NumericalError(f"k-means objective increased: {prev_objective} -> {objective}")
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         prev_objective = objective

@@ -196,6 +196,28 @@ class TestCliExitCodes:
         code = main(["preprocess", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_non_numeric_speed_field_exit_3(self, tmp_path, capsys):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,abc,0.0\n")
+        code = main([
+            "eval", "--speeds", str(speeds), "--truth-rpm", str(tmp_path / "truth_rpm.csv"),
+            "--report", str(tmp_path / "report.jsonl"),
+        ])
+        assert code == EXIT_DATA
+        assert f"{speeds}:2:" in capsys.readouterr().err
+
+    def test_eval_checks_fused_header(self, tmp_path, capsys):
+        fused = tmp_path / "fused.csv"
+        fused.write_text("t,x,y,z\n0,0.0,0.0,0.0\n")  # a GPS file passed as fused output
+        truth = tmp_path / "truth_state.csv"
+        truth.write_text("t,x,y,z,vx,vy,vz\n0,0.0,0.0,0.0,0.0,0.0,0.0\n")
+        code = main([
+            "eval", "--fused", str(fused), "--truth-state", str(truth),
+            "--report", str(tmp_path / "report.jsonl"),
+        ])
+        assert code == EXIT_DATA
+        assert f"{fused}:1:" in capsys.readouterr().err
+
 
 class TestFlightCliFlow:
     def test_train_infer_fuse_eval(self, tmp_path, capsys):

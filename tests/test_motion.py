@@ -262,14 +262,35 @@ class TestWarpInvertsSimulation:
         hits = mask[xs[inside], ys[inside]].sum()
         assert hits / len(batch) >= 0.95
 
-    def test_peak_within_one_grid_step_across_speeds(self):
+    @staticmethod
+    def speed_streams():
         for rpm in (1500.0, 3000.0, 8000.0):
             tick = max(5, min(50, int(0.8e6 / (rpm_to_rad_s(rpm) * 30.0))))
             spec = make_spec(rpm=rpm)
             events, _ = simulate_propellers([spec], NO_NOISE, duration_us=10_000, tick_us=tick, seed=4)
+            yield rpm, events
+
+    def test_peak_within_one_grid_step_across_speeds(self):
+        for rpm, events in self.speed_streams():
             evaluator = ObjectiveEvaluator(events, CENTER, 0)
             grid = np.linspace(rpm_to_rad_s(rpm * 0.5), rpm_to_rad_s(rpm * 1.5), 64)
             values = evaluator.value_grid(grid)
             best = grid[int(np.argmax(values))]
             step = grid[1] - grid[0]
             assert abs(best - rpm_to_rad_s(rpm)) <= step
+
+    def test_grid_scan_matches_direct_evaluation(self):
+        """The uniform-grid rotation recurrence drifts only by float32
+        rounding from one value() per candidate; a non-uniform grid runs
+        value() itself."""
+        for rpm, events in self.speed_streams():
+            evaluator = ObjectiveEvaluator(events, CENTER, 0)
+            grid = np.linspace(rpm_to_rad_s(rpm * 0.5), rpm_to_rad_s(rpm * 1.5), 64)
+            scanned = evaluator.value_grid(grid)
+            direct = np.array([evaluator.value(float(w)) for w in grid])
+            assert np.argmax(scanned) == np.argmax(direct)
+            np.testing.assert_allclose(np.log(scanned), np.log(direct), rtol=0.01)
+            uneven = grid[[0, 1, 3, 7, 20, 40, 63]]
+            np.testing.assert_array_equal(
+                evaluator.value_grid(uneven), [evaluator.value(float(w)) for w in uneven]
+            )

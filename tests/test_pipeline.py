@@ -6,13 +6,15 @@ import pytest
 from rotorsense.batching import BatchPolicy, StopReason, grow_batch
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import rpm_to_rad_s
-from rotorsense.errors import ConfigError
+from rotorsense.errors import DataError
 from rotorsense.events import EventBundle, Events, SensorGeometry, slice_bundles, write_events
-from rotorsense.motion import MotionParams, SpeedEstimate
+from rotorsense.motion import SpeedEstimate
 from rotorsense.pipeline import (
+    STATE_HEADER,
     estimate_track,
     preprocess_stream,
     read_speed_csv,
+    read_table,
     read_truth_rpm_csv,
     run_pipeline,
     write_speed_csv,
@@ -120,8 +122,6 @@ class TestEstimateTrack:
 
 class TestRunPipelineFromFile:
     def test_stage_named_in_error(self, tmp_path):
-        from rotorsense.errors import DataError
-
         cfg = PipelineConfig(input=str(tmp_path / "missing.bin"))
         with pytest.raises(DataError, match="stage simulate"):
             run_pipeline(cfg, str(tmp_path / "run"))
@@ -143,8 +143,30 @@ class TestRunPipelineFromFile:
         assert not any(m["metric"] == "rmae_percent" for m in result.metrics)
 
 
-class TestMotionParams:
-    def test_image_axis_rates_pinned_to_zero(self):
-        MotionParams(omega_t=10.0)
-        with pytest.raises(ConfigError):
-            MotionParams(omega_t=10.0, omega_x=0.1)
+
+class TestReadTable:
+    def test_extra_columns_checked_but_not_parsed(self, tmp_path):
+        path = tmp_path / "truth_state.csv"
+        path.write_text(STATE_HEADER + ",command\n0,1,2,3,4,5,6,hover\n\n5000,1,2,3,4,5,6,climb\n")
+        rows = read_table(str(path), STATE_HEADER, extra_columns=True)
+        assert rows.shape == (2, 7)
+        assert rows[1, 0] == 5000.0
+        with pytest.raises(DataError, match=":1: unexpected header"):
+            read_table(str(path), STATE_HEADER)
+
+    def test_field_count_is_checked_per_line(self, tmp_path):
+        path = tmp_path / "truth_state.csv"
+        path.write_text(STATE_HEADER + ",command\n0,1,2,3,4,5,6,hover\n5000,1,2,3,4,5,6\n")
+        with pytest.raises(DataError, match=r":3: expected 8 fields, got 7"):
+            read_table(str(path), STATE_HEADER, extra_columns=True)
+
+    def test_header_prefix_is_matched_by_field(self, tmp_path):
+        path = tmp_path / "truth_state.csv"
+        path.write_text("t,x,y,z,vx,vy,vzz\n0,1,2,3,4,5,6\n")
+        with pytest.raises(DataError, match=":1: unexpected header"):
+            read_table(str(path), STATE_HEADER, extra_columns=True)
+
+    def test_empty_table_keeps_its_width(self, tmp_path):
+        path = tmp_path / "speeds.csv"
+        path.write_text("t_ref,prop_id,rpm,objective\n")
+        assert read_speed_csv(str(path)).shape == (0, 4)
