@@ -297,38 +297,73 @@ def save_model(model: CommandModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _model_floats(path: str, lineno: int, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split()]
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: non-numeric value in {text!r}") from exc
+
+
+def _model_value(path: str, lineno: int, text: str, key: str) -> str:
+    """The value of a `key=value` field of a model file."""
+    name, sep, value = text.partition("=")
+    if name != key or not sep:
+        raise DataError(f"{path}:{lineno}: expected {key}=..., got {text!r}")
+    return value
+
+
 def load_model(path: str) -> CommandModel:
+    """Read a save_model file. A missing line or field, a non-numeric
+    value or a weight table that does not fit the classes and features
+    raises DataError naming the path (and the line where known)."""
     with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != _MODEL_HEADER:
         raise DataError(f"{path}: not a {_MODEL_HEADER!r} file")
-    fields = dict(part.split("=", 1) for part in lines[1].split())
-    classes = tuple(lines[2].split("=", 1)[1].split(","))
-    mean = np.array([float(v) for v in lines[3].split("=", 1)[1].split()])
-    std = np.array([float(v) for v in lines[4].split("=", 1)[1].split()])
+    if len(lines) < 5:
+        raise DataError(f"{path}: truncated after line {len(lines)}, expected settings, classes and feature lines")
+    fields = dict(text.partition("=")[::2] for text in lines[1].split())
+    missing = [key for key in ("n_props", "window", "rate_hz", "cutoff_hz") if not fields.get(key)]
+    if missing:
+        raise DataError(f"{path}:2: missing {', '.join(missing)} in {lines[1]!r}")
+    try:
+        n_props, window, rate_hz = int(fields["n_props"]), int(fields["window"]), float(fields["rate_hz"])
+        cutoff_hz = None if fields["cutoff_hz"] == "none" else float(fields["cutoff_hz"])
+    except ValueError as exc:
+        raise DataError(f"{path}:2: non-numeric setting in {lines[1]!r}") from exc
+    classes = tuple(_model_value(path, 3, lines[2], "classes").split(","))
+    mean = _model_floats(path, 4, _model_value(path, 4, lines[3], "feature_mean"))
+    std = _model_floats(path, 5, _model_value(path, 5, lines[4], "feature_std"))
     weights, biases = [], []
-    folds = np.zeros(0)
-    for line in lines[5:]:
+    folds: list[float] = []
+    for lineno, line in enumerate(lines[5:], start=6):
         if line.startswith("class "):
-            _, _name, rest = line.split(" ", 2)
-            bias_part, weights_part = rest.split(" weights=", 1)
-            biases.append(float(bias_part.split("=", 1)[1]))
-            weights.append([float(v) for v in weights_part.split()])
+            head, sep, weights_part = line.partition(" weights=")
+            parts = head.split(" ")
+            if not sep or len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 'class NAME bias=... weights=...', got {line!r}")
+            bias = _model_floats(path, lineno, _model_value(path, lineno, parts[2], "bias"))
+            if len(bias) != 1:
+                raise DataError(f"{path}:{lineno}: expected one bias, got {parts[2]!r}")
+            biases.extend(bias)
+            weights.append(_model_floats(path, lineno, weights_part))
         elif line.startswith("fold_accuracies="):
-            body = line.split("=", 1)[1].strip()
-            folds = np.array([float(v) for v in body.split()]) if body else np.zeros(0)
-    cutoff_raw = fields["cutoff_hz"]
+            folds = _model_floats(path, lineno, line.split("=", 1)[1])
+    if len(weights) != len(classes) or len(std) != len(mean) or any(len(w) != len(mean) for w in weights):
+        raise DataError(
+            f"{path}: expected {len(classes)} class lines of {len(mean)} weights and {len(mean)} feature_std values"
+        )
     return CommandModel(
         weights=np.array(weights),
         biases=np.array(biases),
-        feature_mean=mean,
-        feature_std=std,
-        n_props=int(fields["n_props"]),
-        window=int(fields["window"]),
-        rate_hz=float(fields["rate_hz"]),
-        cutoff_hz=None if cutoff_raw == "none" else float(cutoff_raw),
+        feature_mean=np.array(mean),
+        feature_std=np.array(std),
+        n_props=n_props,
+        window=window,
+        rate_hz=rate_hz,
+        cutoff_hz=cutoff_hz,
         classes=classes,
-        fold_accuracies=folds,
+        fold_accuracies=np.array(folds),
     )
 
 

@@ -154,7 +154,10 @@ class Events:
 
 
 def concat_events(parts: Sequence[Events]) -> Events:
-    """Concatenate already-ordered streams (re-sorted if needed)."""
+    """Concatenate streams, stably re-sorted by time if the parts are out
+    of order. A caller that keeps a parallel per-event array (such as
+    per-event labels) must pass the parts in time order, so the result's
+    order is the parts' order."""
     parts = [p for p in parts if len(p)]
     if not parts:
         return Events.empty()

@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, DegenerateInputError, EstimationErro
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
-from .preprocess import build_heatmaps, filter_noise, robust_center, segment_propellers
+from .preprocess import build_heatmaps, distinct_pixels, filter_noise, robust_center, segment_propellers
 from .sim import GroundTruth, simulate_propellers
 
 LOG = logging.getLogger(__name__)
@@ -107,16 +107,22 @@ def read_truth_rpm_csv(path: str) -> tuple[np.ndarray, list[tuple[float, float]]
                 body = line[1:].strip()
                 if "_center=" in body:
                     name, value = body.split("_center=", 1)
-                    idx = int(name.replace("prop", ""))
-                    x_str, y_str = value.split(",")
-                    centers[idx] = (float(x_str), float(y_str))
+                    try:
+                        idx = int(name.replace("prop", ""))
+                        x_str, y_str = value.split(",")
+                        centers[idx] = (float(x_str), float(y_str))
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{lineno}: malformed center comment {line!r}") from exc
                 continue
             if line == "t,prop_id,rpm":
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 fields")
-            rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric field in {line!r}") from exc
     arr = np.array(rows) if rows else np.zeros((0, 3))
     return arr, [centers[i] for i in sorted(centers)]
 
@@ -163,7 +169,10 @@ def read_command_csv(path: str) -> list[tuple[int, str]]:
             t_str, _, label = line.strip().partition(",")
             if label not in COMMANDS:
                 raise DataError(f"{path}:{lineno}: unknown command {label!r}")
-            out.append((int(t_str), label))
+            try:
+                out.append((int(t_str), label))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-integer time {t_str!r}") from exc
     return out
 
 
@@ -230,8 +239,8 @@ def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
             kept = w_events
         if len(kept) == 0:
             continue
-        distinct = np.unique(np.column_stack([kept.x, kept.y]), axis=0).shape[0]
-        if distinct < cfg.k_props:
+        pixels, _, inverse = distinct_pixels(kept)
+        if len(pixels) < cfg.k_props:
             parts.append(kept)
             assign_parts.append(np.full(len(kept), -1, dtype=np.int64))
             continue
@@ -243,13 +252,12 @@ def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
             mapping = _match_tracks(centroids, [t.centroid for t in tracks])
             for w, g in mapping.items():
                 centroids[g] = tracks[w].centroid
-        # tracks partition `kept`; per-event labels via nearest converged centroid
+        # tracks partition `kept`; per-event labels via each pixel's nearest converged centroid
         assignment = np.full(len(kept), -1, dtype=np.int64)
-        coords = np.column_stack([kept.x, kept.y]).astype(np.float64)
         cents = np.array([tracks[w].centroid for w in range(len(tracks))])
         nearest = np.argmin(
-            np.sum((coords[:, None, :] - cents[None, :, :]) ** 2, axis=2), axis=1
-        )
+            np.sum((pixels[:, None, :] - cents[None, :, :]) ** 2, axis=2), axis=1
+        )[inverse]
         for w in range(len(tracks)):
             assignment[nearest == w] = mapping[w]
         parts.append(kept)

@@ -7,7 +7,10 @@ spatial grid and thresholding per-bin count and positive-polarity
 fraction removes most noise without touching blade events. The
 surviving events are then split into per-propeller tracks with Lloyd's
 algorithm on their (x, y) coordinates; the converged centroids are the
-rotation-center estimates used by motion compensation.
+rotation-center estimates used by motion compensation. A short window
+holds several events per pixel, so Lloyd runs over the distinct pixels
+weighted by their event counts, which gives the same centroids as a run
+over every event.
 """
 
 from __future__ import annotations
@@ -136,28 +139,41 @@ def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> t
     return float(center[0]), float(center[1])
 
 
+def distinct_pixels(events: Events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (x, y) pixels of a stream, in (x, y) lexicographic order.
+
+    Returns (pixels, counts, inverse): an (m, 2) int64 array of the
+    distinct coordinates, the number of events on each, and each event's
+    row in pixels, so pixels[inverse] rebuilds the per-event coordinates.
+    One sort of the packed uint32 key (x << 16) | y, which is unique for
+    any uint16 x and y and orders like (x, y).
+    """
+    key = (events.x.astype(np.uint32) << 16) | events.y
+    keys, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    pixels = np.column_stack([keys >> 16, keys & 0xFFFF]).astype(np.int64)
+    return pixels, counts, inverse
+
+
 def _farthest_point_seeds(coords: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic seeding: earliest event first, then repeatedly the
-    point farthest from all chosen seeds. Ties break lexicographically
-    on (x, y) so shuffled input cannot change the result."""
+    """Deterministic seeding over distinct pixels in (x, y) order: the
+    smallest (x, y) first, then repeatedly the pixel farthest from all
+    chosen seeds. argmax takes the first of equal distances, which is
+    the smallest (x, y), so shuffled input cannot change the result."""
     seeds = np.empty((k, 2))
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-    seeds[0] = coords[order[0]]
+    seeds[0] = coords[0]
     dist = np.sum((coords - seeds[0]) ** 2, axis=1)
     for i in range(1, k):
-        best = dist.max()
-        candidates = np.flatnonzero(dist == best)
-        pick = candidates[np.lexsort((coords[candidates, 1], coords[candidates, 0]))[0]]
-        seeds[i] = coords[pick]
+        seeds[i] = coords[int(np.argmax(dist))]
         dist = np.minimum(dist, np.sum((coords - seeds[i]) ** 2, axis=1))
     return seeds
 
 
-def _seed_coords(events: Events) -> np.ndarray:
-    """Coordinates ordered so the earliest event (ties: smallest x, y)
-    comes first, independent of input order."""
-    order = np.lexsort((events.y, events.x, events.t))
-    return np.column_stack([events.x[order], events.y[order]]).astype(np.float64)
+def _weighted_means(coords: np.ndarray, weights: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster means of the pixels, each pixel counted weights times;
+    NaN for a cluster with no pixel."""
+    total = np.bincount(assign, weights=weights, minlength=k)[:, None]
+    sums = np.column_stack([np.bincount(assign, weights=weights * coords[:, j], minlength=k) for j in range(2)])
+    return np.divide(sums, total, out=np.full((k, 2), np.nan), where=total > 0)
 
 
 def segment_propellers(
@@ -169,38 +185,40 @@ def segment_propellers(
     """Split a filtered stream into k per-propeller tracks.
 
     Lloyd's iteration on spatial coordinates with deterministic
-    farthest-point seeding, so no random seed is needed. An emptied
-    cluster is re-seeded at the point currently farthest from its
-    assigned centroid. The within-cluster sum of squares is checked to
-    be nonincreasing every iteration; an increase raises NumericalError.
+    farthest-point seeding, so no random seed is needed. It runs over
+    the distinct pixels, each weighted by its event count: x, y and the
+    counts are integers, so every centroid sum is exact in float64 and
+    each centroid is the same double as the mean over the member events.
+    An emptied cluster is re-seeded with the whole pixel currently
+    farthest from its assigned centroid (ties: smallest x, y). The
+    count-weighted within-cluster sum of squares is checked to be
+    nonincreasing every iteration; an increase raises NumericalError.
     Tracks come back ordered by centroid (y, x).
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if len(events) == 0:
         raise DataError("cannot segment an empty stream")
-    coords = np.column_stack([events.x, events.y]).astype(np.float64)
-    n_distinct = np.unique(coords, axis=0).shape[0]
-    if k > n_distinct:
-        raise DataError(f"k={k} exceeds the {n_distinct} distinct event coordinates")
+    pixels, counts, inverse = distinct_pixels(events)
+    if k > len(pixels):
+        raise DataError(f"k={k} exceeds the {len(pixels)} distinct event coordinates")
+    coords = pixels.astype(np.float64)
+    weights = counts.astype(np.float64)
 
-    centroids = _farthest_point_seeds(_seed_coords(events), k)
+    centroids = _farthest_point_seeds(coords, k)
     prev_objective = np.inf
-    assign = np.zeros(len(events), dtype=np.int64)
     for _ in range(max_iters):
         d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(len(events)), assign]
+        point_d2 = d2[np.arange(len(coords)), assign]
         for c in range(k):
             if not np.any(assign == c):
                 far = int(np.argmax(point_d2))
                 centroids[c] = coords[far]
                 assign[far] = c
                 point_d2[far] = 0.0
-        new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = coords[assign == c].mean(axis=0)
-        objective = float(np.sum((coords - new_centroids[assign]) ** 2))
+        new_centroids = _weighted_means(coords, weights, assign, k)
+        objective = float(np.sum(weights * np.sum((coords - new_centroids[assign]) ** 2, axis=1)))
         if not objective <= prev_objective + 1e-6 * max(1.0, min(prev_objective, objective)):
             raise NumericalError(f"k-means objective increased: {prev_objective} -> {objective}")
         shift = float(np.max(np.abs(new_centroids - centroids)))
@@ -212,11 +230,13 @@ def segment_propellers(
     # final assignment against converged centroids
     d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     assign = np.argmin(d2, axis=1)
+    member_means = _weighted_means(coords, weights, assign, k)
+    event_assign = assign[inverse]
     order = np.lexsort((centroids[:, 0], centroids[:, 1]))
     tracks = []
     for new_id, c in enumerate(order):
-        members = np.flatnonzero(assign == c)
+        members = np.flatnonzero(event_assign == c)
         sub = events.select(members)
-        centroid = coords[members].mean(axis=0) if members.size else centroids[c]
+        centroid = member_means[c] if members.size else centroids[c]
         tracks.append(PropellerTrack(prop_id=new_id, events=sub, centroid=(float(centroid[0]), float(centroid[1]))))
     return tracks

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rotorsense.commands import (
+    CommandModel,
     CommandSample,
     extract_features,
     load_model,
@@ -217,4 +219,59 @@ class TestModelFile:
         path = tmp_path / "bogus.txt"
         path.write_text("not a model\n")
         with pytest.raises(DataError):
+            load_model(str(path))
+
+
+class TestModelFileGarbled:
+    @staticmethod
+    def saved_lines(tmp_path):
+        n = len(COMMANDS)
+        model = CommandModel(
+            weights=np.arange(3.0 * n).reshape(n, 3), biases=np.linspace(-1.0, 1.0, n),
+            feature_mean=np.array([0.5, 1.5, 2.5]), feature_std=np.array([1.0, 2.0, 3.0]),
+            n_props=4, window=64, rate_hz=200.0, cutoff_hz=None, fold_accuracies=np.array([0.9, 0.8]),
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        assert load_model(str(path)).weights.shape == (n, 3)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("keep", [1, 2, 3, 4])
+    def test_truncated_file(self, tmp_path, keep):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(DataError, match="truncated"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "lineno, old, new",
+        [
+            (2, "n_props=4", "n_props=four"),
+            (2, " cutoff_hz=none", ""),
+            (3, "classes=", "labels="),
+            (4, "0.5", "half"),
+            (5, "feature_std=", "feature_std "),
+            (6, "bias=", "bias "),
+            (6, "weights=0.0", "weights=zero"),
+        ],
+    )
+    def test_garbled_line_named(self, tmp_path, lineno, old, new):
+        path, lines = self.saved_lines(tmp_path)
+        assert old in lines[lineno - 1]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}:")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("edit", ["drop_class", "short_weights", "short_std"])
+    def test_inconsistent_tables(self, tmp_path, edit):
+        path, lines = self.saved_lines(tmp_path)
+        if edit == "drop_class":
+            del lines[5]
+        elif edit == "short_weights":
+            lines[5] = lines[5].rsplit(" ", 1)[0]
+        else:
+            lines[4] = lines[4].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(str(path))):
             load_model(str(path))

@@ -285,3 +285,37 @@ class TestBench:
         assert report["pass"] is True
         assert report["events_consumed"] > 0
         assert report["threshold_events_per_sec"] == 1
+
+
+class TestCliMalformedInputs:
+    def test_non_numeric_truth_rpm_exit_3(self, tmp_path, capsys):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n")
+        truth = tmp_path / "truth_rpm.csv"
+        truth.write_text("t,prop_id,rpm\n1000,0,abc\n")
+        code = main([
+            "eval", "--speeds", str(speeds), "--truth-rpm", str(truth),
+            "--report", str(tmp_path / "report.jsonl"),
+        ])
+        assert code == EXIT_DATA
+        assert f"{truth}:2:" in capsys.readouterr().err
+
+    def test_non_integer_command_time_exit_3(self, tmp_path, capsys):
+        commands = tmp_path / "commands.csv"
+        commands.write_text("t,command\nx1,hover\n")
+        gps = tmp_path / "gps.csv"
+        gps.write_text("t,x,y,z\n0,0.0,0.0,0.0\n")
+        code = main([
+            "fuse", "--commands", str(commands), "--gps", str(gps), "--out-csv", str(tmp_path / "fused.csv"),
+        ])
+        assert code == EXIT_DATA
+        assert f"{commands}:2:" in capsys.readouterr().err
+
+    def test_truncated_model_exit_3(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("rotorsense-command-model v1\n")
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n")
+        code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "cmd.csv")])
+        assert code == EXIT_DATA
+        assert str(model) in capsys.readouterr().err

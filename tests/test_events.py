@@ -9,6 +9,7 @@ from rotorsense.events import (
     EventBundle,
     Events,
     SensorGeometry,
+    concat_events,
     read_events,
     slice_bundles,
     write_events,
@@ -221,3 +222,14 @@ class TestEventBatch:
         assert batch.n_events == 2
         assert batch.t_start == 0 and batch.t_end == 20
         assert np.array_equal(batch.events().t, e.t)
+
+
+class TestConcatEvents:
+    def test_out_of_order_parts_come_back_sorted(self):
+        late = make_events([(10, 5, 6, 1), (11, 7, 8, -1)])
+        early = make_events([(1, 1, 2, -1), (2, 3, 4, 1)])
+        merged = concat_events([late, Events.empty(), early])
+        assert merged.t.tolist() == [1, 2, 10, 11]
+        assert merged.x.tolist() == [1, 3, 5, 7]
+        assert merged.y.tolist() == [2, 4, 6, 8]
+        assert merged.p.tolist() == [-1, 1, 1, -1]

@@ -233,3 +233,100 @@ class TestRobustCenter:
         assert np.hypot(cx - 80, cy - 80) < 1.0
         # the plain mean is dragged by design
         assert np.hypot(x.mean() - 80, y.mean() - 80) > 5.0
+
+
+class TestDistinctPixels:
+    def test_matches_counter_with_extreme_coordinates(self):
+        from collections import Counter
+
+        from rotorsense.preprocess import distinct_pixels
+
+        rng = np.random.default_rng(11)
+        # 0 and 65535 on both axes: a key x * 65535 + y maps (0, 65535) and
+        # (1, 0) together, and a 16-bit key drops x entirely
+        levels = np.array([0, 1, 2, 300, 65534, 65535])
+        x = rng.choice(levels, 5000)
+        y = rng.choice(levels, 5000)
+        events = Events(np.arange(5000, dtype=np.uint64), x, y, np.ones(5000, np.int8))
+        pixels, counts, inverse = distinct_pixels(events)
+        expected = Counter(zip(x.tolist(), y.tolist()))
+        assert [tuple(px) for px in pixels.tolist()] == sorted(expected)
+        assert counts.tolist() == [expected[key] for key in sorted(expected)]
+        assert np.array_equal(pixels[inverse], np.column_stack([x, y]))
+
+    def test_empty_stream(self):
+        from rotorsense.preprocess import distinct_pixels
+
+        pixels, counts, inverse = distinct_pixels(Events.empty())
+        assert pixels.shape == (0, 2) and counts.size == 0 and inverse.size == 0
+
+
+def _per_event_lloyd(events, k, max_iters=100, tol=1e-3):
+    """Lloyd's iteration over every event, as segment_propellers ran it
+    before it moved to weighted distinct pixels: the reference it must
+    match exactly. Returns converged centroids and member indices in
+    (y, x) centroid order."""
+    coords = np.column_stack([events.x, events.y]).astype(np.float64)
+    order = np.lexsort((events.y, events.x, events.t))
+    seed_coords = coords[order]
+    centroids = np.empty((k, 2))
+    centroids[0] = seed_coords[np.lexsort((seed_coords[:, 1], seed_coords[:, 0]))[0]]
+    dist = np.sum((seed_coords - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        candidates = np.flatnonzero(dist == dist.max())
+        pick = candidates[np.lexsort((seed_coords[candidates, 1], seed_coords[candidates, 0]))[0]]
+        centroids[i] = seed_coords[pick]
+        dist = np.minimum(dist, np.sum((seed_coords - centroids[i]) ** 2, axis=1))
+    for _ in range(max_iters):
+        assign = np.argmin(np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
+        new_centroids = np.array([coords[assign == c].mean(axis=0) for c in range(k)])
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    assign = np.argmin(np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
+    members = [np.flatnonzero(assign == c) for c in np.lexsort((centroids[:, 0], centroids[:, 1]))]
+    return [coords[m].mean(axis=0) for m in members], members
+
+
+class TestPixelSegmentation:
+    @staticmethod
+    def duplicated_clouds(seed, n=3000):
+        # four integer clouds of a few px spread: most pixels carry many events
+        rng = np.random.default_rng(seed)
+        centers = np.array([(40, 50), (120, 45), (60, 140), (150, 150)])
+        pts = (centers[rng.integers(0, 4, n)] + rng.normal(0, 2, (n, 2))).round().astype(int)
+        return Events(np.arange(n, dtype=np.uint64), pts[:, 0], pts[:, 1], rng.choice([-1, 1], n).astype(np.int8))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_event_lloyd(self, k, seed):
+        events = self.duplicated_clouds(seed)
+        assert len(set(zip(events.x.tolist(), events.y.tolist()))) < len(events) // 5
+        ref_centroids, ref_members = _per_event_lloyd(events, k)
+        tracks = segment_propellers(events, k)
+        assert len(tracks) == k
+        for track, centroid, members in zip(tracks, ref_centroids, ref_members):
+            assert track.centroid == (float(centroid[0]), float(centroid[1]))
+            assert track.member_count == members.size
+            # t is the event index, so the track's timestamps are its members
+            assert np.array_equal(track.events.t, members.astype(np.uint64))
+
+    def test_tied_farthest_pixel_breaks_to_smallest_xy(self):
+        # after the (0, 0) seed, (0, 10) and (10, 0) are equally far; the
+        # second seed must be (0, 10), which leaves (10, 0) with (0, 0)
+        events = make_events([(0, 0, 0, 1), (1, 10, 0, 1), (2, 0, 10, -1), (3, 0, 0, -1), (4, 10, 0, 1)])
+        tracks = segment_propellers(events, 2)
+        assert [t.centroid for t in tracks] == [(5.0, 0.0), (0.0, 10.0)]
+        ref_centroids, _ = _per_event_lloyd(events, 2)
+        assert [tuple(c) for c in ref_centroids] == [(5.0, 0.0), (0.0, 10.0)]
+
+    def test_shuffled_input_identical_tracks(self):
+        events = self.duplicated_clouds(5)
+        idx = np.random.default_rng(9).permutation(len(events))
+        shuffled = Events(events.t[idx], events.x[idx], events.y[idx], events.p[idx])
+        a = segment_propellers(events, 3)
+        b = segment_propellers(shuffled, 3)
+        assert [t.centroid for t in a] == [t.centroid for t in b]
+        assert [t.member_count for t in a] == [t.member_count for t in b]
+        assert all(ta.events == tb.events for ta, tb in zip(a, b))
