@@ -221,11 +221,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         speeds[:, :3], commands, gps, predictor,
         gps_sigma_m=cfg.gps_sigma_m, process_noise_scale=cfg.process_noise_scale,
     )
-    with open(args.out_csv, "w", newline="\n") as fh:
-        fh.write(pl.FUSED_HEADER + "\n")
-        for state in result.states:
-            vals = ",".join(repr(float(v)) for v in state.mean)
-            fh.write(f"{state.t_us},{vals},{float(np.trace(state.cov))!r}\n")
+    pl.write_fused_csv(args.out_csv, result.states)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
     print(f"fused {len(result.states)} states ({len(result.nis)} GPS updates) -> {args.out_csv}")
     return EXIT_OK
@@ -238,17 +234,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         truth_rows, centers = pl.read_truth_rpm_csv(args.truth_rpm)
         for prop in sorted(set(int(v) for v in speeds[:, 1])) if speeds.size else []:
             rows = speeds[speeds[:, 1] == prop]
-            gt = []
-            for t_ref in rows[:, 0]:
-                prop_truth = truth_rows[truth_rows[:, 1] == prop]
-                if prop_truth.size == 0:
-                    break
-                k = np.argmin(np.abs(prop_truth[:, 0] - t_ref))
-                gt.append(prop_truth[k, 2])
-            if len(gt) == rows.shape[0] and len(gt):
-                entries.append(
-                    {"metric": "rmae_percent", "prop_id": prop, "value": rmae(rows[:, 2], np.array(gt)), "n_estimates": len(gt)}
-                )
+            prop_truth = truth_rows[truth_rows[:, 1] == prop]
+            if prop_truth.size == 0:
+                continue
+            t_truth = prop_truth[:, 0]
+            # nearest truth row per estimate; argmin keeps the first of ties
+            gt = np.array([prop_truth[np.argmin(np.abs(t_truth - t_ref)), 2] for t_ref in rows[:, 0]])
+            entries.append(
+                {"metric": "rmae_percent", "prop_id": prop, "value": rmae(rows[:, 2], gt), "n_estimates": len(gt)}
+            )
     if args.fused and args.truth_state:
         fused = pl.read_table(args.fused, pl.FUSED_HEADER)
         truth = pl.read_table(args.truth_state, pl.STATE_HEADER, extra_columns=True)

@@ -45,7 +45,15 @@ def _parse_pair(value: str, key: str) -> tuple[float, float]:
     parts = value.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 'a,b', got {value!r}")
-    return float(parts[0]), float(parts[1])
+    return _number(float, key, parts[0]), _number(float, key, parts[1])
+
+
+def _number(kind: type, key: str, value):
+    """int(value) or float(value); a malformed number raises ConfigError naming `key`."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key}: bad value {value!r}, expected {'an integer' if kind is int else 'a number'}") from None
 
 
 @dataclass
@@ -211,11 +219,13 @@ def _build_profile(entry: dict[str, str], name: str):
         raise ConfigError(f"{name}: exactly one of rpm, rpm_step, rpm_ramp is required")
     key = given[0]
     if key == "rpm":
-        return ConstantSpeed(float(entry["rpm"]))
+        return ConstantSpeed(_number(float, f"{name}.rpm", entry["rpm"]))
     points = []
     for part in entry[key].split(","):
-        t_str, rpm_str = part.split(":")
-        points.append((float(t_str), float(rpm_str)))
+        pair = part.split(":")
+        if len(pair) != 2:
+            raise ConfigError(f"{name}.{key}: expected t:rpm pairs, got {part!r}")
+        points.append((_number(float, f"{name}.{key}", pair[0]), _number(float, f"{name}.{key}", pair[1])))
     if key == "rpm_step":
         return StepSpeed(points)
     if len(points) != 2:
@@ -253,57 +263,61 @@ def parse_scenario(path: str) -> Scenario:
         elif key not in _SCENARIO_KEYS:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
 
+    def num(kind: type, key: str, value):
+        return _number(kind, f"{path}: {key}", value)
+
     scenario.mode = raw.get("mode", "propellers")
     if scenario.mode not in ("propellers", "flight"):
         raise ConfigError(f"{path}: mode must be 'propellers' or 'flight'")
     if "width" in raw or "height" in raw:
         if not ("width" in raw and "height" in raw):
             raise ConfigError(f"{path}: width and height must be given together")
-        scenario.geometry = SensorGeometry(int(raw["width"]), int(raw["height"]))
-    scenario.duration_us = int(raw.get("duration_us", scenario.duration_us))
-    scenario.tick_us = int(raw.get("tick_us", scenario.tick_us))
-    scenario.seed = int(raw.get("seed", scenario.seed))
-    scenario.render_events = _parse_bool(raw.get("render_events", "0"), "render_events")
+        scenario.geometry = SensorGeometry(num(int, "width", raw["width"]), num(int, "height", raw["height"]))
+    scenario.duration_us = num(int, "duration_us", raw.get("duration_us", scenario.duration_us))
+    scenario.tick_us = num(int, "tick_us", raw.get("tick_us", scenario.tick_us))
+    scenario.seed = num(int, "seed", raw.get("seed", scenario.seed))
+    scenario.render_events = _parse_bool(raw.get("render_events", "0"), f"{path}: render_events")
 
     for idx in sorted(props):
         entry = props[idx]
-        center = _parse_pair(entry.get("center", ""), f"prop{idx}.center")
+        name = f"prop{idx}"
+        center = _parse_pair(entry.get("center", ""), f"{path}: {name}.center")
         scenario.specs.append(
             PropellerSpec(
                 center=center,
-                n_blades=int(entry.get("blades", 2)),
-                blade_length=float(entry.get("blade_length", 30.0)),
-                blade_width=float(entry.get("blade_width", 5.0)),
-                initial_phase=float(entry.get("phase", 0.0)),
-                speed_profile=_build_profile(entry, f"prop{idx}"),
-                spin=int(entry.get("spin", 1)),
+                n_blades=num(int, f"{name}.blades", entry.get("blades", 2)),
+                blade_length=num(float, f"{name}.blade_length", entry.get("blade_length", 30.0)),
+                blade_width=num(float, f"{name}.blade_width", entry.get("blade_width", 5.0)),
+                initial_phase=num(float, f"{name}.phase", entry.get("phase", 0.0)),
+                speed_profile=_build_profile(entry, f"{path}: {name}"),
+                spin=num(int, f"{name}.spin", entry.get("spin", 1)),
             )
         )
     scenario.noise = NoiseSpec(
-        background_rate=float(noise_kv.get("background_rate", 0.0)),
-        hot_pixel_count=int(noise_kv.get("hot_pixels", 0)),
-        hot_pixel_rate=float(noise_kv.get("hot_pixel_rate", 0.0)),
-        vibration_jitter_px=float(noise_kv.get("jitter_px", 0.0)),
-        background_on_fraction=float(noise_kv.get("on_fraction", 0.95)),
+        background_rate=num(float, "noise.background_rate", noise_kv.get("background_rate", 0.0)),
+        hot_pixel_count=num(int, "noise.hot_pixels", noise_kv.get("hot_pixels", 0)),
+        hot_pixel_rate=num(float, "noise.hot_pixel_rate", noise_kv.get("hot_pixel_rate", 0.0)),
+        vibration_jitter_px=num(float, "noise.jitter_px", noise_kv.get("jitter_px", 0.0)),
+        background_on_fraction=num(float, "noise.on_fraction", noise_kv.get("on_fraction", 0.95)),
     )
     if drone_kv:
         scenario.drone = DroneSpec(
-            hover_rpm=float(drone_kv.get("hover_rpm", 3000.0)),
-            delta_rpm=float(drone_kv.get("delta_rpm", 300.0)),
-            rpm_jitter=float(drone_kv.get("rpm_jitter", 0.0)),
-            tilt_fraction=float(drone_kv.get("tilt_fraction", 0.2)),
-            gps_rate_hz=float(drone_kv.get("gps_rate_hz", 5.0)),
-            gps_sigma_m=float(drone_kv.get("gps_sigma_m", 2.0)),
-            blade_length=float(drone_kv.get("blade_length", 30.0)),
-            blade_width=float(drone_kv.get("blade_width", 5.0)),
-            n_blades=int(drone_kv.get("n_blades", 2)),
+            hover_rpm=num(float, "drone.hover_rpm", drone_kv.get("hover_rpm", 3000.0)),
+            delta_rpm=num(float, "drone.delta_rpm", drone_kv.get("delta_rpm", 300.0)),
+            rpm_jitter=num(float, "drone.rpm_jitter", drone_kv.get("rpm_jitter", 0.0)),
+            tilt_fraction=num(float, "drone.tilt_fraction", drone_kv.get("tilt_fraction", 0.2)),
+            gps_rate_hz=num(float, "drone.gps_rate_hz", drone_kv.get("gps_rate_hz", 5.0)),
+            gps_sigma_m=num(float, "drone.gps_sigma_m", drone_kv.get("gps_sigma_m", 2.0)),
+            blade_length=num(float, "drone.blade_length", drone_kv.get("blade_length", 30.0)),
+            blade_width=num(float, "drone.blade_width", drone_kv.get("blade_width", 5.0)),
+            n_blades=num(int, "drone.n_blades", drone_kv.get("n_blades", 2)),
         )
     if "script" in raw:
         for part in raw["script"].split(","):
             t_str, _, name = part.partition(":")
             if name not in COMMANDS:
                 raise ConfigError(f"{path}: unknown command {name!r} in script")
-            scenario.script.append((int(t_str), name))
+            scenario.script.append((num(int, "script", t_str), name))
     if scenario.mode == "propellers" and not scenario.specs:
         raise ConfigError(f"{path}: propeller mode needs at least one propN.* block")
     if scenario.mode == "flight" and not scenario.script:

@@ -90,7 +90,7 @@ def command_acceleration(
     if command not in _MIXER:
         raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
     speeds = np.asarray(speeds_rad_s, dtype=np.float64)
-    total_sq = float(np.sum(np.square(speeds)))
+    total_sq = float(np.square(speeds).sum())
     accel = np.zeros(3)
     if command in ("climb", "descent"):
         accel[2] = k_f * (total_sq - hover_speed_sq_sum)

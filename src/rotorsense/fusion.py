@@ -12,6 +12,7 @@ after every step.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -56,7 +57,7 @@ class MotionPrior:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         speeds = np.asarray(self.speeds_rad_s, dtype=np.float64)
-        if np.any(speeds < 0):
+        if (speeds < 0).any():
             raise DataError("rotor speeds must be nonnegative")
         object.__setattr__(self, "speeds_rad_s", speeds)
         if self.process_noise_scale < 0:
@@ -125,18 +126,29 @@ def process_noise(dt_s: float, accel_variance: float) -> np.ndarray:
     return accel_variance * q
 
 
+@functools.lru_cache(maxsize=16)
+def _step_matrices(dt_s: float, accel_variance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only F, B and Q of one prediction step, built once per
+    (dt_s, accel_variance): a fixed-rate stream repeats the same step."""
+    f, b = _transition(dt_s)
+    q = process_noise(dt_s, accel_variance)
+    for matrix in (f, b, q):
+        matrix.flags.writeable = False
+    return f, b, q
+
+
 def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: KinematicPredictor) -> FusedState:
     """Constant-acceleration propagation with command-derived acceleration."""
     if dt_s <= 0:
         raise ConfigError(f"dt must be positive, got {dt_s}")
-    if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.cov))):
+    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
         raise DataError("non-finite filter state")
     accel = predictor.acceleration(prior)
-    if not np.all(np.isfinite(accel)):
+    if not np.isfinite(accel).all():
         raise DataError("non-finite acceleration from predictor")
-    f, b = _transition(dt_s)
+    f, b, q = _step_matrices(dt_s, prior.process_noise_scale)
     mean = f @ state.mean + b @ accel
-    cov = f @ state.cov @ f.T + process_noise(dt_s, prior.process_noise_scale)
+    cov = f @ state.cov @ f.T + q
     cov = _check_cov(cov, "predict")
     return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
 
@@ -184,6 +196,19 @@ class FusionResult:
         return np.array([[s.t_us, *s.position] for s in self.states])
 
 
+def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, tuple[int, float]]]:
+    """(t_us, 1, (prop_id, rpm)) per (t_us, prop_id, rpm, ...) row. numpy
+    truncates the two integer columns, as int() would, so no per-row
+    Python float is made and dropped (freed small objects fragment the
+    heap that the filter states later fill)."""
+    if not speed_stream.size:
+        return []
+    if not (np.abs(speed_stream[:, :2]) < 2.0**63).all():
+        raise DataError("non-finite or out-of-range time or rotor id in the speed stream")
+    t_us, props = speed_stream[:, :2].astype(np.int64).T.tolist()
+    return [(t, 1, (prop, rpm)) for t, prop, rpm in zip(t_us, props, speed_stream[:, 2].tolist())]
+
+
 def run_fusion(
     speed_stream: np.ndarray,
     command_stream: list[tuple[int, str]],
@@ -209,11 +234,9 @@ def run_fusion(
     # silently re-sorted.
     commands_q = [(int(t_us), 0, (label,)) for t_us, label in command_stream]
     speed_stream = np.asarray(speed_stream, dtype=np.float64)
-    speeds_q = [
-        (int(row[0]), 1, (int(row[1]), float(row[2]))) for row in (speed_stream if speed_stream.size else [])
-    ]
+    speeds_q = _speed_queue(speed_stream)
     gps_stream = np.asarray(gps_stream, dtype=np.float64)
-    gps_q = [(int(row[0]), 2, (row[1:4].copy(),)) for row in (gps_stream if gps_stream.size else [])]
+    gps_q = [(int(row[0]), 2, (np.array(row[1:4]),)) for row in gps_stream.tolist()]
     events = heapq.merge(commands_q, speeds_q, gps_q, key=lambda e: (e[0], e[1]))
 
     r_gps = gps_sigma_m**2 * np.eye(3)

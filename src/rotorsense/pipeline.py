@@ -10,6 +10,7 @@ plot images are best-effort extras excluded from the manifest.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -17,6 +18,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .config import PipelineConfig, parse_scenario
 from .dynamics import COMMANDS, rad_s_to_rpm, rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
+from .fusion import FusedState
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
 from .preprocess import build_heatmaps, distinct_pixels, filter_noise, robust_center, segment_propellers
@@ -42,6 +45,21 @@ STATE_HEADER = "t,x,y,z,vx,vy,vz"
 FUSED_HEADER = STATE_HEADER + ",cov_trace"
 
 
+def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
+    """The fused track: t, position, velocity and the covariance trace of
+    each state, one row per state, streamed without stacking the states.
+    A state repeated back to back (`run_fusion` emits the same state for
+    each measurement that needs no prediction) is formatted once."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(FUSED_HEADER + "\n")
+        last, row = None, ""
+        for state in states:
+            if state is not last:
+                last = state
+                row = f"{state.t_us},{','.join(map(repr, state.mean.tolist()))},{float(state.cov.trace())!r}\n"
+            fh.write(row)
+
+
 def write_speed_csv(path: str, estimates: list[SpeedEstimate]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(SPEED_HEADER + "\n")
@@ -49,34 +67,68 @@ def write_speed_csv(path: str, estimates: list[SpeedEstimate]) -> None:
             fh.write(f"{est.t_ref_us},{est.prop_id},{est.rpm!r},{est.objective_value!r}\n")
 
 
+# lines parsed per pass: bounds the flat field lists a block holds
+_TABLE_BLOCK_LINES = 4096
+
+
 def read_table(path: str, header: str, *, extra_columns: bool = False) -> np.ndarray:
     """Float rows of a comma-separated table whose header is `header`.
 
     With extra_columns, the file's header may name further columns after
     `header`; every row must still match the header's field count, but
-    only the leading columns are parsed. A wrong header, a wrong field
-    count or a non-numeric field raises DataError naming path:line.
+    only the leading columns are parsed. Blank lines are skipped and each
+    line's surrounding whitespace is stripped. A wrong header, a wrong
+    field count or a non-numeric field raises DataError naming path:line.
     """
     names = header.split(",")
     width = len(names)
-    rows = []
+    blocks = [np.zeros((0, width))]
     with open(path, "r") as fh:
         found = fh.readline().strip()
         fields = found.split(",")
         if fields[:width] != names or (len(fields) != width and not extra_columns):
             raise DataError(f"{path}:1: unexpected header {found!r}, expected {header!r}")
-        n_fields = len(fields)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != n_fields:
-                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-            try:
-                rows.append([float(v) for v in parts[:width]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from exc
-    return np.array(rows) if rows else np.zeros((0, width))
+        lineno = 2
+        while lines := list(itertools.islice(fh, _TABLE_BLOCK_LINES)):
+            blocks.append(_parse_block(path, lines, lineno, len(fields), width))
+            lineno += len(lines)
+    return np.concatenate(blocks)
+
+
+def _parse_block(path: str, lines: list[str], first_lineno: int, n_fields: int, width: int) -> np.ndarray:
+    """Table rows of consecutive body lines, checked and parsed in one pass
+    over all their fields; a rejected block is walked line by line only to
+    name its first bad line."""
+    rows = list(filter(None, map(str.strip, lines)))
+    table = np.empty((len(rows), width))
+    if not rows:
+        return table
+    try:
+        if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
+            raise ValueError("wrong field count")
+        flat = ",".join(rows).split(",")
+        for col in range(width):
+            table[:, col] = list(map(float, flat[col::n_fields]))
+    except ValueError as exc:
+        raise _first_bad_line(path, lines, first_lineno, n_fields, width) from exc
+    return table
+
+
+def _first_bad_line(path: str, lines: list[str], first_lineno: int, n_fields: int, width: int) -> DataError:
+    """The error for the first line with the wrong field count or a
+    non-numeric field among the first `width`."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            return DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        try:
+            list(map(float, parts[:width]))
+        except ValueError:
+            return DataError(f"{path}:{lineno}: non-numeric field in {line!r}")
+    return DataError(f"{path}: malformed table")
 
 
 def read_speed_csv(path: str) -> np.ndarray:

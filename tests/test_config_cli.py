@@ -319,3 +319,56 @@ class TestCliMalformedInputs:
         code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "cmd.csv")])
         assert code == EXIT_DATA
         assert str(model) in capsys.readouterr().err
+
+
+class TestScenarioNumbers:
+    @pytest.mark.parametrize(
+        ("old", "new", "key"),
+        [
+            ("prop0.rpm=3000", "prop0.rpm=abc", "prop0.rpm"),
+            ("prop0.rpm=3000", "prop0.rpm_step=0-3000", "prop0.rpm_step"),
+            ("seed=9", "seed=9\nscript=abc:hover", "script"),
+            ("width=130", "width=x", "width"),
+            ("noise.hot_pixels=4", "noise.hot_pixels=1.5", "noise.hot_pixels"),
+        ],
+        ids=["rpm", "rpm_step", "script_time", "width", "hot_pixels"],
+    )
+    def test_malformed_number_exit_2(self, tmp_path, capsys, old, new, key):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE.replace(old, new))
+        code = main(["simulate", str(scene), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{scene}: {key}:" in err
+
+    def test_ramp_pair_values_are_checked(self, tmp_path):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE.replace("prop0.rpm=3000", "prop0.rpm_ramp=0:3000,40000:fast"))
+        with pytest.raises(ConfigError, match="prop0.rpm_ramp: bad value 'fast'"):
+            parse_scenario(str(scene))
+
+
+class TestEvalSpeeds:
+    def test_nearest_truth_row_keeps_the_first_of_ties(self, tmp_path, capsys):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3150.0,0.0\n3000,1,2000.0,0.0\n")
+        truth = tmp_path / "truth_rpm.csv"
+        # t_ref 1000 lies exactly between the rows at 0 and 2000 us
+        truth.write_text("t,prop_id,rpm\n0,0,3000.0\n2000,0,3300.0\n0,1,2000.0\n")
+        report = tmp_path / "report.jsonl"
+        code = main(["eval", "--speeds", str(speeds), "--truth-rpm", str(truth), "--report", str(report)])
+        assert code == 0
+        entries = [json.loads(line) for line in report.read_text().splitlines()]
+        assert entries == [
+            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": 0, "value": 5.0},
+            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": 1, "value": 0.0},
+        ]
+
+    def test_prop_without_truth_rows_is_skipped(self, tmp_path):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n1000,2,3000.0,0.0\n")
+        truth = tmp_path / "truth_rpm.csv"
+        truth.write_text("t,prop_id,rpm\n0,0,3000.0\n")
+        report = tmp_path / "report.jsonl"
+        assert main(["eval", "--speeds", str(speeds), "--truth-rpm", str(truth), "--report", str(report)]) == 0
+        assert [json.loads(line)["prop_id"] for line in report.read_text().splitlines()] == [0]

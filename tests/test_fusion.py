@@ -10,11 +10,15 @@ from rotorsense.fusion import (
     FusedState,
     KinematicPredictor,
     MotionPrior,
+    _check_cov,
+    _step_matrices,
+    _transition,
     predict,
     process_noise,
     run_fusion,
     update,
 )
+from rotorsense.pipeline import FUSED_HEADER, read_table, write_fused_csv
 from rotorsense.sim import DroneSpec, NO_NOISE, simulate_flight
 
 HOVER = np.full(4, rpm_to_rad_s(3000.0))
@@ -173,3 +177,108 @@ class TestRunFusion:
         total = nis.sum()
         dof = 3 * nis.size
         assert chi2.ppf(0.025, dof) <= total <= chi2.ppf(0.975, dof)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_state(rng, t_us=0):
+    a = rng.normal(size=(6, 6))
+    return FusedState(t_us=t_us, mean=rng.normal(0, 10, 6), cov=a @ a.T + 0.1 * np.eye(6))
+
+
+class TestStepMatrices:
+    @pytest.mark.parametrize("dt_s", [1e-6, 0.001, 0.0125, 1 / 3, 0.2, 7.0])
+    @pytest.mark.parametrize("command", ["hover", "climb", "roll"])
+    def test_predict_is_bit_equal_to_the_explicit_formula(self, predictor, dt_s, command):
+        rng = np.random.default_rng(int(dt_s * 1e6))
+        speeds = np.abs(HOVER + rng.normal(0, 20, 4))
+        for noise_scale in (0.0, 0.05, 1.7):
+            prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=noise_scale)
+            state = random_state(rng, t_us=123)
+            f, b = _transition(dt_s)
+            accel = predictor.acceleration(prior)
+            mean = f @ state.mean + b @ accel
+            cov = _check_cov(f @ state.cov @ f.T + process_noise(dt_s, noise_scale), "test")
+            for _ in range(2):  # the second call reads the cached matrices
+                out = predict(state, prior, dt_s, predictor)
+                assert same_bits(out.mean, mean)
+                assert same_bits(out.cov, cov)
+                assert out.t_us == 123 + int(round(dt_s * 1e6))
+
+    def test_cached_matrices_are_read_only(self):
+        for matrix in _step_matrices(0.001, 0.05):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        assert _step_matrices(0.001, 0.05)[2] is _step_matrices(0.001, 0.05)[2]
+
+    def test_public_builders_return_fresh_writable_arrays(self, predictor):
+        state = make_state()
+        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.05)
+        before = predict(state, prior, 0.001, predictor)
+        q = process_noise(0.001, 0.05)
+        f, b = _transition(0.001)
+        assert q.flags.writeable and f.flags.writeable and b.flags.writeable
+        assert q is not process_noise(0.001, 0.05)
+        assert q is not _step_matrices(0.001, 0.05)[2]
+        q[:] = 1e6
+        f[:] = 0.0
+        after = predict(state, prior, 0.001, predictor)
+        assert same_bits(after.mean, before.mean) and same_bits(after.cov, before.cov)
+
+
+class TestSpeedQueue:
+    def test_fractional_times_and_ids_truncate_like_int(self, predictor):
+        gps = np.array([[0, 0.0, 0.0, 0.0], [300_000, 1.0, 0.0, 0.0]])
+        ragged = np.array([[100_000.9, 0.7, 3100.0], [150_000.2, 1.99, 2900.5], [-0.5, 2.0, 3000.0]])
+        truncated = np.array([[100_000, 0, 3100.0], [150_000, 1, 2900.5], [0, 2, 3000.0]])
+        commands = [(90_000, "climb")]
+        got = run_fusion(ragged, commands, gps, predictor)
+        want = run_fusion(truncated, commands, gps, predictor)
+        assert [s.t_us for s in got.states] == [s.t_us for s in want.states]
+        for a, b in zip(got.states, want.states):
+            assert same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**63])
+    def test_non_integer_time_or_id_is_a_data_error(self, predictor, bad):
+        gps = np.array([[0, 0.0, 0.0, 0.0]])
+        for col in (0, 1):
+            speeds = np.array([[100_000.0, 0.0, 3000.0]])
+            speeds[0, col] = bad
+            with pytest.raises(DataError, match="speed stream"):
+                run_fusion(speeds, [], gps, predictor)
+
+
+def reference_fused_csv(path, states):
+    """The per-state formatter that `write_fused_csv` replaced."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(FUSED_HEADER + "\n")
+        for state in states:
+            vals = ",".join(repr(float(v)) for v in state.mean)
+            fh.write(f"{state.t_us},{vals},{float(np.trace(state.cov))!r}\n")
+
+
+class TestWriteFusedCsv:
+    def test_bytes_match_the_per_state_formatter(self, tmp_path, predictor):
+        rng = np.random.default_rng(4)
+        states = [random_state(rng, t_us=1000 * k) for k in range(50)]
+        states.append(FusedState(t_us=7, mean=np.array([-0.0, 1e-300, 1e300, 24.0, 0.1, -2.5]), cov=np.diag([4.0, 4, 4, 4, 4, 4])))
+        gps = np.array([[0, 0, 0, 0], [200_000, 1, 0, 0], [400_000, 2, 1, 0]])
+        speeds = np.array([[100_000, 0, 3000.0], [100_000, 1, 3100.0], [300_000, 2, 2900.0]])
+        states += run_fusion(speeds, [(50_000, "climb")], gps, predictor).states
+        # repeats of one state object, and distinct states at one time
+        states += [states[0], states[0], states[1], states[0], states[0]]
+        states += [random_state(rng, t_us=5), random_state(rng, t_us=5), random_state(rng, t_us=5)]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_fused_csv(str(got), iter(states))
+        reference_fused_csv(str(want), states)
+        assert got.read_bytes() == want.read_bytes()
+        rows = got.read_text().splitlines()
+        assert len(rows) == 1 + len(states)
+        assert rows[51] == "7,-0.0,1e-300,1e+300,24.0,0.1,-2.5,24.0"
+        assert "np.float64(" not in got.read_text()
+        table = read_table(str(got), FUSED_HEADER)
+        assert same_bits(table[:, 7], [float(np.trace(s.cov)) for s in states])

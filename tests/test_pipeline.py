@@ -10,7 +10,10 @@ from rotorsense.errors import DataError
 from rotorsense.events import EventBundle, Events, SensorGeometry, slice_bundles, write_events
 from rotorsense.motion import SpeedEstimate
 from rotorsense.pipeline import (
+    FUSED_HEADER,
+    SPEED_HEADER,
     STATE_HEADER,
+    XYZ_HEADER,
     estimate_track,
     preprocess_stream,
     read_speed_csv,
@@ -144,6 +147,41 @@ class TestRunPipelineFromFile:
 
 
 
+
+def reference_read_table(path, header, *, extra_columns=False):
+    """The per-line reader that `read_table` replaced, kept as its oracle."""
+    names = header.split(",")
+    width = len(names)
+    rows = []
+    with open(path, "r") as fh:
+        found = fh.readline().strip()
+        fields = found.split(",")
+        if fields[:width] != names or (len(fields) != width and not extra_columns):
+            raise DataError(f"{path}:1: unexpected header {found!r}, expected {header!r}")
+        n_fields = len(fields)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.strip().split(",")
+            if len(parts) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            try:
+                rows.append([float(v) for v in parts[:width]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from exc
+    return np.array(rows) if rows else np.zeros((0, width))
+
+
+def _outcome(reader, path, header, extra_columns):
+    try:
+        return reader(path, header, extra_columns=extra_columns), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+MANY = "".join(f"{t},{t % 4},{3000.0 + t / 7!r},0.0\n" for t in range(5000))
+
+
 class TestReadTable:
     def test_extra_columns_checked_but_not_parsed(self, tmp_path):
         path = tmp_path / "truth_state.csv"
@@ -170,3 +208,54 @@ class TestReadTable:
         path = tmp_path / "speeds.csv"
         path.write_text("t_ref,prop_id,rpm,objective\n")
         assert read_speed_csv(str(path)).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        ("file_header", "body", "header", "extra_columns"),
+        [
+            (SPEED_HEADER, "1000,0,3000.5,0.0\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "", SPEED_HEADER, False),
+            (SPEED_HEADER, "\n\n   \n", SPEED_HEADER, False),
+            (SPEED_HEADER, "  1,0,2.5,0.0  \n\n\t\n2, 1 ,3.5 ,1e-300\n   \n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0\r\n2,1,3.5,0.0\r\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,nan,-inf\n2,1,inf,NaN\n3,2,-0.0,1_000\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "\x1c1,0,2.5,0.0\x1f\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,\x1c0,2.5,0.0\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "#1,0,2.5,0.0\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0\n# comment\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0\n2,1,abc,0.0\n3,1,2.5\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0\n2,1,2.5\n3,1,abc,0.0\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5,0.0,9\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,2.5\n2,1,3.5,0.0,9\n", SPEED_HEADER, False),
+            (SPEED_HEADER, "1,0,,0.0\n", SPEED_HEADER, False),
+            (SPEED_HEADER, ",,,\n", SPEED_HEADER, False),
+            (SPEED_HEADER, MANY, SPEED_HEADER, False),
+            (SPEED_HEADER, MANY + "\n\n" + MANY, SPEED_HEADER, False),
+            (SPEED_HEADER, MANY + "5000,1,x,0.0\n" + MANY, SPEED_HEADER, False),
+            (SPEED_HEADER, MANY + "5000,1,0.0\n", SPEED_HEADER, False),
+            (STATE_HEADER, "0,1,2,3,4,5,6\n", STATE_HEADER, True),
+            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n 7,1,2,3,4,5,6,\n", STATE_HEADER, True),
+            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,x,climb\n", STATE_HEADER, True),
+            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,6\n", STATE_HEADER, True),
+            (STATE_HEADER + ",command,note", "0,1,2,3,4,5,6,hover,a b\n", STATE_HEADER, True),
+            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n", STATE_HEADER, False),
+            (FUSED_HEADER, "0,1.5,2.5,3.5,0.0,0.0,0.0,24.0\n", FUSED_HEADER, False),
+            ("t,x,y,zz", "0,1,2,3\n", XYZ_HEADER, False),
+        ],
+    )
+    def test_same_values_and_errors(self, tmp_path, file_header, body, header, extra_columns):
+        path = tmp_path / "table.csv"
+        path.write_bytes((file_header + "\n" + body).encode())
+        got, got_error = _outcome(read_table, str(path), header, extra_columns)
+        want, want_error = _outcome(reference_read_table, str(path), header, extra_columns)
+        assert got_error == want_error
+        if want_error is None:
+            assert got.shape == want.shape
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_bad_line_is_named_in_a_later_block(self, tmp_path):
+        path = tmp_path / "speeds.csv"
+        path.write_text(SPEED_HEADER + "\n" + MANY + "\n" + MANY + "1,2,three,0.0\n")
+        with pytest.raises(DataError, match=rf":{2 + 2 * 5000 + 1}: non-numeric field in '1,2,three,0.0'"):
+            read_table(str(path), SPEED_HEADER)
