@@ -47,7 +47,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario.seed = args.seed
     os.makedirs(args.out, exist_ok=True)
     fmt = args.format
-    scenario_hash = hashlib.sha256(open(args.scenario, "rb").read()).hexdigest()
+    with open(args.scenario, "rb") as fh:
+        scenario_hash = hashlib.sha256(fh.read()).hexdigest()
     artifacts = []
     if scenario.mode == "propellers":
         events, truth = simulate_propellers(
@@ -111,8 +112,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.count_ratio is not None:
         cfg.count_ratio = args.count_ratio
     if args.polarity_band:
-        lo, hi = (float(v) for v in args.polarity_band.split(","))
-        cfg.polarity_lo, cfg.polarity_hi = lo, hi
+        cfg.polarity_lo, cfg.polarity_hi = args.polarity_band
     cfg.validate()
     events, geometry = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
@@ -126,8 +126,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.bracket_rpm:
-        lo, hi = (float(v) for v in args.bracket_rpm.split(","))
-        cfg.bracket_rpm_lo, cfg.bracket_rpm_hi = lo, hi
+        cfg.bracket_rpm_lo, cfg.bracket_rpm_hi = args.bracket_rpm
     if args.grid:
         cfg.n_grid = args.grid
     if args.tol is not None:
@@ -303,6 +302,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if report["pass"] else EXIT_NUMERIC
 
 
+def _number_pair(text: str) -> tuple[float, float]:
+    """argparse type of a `lo,hi` option: two comma-separated numbers."""
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}") from None
+    return lo, hi
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rotorsense", description=__doc__)
     parser.add_argument("--config", help="pipeline config file (key=value lines)")
@@ -325,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--count-ratio", type=float, dest="count_ratio")
-    p.add_argument("--polarity-band", dest="polarity_band", help="lo,hi")
+    p.add_argument("--polarity-band", dest="polarity_band", type=_number_pair, help="lo,hi")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("estimate", help="estimate propeller speeds")
     p.add_argument("input")
     p.add_argument("--format", default="bin", choices=("csv", "bin"))
     p.add_argument("--out", default=None)
-    p.add_argument("--bracket-rpm", dest="bracket_rpm", help="lo,hi")
+    p.add_argument("--bracket-rpm", dest="bracket_rpm", type=_number_pair, help="lo,hi")
     p.add_argument("--grid", type=int)
     p.add_argument("--tol", type=float, help="refinement tolerance, RPM")
     p.add_argument("--epsilon", type=float)

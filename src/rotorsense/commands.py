@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import COMMANDS
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 
 FEATURES_PER_CHANNEL = 5
 
@@ -316,7 +316,7 @@ def load_model(path: str) -> CommandModel:
     """Read a save_model file. A missing line or field, a non-numeric
     value or a weight table that does not fit the classes and features
     raises DataError naming the path (and the line where known)."""
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != _MODEL_HEADER:
         raise DataError(f"{path}: not a {_MODEL_HEADER!r} file")

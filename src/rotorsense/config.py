@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .batching import BatchPolicy
 from .dynamics import COMMANDS
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .events import SensorGeometry
 from .sim import ConstantSpeed, DroneSpec, NoiseSpec, PropellerSpec, RampSpeed, StepSpeed
 
@@ -21,7 +21,7 @@ from .sim import ConstantSpeed, DroneSpec, NoiseSpec, PropellerSpec, RampSpeed, 
 def parse_kv_file(path: str) -> dict[str, str]:
     """Parse a flat key=value file; later keys override earlier ones."""
     out: dict[str, str] = {}
-    with open(path, "r") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

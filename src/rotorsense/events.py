@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 
 BIN_MAGIC = b"EVP1"
 
@@ -263,7 +263,7 @@ def _write_csv(events: Events, geometry: SensorGeometry, path: str) -> None:
 def _read_csv(path: str) -> tuple[Events, SensorGeometry]:
     geometry = None
     rows_t, rows_x, rows_y, rows_p = [], [], [], []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         header_seen = False
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()

@@ -358,6 +358,12 @@ def brent_max(f, a: float, b: float, tol: float, max_iter: int = 100) -> tuple[f
     return x, -fx
 
 
+def _is_flat(values: np.ndarray) -> bool:
+    """True when the scores differ by no more than float64 rounding."""
+    v_min, v_max = float(values.min()), float(values.max())
+    return v_max - v_min <= 64.0 * np.finfo(np.float64).eps * max(abs(v_max), 1.0)
+
+
 def estimate_speed(
     batch: EventBatch | Events,
     center: tuple[float, float],
@@ -370,6 +376,7 @@ def estimate_speed(
     t_ref_us: int | None = None,
     h_max: float = H_MAX_DEFAULT,
     spin: int = +1,
+    prior_rad_s: float | None = None,
 ) -> SpeedEstimate:
     """Locate the speed maximizing the warp objective over a bracket.
 
@@ -378,6 +385,13 @@ def estimate_speed(
     The refined value never scores below the best grid point. Raises
     EstimationError on an empty batch and DegenerateInputError when the
     objective is flat over the whole bracket (no coherent motion).
+
+    With a prior speed, only the max(3, n_grid // 4) consecutive grid
+    candidates centred on it are scored first. Their best one is kept
+    when it lies inside that window, or on a window edge that is also
+    the bracket's edge; a best candidate on any other window edge, or a
+    flat window, falls back to scoring the full grid. Candidates sit at
+    the same grid positions either way.
     """
     events = batch.events() if isinstance(batch, EventBatch) else batch
     if len(events) == 0:
@@ -392,13 +406,22 @@ def estimate_speed(
 
     evaluator = ObjectiveEvaluator(events, center, t_ref_us, eps=eps, h_max=h_max, spin=spin)
     grid = np.linspace(lo, hi, n_grid)
-    values = evaluator.value_grid(grid)
-    v_min, v_max = float(values.min()), float(values.max())
-    if v_max - v_min <= 64.0 * np.finfo(np.float64).eps * max(abs(v_max), 1.0):
-        raise DegenerateInputError(
-            f"objective is flat over [{lo:.3g}, {hi:.3g}] rad/s; batch carries no rotation signal"
-        )
-    best = int(np.argmax(values))
+    best = None
+    if prior_rad_s is not None:
+        m = max(3, n_grid // 4)
+        j = int(np.clip(np.searchsorted(grid, prior_rad_s) - m // 2, 0, n_grid - m))
+        window = evaluator.value_grid(grid[j : j + m])
+        k = int(np.argmax(window))
+        if not _is_flat(window) and (0 < k < m - 1 or j + k in (0, n_grid - 1)):
+            best, best_value = j + k, float(window[k])
+    if best is None:
+        values = evaluator.value_grid(grid)
+        if _is_flat(values):
+            raise DegenerateInputError(
+                f"objective is flat over [{lo:.3g}, {hi:.3g}] rad/s; batch carries no rotation signal"
+            )
+        best = int(np.argmax(values))
+        best_value = float(values[best])
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, n_grid - 1)]
     # refine on log(R): same argmax, but spans of many orders of magnitude
@@ -407,8 +430,8 @@ def estimate_speed(
         lambda w: math.log(evaluator.value(w)), float(bracket_lo), float(bracket_hi), tol=tol_rad_s
     )
     value = evaluator.value(omega)
-    if value < values[best]:
-        omega, value = float(grid[best]), float(values[best])
+    if value < best_value:
+        omega, value = float(grid[best]), best_value
     return SpeedEstimate(
         prop_id=prop_id,
         t_ref_us=int(t_ref_us),

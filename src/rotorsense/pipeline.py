@@ -25,7 +25,7 @@ import numpy as np
 from .batching import StopReason, density_downsample, grow_batch
 from .config import PipelineConfig, parse_scenario
 from .dynamics import COMMANDS, rad_s_to_rpm, rpm_to_rad_s
-from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
+from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError, open_text
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
 from .fusion import FusedState
 from .metrics import rmae
@@ -83,7 +83,7 @@ def read_table(path: str, header: str, *, extra_columns: bool = False) -> np.nda
     names = header.split(",")
     width = len(names)
     blocks = [np.zeros((0, width))]
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         found = fh.readline().strip()
         fields = found.split(",")
         if fields[:width] != names or (len(fields) != width and not extra_columns):
@@ -150,7 +150,7 @@ def read_truth_rpm_csv(path: str) -> tuple[np.ndarray, list[tuple[float, float]]
     """Rows of (t_us, prop_id, rpm) plus the propeller centers."""
     centers: dict[int, tuple[float, float]] = {}
     rows = []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -211,7 +211,7 @@ def write_command_csv(path: str, rows: list[tuple[int, str]]) -> None:
 
 def read_command_csv(path: str) -> list[tuple[int, str]]:
     out = []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if header != "t,command":
             raise DataError(f"{path}:1: unexpected header {header!r}")
@@ -335,8 +335,7 @@ def write_preprocess_artifacts(
     assign_path = os.path.join(out_dir, "assignments.csv")
     with open(assign_path, "w", newline="\n") as fh:
         fh.write("event_index,prop_id\n")
-        for idx, prop in enumerate(tracked.assignments):
-            fh.write(f"{idx},{int(prop)}\n")
+        write_indexed_ints(fh, tracked.assignments)
     tracks_path = os.path.join(out_dir, "tracks.csv")
     with open(tracks_path, "w", newline="\n") as fh:
         fh.write("prop_id,centroid_x,centroid_y,n_events\n")
@@ -344,6 +343,19 @@ def write_preprocess_artifacts(
             n = int((tracked.assignments == prop).sum())
             fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
     return [filtered_path, assign_path, tracks_path]
+
+
+# rows formatted per string by write_indexed_ints: bounds the block's memory
+_CSV_BLOCK_ROWS = 16384
+
+
+def write_indexed_ints(fh, values: np.ndarray) -> None:
+    """Rows `i,values[i]` of an integer array, formatted a block of rows
+    per string."""
+    for start in range(0, len(values), _CSV_BLOCK_ROWS):
+        block = values[start : start + _CSV_BLOCK_ROWS]
+        rows = np.column_stack([np.arange(start, start + len(block)), block]).ravel().tolist()
+        fh.write(("%d,%d\n" * len(block)) % tuple(rows))
 
 
 # --- Estimate stage (speed tracking loop) ---
@@ -391,8 +403,13 @@ def estimate_track(
     """Run the adaptive batch loop over one propeller's events.
 
     Speed continuity confines each batch's search bracket to
-    [0.5, 1.5] x the previous estimate; a consistency stop (speed
-    change) resets to the configured bracket and re-acquires.
+    [0.5, 1.5] x the previous estimate, and the grid scan starts with
+    the quarter of its candidates centred on that estimate (about 12 %
+    either side at n_grid = 64); a peak on that window's inner edge, or
+    a flat window, rescans the full bracket. A speed change larger than
+    the window can still settle on a lesser peak inside it. A
+    consistency stop (speed change) resets to the configured bracket and
+    re-acquires.
     """
     policy = cfg.batch_policy()
     out = TrackEstimates(prop_id=prop_id)
@@ -439,6 +456,7 @@ def estimate_track(
                 prop_id=prop_id,
                 t_ref_us=grown.batch.t_start,
                 spin=spin,
+                prior_rad_s=omega_prior,
             )
             out.estimates.append(est)
             out.stop_reasons.append(grown.reason)
@@ -543,19 +561,19 @@ def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, per_t
     artifacts.append(trace_path)
     try:  # images are optional; CSV is the contract
         import matplotlib
+    except ImportError:
+        LOG.info("plot images skipped (matplotlib is not installed)")
+        return artifacts
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
 
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        if curve is not None:
-            fig, ax = plt.subplots()
-            ax.plot(rad_s_to_rpm(curve[1]), curve[2])
-            ax.set_xlabel("candidate speed (RPM)")
-            ax.set_ylabel("objective")
-            fig.savefig(os.path.join(plot_dir, "objective_curve.png"))
-            plt.close(fig)
-    except Exception:  # pragma: no cover - depends on plotting backend
-        LOG.info("plot images skipped (no usable matplotlib backend)")
+    if curve is not None:
+        fig, ax = plt.subplots()
+        ax.plot(rad_s_to_rpm(curve[1]), curve[2])
+        ax.set_xlabel("candidate speed (RPM)")
+        ax.set_ylabel("objective")
+        fig.savefig(os.path.join(plot_dir, "objective_curve.png"))
+        plt.close(fig)
     return artifacts
 
 

@@ -123,20 +123,34 @@ def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> t
     Starts from the component-wise median and iteratively re-averages the
     events within trim_factor times the median radius, so uniformly
     spread leftover noise far from the rotor cannot drag the center the
-    way a plain mean does. Deterministic; falls back to the mean when
-    trimming would discard everything.
+    way a plain mean does. Deterministic; keeps the last center when
+    trimming would discard everything. Runs over the distinct pixels
+    weighted by their event counts: the medians are those of the events
+    and the trimmed means are exact integer sums over the event count,
+    so the result is the same doubles as a pass over every event.
     """
     if len(events) == 0:
         raise DataError("cannot locate a center from an empty track")
-    coords = np.column_stack([events.x, events.y]).astype(np.float64)
-    center = np.median(coords, axis=0)
+    pixels, counts, _ = distinct_pixels(events)
+    coords = pixels.astype(np.float64)
+    center = np.array([_weighted_median(coords[:, 0], counts), _weighted_median(coords[:, 1], counts)])
     for _ in range(iters):
         radii = np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1])
-        keep = radii <= trim_factor * np.median(radii)
+        keep = radii <= trim_factor * _weighted_median(radii, counts)
         if not keep.any():
             break
-        center = coords[keep].mean(axis=0)
+        center = counts[keep] @ coords[keep] / counts[keep].sum()
     return float(center[0]), float(center[1])
+
+
+def _weighted_median(values: np.ndarray, counts: np.ndarray) -> float:
+    """np.median of `values` with each one repeated counts times: the
+    middle value, or the mean of the two middle values for an even total."""
+    order = np.argsort(values, kind="stable")
+    cumulative = np.cumsum(counts[order])
+    n = int(cumulative[-1])
+    lo, hi = order[np.searchsorted(cumulative, [(n - 1) // 2, n // 2], side="right")]
+    return (values[lo] + values[hi]) / 2
 
 
 def distinct_pixels(events: Events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

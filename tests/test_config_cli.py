@@ -372,3 +372,77 @@ class TestEvalSpeeds:
         report = tmp_path / "report.jsonl"
         assert main(["eval", "--speeds", str(speeds), "--truth-rpm", str(truth), "--report", str(report)]) == 0
         assert [json.loads(line)["prop_id"] for line in report.read_text().splitlines()] == [0]
+
+
+class TestPairOptions:
+    def test_bracket_rpm_not_a_pair_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(tmp_path / "events.bin"), "--bracket-rpm", "abc", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--bracket-rpm: expected lo,hi, got 'abc'" in capsys.readouterr().err
+
+    def test_polarity_band_not_a_pair_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["preprocess", str(tmp_path / "events.bin"), "--polarity-band", "abc", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--polarity-band: expected lo,hi, got 'abc'" in capsys.readouterr().err
+
+    def test_valid_pairs_run(self, scene_file, tmp_path):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", scene_file, "--out", out]) == 0
+        events = os.path.join(out, "events.bin")
+        pre = str(tmp_path / "pre")
+        assert main(["preprocess", events, "--k", "1", "--polarity-band", "0.2,0.8", "--out", pre]) == 0
+        est = str(tmp_path / "est")
+        assert main(["estimate", events, "--bracket-rpm", "1000,6000", "--out", est]) == 0
+        assert pl.read_speed_csv(os.path.join(est, "speeds.csv")).shape[0] > 0
+
+
+class TestNonUtf8Inputs:
+    """A text input holding a byte that is not UTF-8 exits 2 (config) or
+    3 (data) naming the file, instead of a UnicodeDecodeError traceback."""
+
+    SPEEDS = "t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n"
+
+    # reader: (bytes of the bad file, text of the good one, argv, exit code)
+    CASES = {
+        "parse_kv_file": (
+            b"seed=1\nk_props=\xff\n", None, ["--config", "{bad}", "pipeline", "--out", "{out}"], EXIT_CONFIG,
+        ),
+        "parse_kv_file_scenario": (
+            SCENE.replace("width=130", "width=\xff").encode("latin-1"), None,
+            ["simulate", "{bad}", "--out", "{out}"], EXIT_CONFIG,
+        ),
+        "read_table": (
+            b"t,x,y,z,vx,vy,vz,cov_trace\n0,0.0,0.0,0.0,0.0,0.0,0.0,\xff\n",
+            "t,x,y,z,vx,vy,vz\n0,0.0,0.0,0.0,0.0,0.0,0.0\n",
+            ["eval", "--fused", "{bad}", "--truth-state", "{ok}", "--report", "{out}"], EXIT_DATA,
+        ),
+        "read_truth_rpm_csv": (
+            b"# prop0_center=\xff,1.0\nt,prop_id,rpm\n0,0,3000.0\n", SPEEDS,
+            ["eval", "--speeds", "{ok}", "--truth-rpm", "{bad}", "--report", "{out}"], EXIT_DATA,
+        ),
+        "read_command_csv": (
+            b"t,command\n0,hover\xff\n", "t,x,y,z\n0,0.0,0.0,0.0\n",
+            ["fuse", "--commands", "{bad}", "--gps", "{ok}", "--out-csv", "{out}"], EXIT_DATA,
+        ),
+        "load_model": (
+            b"rotorsense-command-model v1\n\xff\n", SPEEDS,
+            ["infer-command", "{ok}", "--model", "{bad}", "--out-csv", "{out}"], EXIT_DATA,
+        ),
+        "events_read_csv": (
+            b"# width=10 height=10\nt,x,y,p\n0,1,1,1\n1,2,2,\xff\n", None,
+            ["preprocess", "{bad}", "--format", "csv", "--out", "{out}"], EXIT_DATA,
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", list(CASES))
+    def test_exit_code_names_the_path(self, tmp_path, capsys, reader):
+        bad_bytes, ok_text, argv, expected = self.CASES[reader]
+        paths = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.csv", "out": tmp_path / "out"}
+        paths["bad"].write_bytes(bad_bytes)
+        if ok_text is not None:
+            paths["ok"].write_text(ok_text)
+        code = main([arg.format(**paths) for arg in argv])
+        assert code == expected
+        assert f"{paths['bad']}: not UTF-8 text" in capsys.readouterr().err

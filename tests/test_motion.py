@@ -294,3 +294,74 @@ class TestWarpInvertsSimulation:
             np.testing.assert_array_equal(
                 evaluator.value_grid(uneven), [evaluator.value(float(w)) for w in uneven]
             )
+
+
+class TestPriorWindow:
+    """A locked track's prior confines the first scan to a quarter of the
+    grid around it; anything the window cannot settle rescans the grid."""
+
+    @pytest.fixture()
+    def scanned_sizes(self, monkeypatch):
+        sizes = []
+        original = ObjectiveEvaluator.value_grid
+
+        def recording(self, omegas):
+            sizes.append(len(omegas))
+            return original(self, omegas)
+
+        monkeypatch.setattr(ObjectiveEvaluator, "value_grid", recording)
+        return sizes
+
+    @pytest.mark.parametrize("factor", [0.95, 1.0, 1.03])
+    def test_prior_near_truth_scans_the_window_only(self, clean_3000, scanned_sizes, factor):
+        events, _ = clean_3000
+        batch = events.time_slice(0, 8000)
+        prior = rpm_to_rad_s(3000.0) * factor
+        bracket = (0.5 * prior, 1.5 * prior)
+        windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
+        assert scanned_sizes == [16]
+        assert windowed == estimate_speed(batch, CENTER, bracket)
+
+    @pytest.mark.parametrize("factor", [0.75, 1.3])
+    def test_prior_far_from_truth_falls_back_to_the_grid(self, clean_3000, scanned_sizes, factor):
+        events, _ = clean_3000
+        batch = events.time_slice(0, 8000)
+        prior = rpm_to_rad_s(3000.0) * factor
+        bracket = (0.5 * prior, 1.5 * prior)
+        windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
+        assert scanned_sizes == [16, 64]
+        assert windowed == estimate_speed(batch, CENTER, bracket, prior_rad_s=None)
+
+    def test_flat_window_at_the_bracket_edge_falls_back(self, scanned_sizes):
+        # eight events on a circle, each where a 3000 RPM blade tip stands at
+        # its time: only candidates near 3000 RPM stack two of them on one
+        # pixel, so the window at the low end of the bracket is exactly flat
+        omega = rpm_to_rad_s(3000.0)
+        center = (100.0, 100.0)
+        t = np.arange(8) * 1000
+        angle = -omega * t * 1e-6
+        events = Events(
+            t.astype(np.uint64),
+            np.round(center[0] + 40.0 * np.cos(angle)).astype(int),
+            np.round(center[1] + 40.0 * np.sin(angle)).astype(int),
+            np.ones(8, np.int8),
+        )
+        bracket = (rpm_to_rad_s(1000.0), rpm_to_rad_s(4150.0))
+        evaluator = ObjectiveEvaluator(events, center, 0)
+        values = evaluator.value_grid(np.linspace(*bracket, 64))
+        assert np.all(values[:16] == values[0]) and values.max() > values[0]
+        scanned_sizes.clear()
+        windowed = estimate_speed(events, center, bracket, prior_rad_s=bracket[0])
+        assert scanned_sizes == [16, 64]
+        assert windowed == estimate_speed(events, center, bracket)
+        assert abs(windowed.rpm - 3000.0) < 50.0
+
+    def test_no_rotation_signal_is_still_degenerate(self, rng):
+        n = 40
+        x = rng.integers(0, 500, n)
+        y = rng.integers(0, 500, n)
+        t = np.sort(rng.integers(0, 5_000, n)).astype(np.uint64)
+        events = Events(t, x, y, np.ones(n, np.int8))
+        bracket = (rpm_to_rad_s(500), rpm_to_rad_s(1500))
+        with pytest.raises(DegenerateInputError):
+            estimate_speed(events, (250.0, 250.0), bracket, n_grid=16, prior_rad_s=rpm_to_rad_s(1000))

@@ -1,4 +1,6 @@
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from rotorsense.pipeline import (
     SPEED_HEADER,
     STATE_HEADER,
     XYZ_HEADER,
+    TrackedStream,
+    _emit_plots,
     estimate_track,
     preprocess_stream,
     read_speed_csv,
     read_table,
     read_truth_rpm_csv,
     run_pipeline,
+    write_preprocess_artifacts,
     write_speed_csv,
     write_truth_rpm_csv,
 )
@@ -121,6 +126,50 @@ class TestEstimateTrack:
         grown = grow_batch(with_gap, policy, rpm_to_rad_s(3000), (60.0, 60.0))
         assert grown.reason is StopReason.CONSISTENCY
         assert grown.next_index == 2
+
+
+def reference_assignments_csv(path, assignments):
+    """The per-row writer assignments.csv had before rows were written in blocks."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("event_index,prop_id\n")
+        for idx, prop in enumerate(assignments):
+            fh.write(f"{idx},{int(prop)}\n")
+
+
+class TestAssignmentsCsv:
+    @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 40000])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        events = Events(
+            np.arange(n, dtype=np.uint64), rng.integers(0, 64, n), rng.integers(0, 64, n), np.ones(n, np.int8)
+        )
+        assignments = rng.integers(-1, 4, n).astype(np.int64)
+        tracked = TrackedStream(events, assignments, [(1.0, 2.0)] * 4, [(1.0, 2.0)] * 4)
+        write_preprocess_artifacts(str(tmp_path), tracked, SensorGeometry(64, 64), "bin")
+        reference_assignments_csv(tmp_path / "expected.csv", assignments)
+        assert (tmp_path / "assignments.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+class TestEmitPlots:
+    @staticmethod
+    def emit(out_dir):
+        tracked = TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
+        return _emit_plots(str(out_dir), tracked, PipelineConfig(), [])
+
+    def test_without_matplotlib_the_csv_series_remain(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        assert self.emit(tmp_path) == [os.path.join(str(tmp_path), "plots", "rpm_traces.csv")]
+
+    def test_a_plotting_failure_is_not_swallowed(self, tmp_path, monkeypatch):
+        fake = types.ModuleType("matplotlib")
+
+        def use(backend):
+            raise RuntimeError(f"backend {backend} broke")
+
+        fake.use = use
+        monkeypatch.setitem(sys.modules, "matplotlib", fake)
+        with pytest.raises(RuntimeError, match="backend Agg broke"):
+            self.emit(tmp_path)
 
 
 class TestRunPipelineFromFile:

@@ -235,6 +235,60 @@ class TestRobustCenter:
         assert np.hypot(x.mean() - 80, y.mean() - 80) > 5.0
 
 
+def _per_event_robust_center(events, trim_factor=1.5, iters=3):
+    """robust_center as a pass over every event: the reference the pixel
+    version must reproduce bit for bit."""
+    coords = np.column_stack([events.x, events.y]).astype(np.float64)
+    center = np.median(coords, axis=0)
+    for _ in range(iters):
+        radii = np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1])
+        keep = radii <= trim_factor * np.median(radii)
+        if not keep.any():
+            break
+        center = coords[keep].mean(axis=0)
+    return float(center[0]), float(center[1])
+
+
+class TestRobustCenterEqualsPerEvent:
+    @staticmethod
+    def blade_with_noise(seed, n_blade, n_noise):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, 2 * np.pi, n_blade)
+        radius = rng.uniform(2, 25, n_blade)
+        x = np.concatenate([60 + radius * np.cos(theta), rng.uniform(0, 640, n_noise)])
+        y = np.concatenate([70 + radius * np.sin(theta), rng.uniform(0, 480, n_noise)])
+        x, y = x.round().astype(int), y.round().astype(int)
+        return Events(np.arange(x.size, dtype=np.uint64), x, y, np.ones(x.size, np.int8))
+
+    @pytest.mark.parametrize("n_blade", [1, 2, 3, 4, 999, 1000, 5001, 5002])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_odd_and_even_counts_with_outliers(self, seed, n_blade):
+        events = self.blade_with_noise(seed, n_blade, n_noise=n_blade // 5)
+        assert robust_center(events) == _per_event_robust_center(events)
+
+    @pytest.mark.parametrize("trim_factor", [0.5, 1.0, 1.5, 3.0])
+    def test_duplicated_pixels_and_trim_factors(self, trim_factor):
+        # a few pixels each hit many times: medians fall inside runs of equal values
+        rng = np.random.default_rng(7)
+        x = rng.choice([10, 11, 12, 40, 65535], size=4001, p=[0.3, 0.3, 0.2, 0.15, 0.05])
+        y = rng.choice([0, 5, 6, 300], size=4001)
+        events = Events(np.arange(4001, dtype=np.uint64), x, y, np.ones(4001, np.int8))
+        for n in (4000, 4001):
+            sub = events.select(np.arange(n))
+            for iters in (0, 1, 3):
+                assert robust_center(sub, trim_factor, iters) == _per_event_robust_center(sub, trim_factor, iters)
+
+    def test_trimming_that_keeps_nothing_keeps_the_median(self):
+        # the median (1.5, 0.5) is no event's pixel, so a zero trim keeps none
+        events = make_events([(0, 1, 0, 1), (1, 2, 1, 1), (2, 1, 0, -1), (3, 2, 1, -1)])
+        assert robust_center(events, trim_factor=0.0) == _per_event_robust_center(events, trim_factor=0.0)
+        assert robust_center(events, trim_factor=0.0) == (1.5, 0.5)
+
+    def test_single_event(self):
+        events = make_events([(5, 300, 7, 1)])
+        assert robust_center(events) == _per_event_robust_center(events) == (300.0, 7.0)
+
+
 class TestDistinctPixels:
     def test_matches_counter_with_extreme_coordinates(self):
         from collections import Counter
