@@ -404,12 +404,11 @@ def estimate_track(
 
     Speed continuity confines each batch's search bracket to
     [0.5, 1.5] x the previous estimate, and the grid scan starts with
-    the quarter of its candidates centred on that estimate (about 12 %
-    either side at n_grid = 64); a peak on that window's inner edge, or
-    a flat window, rescans the full bracket. A speed change larger than
-    the window can still settle on a lesser peak inside it. A
-    consistency stop (speed change) resets to the configured bracket and
-    re-acquires.
+    the candidates within motion.PRIOR_WINDOW_HALF_WIDTH (0.32) x that
+    estimate; a peak on that window's inner edge, or a flat window,
+    rescans the full bracket. A speed change well beyond the window can
+    still settle on a lesser peak inside it. A consistency stop (speed
+    change) resets to the configured bracket and re-acquires.
     """
     policy = cfg.batch_policy()
     out = TrackEstimates(prop_id=prop_id)

@@ -8,6 +8,7 @@ from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import ConfigError, DegenerateInputError, EstimationError
 from rotorsense.events import Events, SensorGeometry
 from rotorsense.motion import (
+    PRIOR_WINDOW_HALF_WIDTH,
     ObjectiveEvaluator,
     PatchGeometry,
     accumulate,
@@ -295,41 +296,62 @@ class TestWarpInvertsSimulation:
                 evaluator.value_grid(uneven), [evaluator.value(float(w)) for w in uneven]
             )
 
+    def test_grid_window_scores_equal_the_full_scan(self):
+        for rpm, events in self.speed_streams():
+            evaluator = ObjectiveEvaluator(events, CENTER, 0)
+            grid = np.linspace(rpm_to_rad_s(rpm * 0.5), rpm_to_rad_s(rpm * 1.5), 64)
+            full = evaluator.value_grid(grid)
+            for start, stop in [(0, 64), (0, 1), (11, 54), (40, 64), (63, 64)]:
+                np.testing.assert_array_equal(evaluator.value_grid(grid, start, stop), full[start:stop])
+            uneven = grid[[0, 1, 3, 7, 20, 40, 63]]
+            np.testing.assert_array_equal(evaluator.value_grid(uneven, 2, 5), evaluator.value_grid(uneven)[2:5])
+
+
+def window_size(bracket, prior, n_grid=64):
+    """Candidates a locked scan scores first, from the documented rule."""
+    spacing = (bracket[1] - bracket[0]) / (n_grid - 1)
+    return min(n_grid, 2 * math.ceil(PRIOR_WINDOW_HALF_WIDTH * prior / spacing) + 1)
+
 
 class TestPriorWindow:
-    """A locked track's prior confines the first scan to a quarter of the
-    grid around it; anything the window cannot settle rescans the grid."""
+    """A locked track's prior confines the first scan to the candidates
+    within PRIOR_WINDOW_HALF_WIDTH x prior of it; anything the window
+    cannot settle rescans the grid."""
 
     @pytest.fixture()
     def scanned_sizes(self, monkeypatch):
         sizes = []
         original = ObjectiveEvaluator.value_grid
 
-        def recording(self, omegas):
-            sizes.append(len(omegas))
-            return original(self, omegas)
+        def recording(self, omegas, start=0, stop=None):
+            sizes.append(len(omegas[start:stop]))
+            return original(self, omegas, start, stop)
 
         monkeypatch.setattr(ObjectiveEvaluator, "value_grid", recording)
         return sizes
 
-    @pytest.mark.parametrize("factor", [0.95, 1.0, 1.03])
-    def test_prior_near_truth_scans_the_window_only(self, clean_3000, scanned_sizes, factor):
+    # truth 0.97x to 1.05x the prior, then speed steps of -29 % to +25 %:
+    # all within the window, so only the window is scored
+    @pytest.mark.parametrize("factor", [0.95, 1.0, 1.03, 0.8, 1.25, 1.4])
+    def test_truth_inside_the_window_scans_the_window_only(self, clean_3000, scanned_sizes, factor):
         events, _ = clean_3000
         batch = events.time_slice(0, 8000)
         prior = rpm_to_rad_s(3000.0) * factor
         bracket = (0.5 * prior, 1.5 * prior)
         windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
-        assert scanned_sizes == [16]
+        assert scanned_sizes == [window_size(bracket, prior)] and scanned_sizes[0] < 64
         assert windowed == estimate_speed(batch, CENTER, bracket)
 
-    @pytest.mark.parametrize("factor", [0.75, 1.3])
-    def test_prior_far_from_truth_falls_back_to_the_grid(self, clean_3000, scanned_sizes, factor):
+    # truth 1.35x and 0.67x the prior: just past the window's upper and
+    # lower edge, whose best candidate then sits on the peak's flank
+    @pytest.mark.parametrize("factor", [0.74, 1.5])
+    def test_truth_past_the_window_edge_falls_back_to_the_grid(self, clean_3000, scanned_sizes, factor):
         events, _ = clean_3000
         batch = events.time_slice(0, 8000)
         prior = rpm_to_rad_s(3000.0) * factor
         bracket = (0.5 * prior, 1.5 * prior)
         windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
-        assert scanned_sizes == [16, 64]
+        assert scanned_sizes == [window_size(bracket, prior), 64]
         assert windowed == estimate_speed(batch, CENTER, bracket, prior_rad_s=None)
 
     def test_flat_window_at_the_bracket_edge_falls_back(self, scanned_sizes):
@@ -348,11 +370,12 @@ class TestPriorWindow:
         )
         bracket = (rpm_to_rad_s(1000.0), rpm_to_rad_s(4150.0))
         evaluator = ObjectiveEvaluator(events, center, 0)
+        m = window_size(bracket, bracket[0])
         values = evaluator.value_grid(np.linspace(*bracket, 64))
-        assert np.all(values[:16] == values[0]) and values.max() > values[0]
+        assert np.all(values[:m] == values[0]) and values.max() > values[0]
         scanned_sizes.clear()
         windowed = estimate_speed(events, center, bracket, prior_rad_s=bracket[0])
-        assert scanned_sizes == [16, 64]
+        assert scanned_sizes == [m, 64]
         assert windowed == estimate_speed(events, center, bracket)
         assert abs(windowed.rpm - 3000.0) < 50.0
 

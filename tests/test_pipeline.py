@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotorsense.batching import BatchPolicy, StopReason, grow_batch
+from rotorsense import motion
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import DataError
@@ -28,7 +29,16 @@ from rotorsense.pipeline import (
     write_speed_csv,
     write_truth_rpm_csv,
 )
-from rotorsense.sim import ConstantSpeed, NO_NOISE, NoiseSpec, PropellerSpec, StepSpeed, simulate_propellers
+from rotorsense.sim import (
+    ConstantSpeed,
+    DroneSpec,
+    NO_NOISE,
+    NoiseSpec,
+    PropellerSpec,
+    StepSpeed,
+    simulate_flight,
+    simulate_propellers,
+)
 from conftest import make_spec
 
 
@@ -126,6 +136,31 @@ class TestEstimateTrack:
         grown = grow_batch(with_gap, policy, rpm_to_rad_s(3000), (60.0, 60.0))
         assert grown.reason is StopReason.CONSISTENCY
         assert grown.next_index == 2
+
+
+@pytest.fixture(scope="module")
+def climb_descent_flight():
+    """Rendered flight alternating climb and descent every 60 ms: each
+    switch moves every rotor by 18-26 % between locked batches."""
+    drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+    script = [(0, "climb"), (60_000, "descent"), (120_000, "climb"), (180_000, "descent")]
+    return drone, simulate_flight(script, drone, NO_NOISE, 240_000, seed=3, render_events=True)
+
+
+class TestLockedWindowOnFlight:
+    @pytest.mark.parametrize("rotor", range(4))
+    def test_window_matches_the_full_grid_across_command_steps(self, climb_descent_flight, monkeypatch, rotor):
+        drone, flight = climb_descent_flight
+        events = flight.events.select(np.flatnonzero(flight.truth.event_origin == rotor))
+        cfg = PipelineConfig(bracket_rpm_lo=500, bracket_rpm_hi=12000, sample_fraction=0.25)
+        windowed = estimate_track(events, drone.rotor_centers[rotor], cfg, prop_id=rotor)
+        # a window wider than the bracket scores the full grid every time
+        monkeypatch.setattr(motion, "PRIOR_WINDOW_HALF_WIDTH", 1.0)
+        full = estimate_track(events, drone.rotor_centers[rotor], cfg, prop_id=rotor)
+        rpm = np.array([e.rpm for e in full.estimates])
+        assert np.max(np.abs(np.diff(rpm)) / rpm[:-1]) > 0.12
+        assert windowed.estimates == full.estimates
+        assert windowed.stop_reasons == full.stop_reasons
 
 
 def reference_assignments_csv(path, assignments):
