@@ -24,6 +24,7 @@ from .events import read_events, write_events
 from .fusion import KinematicPredictor, run_fusion
 from .metrics import localization_error, rmae
 from . import pipeline as pl
+from . import tables
 from .sim import generate_command_dataset, simulate_flight, simulate_propellers
 
 LOG = logging.getLogger("rotorsense")
@@ -80,18 +81,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             extra={"command": np.array(labels, dtype=object)},
         )
         pl.write_xyz_csv(os.path.join(args.out, "gps.csv"), flight.gps)
-        rows = []
-        for prop in range(flight.rpm_traces.shape[0]):
-            for k in range(truth.times_us.size):
-                rows.append((int(truth.times_us[k]), prop, float(flight.rpm_traces[prop, k])))
-        with open(os.path.join(args.out, "speed_traces.csv"), "w", newline="\n") as fh:
-            fh.write("t,prop_id,rpm\n")
-            for t_us, prop, value in rows:
-                fh.write(f"{t_us},{prop},{value!r}\n")
-        pl.write_command_csv(
-            os.path.join(args.out, "commands.csv"),
-            [(int(t), truth.command_labels[int(c)]) for t, c in zip(truth.times_us, truth.command_ids)],
+        tables.SPEED_TRACES.write(
+            os.path.join(args.out, "speed_traces.csv"), pl.prop_rpm_columns(truth.times_us, flight.rpm_traces)
         )
+        pl.write_command_csv(os.path.join(args.out, "commands.csv"), list(zip(truth.times_us.tolist(), labels)))
         artifacts += [
             os.path.join(args.out, name)
             for name in ("truth_state.csv", "gps.csv", "speed_traces.csv", "commands.csv")
@@ -174,18 +167,30 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _command_windows(times: np.ndarray, window_us: float) -> np.ndarray:
+    """End times t0 + k * window_us (k = 1, 2, ...) of the windows that hold
+    rows of `times`, up to the last time + 1; window k holds the times from
+    its end - window_us to its end. Only the windows around each row are
+    tried, so a far row costs a few windows, not one per window before it."""
+    t0, row_times = float(times.min()), np.unique(times)
+    k = np.unique(np.floor((row_times - t0) / window_us)[:, None] + np.arange(-1, 3))
+    ends = t0 + k[k >= 1] * window_us
+    first = row_times[np.minimum(np.searchsorted(row_times, ends - window_us), row_times.size - 1)]
+    return ends[(first >= ends - window_us) & (first <= ends) & (ends <= row_times[-1] + 1)]
+
+
 def _cmd_infer_command(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     speeds = pl.read_speed_csv(args.input)
     if speeds.shape[0] == 0:
         raise DataError(f"{args.input}: no speed rows")
     window_us = args.window_ms * 1000.0
-    t_end = float(speeds[:, 0].max())
-    t_lo = float(speeds[:, 0].min())
+    if not window_us > 0:
+        raise ConfigError(f"--window-ms must be positive, got {args.window_ms}")
+    times = speeds[:, 0]
     rows = []
-    t_cursor = t_lo + window_us
-    while t_cursor <= t_end + 1:
-        window_rows = speeds[(speeds[:, 0] >= t_cursor - window_us) & (speeds[:, 0] <= t_cursor)]
+    for t_cursor in _command_windows(times, window_us):
+        window_rows = speeds[(times >= t_cursor - window_us) & (times <= t_cursor)]
         channels = []
         for prop in range(model.n_props):
             prop_rows = window_rows[window_rows[:, 1] == prop]
@@ -199,7 +204,6 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
         if len(channels) == model.n_props and all(c.size == model.window for c in channels):
             label, _scores = predict_command(model, np.stack(channels))
             rows.append((int(t_cursor), label))
-        t_cursor += window_us
     if not rows:
         raise DataError("no complete windows: need speed rows for every propeller channel")
     pl.write_command_csv(args.out_csv, rows)
@@ -243,8 +247,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 {"metric": "rmae_percent", "prop_id": prop, "value": rmae(rows[:, 2], gt), "n_estimates": len(gt)}
             )
     if args.fused and args.truth_state:
-        fused = pl.read_table(args.fused, pl.FUSED_HEADER)
-        truth = pl.read_table(args.truth_state, pl.STATE_HEADER, extra_columns=True)
+        fused = pl.read_table(args.fused, tables.FUSED)
+        truth = pl.read_table(args.truth_state, tables.STATE, extra_columns=True)
         mean_err, cdf = localization_error(fused, truth)
         entries.append({"metric": "mean_3d_error_m", "value": mean_err})
         entries.append({"metric": "error_cdf", "value": [[q, e] for q, e in cdf]})

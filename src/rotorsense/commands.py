@@ -264,6 +264,10 @@ def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> 
         raise DataError(
             f"sample shape {data.shape} does not match the model's ({model.n_props}, {model.window})"
         )
+    if model.feature_mean.size != model.n_props * FEATURES_PER_CHANNEL:
+        raise DataError(
+            f"model has {model.feature_mean.size} features for {model.n_props} rotors, not {FEATURES_PER_CHANNEL} per rotor"
+        )
     if model.cutoff_hz is not None:
         data = np.stack([lowpass_filter(ch, model.cutoff_hz, model.rate_hz) for ch in data])
     z = model.standardize(extract_features(data, model.rate_hz))
@@ -331,6 +335,9 @@ def load_model(path: str) -> CommandModel:
         cutoff_hz = None if fields["cutoff_hz"] == "none" else float(fields["cutoff_hz"])
     except ValueError as exc:
         raise DataError(f"{path}:2: non-numeric setting in {lines[1]!r}") from exc
+    # speed rows are stamped in whole microseconds: a finer grid than 1 MHz adds nothing
+    if n_props < 1 or window < 1 or not 0 < rate_hz <= 1e6 or not (cutoff_hz is None or 0 < cutoff_hz < math.inf):
+        raise DataError(f"{path}:2: setting out of range in {lines[1]!r}")
     classes = tuple(_model_value(path, 3, lines[2], "classes").split(","))
     mean = _model_floats(path, 4, _model_value(path, 4, lines[3], "feature_mean"))
     std = _model_floats(path, 5, _model_value(path, 5, lines[4], "feature_std"))

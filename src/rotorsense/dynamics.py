@@ -36,13 +36,6 @@ _MIXER = {
 }
 
 
-def command_index(command: str) -> int:
-    try:
-        return COMMANDS.index(command)
-    except ValueError:
-        raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}") from None
-
-
 def command_rpm_pattern(command: str, hover_rpm: float, delta_rpm: float, n_rotors: int = 4) -> np.ndarray:
     """Per-rotor RPM for a command: hover speed plus the mixer offset."""
     if n_rotors != 4:

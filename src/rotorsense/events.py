@@ -7,10 +7,10 @@ construction and safe to share across threads.
 
 File formats
 ------------
-CSV: optional comment line ``# width=W height=H`` carrying sensor
-geometry, then a header line ``t,x,y,p``, then one event per line as
-decimal integers with p in {-1, 1}. Missing geometry is inferred as
-max coordinate + 1.
+CSV (``tables.EVENTS``): optional comment line ``# width=W height=H``
+carrying sensor geometry, then a header line ``t,x,y,p``, then one event
+per line as decimal integers with t in [0, 2^64), x and y in [0, 2^16)
+and p in {-1, 1}. Missing geometry is inferred as max coordinate + 1.
 
 Binary: magic bytes ``EVP1``, then u16 width, u16 height
 (little-endian), then packed records (u64 t, u16 x, u16 y, i8 p),
@@ -20,11 +20,12 @@ little-endian throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_text
+from . import tables
+from .errors import ConfigError, DataError
 
 BIN_MAGIC = b"EVP1"
 
@@ -100,14 +101,6 @@ class Events:
     @classmethod
     def empty(cls) -> "Events":
         return cls(np.empty(0, np.uint64), np.empty(0, np.uint16), np.empty(0, np.uint16), np.empty(0, np.int8))
-
-    @classmethod
-    def from_events(cls, records: Iterable[Event | tuple]) -> "Events":
-        recs = list(records)
-        if not recs:
-            return cls.empty()
-        x, y, t, p = zip(*recs)
-        return cls(np.array(t), np.array(x), np.array(y), np.array(p))
 
     def __len__(self) -> int:
         return self.t.size
@@ -253,66 +246,22 @@ def slice_bundles(events: Events, dt_us: int) -> list[EventBundle]:
 
 
 def _write_csv(events: Events, geometry: SensorGeometry, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# width={geometry.width} height={geometry.height}\n")
-        fh.write("t,x,y,p\n")
-        for i in range(len(events)):
-            fh.write(f"{int(events.t[i])},{int(events.x[i])},{int(events.y[i])},{int(events.p[i])}\n")
+    geometry_line = f"# width={geometry.width} height={geometry.height}"
+    tables.EVENTS.write(path, [events.t, events.x, events.y, events.p], [geometry_line])
 
 
 def _read_csv(path: str) -> tuple[Events, SensorGeometry]:
+    (t, x, y, p), comments = tables.EVENTS.read(path)
+    events = Events(t, x, y, p, copy=False, validate=False)
     geometry = None
-    rows_t, rows_x, rows_y, rows_p = [], [], [], []
-    with open_text(path) as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = dict(
-                    part.split("=", 1) for part in line[1:].split() if "=" in part
-                )
-                if "width" in fields and "height" in fields:
-                    try:
-                        geometry = SensorGeometry(int(fields["width"]), int(fields["height"]))
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: bad geometry comment: {line}") from exc
-                continue
-            if not header_seen:
-                if line != "t,x,y,p":
-                    raise DataError(f"{path}:{lineno}: expected header 't,x,y,p', got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+    for lineno, line in comments:
+        fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
+        if "width" in fields and "height" in fields:
             try:
-                t, x, y, p = (int(v) for v in parts)
+                geometry = SensorGeometry(int(fields["width"]), int(fields["height"]))
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
-            if p not in (-1, 1):
-                raise DataError(f"{path}:{lineno}: polarity must be -1 or 1, got {p}")
-            if t < 0 or x < 0 or y < 0:
-                raise DataError(f"{path}:{lineno}: negative field in {line!r}")
-            if x >= 2**16 or y >= 2**16 or t >= 2**64:
-                raise DataError(f"{path}:{lineno}: field out of range in {line!r}")
-            rows_t.append(t)
-            rows_x.append(x)
-            rows_y.append(y)
-            rows_p.append(p)
-        if not header_seen:
-            raise DataError(f"{path}: missing 't,x,y,p' header")
-    events = Events(
-        np.array(rows_t, dtype=np.uint64),
-        np.array(rows_x, dtype=np.uint16),
-        np.array(rows_y, dtype=np.uint16),
-        np.array(rows_p, dtype=np.int8),
-        validate=False,
-    )
-    if geometry is None:
-        geometry = events.infer_geometry()
-    return events, geometry
+                raise DataError(f"{path}:{lineno}: bad geometry comment: {line}") from exc
+    return events, geometry or events.infer_geometry()
 
 
 # --- Binary ---

@@ -77,10 +77,6 @@ class WarpedImage:
     origin: tuple[float, float]
     n_dropped: int = 0
 
-    @property
-    def n_inside(self) -> int:
-        return int(self.counts.sum())
-
 
 def warp(
     events: Events,

@@ -10,7 +10,6 @@ plot images are best-effort extras excluded from the manifest.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -24,8 +23,9 @@ import numpy as np
 
 from .batching import StopReason, density_downsample, grow_batch
 from .config import PipelineConfig, parse_scenario
-from .dynamics import COMMANDS, rad_s_to_rpm, rpm_to_rad_s
-from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError, open_text
+from . import tables
+from .dynamics import rad_s_to_rpm, rpm_to_rad_s
+from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
 from .fusion import FusedState
 from .metrics import rmae
@@ -36,13 +36,11 @@ from .sim import GroundTruth, simulate_propellers
 LOG = logging.getLogger(__name__)
 
 
-# --- CSV artifact helpers (repr floats: deterministic and round-trippable) ---
+# --- CSV artifacts (declared in `tables`) ---
 
 
-SPEED_HEADER = "t_ref,prop_id,rpm,objective"
-XYZ_HEADER = "t,x,y,z"
-STATE_HEADER = "t,x,y,z,vx,vy,vz"
-FUSED_HEADER = STATE_HEADER + ",cov_trace"
+# the declarations under their former header-constant names
+SPEED_HEADER, XYZ_HEADER, STATE_HEADER, FUSED_HEADER = tables.SPEEDS, tables.GPS, tables.STATE, tables.FUSED
 
 
 def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
@@ -51,181 +49,81 @@ def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
     A state repeated back to back (`run_fusion` emits the same state for
     each measurement that needs no prediction) is formatted once."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(FUSED_HEADER + "\n")
+        fh.write(tables.FUSED + "\n")
         last, row = None, ""
         for state in states:
             if state is not last:
                 last = state
-                row = f"{state.t_us},{','.join(map(repr, state.mean.tolist()))},{float(state.cov.trace())!r}\n"
+                row = tables.FUSED.row % (state.t_us, *state.mean.tolist(), float(state.cov.trace()))
             fh.write(row)
 
 
+def _speed_columns(estimates: list[SpeedEstimate]) -> list[np.ndarray]:
+    """The speeds.csv columns of the estimates."""
+    names = zip(("t_ref_us", "prop_id", "rpm", "objective_value"), tables.SPEEDS.kinds)
+    return [np.fromiter((getattr(e, name) for e in estimates), kind.dtype, len(estimates)) for name, kind in names]
+
+
 def write_speed_csv(path: str, estimates: list[SpeedEstimate]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(SPEED_HEADER + "\n")
-        for est in estimates:
-            fh.write(f"{est.t_ref_us},{est.prop_id},{est.rpm!r},{est.objective_value!r}\n")
+    tables.SPEEDS.write(path, _speed_columns(estimates))
 
 
-# lines parsed per pass: bounds the flat field lists a block holds
-_TABLE_BLOCK_LINES = 4096
-
-
-def read_table(path: str, header: str, *, extra_columns: bool = False) -> np.ndarray:
-    """Float rows of a comma-separated table whose header is `header`.
-
-    With extra_columns, the file's header may name further columns after
-    `header`; every row must still match the header's field count, but
-    only the leading columns are parsed. Blank lines are skipped and each
-    line's surrounding whitespace is stripped. A wrong header, a wrong
-    field count or a non-numeric field raises DataError naming path:line.
-    """
-    names = header.split(",")
-    width = len(names)
-    blocks = [np.zeros((0, width))]
-    with open_text(path) as fh:
-        found = fh.readline().strip()
-        fields = found.split(",")
-        if fields[:width] != names or (len(fields) != width and not extra_columns):
-            raise DataError(f"{path}:1: unexpected header {found!r}, expected {header!r}")
-        lineno = 2
-        while lines := list(itertools.islice(fh, _TABLE_BLOCK_LINES)):
-            blocks.append(_parse_block(path, lines, lineno, len(fields), width))
-            lineno += len(lines)
-    return np.concatenate(blocks)
-
-
-def _parse_block(path: str, lines: list[str], first_lineno: int, n_fields: int, width: int) -> np.ndarray:
-    """Table rows of consecutive body lines, checked and parsed in one pass
-    over all their fields; a rejected block is walked line by line only to
-    name its first bad line."""
-    rows = list(filter(None, map(str.strip, lines)))
-    table = np.empty((len(rows), width))
-    if not rows:
-        return table
-    try:
-        if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
-            raise ValueError("wrong field count")
-        flat = ",".join(rows).split(",")
-        for col in range(width):
-            table[:, col] = list(map(float, flat[col::n_fields]))
-    except ValueError as exc:
-        raise _first_bad_line(path, lines, first_lineno, n_fields, width) from exc
-    return table
-
-
-def _first_bad_line(path: str, lines: list[str], first_lineno: int, n_fields: int, width: int) -> DataError:
-    """The error for the first line with the wrong field count or a
-    non-numeric field among the first `width`."""
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            return DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        try:
-            list(map(float, parts[:width]))
-        except ValueError:
-            return DataError(f"{path}:{lineno}: non-numeric field in {line!r}")
-    return DataError(f"{path}: malformed table")
+def read_table(path: str, table: tables.Table, *, extra_columns: bool = False) -> np.ndarray:
+    """Float rows of a numeric table: `table.read`, its int columns converted."""
+    return np.column_stack(table.read(path, extra_columns)[0]).astype(np.float64, copy=False)
 
 
 def read_speed_csv(path: str) -> np.ndarray:
     """Rows of (t_ref_us, prop_id, rpm, objective)."""
-    return read_table(path, SPEED_HEADER)
+    return read_table(path, tables.SPEEDS)
+
+
+def prop_rpm_columns(times_us: np.ndarray, rpm: np.ndarray) -> list[np.ndarray]:
+    """t, prop_id and rpm columns of a (n_props, n_times) array, one propeller after another."""
+    n_props, n_times = rpm.shape
+    return [np.tile(times_us, n_props), np.repeat(np.arange(n_props), n_times), rpm.ravel()]
 
 
 def write_truth_rpm_csv(path: str, truth: GroundTruth, centers: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for i, (cx, cy) in enumerate(centers):
-            fh.write(f"# prop{i}_center={cx!r},{cy!r}\n")
-        fh.write("t,prop_id,rpm\n")
-        for i in range(truth.rpm.shape[0]):
-            for k in range(truth.times_us.size):
-                fh.write(f"{int(truth.times_us[k])},{i},{float(truth.rpm[i, k])!r}\n")
+    comments = [f"# prop{i}_center={cx!r},{cy!r}" for i, (cx, cy) in enumerate(centers)]
+    tables.TRUTH_RPM.write(path, prop_rpm_columns(truth.times_us, truth.rpm), comments)
 
 
 def read_truth_rpm_csv(path: str) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Rows of (t_us, prop_id, rpm) plus the propeller centers."""
+    columns, comments = tables.TRUTH_RPM.read(path)
     centers: dict[int, tuple[float, float]] = {}
-    rows = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "_center=" in body:
-                    name, value = body.split("_center=", 1)
-                    try:
-                        idx = int(name.replace("prop", ""))
-                        x_str, y_str = value.split(",")
-                        centers[idx] = (float(x_str), float(y_str))
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: malformed center comment {line!r}") from exc
-                continue
-            if line == "t,prop_id,rpm":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field in {line!r}") from exc
-    arr = np.array(rows) if rows else np.zeros((0, 3))
-    return arr, [centers[i] for i in sorted(centers)]
+    for lineno, line in comments:
+        name, found, value = line[1:].strip().partition("_center=")
+        try:
+            if found:
+                x_str, y_str = value.split(",")
+                centers[int(name.replace("prop", ""))] = (float(x_str), float(y_str))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed center comment {line!r}") from exc
+    return np.column_stack(columns).astype(np.float64), [centers[i] for i in sorted(centers)]
 
 
 def write_state_csv(path: str, times_us: np.ndarray, states: np.ndarray, extra: dict[str, np.ndarray] | None = None) -> None:
-    """States as t,x,y,z,vx,vy,vz plus optional named columns."""
-    extra = extra or {}
-    header = STATE_HEADER + "".join(f",{k}" for k in extra)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(len(times_us)):
-            row = [str(int(times_us[k]))] + [repr(float(v)) for v in states[k]]
-            row += [repr(float(extra[name][k])) if not isinstance(extra[name][k], str) else extra[name][k] for name in extra]
-            fh.write(",".join(row) + "\n")
+    """States as t,x,y,z,vx,vy,vz; `extra` may hold truth_state.csv's command column."""
+    (tables.TRUTH_STATE if extra else tables.STATE).write(path, [times_us, *np.asarray(states).T, *(extra or {}).values()])
 
 
 def write_xyz_csv(path: str, rows: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(XYZ_HEADER + "\n")
-        for row in rows:
-            fh.write(f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n")
+    tables.GPS.write(path, np.asarray(rows).T)
 
 
 def read_xyz_csv(path: str) -> np.ndarray:
-    return read_table(path, XYZ_HEADER)
+    return read_table(path, tables.GPS)
 
 
 def write_command_csv(path: str, rows: list[tuple[int, str]]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,command\n")
-        for t_us, label in rows:
-            fh.write(f"{t_us},{label}\n")
+    tables.COMMAND_LOG.write(path, [[t_us for t_us, _ in rows], [label for _, label in rows]])
 
 
 def read_command_csv(path: str) -> list[tuple[int, str]]:
-    out = []
-    with open_text(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,command":
-            raise DataError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            t_str, _, label = line.strip().partition(",")
-            if label not in COMMANDS:
-                raise DataError(f"{path}:{lineno}: unknown command {label!r}")
-            try:
-                out.append((int(t_str), label))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer time {t_str!r}") from exc
-    return out
+    (times, labels), _ = tables.COMMAND_LOG.read(path)
+    return list(zip(times.tolist(), labels.tolist()))
 
 
 # --- Preprocess stage ---
@@ -333,29 +231,12 @@ def write_preprocess_artifacts(
     filtered_path = os.path.join(out_dir, f"filtered.{fmt}")
     write_events(tracked.events, geometry, filtered_path, fmt)
     assign_path = os.path.join(out_dir, "assignments.csv")
-    with open(assign_path, "w", newline="\n") as fh:
-        fh.write("event_index,prop_id\n")
-        write_indexed_ints(fh, tracked.assignments)
+    tables.ASSIGNMENTS.write(assign_path, [np.arange(len(tracked.assignments)), tracked.assignments])
     tracks_path = os.path.join(out_dir, "tracks.csv")
-    with open(tracks_path, "w", newline="\n") as fh:
-        fh.write("prop_id,centroid_x,centroid_y,n_events\n")
-        for prop, centroid in enumerate(tracked.centroids):
-            n = int((tracked.assignments == prop).sum())
-            fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
+    centroids = tracked.centroids
+    n_events = [int((tracked.assignments == prop).sum()) for prop in range(len(centroids))]
+    tables.TRACKS.write(tracks_path, [range(len(centroids)), [c[0] for c in centroids], [c[1] for c in centroids], n_events])
     return [filtered_path, assign_path, tracks_path]
-
-
-# rows formatted per string by write_indexed_ints: bounds the block's memory
-_CSV_BLOCK_ROWS = 16384
-
-
-def write_indexed_ints(fh, values: np.ndarray) -> None:
-    """Rows `i,values[i]` of an integer array, formatted a block of rows
-    per string."""
-    for start in range(0, len(values), _CSV_BLOCK_ROWS):
-        block = values[start : start + _CSV_BLOCK_ROWS]
-        rows = np.column_stack([np.arange(start, start + len(block)), block]).ravel().tolist()
-        fh.write(("%d,%d\n" * len(block)) % tuple(rows))
 
 
 # --- Estimate stage (speed tracking loop) ---
@@ -546,17 +427,11 @@ def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, per_t
         curve = (track.prop_id, omegas, values)
         break
     if curve is not None:
-        with open(curve_path, "w", newline="\n") as fh:
-            fh.write("prop_id,omega_rad_s,objective\n")
-            for w, v in zip(curve[1], curve[2]):
-                fh.write(f"{curve[0]},{float(w)!r},{float(v)!r}\n")
+        tables.OBJECTIVE_CURVE.write(curve_path, [[curve[0]] * len(curve[1]), curve[1], curve[2]])
         artifacts.append(curve_path)
     trace_path = os.path.join(plot_dir, "rpm_traces.csv")
-    with open(trace_path, "w", newline="\n") as fh:
-        fh.write("t_ref,prop_id,rpm\n")
-        for track in per_track:
-            for est in track.estimates:
-                fh.write(f"{est.t_ref_us},{est.prop_id},{est.rpm!r}\n")
+    estimates = [est for track in per_track for est in track.estimates]
+    tables.RPM_TRACES.write(trace_path, _speed_columns(estimates)[:3])
     artifacts.append(trace_path)
     try:  # images are optional; CSV is the contract
         import matplotlib

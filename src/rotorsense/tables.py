@@ -1,0 +1,173 @@
+"""CSV artifact tables: each declared once, read and written by one code path.
+
+A `Table` is the header line of one CSV artifact plus the kind of each
+column and whether `#` lines are comments. `Table.read` parses blocks of
+lines in one pass over their fields and names `path:line` of the first
+bad line; `Table.write` formats blocks of rows per `%` string. Ints are
+written in decimal and floats in `repr` form, so values read back
+bit-exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from .dynamics import COMMANDS
+from .errors import DataError, open_text
+
+# lines parsed, or rows formatted, per pass: bounds the Python objects a block
+# holds; 16384-row blocks are no faster and raise flight_fuse's peak RSS by 2-3 MB
+BLOCK_LINES = 4096
+
+
+class Kind(NamedTuple):
+    """A column's values, parsed as `dtype` (object: text) the way Python's
+    int() and float() parse, so an integer must fit the dtype's range;
+    `values`, when given, are the only ones allowed, called `name` in errors."""
+
+    dtype: type
+    values: tuple | None = None
+    name: str = ""
+
+    def parse(self, fields: list[str]) -> np.ndarray:
+        column = np.array(fields, dtype=self.dtype)  # ValueError, or OverflowError out of range
+        if self.values is not None and not np.isin(column, self.values).all():
+            raise ValueError(f"unknown {self.name}")
+        return column
+
+    def problem(self, field: str, line: str) -> str | None:
+        """Why one field of `line` does not fit, or None."""
+        try:
+            value = np.array(field, dtype=self.dtype).item()
+        except OverflowError:
+            return f"field out of range in {line!r}"
+        except ValueError:
+            try:
+                float(field)
+            except ValueError:
+                return f"non-numeric field in {line!r}"
+            return f"non-integer field in {line!r}"
+        if self.values is not None and value not in self.values:
+            return f"unknown {self.name} {field!r}"
+        return None
+
+
+INT = Kind(np.int64)
+FLOAT = Kind(np.float64)
+COMMAND = Kind(object, COMMANDS, "command")
+
+
+class Table(str):
+    """The declaration of one CSV table; the string is its header line.
+
+    `kinds` holds one Kind per column. With `comments`, blank and `#`
+    lines may come before the header and between rows; otherwise the
+    header is the first line and a `#` line is a malformed row.
+    """
+
+    def __new__(cls, header: str, kinds: Sequence[Kind], *, comments: bool = False) -> "Table":
+        table = super().__new__(cls, header)
+        if len(kinds) != header.count(",") + 1:
+            raise ValueError(f"{header!r} needs one kind per column")
+        table.kinds, table.comments = tuple(kinds), comments
+        table.row = ",".join({np.float64: "%r", object: "%s"}.get(k.dtype, "%d") for k in kinds) + "\n"  # %-format of a row
+        return table
+
+    def read(self, path: str, extra_columns: bool = False) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
+        """One array per column, and the (line number, line) of each `#`
+        comment. With extra_columns the header may name further columns,
+        whose fields are counted, not parsed. Blank lines are skipped and
+        lines stripped; a wrong header, a wrong field count or a field
+        that does not fit its kind raises DataError naming path:line."""
+        names = self.split(",")
+        columns = [[np.zeros(0, kind.dtype)] for kind in self.kinds]
+        comments: list[tuple[int, str]] = []
+        with open_text(path) as fh:
+            lineno, found = 0, ""
+            for raw in fh:
+                lineno, found = lineno + 1, raw.strip()
+                if not (self.comments and found[:1] in ("", "#")):
+                    break
+                if found:
+                    comments.append((lineno, found))
+            else:
+                lineno, found = lineno + 1, ""
+            fields = found.split(",")
+            if fields[: len(names)] != names or (len(fields) != len(names) and not extra_columns):
+                raise DataError(f"{path}:{lineno}: unexpected header {found!r}, expected {str(self)!r}")
+            while lines := list(itertools.islice(fh, BLOCK_LINES)):
+                self._parse_block(path, lines, lineno + 1, len(fields), columns, comments)
+                lineno += len(lines)
+        return [np.concatenate(blocks) for blocks in columns], comments
+
+    def _parse_block(self, path, lines, first_lineno, n_fields, columns, comments) -> None:
+        """Append consecutive body lines' rows to `columns`, checked and
+        parsed in one pass over all their fields; a rejected block is
+        walked line by line only to name its first bad line."""
+        rows = list(filter(None, map(str.strip, lines)))
+        if self.comments and "#" in "".join(rows):
+            numbered = [(lineno, line.strip()) for lineno, line in enumerate(lines, start=first_lineno)]
+            comments.extend((lineno, line) for lineno, line in numbered if line[:1] == "#")
+            rows = [line for _, line in numbered if line[:1] not in ("", "#")]
+        if not rows:
+            return
+        try:
+            if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
+                raise ValueError("wrong field count")
+            flat = ",".join(rows).split(",")
+            parsed = [kind.parse(flat[col::n_fields]) for col, kind in enumerate(self.kinds)]
+        except (ValueError, OverflowError) as exc:
+            raise self._first_bad_line(path, lines, first_lineno, n_fields) from exc
+        for blocks, values in zip(columns, parsed):
+            blocks.append(values)
+
+    def _first_bad_line(self, path, lines, first_lineno, n_fields) -> DataError:
+        for lineno, line in enumerate(lines, start=first_lineno):
+            line = line.strip()
+            if not line or (self.comments and line[0] == "#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                return DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            for kind, part in zip(self.kinds, parts):
+                if problem := kind.problem(part, line):
+                    return DataError(f"{path}:{lineno}: {problem}")
+        return DataError(f"{path}: malformed table")
+
+    def write(self, path: str, columns: Sequence[Sequence], comments: Sequence[str] = ()) -> None:
+        """The `#` comment lines, the header, then one row per index of
+        `columns` (one sequence per column), BLOCK_LINES rows per string."""
+        n_rows, width = len(columns[0]), len(self.kinds)
+        # floats as Python floats, whose repr round-trips; ints and text as they come
+        dtypes = [np.float64 if kind.dtype is np.float64 else None for kind in self.kinds]
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in [*comments, self])
+            for start in range(0, n_rows, BLOCK_LINES):
+                stop = min(start + BLOCK_LINES, n_rows)
+                fields = [None] * ((stop - start) * width)  # row-major, filled a column at a time
+                for col, (dtype, values) in enumerate(zip(dtypes, columns)):
+                    fields[col::width] = np.asarray(values[start:stop], dtype).tolist()
+                fh.write(self.row * (stop - start) % tuple(fields))
+
+
+SPEEDS = Table("t_ref,prop_id,rpm,objective", (INT, INT, FLOAT, FLOAT))  # speeds.csv
+GPS = Table("t,x,y,z", (INT, FLOAT, FLOAT, FLOAT))  # gps.csv
+STATE = Table("t,x,y,z,vx,vy,vz", (INT,) + (FLOAT,) * 6)
+# truth_state.csv: STATE, plus a trailing command column from `simulate`
+# that readers take as an extra column of STATE
+TRUTH_STATE = Table(STATE + ",command", STATE.kinds + (COMMAND,))
+FUSED = Table(STATE + ",cov_trace", STATE.kinds + (FLOAT,))  # fused.csv
+TRUTH_RPM = Table("t,prop_id,rpm", (INT, INT, FLOAT), comments=True)  # truth_rpm.csv: `# propN_center=x,y` lines
+SPEED_TRACES = Table("t,prop_id,rpm", (INT, INT, FLOAT))  # speed_traces.csv
+COMMAND_LOG = Table("t,command", (INT, COMMAND))  # commands.csv
+TRACKS = Table("prop_id,centroid_x,centroid_y,n_events", (INT, FLOAT, FLOAT, INT))  # tracks.csv
+ASSIGNMENTS = Table("event_index,prop_id", (INT, INT))  # assignments.csv
+OBJECTIVE_CURVE = Table("prop_id,omega_rad_s,objective", (INT, FLOAT, FLOAT))  # plots/objective_curve.csv
+RPM_TRACES = Table("t_ref,prop_id,rpm", (INT, INT, FLOAT))  # plots/rpm_traces.csv
+# event CSVs: a `# width=W height=H` line, then t in [0, 2^64), x and y < 2^16, p in {-1, 1}
+EVENTS = Table(
+    "t,x,y,p", (Kind(np.uint64), Kind(np.uint16), Kind(np.uint16), Kind(np.int8, (-1, 1), "polarity")), comments=True
+)

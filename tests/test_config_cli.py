@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,12 @@ class TestBench:
         assert report["threshold_events_per_sec"] == 1
 
 
+def hover_rows(n_props):
+    """A speed table of 300 ms of hover rows, one per rotor per ms."""
+    rows = "".join(f"{t},{p},3000.0,0.0\n" for t in range(0, 300_000, 1000) for p in range(n_props))
+    return "t_ref,prop_id,rpm,objective\n" + rows
+
+
 class TestCliMalformedInputs:
     def test_non_numeric_truth_rpm_exit_3(self, tmp_path, capsys):
         speeds = tmp_path / "speeds.csv"
@@ -319,6 +326,68 @@ class TestCliMalformedInputs:
         code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "cmd.csv")])
         assert code == EXIT_DATA
         assert str(model) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf", "1.5"])
+    def test_non_integer_gps_time_exit_3(self, tmp_path, capsys, bad):
+        gps = tmp_path / "gps.csv"
+        gps.write_text(f"t,x,y,z\n0,0.0,0.0,0.0\n{bad},1.0,0.0,0.0\n")
+        code = main(["fuse", "--gps", str(gps), "--out-csv", str(tmp_path / "fused.csv")])
+        assert code == EXIT_DATA
+        assert f"{gps}:3: non-integer field" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("model") / "model.txt")
+        assert main(["--seed", "11", "train-command", "--model", path, "--samples-per-class", "10"]) == 0
+        return path
+
+    def test_infinite_speed_time_exit_3(self, tmp_path, capsys, model_path):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\ninf,0,3000.0,0.0\n")
+        code = main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(tmp_path / "c.csv")])
+        assert code == EXIT_DATA
+        assert f"{speeds}:3: non-integer field" in capsys.readouterr().err
+
+    def test_far_speed_row_costs_one_window(self, tmp_path, model_path):
+        rows = "".join(f"{t},{prop},3000.0,0.0\n" for t in range(0, 1_000_000, 1000) for prop in range(4))
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n" + rows + "100000000000,0,3000.0,0.0\n")
+        out = tmp_path / "c.csv"
+        assert main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 10  # header, then the complete windows
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("rate_hz", "0"), ("rate_hz", "nan"), ("rate_hz", "inf"), ("rate_hz", "1e20"), ("window", "0"),
+         ("n_props", "0"), ("cutoff_hz", "nan")],
+    )
+    def test_model_setting_out_of_range_exit_3(self, tmp_path, capsys, model_path, key, value):
+        text = open(model_path).read()
+        settings = text.splitlines()[1]
+        model = tmp_path / "model.txt"
+        model.write_text(text.replace(settings, re.sub(rf"\b{key}=\S+", f"{key}={value}", settings)))
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(4))
+        code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "c.csv")])
+        assert code == EXIT_DATA
+        assert str(model) in capsys.readouterr().err
+
+    def test_model_features_not_fitting_its_rotors_exit_3(self, tmp_path, capsys, model_path):
+        model = tmp_path / "model.txt"
+        model.write_text(open(model_path).read().replace("n_props=4", "n_props=2"))
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(2))
+        code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "c.csv")])
+        assert code == EXIT_DATA
+        assert "model has 20 features for 2 rotors, not 5 per rotor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window_ms", ["0", "-5", "nan"])
+    def test_window_must_be_positive_exit_2(self, tmp_path, model_path, window_ms):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n")
+        argv = ["infer-command", str(speeds), "--model", model_path, "--window-ms", window_ms]
+        assert main(argv + ["--out-csv", str(tmp_path / "c.csv")]) == EXIT_CONFIG
 
 
 class TestScenarioNumbers:

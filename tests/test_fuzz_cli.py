@@ -1,0 +1,138 @@
+"""The CLI exit-code contract under mutated inputs: whatever the bytes of
+an input file, `cli.main` returns 0, 2, 3 or 4 and raises nothing.
+
+Each example takes one valid file (every declared table, the command
+model or a pipeline config), mutates it once (truncation, a flipped
+byte, a non-UTF-8 byte, a bad number or a dropped field) and runs the
+command that reads it. Tables that no command reads go through their
+reader, which returns or raises DataError. Scenario files are left out:
+their numbers size the simulation, so a mutated one can ask for any
+amount of work.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rotorsense import tables
+from rotorsense.cli import main
+from rotorsense.errors import DataError
+
+FLIGHT = """mode=flight
+duration_us=600000
+tick_us=5000
+seed=3
+script=0:hover,300000:climb
+drone.gps_rate_hz=10
+"""
+
+SCENE = """mode=propellers
+width=40
+height=40
+duration_us=4000
+tick_us=100
+seed=3
+prop0.center=20,20
+prop0.blades=2
+prop0.blade_length=12
+prop0.blade_width=3
+prop0.rpm=3000
+noise.background_rate=5
+"""
+
+BAD_NUMBERS = [b"", b"x", b"nan", b"inf", b"-inf", b"-1", b"0", b"1.5", b"1e400", b"-0", b"99999999999999999999", b"1_0"]
+NON_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]
+NUMBER = re.compile(rb"-?\d[\d.e+-]*")
+FIELD = re.compile(rb"[,= ][^,= \n]*")  # a field with the separator before it
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Valid inputs, and for each one the command that reads it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "flight.cfg").write_text(FLIGHT)
+    (d / "scene.cfg").write_text(SCENE)
+    (d / "pipe.cfg").write_text("seed=2\nhover_rpm=3000\ngps_sigma_m=2\n")
+    assert main(["simulate", str(d / "flight.cfg"), "--out", str(d)]) == 0
+    assert main(["simulate", str(d / "scene.cfg"), "--out", str(d), "--format", "csv"]) == 0
+    (t, prop, rpm), _ = tables.SPEED_TRACES.read(str(d / "speed_traces.csv"))
+    order = np.lexsort((prop, t))
+    tables.SPEEDS.write(str(d / "speeds.csv"), [t[order], prop[order], rpm[order], np.zeros(len(t))])
+    assert main(["--seed", "1", "train-command", "--model", str(d / "model.txt"), "--samples-per-class", "6"]) == 0
+    assert main(["fuse", "--speeds", str(d / "speeds.csv"), "--commands", str(d / "commands.csv"),
+                 "--gps", str(d / "gps.csv"), "--out-csv", str(d / "fused.csv")]) == 0
+    assert main(["preprocess", str(d / "events.csv"), "--format", "csv", "--k", "1", "--out", str(d)]) == 0
+    tables.OBJECTIVE_CURVE.write(str(d / "objective_curve.csv"), [[0, 0], [310.5, 320.0], [1.5e6, 1.7e6]])
+    tables.RPM_TRACES.write(str(d / "rpm_traces.csv"), [[1000, 2000], [0, 0], [2999.5, 3001.25]])
+
+    def path(name):
+        return str(d / name)
+
+    out = path("out")
+    fuse = ["fuse", "--speeds", path("speeds.csv"), "--commands", path("commands.csv"), "--gps", path("gps.csv")]
+    eval_rpm = ["eval", "--speeds", path("speeds.csv"), "--truth-rpm", path("truth_rpm.csv"), "--report", out]
+    eval_fused = ["eval", "--fused", path("fused.csv"), "--truth-state", path("truth_state.csv"), "--report", out]
+    # name: (valid file, argv reading it, or the declared table whose reader takes it)
+    targets = {
+        "speeds/infer": ("speeds.csv", ["infer-command", path("speeds.csv"), "--model", path("model.txt"), "--out-csv", out]),
+        "speeds/fuse": ("speeds.csv", fuse + ["--out-csv", out]),
+        "speeds/eval": ("speeds.csv", eval_rpm),
+        "gps": ("gps.csv", fuse + ["--out-csv", out]),
+        "commands": ("commands.csv", fuse + ["--out-csv", out]),
+        "truth_state": ("truth_state.csv", eval_fused),
+        "fused": ("fused.csv", eval_fused),
+        "truth_rpm": ("truth_rpm.csv", eval_rpm),
+        "speed_traces": ("speed_traces.csv", eval_rpm[:3] + ["--truth-rpm", path("speed_traces.csv"), "--report", out]),
+        "events": ("events.csv", ["preprocess", path("events.csv"), "--format", "csv", "--k", "1", "--out", out]),
+        "model": ("model.txt", ["infer-command", path("speeds.csv"), "--model", path("model.txt"), "--out-csv", out]),
+        "config": ("pipe.cfg", ["--config", path("pipe.cfg")] + fuse + ["--out-csv", out]),
+        "tracks": ("tracks.csv", tables.TRACKS),
+        "assignments": ("assignments.csv", tables.ASSIGNMENTS),
+        "objective_curve": ("objective_curve.csv", tables.OBJECTIVE_CURVE),
+        "rpm_traces": ("rpm_traces.csv", tables.RPM_TRACES),
+    }
+    return d, {name: (path(file), (d / file).read_bytes(), use) for name, (file, use) in targets.items()}
+
+
+def mutate(data: st.DataObject, blob: bytes) -> bytes:
+    op = data.draw(st.sampled_from(["truncate", "flip", "non_utf8", "bad_number", "drop_field"]))
+    if op == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob)))]
+    if op == "flip":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ data.draw(st.integers(1, 255))]) + blob[i + 1 :]
+    if op == "non_utf8":
+        i = data.draw(st.integers(0, len(blob)))
+        return blob[:i] + data.draw(st.sampled_from(NON_UTF8)) + blob[i:]
+    if op == "bad_number":
+        numbers = list(NUMBER.finditer(blob))
+        m = numbers[data.draw(st.integers(0, len(numbers) - 1))]
+        return blob[: m.start()] + data.draw(st.sampled_from(BAD_NUMBERS)) + blob[m.end() :]
+    fields = list(FIELD.finditer(blob))
+    m = fields[data.draw(st.integers(0, len(fields) - 1))]
+    return blob[: m.start()] + blob[m.end() :]
+
+
+@settings(max_examples=160, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exit_code_contract_holds_for_mutated_inputs(corpus, data):
+    d, targets = corpus
+    name = data.draw(st.sampled_from(sorted(targets)))
+    path, blob, use = targets[name]
+    mutated = mutate(data, blob)
+    with open(path, "wb") as fh:
+        fh.write(mutated)
+    try:
+        if isinstance(use, tables.Table):
+            try:
+                use.read(path)
+            except DataError:
+                pass
+        else:
+            assert main(use) in (0, 2, 3, 4)
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(blob)
