@@ -113,7 +113,9 @@ def grow_batch(
     spin: int = +1,
 ) -> GrowResult:
     """Grow a batch from bundles[start] under the consistency and
-    bundle-count criteria; returns the batch and why growth stopped."""
+    bundle-count criteria; returns the batch and why growth stopped. A
+    gap before the next bundle stops growth for consistency, as an empty
+    candidate does."""
     if not bundles or start >= len(bundles):
         raise ConfigError("bundle stream is empty at the requested start")
 
@@ -139,6 +141,9 @@ def grow_batch(
     while m < len(bundles):
         if len(taken) >= policy.max_bundles:
             reason = StopReason.BUNDLE_LIMIT
+            break
+        if bundles[m].t_start != bundles[k].t_end:
+            reason = StopReason.CONSISTENCY
             break
         patch = PatchGeometry(half_size=int(math.ceil(max(radius(k), radius(m)))) + 2)
         rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, eps, spin, patch)

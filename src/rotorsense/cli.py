@@ -22,7 +22,7 @@ from .dynamics import rpm_to_rad_s
 from .errors import ConfigError, DataError, EstimationError, NumericalError, RotorSenseError
 from .events import read_events, write_events
 from .fusion import KinematicPredictor, run_fusion
-from .metrics import localization_error, rmae
+from .metrics import localization_error
 from . import pipeline as pl
 from . import tables
 from .sim import generate_command_dataset, simulate_flight, simulate_propellers
@@ -35,10 +35,25 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+# options that set other config fields than the one they are named after
+_DERIVED_OPTIONS = {
+    "polarity_band": lambda cfg, band: {"polarity_lo": band[0], "polarity_hi": band[1]},
+    "bracket_rpm": lambda cfg, bracket: {"bracket_rpm_lo": bracket[0], "bracket_rpm_hi": bracket[1]},
+    "st_ratio": lambda cfg, ratio: {"time_radius_us": cfg.space_radius_px * ratio},
+}
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    """The --config file (or the defaults) with --seed and each of the
+    subcommand's config options that was given applied, then validated."""
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for dest in ("seed", *args.config_options):
+        value = getattr(args, dest)
+        if value is not None:
+            derive = _DERIVED_OPTIONS.get(dest)
+            for name, field_value in (derive(cfg, value) if derive else {dest: value}).items():
+                setattr(cfg, name, field_value)
+    cfg.validate()
     return cfg
 
 
@@ -96,17 +111,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.window_us:
-        cfg.window_us = args.window_us
-    if args.bin:
-        cfg.bin_size = args.bin
-    if args.k:
-        cfg.k_props = args.k
-    if args.count_ratio is not None:
-        cfg.count_ratio = args.count_ratio
-    if args.polarity_band:
-        cfg.polarity_lo, cfg.polarity_hi = args.polarity_band
-    cfg.validate()
     events, geometry = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -118,32 +122,14 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.bracket_rpm:
-        cfg.bracket_rpm_lo, cfg.bracket_rpm_hi = args.bracket_rpm
-    if args.grid:
-        cfg.n_grid = args.grid
-    if args.tol is not None:
-        cfg.tol_rpm = args.tol
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-    if args.dt_us:
-        cfg.dt_us = args.dt_us
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.beta:
-        cfg.beta = args.beta
-    if args.sample_fraction is not None:
-        cfg.sample_fraction = args.sample_fraction
-    if args.st_ratio is not None:
-        cfg.time_radius_us = cfg.space_radius_px * args.st_ratio
-    cfg.validate()
     events, _ = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
     _, estimates = pl.estimate_tracks(tracked, cfg)
     os.makedirs(args.out, exist_ok=True)
     speeds_path = os.path.join(args.out, "speeds.csv")
     pl.write_speed_csv(speeds_path, estimates)
-    pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, [speeds_path])
+    artifacts = [speeds_path, pl.write_tracks_csv(args.out, tracked)]
+    pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, artifacts)
     print(f"estimated {len(estimates)} speed points -> {args.out}/speeds.csv")
     return EXIT_OK
 
@@ -180,6 +166,7 @@ def _command_windows(times: np.ndarray, window_us: float) -> np.ndarray:
 
 
 def _cmd_infer_command(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
     model = load_model(args.model)
     speeds = pl.read_speed_csv(args.input)
     if speeds.shape[0] == 0:
@@ -207,7 +194,6 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     if not rows:
         raise DataError("no complete windows: need speed rows for every propeller channel")
     pl.write_command_csv(args.out_csv, rows)
-    cfg = _load_config(args)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
     print(f"inferred {len(rows)} command windows -> {args.out_csv}")
     return EXIT_OK
@@ -231,21 +217,17 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
     entries = []
     if args.speeds and args.truth_rpm:
+        if not args.tracks:
+            raise ConfigError("eval --truth-rpm needs --tracks, the tracks.csv written with --speeds")
         speeds = pl.read_speed_csv(args.speeds)
         truth_rows, centers = pl.read_truth_rpm_csv(args.truth_rpm)
-        for prop in sorted(set(int(v) for v in speeds[:, 1])) if speeds.size else []:
-            rows = speeds[speeds[:, 1] == prop]
-            prop_truth = truth_rows[truth_rows[:, 1] == prop]
-            if prop_truth.size == 0:
-                continue
-            t_truth = prop_truth[:, 0]
-            # nearest truth row per estimate; argmin keeps the first of ties
-            gt = np.array([prop_truth[np.argmin(np.abs(t_truth - t_ref)), 2] for t_ref in rows[:, 0]])
-            entries.append(
-                {"metric": "rmae_percent", "prop_id": prop, "value": rmae(rows[:, 2], gt), "n_estimates": len(gt)}
-            )
+        centroids = pl.read_track_centroids(args.tracks)
+        if not centers:
+            raise DataError(f"{args.truth_rpm}: no '# propN_center=x,y' comments to pair tracks with")
+        entries += pl.score_speeds(speeds, truth_rows, centroids, centers)
     if args.fused and args.truth_state:
         fused = pl.read_table(args.fused, tables.FUSED)
         truth = pl.read_table(args.truth_state, tables.STATE, extra_columns=True)
@@ -257,7 +239,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     with open(args.report, "w", newline="\n") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    cfg = _load_config(args)
     pl.write_manifest(args.report + ".manifest.json", cfg.content_hash(), cfg.seed, [args.report])
     for entry in entries:
         print(json.dumps(entry, sort_keys=True))
@@ -275,9 +256,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.sample_fraction is not None:
-        cfg.sample_fraction = args.sample_fraction
-        cfg.validate()
     if args.input:
         events, _ = read_events(args.input, args.format)
         tracked = pl.preprocess_stream(events, cfg)
@@ -321,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", dest="global_out", default=None, help="default output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
+    # dests of the subcommand's options that set PipelineConfig fields: a
+    # field's own name, or a _DERIVED_OPTIONS key
+    parser.set_defaults(config_options=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic event stream or flight")
@@ -334,26 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="bin", choices=("csv", "bin"))
     p.add_argument("--out", default=None)
     p.add_argument("--window-us", type=int, dest="window_us")
-    p.add_argument("--bin", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--bin", type=int, dest="bin_size")
+    p.add_argument("--k", type=int, dest="k_props")
     p.add_argument("--count-ratio", type=float, dest="count_ratio")
     p.add_argument("--polarity-band", dest="polarity_band", type=_number_pair, help="lo,hi")
-    p.set_defaults(func=_cmd_preprocess)
+    p.set_defaults(func=_cmd_preprocess, config_options=("window_us", "bin_size", "k_props", "count_ratio", "polarity_band"))
 
     p = sub.add_parser("estimate", help="estimate propeller speeds")
     p.add_argument("input")
     p.add_argument("--format", default="bin", choices=("csv", "bin"))
     p.add_argument("--out", default=None)
     p.add_argument("--bracket-rpm", dest="bracket_rpm", type=_number_pair, help="lo,hi")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--tol", type=float, help="refinement tolerance, RPM")
+    p.add_argument("--grid", type=int, dest="n_grid")
+    p.add_argument("--tol", type=float, dest="tol_rpm", help="refinement tolerance, RPM")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--dt-us", type=int, dest="dt_us")
     p.add_argument("--delta", type=float)
     p.add_argument("--beta", type=int)
     p.add_argument("--sample-fraction", type=float, dest="sample_fraction")
     p.add_argument("--st-ratio", type=float, dest="st_ratio", help="us of time per px of space")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, config_options=(
+        "bracket_rpm", "n_grid", "tol_rpm", "epsilon", "dt_us", "delta", "beta", "sample_fraction", "st_ratio",
+    ))
 
     p = sub.add_parser("train-command", help="train the flight-command classifier on synthetic traces")
     p.add_argument("--model", required=True, help="output model path")
@@ -379,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute RMAE and localization metrics")
     p.add_argument("--speeds")
     p.add_argument("--truth-rpm", dest="truth_rpm")
+    p.add_argument("--tracks", help="tracks.csv of the run that wrote --speeds; needed with --truth-rpm")
     p.add_argument("--fused")
     p.add_argument("--truth-state", dest="truth_state")
     p.add_argument("--report", default="metrics.jsonl")
@@ -395,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-us", type=int, default=400_000, dest="duration_us")
     p.add_argument("--sample-fraction", type=float, default=0.25, dest="sample_fraction")
     p.add_argument("--min-events-per-sec", type=float, default=1e6, dest="min_events_per_sec")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, config_options=("sample_fraction",))
     return parser
 
 

@@ -112,7 +112,7 @@ class Events:
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
             return Event(int(self.x[idx]), int(self.y[idx]), int(self.t[idx]), int(self.p[idx]))
-        return Events(self.t[idx], self.x[idx], self.y[idx], self.p[idx], validate=False)
+        return Events(self.t[idx], self.x[idx], self.y[idx], self.p[idx], copy=False, validate=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):
@@ -159,6 +159,7 @@ def concat_events(parts: Sequence[Events]) -> Events:
         np.concatenate([p.x for p in parts]),
         np.concatenate([p.y for p in parts]),
         np.concatenate([p.p for p in parts]),
+        copy=False,
         validate=False,
     )
 
@@ -211,12 +212,13 @@ class EventBatch:
 
 
 def slice_bundles(events: Events, dt_us: int) -> list[EventBundle]:
-    """Partition a stream into contiguous bundles of constant interval dt_us.
+    """The non-empty bundles of a stream cut into intervals of dt_us.
 
     Bundle m covers [t0 + m*dt, t0 + (m+1)*dt] where t0 is the first event
     timestamp. An event exactly on a bundle edge belongs to the earlier
-    bundle. Intervals with no events yield empty bundles so the partition
-    stays contiguous. Empty input yields an empty list.
+    bundle. Only intervals that hold events yield a bundle, so a gap in the
+    stream shows as a bundle that does not start where the previous one
+    ends. Empty input yields an empty list.
     """
     if dt_us <= 0:
         raise ConfigError(f"bundle interval must be positive, got {dt_us}")
@@ -226,20 +228,12 @@ def slice_bundles(events: Events, dt_us: int) -> list[EventBundle]:
     d = (events.t - np.uint64(t0)).astype(np.int64)
     dt = np.int64(dt_us)
     idx = np.maximum((d + dt - 1) // dt - 1, 0)
-    n_bundles = int(idx[-1]) + 1
-    # Sorted t implies sorted idx; bundle boundaries via searchsorted.
-    edges = np.searchsorted(idx, np.arange(n_bundles + 1))
-    out = []
-    for m in range(n_bundles):
-        lo, hi = int(edges[m]), int(edges[m + 1])
-        out.append(
-            EventBundle(
-                events=events[lo:hi],
-                t_start=t0 + m * dt_us,
-                t_end=t0 + (m + 1) * dt_us,
-            )
-        )
-    return out
+    # sorted t implies sorted idx: a bundle starts wherever idx changes
+    edges = np.concatenate([[0], np.flatnonzero(idx[1:] != idx[:-1]) + 1, [len(events)]]).tolist()
+    return [
+        EventBundle(events=events[lo:hi], t_start=t0 + m * dt_us, t_end=t0 + (m + 1) * dt_us)
+        for lo, hi, m in zip(edges, edges[1:], idx[edges[:-1]].tolist())
+    ]
 
 
 # --- CSV ---

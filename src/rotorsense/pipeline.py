@@ -30,7 +30,7 @@ from .events import Events, SensorGeometry, concat_events, read_events, slice_bu
 from .fusion import FusedState
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
-from .preprocess import build_heatmaps, distinct_pixels, filter_noise, robust_center, segment_propellers
+from .preprocess import build_heatmaps, filter_noise, robust_center, segment_propellers
 from .sim import GroundTruth, simulate_propellers
 
 LOG = logging.getLogger(__name__)
@@ -168,55 +168,39 @@ def _match_tracks(
 
 def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
     """Window-by-window noise filtering and propeller segmentation with
-    stable track identities across windows."""
+    stable track identities across windows. Window k holds the events
+    with (t - t0) // window_us == k; only windows that hold events are
+    visited."""
     if len(events) == 0:
         return TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
-    t0, t_last = int(events.t[0]), int(events.t[-1])
+    t0 = int(events.t[0])
+    window_of = (events.t - events.t[0]) // np.uint64(cfg.window_us)
+    edges = np.concatenate([[0], np.flatnonzero(window_of[1:] != window_of[:-1]) + 1, [len(events)]]).tolist()
     centroids: list[tuple[float, float]] = []
     parts: list[Events] = []
     assign_parts: list[np.ndarray] = []
-    window_start = t0
-    while window_start <= t_last:
-        window = (window_start, window_start + cfg.window_us)
-        w_events = events.time_slice(window[0], window[1] - 1)  # avoid double-counting edges
-        window_start += cfg.window_us
-        if len(w_events) == 0:
-            continue
+    for lo, hi in zip(edges, edges[1:]):
+        kept = w_events = events[lo:hi]
         if cfg.filter_enabled:
-            heatmaps = build_heatmaps(w_events, (window[0], window[1] - 1), cfg.bin_size)
+            w_start = t0 + int(window_of[lo]) * cfg.window_us
+            window = (w_start, w_start + cfg.window_us - 1)
+            heatmaps = build_heatmaps(w_events, window, cfg.bin_size)
             kept = filter_noise(w_events, heatmaps, cfg.count_ratio, (cfg.polarity_lo, cfg.polarity_hi))
-        else:
-            kept = w_events
         if len(kept) == 0:
             continue
-        pixels, _, inverse = distinct_pixels(kept)
-        if len(pixels) < cfg.k_props:
-            parts.append(kept)
-            assign_parts.append(np.full(len(kept), -1, dtype=np.int64))
-            continue
-        tracks = segment_propellers(kept, cfg.k_props)
-        if not centroids:
-            centroids = [t.centroid for t in tracks]
-            mapping = {i: i for i in range(len(tracks))}
-        else:
-            mapping = _match_tracks(centroids, [t.centroid for t in tracks])
-            for w, g in mapping.items():
-                centroids[g] = tracks[w].centroid
-        # tracks partition `kept`; per-event labels via each pixel's nearest converged centroid
         assignment = np.full(len(kept), -1, dtype=np.int64)
-        cents = np.array([tracks[w].centroid for w in range(len(tracks))])
-        nearest = np.argmin(
-            np.sum((pixels[:, None, :] - cents[None, :, :]) ** 2, axis=2), axis=1
-        )[inverse]
-        for w in range(len(tracks)):
-            assignment[nearest == w] = mapping[w]
         parts.append(kept)
         assign_parts.append(assignment)
-    if not parts:
-        return TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), centroids, list(centroids))
-    merged = concat_events(parts)
-    assignments = np.concatenate(assign_parts)
-    tracked = TrackedStream(merged, assignments, centroids, list(centroids))
+        try:
+            tracks = segment_propellers(kept, cfg.k_props)
+        except DataError:  # fewer distinct pixels than k_props: the window stays unlabelled
+            continue
+        centroids = centroids or [t.centroid for t in tracks]  # the first window's tracks match themselves
+        for w, g in _match_tracks(centroids, [t.centroid for t in tracks]).items():
+            centroids[g] = tracks[w].centroid
+            assignment[tracks[w].members] = g
+    assignments = np.concatenate([np.zeros(0, dtype=np.int64), *assign_parts])
+    tracked = TrackedStream(concat_events(parts), assignments, centroids, [])
     tracked.warp_centers = [
         robust_center(tracked.track_events(prop)) if np.any(assignments == prop) else centroids[prop]
         for prop in range(len(centroids))
@@ -232,11 +216,24 @@ def write_preprocess_artifacts(
     write_events(tracked.events, geometry, filtered_path, fmt)
     assign_path = os.path.join(out_dir, "assignments.csv")
     tables.ASSIGNMENTS.write(assign_path, [np.arange(len(tracked.assignments)), tracked.assignments])
+    return [filtered_path, assign_path, write_tracks_csv(out_dir, tracked)]
+
+
+def write_tracks_csv(out_dir: str, tracked: TrackedStream) -> str:
+    """Write tracks.csv, each track's centroid and event count; returns its path."""
     tracks_path = os.path.join(out_dir, "tracks.csv")
     centroids = tracked.centroids
     n_events = [int((tracked.assignments == prop).sum()) for prop in range(len(centroids))]
     tables.TRACKS.write(tracks_path, [range(len(centroids)), [c[0] for c in centroids], [c[1] for c in centroids], n_events])
-    return [filtered_path, assign_path, tracks_path]
+    return tracks_path
+
+
+def read_track_centroids(path: str) -> list[tuple[float, float]]:
+    """The centroids of tracks.csv, indexed by track id."""
+    (ids, xs, ys, _), _ = tables.TRACKS.read(path)
+    if not np.array_equal(ids, np.arange(len(ids))):
+        raise DataError(f"{path}: track ids must run 0, 1, 2, ... in order")
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 # --- Estimate stage (speed tracking loop) ---
@@ -299,9 +296,6 @@ def estimate_track(
     omega_prior: float | None = None
     spin = +1
     while i < len(bundles):
-        if len(bundles[i]) == 0:
-            i += 1
-            continue
         if omega_prior is None:
             acquired = _acquire(bundles[i].events, center, cfg, bundles[i].t_start)
             if acquired is None:
@@ -316,8 +310,9 @@ def estimate_track(
             i = grown.next_index
             continue
         batch_events = grown.batch.events()
+        ordinal = (bundles[i].t_start - bundles[0].t_start) // policy.dt_us  # gaps count too
         used = (
-            density_downsample(batch_events, policy, seed=cfg.seed + i)
+            density_downsample(batch_events, policy, seed=cfg.seed + ordinal)
             if policy.sample_fraction < 1.0
             else batch_events
         )
@@ -496,26 +491,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
 
     # stage: metrics
     if truth is not None:
-        mapping = _map_tracks_to_truth(tracked.centroids, true_centers)
-        for prop, track in enumerate(per_track):
-            if not track.estimates or mapping.get(prop) is None:
-                continue
-            truth_prop = mapping[prop]
-            est = np.array([e.rpm for e in track.estimates])
-            gt = np.array([truth.rpm_at(truth_prop, e.t_ref_us) for e in track.estimates])
-            usable = gt > 0
-            if not usable.any():
-                continue
-            value = rmae(est[usable], gt[usable])
-            metrics.append(
-                {
-                    "metric": "rmae_percent",
-                    "prop_id": prop,
-                    "truth_prop_id": truth_prop,
-                    "value": value,
-                    "n_estimates": int(usable.sum()),
-                }
-            )
+        speeds = np.column_stack(_speed_columns(all_estimates)[:3])
+        truth_rows = np.column_stack(prop_rpm_columns(truth.times_us, truth.rpm))
+        metrics.extend(score_speeds(speeds, truth_rows, tracked.centroids, true_centers))
     metrics.append({"metric": "n_events", "value": len(events)})
     metrics.append({"metric": "n_events_filtered", "value": len(tracked.events)})
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -546,6 +524,35 @@ def _map_tracks_to_truth(
         if best is not None:
             taken.add(best)
     return mapping
+
+
+def score_speeds(
+    speeds: np.ndarray, truth_rows: np.ndarray, centroids: list[tuple[float, float]], true_centers: list[tuple[float, float]]
+) -> list[dict]:
+    """One `rmae_percent` entry per track of the speed rows (t_ref, prop_id,
+    rpm, ...). A track is scored against the truth rotor that
+    `_map_tracks_to_truth` pairs with its centroid, at the speed of that
+    rotor's last truth row (t, prop_id, rpm) at or before t_ref, or of its
+    first row for an earlier t_ref; estimates whose truth speed is 0 are
+    left out."""
+    mapping = _map_tracks_to_truth(centroids, true_centers)
+    entries = []
+    for prop in np.unique(speeds[:, 1]).astype(np.int64).tolist():
+        truth_prop = mapping.get(prop)
+        if truth_prop is None:
+            continue
+        truth = truth_rows[truth_rows[:, 1] == truth_prop]
+        if len(truth) == 0:
+            continue
+        truth = truth[np.argsort(truth[:, 0], kind="stable")]
+        rows = speeds[speeds[:, 1] == prop]
+        gt = truth[np.clip(np.searchsorted(truth[:, 0], rows[:, 0], side="right") - 1, 0, len(truth) - 1), 2]
+        usable = gt > 0
+        if usable.any():
+            value = rmae(rows[usable, 2], gt[usable])
+            entries.append({"metric": "rmae_percent", "prop_id": prop, "truth_prop_id": truth_prop, "value": value,
+                            "n_estimates": int(usable.sum())})
+    return entries
 
 
 # --- Benchmark harness ---

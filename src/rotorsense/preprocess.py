@@ -106,15 +106,15 @@ def filter_noise(
 
 @dataclass(frozen=True)
 class PropellerTrack:
-    """One propeller's segmented events and rotation-center estimate."""
+    """One propeller's member events and rotation-center estimate."""
 
     prop_id: int
-    events: Events
+    members: np.ndarray  # ascending indices of the track's events in the segmented stream
     centroid: tuple[float, float]
 
     @property
     def member_count(self) -> int:
-        return len(self.events)
+        return len(self.members)
 
 
 def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> tuple[float, float]:
@@ -207,7 +207,8 @@ def segment_propellers(
     farthest from its assigned centroid (ties: smallest x, y). The
     count-weighted within-cluster sum of squares is checked to be
     nonincreasing every iteration; an increase raises NumericalError.
-    Tracks come back ordered by centroid (y, x).
+    Tracks come back ordered by centroid (y, x); each lists its member
+    events by index, every event in exactly one track.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -250,7 +251,6 @@ def segment_propellers(
     tracks = []
     for new_id, c in enumerate(order):
         members = np.flatnonzero(event_assign == c)
-        sub = events.select(members)
         centroid = member_means[c] if members.size else centroids[c]
-        tracks.append(PropellerTrack(prop_id=new_id, events=sub, centroid=(float(centroid[0]), float(centroid[1]))))
+        tracks.append(PropellerTrack(prop_id=new_id, members=members, centroid=(float(centroid[0]), float(centroid[1]))))
     return tracks

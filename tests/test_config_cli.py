@@ -164,7 +164,8 @@ class TestCliExitCodes:
         report = str(tmp_path / "report.jsonl")
         assert main([
             "eval", "--speeds", os.path.join(est_out, "speeds.csv"),
-            "--truth-rpm", os.path.join(out, "truth_rpm.csv"), "--report", report,
+            "--truth-rpm", os.path.join(out, "truth_rpm.csv"), "--tracks", os.path.join(est_out, "tracks.csv"),
+            "--report", report,
         ]) == 0
         lines = [json.loads(line) for line in open(report)]
         assert any(entry["metric"] == "rmae_percent" for entry in lines)
@@ -202,7 +203,7 @@ class TestCliExitCodes:
         speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,abc,0.0\n")
         code = main([
             "eval", "--speeds", str(speeds), "--truth-rpm", str(tmp_path / "truth_rpm.csv"),
-            "--report", str(tmp_path / "report.jsonl"),
+            "--tracks", str(tmp_path / "tracks.csv"), "--report", str(tmp_path / "report.jsonl"),
         ])
         assert code == EXIT_DATA
         assert f"{speeds}:2:" in capsys.readouterr().err
@@ -302,7 +303,7 @@ class TestCliMalformedInputs:
         truth.write_text("t,prop_id,rpm\n1000,0,abc\n")
         code = main([
             "eval", "--speeds", str(speeds), "--truth-rpm", str(truth),
-            "--report", str(tmp_path / "report.jsonl"),
+            "--tracks", str(tmp_path / "tracks.csv"), "--report", str(tmp_path / "report.jsonl"),
         ])
         assert code == EXIT_DATA
         assert f"{truth}:2:" in capsys.readouterr().err
@@ -417,30 +418,145 @@ class TestScenarioNumbers:
             parse_scenario(str(scene))
 
 
+TRACKS = "prop_id,centroid_x,centroid_y,n_events\n"
+
+
+def eval_speeds(tmp_path, speeds, truth, tracks, *extra):
+    """Exit code and report entries of `eval --speeds --truth-rpm --tracks`."""
+    paths = [tmp_path / name for name in ("speeds.csv", "truth_rpm.csv", "tracks.csv")]
+    for path, text in zip(paths, (speeds, truth, tracks)):
+        path.write_text(text)
+    report = tmp_path / "report.jsonl"
+    code = main([*extra, "eval", "--speeds", str(paths[0]), "--truth-rpm", str(paths[1]), "--tracks", str(paths[2]),
+                 "--report", str(report)])
+    return code, [json.loads(line) for line in report.read_text().splitlines()] if report.exists() else None
+
+
 class TestEvalSpeeds:
-    def test_nearest_truth_row_keeps_the_first_of_ties(self, tmp_path, capsys):
-        speeds = tmp_path / "speeds.csv"
-        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3150.0,0.0\n3000,1,2000.0,0.0\n")
-        truth = tmp_path / "truth_rpm.csv"
-        # t_ref 1000 lies exactly between the rows at 0 and 2000 us
-        truth.write_text("t,prop_id,rpm\n0,0,3000.0\n2000,0,3300.0\n0,1,2000.0\n")
-        report = tmp_path / "report.jsonl"
-        code = main(["eval", "--speeds", str(speeds), "--truth-rpm", str(truth), "--report", str(report)])
+    def test_truth_at_or_before_t_ref(self, tmp_path):
+        speeds = "t_ref,prop_id,rpm,objective\n1000,0,3150.0,0.0\n1999,0,3150.0,0.0\n3000,1,2000.0,0.0\n"
+        # t_ref 1999 is nearer the row at 2000 us, but that speed comes later
+        truth = "# prop0_center=0.0,0.0\n# prop1_center=50.0,50.0\nt,prop_id,rpm\n0,0,3000.0\n2000,0,3300.0\n0,1,2000.0\n"
+        tracks = TRACKS + "0,1.0,1.0,10\n1,49.0,49.0,10\n"
+        assert eval_speeds(tmp_path, speeds, truth, tracks) == (0, [
+            {"metric": "rmae_percent", "n_estimates": 2, "prop_id": 0, "truth_prop_id": 0, "value": 5.0},
+            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": 1, "truth_prop_id": 1, "value": 0.0},
+        ])
+
+    def test_tracks_pair_with_the_nearest_truth_center(self, tmp_path):
+        speeds = "t_ref,prop_id,rpm,objective\n1000,0,4500.0,0.0\n1000,1,3000.0,0.0\n"
+        truth = "# prop0_center=40.0,52.0\n# prop1_center=115.0,48.0\nt,prop_id,rpm\n0,0,3000.0\n0,1,4500.0\n"
+        # tracks are numbered by centroid (y, x): the rotor at y=48 comes first
+        tracks = TRACKS + "0,115.2,48.1,10\n1,40.1,51.9,10\n"
+        code, entries = eval_speeds(tmp_path, speeds, truth, tracks)
         assert code == 0
-        entries = [json.loads(line) for line in report.read_text().splitlines()]
-        assert entries == [
-            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": 0, "value": 5.0},
-            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": 1, "value": 0.0},
-        ]
+        assert [(e["prop_id"], e["truth_prop_id"], e["value"]) for e in entries] == [(0, 1, 0.0), (1, 0, 0.0)]
 
     def test_prop_without_truth_rows_is_skipped(self, tmp_path):
+        speeds = "t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n1000,1,3000.0,0.0\n1000,2,3000.0,0.0\n"
+        truth = "# prop0_center=0.0,0.0\n# prop1_center=50.0,50.0\nt,prop_id,rpm\n0,0,3000.0\n"
+        tracks = TRACKS + "0,0.0,0.0,1\n1,50.0,50.0,1\n"
+        code, entries = eval_speeds(tmp_path, speeds, truth, tracks)
+        assert code == 0
+        assert [e["prop_id"] for e in entries] == [0]
+
+    def test_truth_rpm_needs_tracks(self, tmp_path, capsys):
         speeds = tmp_path / "speeds.csv"
-        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n1000,2,3000.0,0.0\n")
-        truth = tmp_path / "truth_rpm.csv"
-        truth.write_text("t,prop_id,rpm\n0,0,3000.0\n")
+        speeds.write_text("t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n")
         report = tmp_path / "report.jsonl"
-        assert main(["eval", "--speeds", str(speeds), "--truth-rpm", str(truth), "--report", str(report)]) == 0
-        assert [json.loads(line)["prop_id"] for line in report.read_text().splitlines()] == [0]
+        code = main(["eval", "--speeds", str(speeds), "--truth-rpm", str(tmp_path / "t.csv"), "--report", str(report)])
+        assert code == EXIT_CONFIG
+        assert "--tracks" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("truth, tracks", [
+        ("t,prop_id,rpm\n0,0,3000.0\n", TRACKS + "0,0.0,0.0,1\n"),
+        ("# prop0_center=0.0,0.0\nt,prop_id,rpm\n0,0,3000.0\n", TRACKS + "1,0.0,0.0,1\n"),
+    ], ids=["no_centers", "track_ids_not_0_1_2"])
+    def test_unpairable_inputs_exit_3(self, tmp_path, truth, tracks):
+        code, entries = eval_speeds(tmp_path, "t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n", truth, tracks)
+        assert (code, entries) == (EXIT_DATA, None)
+
+    def test_eval_scores_as_the_pipeline_does(self, tmp_path):
+        """Two rotors whose track ids and truth ids differ: `estimate` then
+        `eval` reports the pipeline's metrics."""
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(
+            "mode=propellers\nwidth=160\nheight=100\nduration_us=60000\ntick_us=50\nseed=2\n"
+            + "".join(f"prop{i}.center={c}\nprop{i}.blade_length=30\nprop{i}.blade_width=5\nprop{i}.rpm={rpm}\n"
+                      for i, (c, rpm) in enumerate([("40,52", 3000), ("115,48", 4500)]))
+        )
+        knobs = "seed=2\nk_props=2\nwindow_us=25000\nbracket_rpm_lo=1000\nbracket_rpm_hi=6000\n"
+        (tmp_path / "est.cfg").write_text(knobs)
+        (tmp_path / "pipe.cfg").write_text(knobs + f"scenario={scene}\n")
+        sim, est, pipe = (str(tmp_path / name) for name in ("sim", "est", "pipe"))
+        assert main(["simulate", str(scene), "--out", sim]) == 0
+        assert main(["--config", str(tmp_path / "est.cfg"), "estimate", os.path.join(sim, "events.bin"), "--out", est]) == 0
+        report = str(tmp_path / "report.jsonl")
+        assert main(["eval", "--speeds", os.path.join(est, "speeds.csv"), "--truth-rpm", os.path.join(sim, "truth_rpm.csv"),
+                     "--tracks", os.path.join(est, "tracks.csv"), "--report", report]) == 0
+        assert main(["--config", str(tmp_path / "pipe.cfg"), "pipeline", "--out", pipe]) == 0
+        scored = [json.loads(line) for line in open(report)]
+        pipeline_scored = [json.loads(line) for line in open(os.path.join(pipe, "metrics.jsonl"))][:2]
+        assert [e["truth_prop_id"] for e in scored] == [1, 0]
+        assert scored == pipeline_scored
+        assert all(e["value"] < 1.0 for e in scored)
+
+
+class TestConfigOptions:
+    @pytest.mark.parametrize("command, option", [
+        ("preprocess", "--window-us"), ("preprocess", "--k"), ("preprocess", "--bin"),
+        ("estimate", "--grid"), ("estimate", "--dt-us"), ("estimate", "--beta"),
+    ])
+    def test_zero_override_exit_2(self, tmp_path, capsys, command, option):
+        """A zero is a given value, not a missing one: it reaches validation."""
+        events = tmp_path / "events.csv"
+        events.write_text("t,x,y,p\n0,1,1,1\n")
+        out = tmp_path / "out"
+        assert main([command, str(events), "--format", "csv", option, "0", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_set_their_fields(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def preprocess_stream(events, cfg):
+            seen["cfg"] = cfg
+            return pl.TrackedStream(events, np.zeros(len(events), np.int64), [], [])
+
+        monkeypatch.setattr(pl, "preprocess_stream", preprocess_stream)
+        events = tmp_path / "events.csv"
+        events.write_text("t,x,y,p\n0,1,1,1\n")
+        assert main([
+            "estimate", str(events), "--format", "csv", "--out", str(tmp_path / "o"), "--bracket-rpm", "100,200",
+            "--grid", "5", "--tol", "0.25", "--epsilon", "2", "--dt-us", "300", "--delta", "0.5", "--beta", "3",
+            "--sample-fraction", "0.5", "--st-ratio", "40",
+        ]) == 0
+        cfg = seen["cfg"]
+        assert (cfg.bracket_rpm_lo, cfg.bracket_rpm_hi, cfg.n_grid, cfg.tol_rpm, cfg.epsilon) == (100, 200, 5, 0.25, 2)
+        assert (cfg.dt_us, cfg.delta, cfg.beta, cfg.sample_fraction, cfg.time_radius_us) == (300, 0.5, 3, 0.5, 80.0)
+
+    @pytest.mark.parametrize("command", ["eval", "infer-command"])
+    def test_config_error_leaves_no_output(self, tmp_path, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("delta=-1\n")
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(4))
+        fused = tmp_path / "fused.csv"
+        fused.write_text("t,x,y,z,vx,vy,vz,cov_trace\n0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n")
+        truth = tmp_path / "truth_state.csv"
+        truth.write_text("t,x,y,z,vx,vy,vz\n0,0.0,0.0,0.0,0.0,0.0,0.0\n")
+        model = tmp_path / "model.txt"
+        assert main(["--seed", "1", "train-command", "--model", str(model), "--samples-per-class", "6"]) == 0
+        out = tmp_path / "out.txt"
+        argv = {
+            "eval": ["eval", "--fused", str(fused), "--truth-state", str(truth), "--report", str(out)],
+            "infer-command": ["infer-command", str(speeds), "--model", str(model), "--out-csv", str(out)],
+        }[command]
+        assert main(argv) == 0  # without the bad config the command writes its output
+        out.unlink()
+        assert main(["--config", str(bad)] + argv) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestPairOptions:
@@ -489,7 +605,7 @@ class TestNonUtf8Inputs:
         ),
         "read_truth_rpm_csv": (
             b"# prop0_center=\xff,1.0\nt,prop_id,rpm\n0,0,3000.0\n", SPEEDS,
-            ["eval", "--speeds", "{ok}", "--truth-rpm", "{bad}", "--report", "{out}"], EXIT_DATA,
+            ["eval", "--speeds", "{ok}", "--truth-rpm", "{bad}", "--tracks", "{out}", "--report", "{out}"], EXIT_DATA,
         ),
         "read_command_csv": (
             b"t,command\n0,hover\xff\n", "t,x,y,z\n0,0.0,0.0,0.0\n",

@@ -172,6 +172,11 @@ class TestSliceBundles:
         assert len(bundles) == 1
         assert len(bundles[0]) == 3
 
+    def test_gap_yields_no_empty_bundle(self):
+        events = make_events([(0, 0, 0, 1), (5, 0, 0, 1), (25, 0, 0, 1)])
+        bundles = slice_bundles(events, 10)
+        assert [(b.t_start, b.t_end, len(b)) for b in bundles] == [(0, 10, 2), (20, 30, 1)]
+
     def test_empty_stream(self):
         assert slice_bundles(Events.empty(), 100) == []
 
@@ -186,7 +191,8 @@ class TestSliceBundles:
     )
     def test_partition_property(self, times, dt):
         """Every event lands in exactly one bundle; concatenation
-        reproduces the stream; membership matches a brute-force rule."""
+        reproduces the stream; bundles are non-empty and in interval
+        order; membership matches a brute-force rule."""
         events = make_events([(t, i % 8, i % 8, 1) for i, t in enumerate(sorted(times))])
         bundles = slice_bundles(events, dt)
         total = sum(len(b) for b in bundles)
@@ -194,7 +200,10 @@ class TestSliceBundles:
         t0 = int(events.t[0])
         flat_t = np.concatenate([b.events.t for b in bundles])
         assert np.array_equal(flat_t, events.t)
-        for m, bundle in enumerate(bundles):
+        ordinals = [(b.t_start - t0) // dt for b in bundles]
+        assert ordinals == sorted(set(ordinals))
+        for m, bundle in zip(ordinals, bundles):
+            assert len(bundle) > 0
             assert bundle.t_start == t0 + m * dt
             assert bundle.t_end == bundle.t_start + dt
             for t in bundle.events.t:

@@ -73,7 +73,8 @@ def corpus(tmp_path_factory):
 
     out = path("out")
     fuse = ["fuse", "--speeds", path("speeds.csv"), "--commands", path("commands.csv"), "--gps", path("gps.csv")]
-    eval_rpm = ["eval", "--speeds", path("speeds.csv"), "--truth-rpm", path("truth_rpm.csv"), "--report", out]
+    eval_rpm = ["eval", "--speeds", path("speeds.csv"), "--truth-rpm", path("truth_rpm.csv"), "--tracks", path("tracks.csv"),
+                "--report", out]
     eval_fused = ["eval", "--fused", path("fused.csv"), "--truth-state", path("truth_state.csv"), "--report", out]
     # name: (valid file, argv reading it, or the declared table whose reader takes it)
     targets = {
@@ -85,11 +86,11 @@ def corpus(tmp_path_factory):
         "truth_state": ("truth_state.csv", eval_fused),
         "fused": ("fused.csv", eval_fused),
         "truth_rpm": ("truth_rpm.csv", eval_rpm),
-        "speed_traces": ("speed_traces.csv", eval_rpm[:3] + ["--truth-rpm", path("speed_traces.csv"), "--report", out]),
+        "speed_traces": ("speed_traces.csv", eval_rpm[:3] + ["--truth-rpm", path("speed_traces.csv")] + eval_rpm[5:]),
         "events": ("events.csv", ["preprocess", path("events.csv"), "--format", "csv", "--k", "1", "--out", out]),
         "model": ("model.txt", ["infer-command", path("speeds.csv"), "--model", path("model.txt"), "--out-csv", out]),
         "config": ("pipe.cfg", ["--config", path("pipe.cfg")] + fuse + ["--out-csv", out]),
-        "tracks": ("tracks.csv", tables.TRACKS),
+        "tracks": ("tracks.csv", eval_rpm),
         "assignments": ("assignments.csv", tables.ASSIGNMENTS),
         "objective_curve": ("objective_curve.csv", tables.OBJECTIVE_CURVE),
         "rpm_traces": ("rpm_traces.csv", tables.RPM_TRACES),

@@ -214,7 +214,8 @@ class TestSegmentation:
     def test_centroid_is_member_mean(self):
         events = self.two_clouds()
         for track in segment_propellers(events, 2):
-            coords = np.column_stack([track.events.x, track.events.y]).astype(float)
+            members = events.select(track.members)
+            coords = np.column_stack([members.x, members.y]).astype(float)
             assert track.centroid == pytest.approx(tuple(coords.mean(axis=0)), abs=1e-9)
 
 
@@ -364,7 +365,7 @@ class TestPixelSegmentation:
             assert track.centroid == (float(centroid[0]), float(centroid[1]))
             assert track.member_count == members.size
             # t is the event index, so the track's timestamps are its members
-            assert np.array_equal(track.events.t, members.astype(np.uint64))
+            assert np.array_equal(events.t[track.members], members.astype(np.uint64))
 
     def test_tied_farthest_pixel_breaks_to_smallest_xy(self):
         # after the (0, 0) seed, (0, 10) and (10, 0) are equally far; the
@@ -383,4 +384,4 @@ class TestPixelSegmentation:
         b = segment_propellers(shuffled, 3)
         assert [t.centroid for t in a] == [t.centroid for t in b]
         assert [t.member_count for t in a] == [t.member_count for t in b]
-        assert all(ta.events == tb.events for ta, tb in zip(a, b))
+        assert all(events.select(ta.members) == shuffled.select(tb.members) for ta, tb in zip(a, b))
