@@ -54,7 +54,6 @@ from .motion import (
     WarpedImage,
     accumulate,
     estimate_speed,
-    objective,
     reward_accumulation,
     reward_sparsity,
     warp,

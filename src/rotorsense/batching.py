@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventBatch, EventBundle, Events, concat_events
+from .events import EventBatch, EventBundle, Events
 from .motion import ObjectiveEvaluator, PatchGeometry, patch_for
 
 
@@ -78,13 +78,13 @@ def consistency_rate(
     the tallest pile swings the ratio by e^+-1 between perfectly
     consistent bundles; the log domain keeps the rate small for
     same-speed bundles and large when the candidate's alignment
-    collapses. An empty candidate yields +inf (reject).
+    collapses. An empty candidate yields +inf (reject). The default
+    patch is the larger of the two bundles' ``patch_for`` patches.
     """
     if len(candidate) == 0:
         return math.inf
     if patch is None:
-        both = concat_events([last_bundle.events, candidate.events])
-        patch = patch_for(both, center)
+        patch = PatchGeometry(max(patch_for(b.events, center).half_size for b in (last_bundle, candidate)))
     t_ref = last_bundle.t_start
     s_last = math.log(
         ObjectiveEvaluator(last_bundle.events, center, t_ref, patch, eps, spin=spin).value(omega_rad_s)
@@ -118,25 +118,10 @@ def grow_batch(
     candidate does."""
     if not bundles or start >= len(bundles):
         raise ConfigError("bundle stream is empty at the requested start")
-
-    radius_cache: dict[int, float] = {}
-
-    def radius(idx: int) -> float:
-        r = radius_cache.get(idx)
-        if r is None:
-            ev = bundles[idx].events
-            if len(ev) == 0:
-                r = 0.0
-            else:
-                dx = ev.x.astype(np.float64) - center[0]
-                dy = ev.y.astype(np.float64) - center[1]
-                r = float(np.sqrt(np.max(dx * dx + dy * dy)))
-            radius_cache[idx] = r
-        return r
-
     taken = [bundles[start]]
     k = start
     m = start + 1
+    half_k = None  # patch_for(bundles[k].events).half_size, once needed
     reason = StopReason.STREAM_END
     while m < len(bundles):
         if len(taken) >= policy.max_bundles:
@@ -145,13 +130,16 @@ def grow_batch(
         if bundles[m].t_start != bundles[k].t_end:
             reason = StopReason.CONSISTENCY
             break
-        patch = PatchGeometry(half_size=int(math.ceil(max(radius(k), radius(m)))) + 2)
+        if half_k is None:
+            half_k = patch_for(bundles[k].events, center).half_size
+        half_m = patch_for(bundles[m].events, center).half_size
+        patch = PatchGeometry(max(half_k, half_m))
         rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, eps, spin, patch)
         if not rate < policy.delta:
             reason = StopReason.CONSISTENCY
             break
         taken.append(bundles[m])
-        k = m
+        k, half_k = m, half_m
         m += 1
     return GrowResult(batch=EventBatch(tuple(taken)), reason=reason, next_index=m)
 
@@ -270,7 +258,7 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
 
 
 def density_downsample(
-    batch: EventBatch | Events,
+    batch: Events,
     policy: BatchPolicy,
     seed: int,
 ) -> Events:
@@ -286,15 +274,14 @@ def density_downsample(
     (Efraimidis and Spirakis, 2006), which needs weights roughly
     proportional to density rather than exact neighbor counts.
     """
-    events = batch.events() if isinstance(batch, EventBatch) else batch
-    n = len(events)
+    n = len(batch)
     if policy.sample_fraction >= 1.0 or n == 0:
-        return events
+        return batch
     n_keep = math.ceil(policy.sample_fraction * n)
-    weights = voxel_density(events, policy.space_radius_px, policy.time_radius_us).astype(np.float64)
+    weights = voxel_density(batch, policy.space_radius_px, policy.time_radius_us).astype(np.float64)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     keys = np.log(u) / weights  # weights >= 1 by self-inclusion
     keep = np.argpartition(keys, n - n_keep)[n - n_keep:]
     keep.sort()
-    return events.select(keep)
+    return batch.select(keep)

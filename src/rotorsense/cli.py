@@ -43,6 +43,18 @@ _DERIVED_OPTIONS = {
 }
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout. A reader that has closed the pipe is not
+    an error: stdout then goes to the null device, so the command still
+    writes its files and returns its own exit code, silently."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     """The --config file (or the defaults) with --seed and each of the
     subcommand's config options that was given applied, then validated."""
@@ -77,7 +89,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         truth_path = os.path.join(args.out, "truth_rpm.csv")
         pl.write_truth_rpm_csv(truth_path, truth, [s.center for s in scenario.specs])
         artifacts += [events_path, truth_path]
-        print(f"simulated {len(events)} events over {scenario.duration_us} us -> {args.out}")
+        _say(f"simulated {len(events)} events over {scenario.duration_us} us -> {args.out}")
     else:
         flight = simulate_flight(
             scenario.script, scenario.drone, scenario.noise, scenario.duration_us,
@@ -104,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             os.path.join(args.out, name)
             for name in ("truth_state.csv", "gps.csv", "speed_traces.csv", "commands.csv")
         ]
-        print(f"simulated flight ({len(flight.gps)} GPS fixes) -> {args.out}")
+        _say(f"simulated flight ({len(flight.gps)} GPS fixes) -> {args.out}")
     pl.write_manifest(os.path.join(args.out, "manifest.json"), scenario_hash, scenario.seed, artifacts)
     return EXIT_OK
 
@@ -116,7 +128,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     artifacts = pl.write_preprocess_artifacts(args.out, tracked, geometry, args.format)
     pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, artifacts)
-    print(f"kept {len(tracked.events)}/{len(events)} events in {len(tracked.centroids)} tracks -> {args.out}")
+    _say(f"kept {len(tracked.events)}/{len(events)} events in {len(tracked.centroids)} tracks -> {args.out}")
     return EXIT_OK
 
 
@@ -130,7 +142,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     pl.write_speed_csv(speeds_path, estimates)
     artifacts = [speeds_path, pl.write_tracks_csv(args.out, tracked)]
     pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, artifacts)
-    print(f"estimated {len(estimates)} speed points -> {args.out}/speeds.csv")
+    _say(f"estimated {len(estimates)} speed points -> {args.out}/speeds.csv")
     return EXIT_OK
 
 
@@ -148,8 +160,8 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
     )
     save_model(model, args.model)
     pl.write_manifest(args.model + ".manifest.json", cfg.content_hash(), cfg.seed, [args.model])
-    print(f"fold accuracies: {' '.join(f'{a:.3f}' for a in accuracies)} (mean {accuracies.mean():.3f})")
-    print(f"model -> {args.model}")
+    _say(f"fold accuracies: {' '.join(f'{a:.3f}' for a in accuracies)} (mean {accuracies.mean():.3f})")
+    _say(f"model -> {args.model}")
     return EXIT_OK
 
 
@@ -174,6 +186,13 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     window_us = args.window_ms * 1000.0
     if not window_us > 0:
         raise ConfigError(f"--window-ms must be positive, got {args.window_ms}")
+    # a window of W us resamples to the samples at 0, P, 2P, ... below W + P/2
+    period_us = 1e6 / model.rate_hz
+    if window_us <= (model.window - 1.5) * period_us:
+        raise ConfigError(
+            f"--window-ms {args.window_ms} is shorter than the model's window of "
+            f"{model.window} samples at {model.rate_hz:g} Hz"
+        )
     times = speeds[:, 0]
     rows = []
     for t_cursor in _command_windows(times, window_us):
@@ -195,7 +214,7 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
         raise DataError("no complete windows: need speed rows for every propeller channel")
     pl.write_command_csv(args.out_csv, rows)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
-    print(f"inferred {len(rows)} command windows -> {args.out_csv}")
+    _say(f"inferred {len(rows)} command windows -> {args.out_csv}")
     return EXIT_OK
 
 
@@ -212,7 +231,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     )
     pl.write_fused_csv(args.out_csv, result.states)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
-    print(f"fused {len(result.states)} states ({len(result.nis)} GPS updates) -> {args.out_csv}")
+    _say(f"fused {len(result.states)} states ({len(result.nis)} GPS updates) -> {args.out_csv}")
     return EXIT_OK
 
 
@@ -241,7 +260,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     pl.write_manifest(args.report + ".manifest.json", cfg.content_hash(), cfg.seed, [args.report])
     for entry in entries:
-        print(json.dumps(entry, sort_keys=True))
+        _say(json.dumps(entry, sort_keys=True))
     return EXIT_OK
 
 
@@ -249,8 +268,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     result = pl.run_pipeline(cfg, args.out)
     for entry in result.metrics:
-        print(json.dumps(entry, sort_keys=True))
-    print(f"artifacts -> {result.out_dir}")
+        _say(json.dumps(entry, sort_keys=True))
+    _say(f"artifacts -> {result.out_dir}")
     return EXIT_OK
 
 
@@ -280,7 +299,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, [bench_path])
-    print(json.dumps(report, sort_keys=True))
+    _say(json.dumps(report, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_NUMERIC
 
 

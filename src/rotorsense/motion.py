@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, EstimationError
-from .events import EventBatch, Events
+from .events import Events
 
 # Cap inside exp(): overflow guard only. Well-aligned desk-scale batches
 # stack ~100 events per pixel, so the cap must sit far above that or the
@@ -156,8 +156,10 @@ class ObjectiveEvaluator:
     and a bincount; a uniform grid of candidates shares a single trig
     pass (see ``value_grid``). Coordinate math runs in float32
     (sub-micropixel error over a patch), and only occupied pixels are
-    exponentiated; empty pixels contribute the closed-form constant
-    (1 + 1/eps) each. Everything is plain vectorized numpy.
+    exponentiated, with counts capped at H_MAX_DEFAULT; empty pixels
+    contribute the closed-form constant (1 + 1/eps) each. R is the
+    unweighted sum of the accumulation and sparsity rewards. Everything
+    is plain vectorized numpy.
     """
 
     def __init__(
@@ -167,10 +169,7 @@ class ObjectiveEvaluator:
         t_ref_us: int,
         patch: PatchGeometry | None = None,
         eps: float = 1.0,
-        h_max: float = H_MAX_DEFAULT,
         spin: int = +1,
-        accumulation_weight: float = 1.0,
-        sparsity_weight: float = 1.0,
     ) -> None:
         if eps <= 0:
             raise ConfigError(f"eps must be positive, got {eps}")
@@ -182,9 +181,6 @@ class ObjectiveEvaluator:
         self.t_ref_us = int(t_ref_us)
         self.patch = patch
         self.eps = float(eps)
-        self.h_max = float(h_max)
-        self.w_acc = float(accumulation_weight)
-        self.w_spa = float(sparsity_weight)
         self.n_events = len(events)
         half = patch.half_size
         # coordinates pre-shifted into patch frame: pixel = floor(w)
@@ -195,36 +191,23 @@ class ObjectiveEvaluator:
         self._x_shift = np.float32(center[0] - (math.floor(center[0]) - half))
         self._y_shift = np.float32(center[1] - (math.floor(center[1]) - half))
         self._side = patch.side
-        self._empty_term = self.w_acc * 1.0 + self.w_spa / self.eps
-        n = self.n_events
-        self._theta = np.empty(n, np.float32)
-        self._cos = np.empty(n, np.float32)
-        self._sin = np.empty(n, np.float32)
-        self._wx = np.empty(n, np.float32)
-        self._wy = np.empty(n, np.float32)
+        self._empty_term = 1.0 + 1.0 / self.eps
 
     def _indices_from(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         side = self._side
-        np.multiply(c, self._dx, out=self._wx)
-        self._wx -= s * self._dy
-        self._wx += self._x_shift
-        np.multiply(s, self._dx, out=self._wy)
-        self._wy += c * self._dy
-        self._wy += self._y_shift
-        ix = np.floor(self._wx).astype(np.int32)
-        iy = np.floor(self._wy).astype(np.int32)
+        ix = np.floor(c * self._dx - s * self._dy + self._x_shift).astype(np.int32)
+        iy = np.floor(s * self._dx + c * self._dy + self._y_shift).astype(np.int32)
         inside = (ix >= 0) & (ix < side) & (iy >= 0) & (iy < side)
         if not inside.all():
             ix, iy = ix[inside], iy[inside]
         return ix * side + iy
 
     def _score(self, counts: np.ndarray) -> float:
-        occupied = counts[counts > 0].astype(np.float64)
-        np.minimum(occupied, self.h_max, out=occupied)
+        occupied = np.minimum(counts[counts > 0].astype(np.float64), H_MAX_DEFAULT)
         e = np.exp(occupied)
         r_acc = float(e.sum())
         r_spa = float((1.0 / (e - 1.0 + self.eps)).sum())
-        return self.w_acc * r_acc + self.w_spa * r_spa + (self.patch.area - occupied.size) * self._empty_term
+        return r_acc + r_spa + (self.patch.area - occupied.size) * self._empty_term
 
     def _score_at(self, c: np.ndarray, s: np.ndarray) -> float:
         """R for per-event rotations (cos, sin): rotate, bincount, score."""
@@ -233,10 +216,8 @@ class ObjectiveEvaluator:
     def value(self, omega_rad_s: float) -> float:
         if self.n_events == 0:
             return self.patch.area * self._empty_term
-        np.multiply(self._dt, np.float32(omega_rad_s), out=self._theta)
-        np.cos(self._theta, out=self._cos)
-        np.sin(self._theta, out=self._sin)
-        return self._score_at(self._cos, self._sin)
+        theta = self._dt * np.float32(omega_rad_s)
+        return self._score_at(np.cos(theta), np.sin(theta))
 
     def value_grid(self, omegas: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """R at uniformly spaced candidate speeds omegas[start:stop].
@@ -245,17 +226,16 @@ class ObjectiveEvaluator:
         fixed per-event increment, so the whole scan costs one trig pass
         total instead of one per candidate. The recurrence always starts
         at omegas[0], so a window's scores are bit-equal to the same
-        candidates' scores in the full scan.
+        candidates' scores in the full scan. A grid of fewer than two
+        candidates, or one whose steps differ, raises ConfigError.
         """
         omegas = np.asarray(omegas, dtype=np.float64)
-        stop = omegas.size if stop is None else stop
-        area = self.patch.area
-        if self.n_events == 0:
-            return np.full(stop - start, area * self._empty_term)
         steps = np.diff(omegas)
-        uniform = omegas.size > 2 and steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        if not uniform:
-            return np.array([self.value(float(w)) for w in omegas[start:stop]], dtype=np.float64)
+        if not (steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+            raise ConfigError(f"value_grid needs at least 2 uniformly spaced candidates, got {omegas.size}")
+        stop = omegas.size if stop is None else stop
+        if self.n_events == 0:
+            return np.full(stop - start, self.patch.area * self._empty_term)
         out = np.empty(stop - start)
         c = np.cos(self._dt * np.float32(omegas[0]))
         s = np.sin(self._dt * np.float32(omegas[0]))
@@ -267,27 +247,6 @@ class ObjectiveEvaluator:
             if k + 1 < stop:
                 c, s = c * dc - s * ds, s * dc + c * ds
         return out
-
-
-def objective(
-    batch: EventBatch | Events,
-    center: tuple[float, float],
-    t_ref_us: int,
-    omega_rad_s: float,
-    eps: float = 1.0,
-    patch: PatchGeometry | None = None,
-    h_max: float = H_MAX_DEFAULT,
-    accumulation_weight: float = 1.0,
-    sparsity_weight: float = 1.0,
-) -> float:
-    """Combined reward of the batch warped at one speed: the weighted sum
-    of the accumulation and sparsity terms (unit weights by default)."""
-    events = batch.events() if isinstance(batch, EventBatch) else batch
-    evaluator = ObjectiveEvaluator(
-        events, center, t_ref_us, patch, eps, h_max,
-        accumulation_weight=accumulation_weight, sparsity_weight=sparsity_weight,
-    )
-    return evaluator.value(omega_rad_s)
 
 
 @dataclass(frozen=True)
@@ -370,7 +329,7 @@ def _is_flat(values: np.ndarray) -> bool:
 
 
 def estimate_speed(
-    batch: EventBatch | Events,
+    events: Events,
     center: tuple[float, float],
     bracket_rad_s: tuple[float, float],
     tol_rad_s: float = 0.05,
@@ -379,7 +338,6 @@ def estimate_speed(
     n_grid: int = 64,
     prop_id: int = 0,
     t_ref_us: int | None = None,
-    h_max: float = H_MAX_DEFAULT,
     spin: int = +1,
     prior_rad_s: float | None = None,
 ) -> SpeedEstimate:
@@ -400,7 +358,6 @@ def estimate_speed(
     from a prior-less call only when the full grid peaks outside the
     window and a lesser peak inside it is kept.
     """
-    events = batch.events() if isinstance(batch, EventBatch) else batch
     if len(events) == 0:
         raise EstimationError("cannot estimate speed from an empty batch")
     lo, hi = float(bracket_rad_s[0]), float(bracket_rad_s[1])
@@ -409,9 +366,9 @@ def estimate_speed(
     if n_grid < 3:
         raise ConfigError("n_grid must be at least 3")
     if t_ref_us is None:
-        t_ref_us = batch.t_start if isinstance(batch, EventBatch) else int(events.t[0])
+        t_ref_us = int(events.t[0])
 
-    evaluator = ObjectiveEvaluator(events, center, t_ref_us, eps=eps, h_max=h_max, spin=spin)
+    evaluator = ObjectiveEvaluator(events, center, t_ref_us, eps=eps, spin=spin)
     grid = np.linspace(lo, hi, n_grid)
     best = None
     m = n_grid

@@ -79,9 +79,10 @@ def read_speed_csv(path: str) -> np.ndarray:
 
 
 def prop_rpm_columns(times_us: np.ndarray, rpm: np.ndarray) -> list[np.ndarray]:
-    """t, prop_id and rpm columns of a (n_props, n_times) array, one propeller after another."""
+    """t, prop_id and rpm columns of a (n_props, n_times) array, ordered by
+    t, then prop_id: the order speeds.csv has and `fuse` reads its streams in."""
     n_props, n_times = rpm.shape
-    return [np.tile(times_us, n_props), np.repeat(np.arange(n_props), n_times), rpm.ravel()]
+    return [np.repeat(times_us, n_props), np.tile(np.arange(n_props), n_times), rpm.T.ravel()]
 
 
 def write_truth_rpm_csv(path: str, truth: GroundTruth, centers: list[tuple[float, float]]) -> None:

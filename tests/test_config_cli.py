@@ -1,6 +1,9 @@
 import json
+import logging
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,6 +263,23 @@ class TestFlightCliFlow:
         mean_err = next(e["value"] for e in entries if e["metric"] == "mean_3d_error_m")
         assert mean_err < 3.0  # fused output is comfortably inside the GPS noise
 
+    def test_simulated_traces_fuse_in_file_order(self, tmp_path, caplog):
+        """speed_traces.csv is time-major, so `fuse` reads it in file order
+        without dropping rows behind its clock."""
+        flight_scene = tmp_path / "flight.cfg"
+        flight_scene.write_text("mode=flight\nduration_us=3000000\ntick_us=5000\nseed=5\nscript=0:hover,1000000:climb\n")
+        sim_out = str(tmp_path / "flight")
+        assert main(["simulate", str(flight_scene), "--out", sim_out]) == 0
+        traces = open(os.path.join(sim_out, "speed_traces.csv")).read().splitlines()[1:]
+        speeds_csv = tmp_path / "speeds.csv"
+        speeds_csv.write_text("t_ref,prop_id,rpm,objective\n" + "".join(f"{line},0.0\n" for line in traces))
+        caplog.set_level(logging.WARNING)
+        assert main([
+            "fuse", "--speeds", str(speeds_csv), "--gps", os.path.join(sim_out, "gps.csv"),
+            "--out-csv", str(tmp_path / "fused.csv"),
+        ]) == 0
+        assert not [r for r in caplog.records if "dropping out-of-order" in r.getMessage()]
+
     def test_infer_command_on_speed_csv(self, tmp_path):
         model_path = str(tmp_path / "model.txt")
         main(["--seed", "11", "train-command", "--model", model_path, "--samples-per-class", "40"])
@@ -389,6 +409,38 @@ class TestCliMalformedInputs:
         speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n")
         argv = ["infer-command", str(speeds), "--model", model_path, "--window-ms", window_ms]
         assert main(argv + ["--out-csv", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+
+
+    def test_window_shorter_than_model_exit_2(self, tmp_path, capsys, model_path):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(4))
+        argv = ["infer-command", str(speeds), "--model", model_path, "--window-ms", "50"]
+        assert main(argv + ["--out-csv", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--window-ms 50.0" in err and "window of 100 samples" in err
+
+
+class TestClosedStdout:
+    """A reader that closed its end of stdout before the command printed
+    leaves the command's exit code and files as they would be."""
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_closed_pipe_keeps_exit_code(self, tmp_path, scene_file, pipe_file, command):
+        out = str(tmp_path / "out")
+        argv = {"simulate": ["simulate", scene_file], "pipeline": ["--config", pipe_file, "pipeline"]}[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rotorsense.cli", *argv, "--out", out],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
 class TestScenarioNumbers:

@@ -14,7 +14,6 @@ from rotorsense.motion import (
     accumulate,
     brent_max,
     estimate_speed,
-    objective,
     patch_for,
     reward_accumulation,
     reward_sparsity,
@@ -133,27 +132,27 @@ class TestRewards:
 class TestObjective:
     def test_zero_event_batch_closed_form(self):
         patch = PatchGeometry(5)
-        value = objective(Events.empty(), (0.0, 0.0), 0, 100.0, eps=0.5, patch=patch)
+        value = ObjectiveEvaluator(Events.empty(), (0.0, 0.0), 0, patch, eps=0.5).value(100.0)
         assert value == pytest.approx(patch.area * (1.0 + 1.0 / 0.5))
 
     def test_polarity_invariance(self, clean_3000):
         events, _ = clean_3000
         batch = events.time_slice(0, 5000)
         flipped = Events(batch.t, batch.x, batch.y, (-batch.p.astype(np.int8)))
-        a = objective(batch, CENTER, 0, rpm_to_rad_s(3000))
-        b = objective(flipped, CENTER, 0, rpm_to_rad_s(3000))
+        a = ObjectiveEvaluator(batch, CENTER, 0).value(rpm_to_rad_s(3000))
+        b = ObjectiveEvaluator(flipped, CENTER, 0).value(rpm_to_rad_s(3000))
         assert a == b
 
     def test_true_speed_beats_neighbors(self, clean_3000):
         events, _ = clean_3000
         batch = events.time_slice(0, 8000)
         omega = rpm_to_rad_s(3000.0)
-        at_true = objective(batch, CENTER, 0, omega)
-        assert at_true > objective(batch, CENTER, 0, 0.9 * omega)
-        assert at_true > objective(batch, CENTER, 0, 1.1 * omega)
+        at_true = ObjectiveEvaluator(batch, CENTER, 0).value(omega)
+        assert at_true > ObjectiveEvaluator(batch, CENTER, 0).value(0.9 * omega)
+        assert at_true > ObjectiveEvaluator(batch, CENTER, 0).value(1.1 * omega)
 
     def test_matches_manual_composition(self, clean_3000):
-        """objective == r_acc + r_spa of the accumulated warp (same patch)."""
+        """value == r_acc + r_spa of the accumulated warp (same patch)."""
         events, _ = clean_3000
         batch = events.time_slice(0, 3000)
         omega = rpm_to_rad_s(3000.0)
@@ -161,21 +160,8 @@ class TestObjective:
         warped = warp(batch, CENTER, 0, omega)
         image = accumulate(warped, patch, CENTER, 0)
         manual = reward_accumulation(image) + reward_sparsity(image, eps=1.0)
-        fused = objective(batch, CENTER, 0, omega, eps=1.0, patch=patch)
+        fused = ObjectiveEvaluator(batch, CENTER, 0, patch, eps=1.0).value(omega)
         assert fused == pytest.approx(manual, rel=1e-9)
-
-    def test_combination_weights_scale_terms(self, clean_3000):
-        """Weighted combination: doubling one term's weight is the same
-        as adding that term once more."""
-        events, _ = clean_3000
-        batch = events.time_slice(0, 3000)
-        omega = rpm_to_rad_s(3000.0)
-        patch = patch_for(batch, CENTER)
-        image = accumulate(warp(batch, CENTER, 0, omega), patch, CENTER, 0)
-        r_acc = reward_accumulation(image)
-        r_spa = reward_sparsity(image, eps=1.0)
-        weighted = objective(batch, CENTER, 0, omega, patch=patch, accumulation_weight=2.0, sparsity_weight=0.5)
-        assert weighted == pytest.approx(2.0 * r_acc + 0.5 * r_spa, rel=1e-9)
 
 
 class TestBrent:
@@ -202,7 +188,7 @@ class TestEstimateSpeed:
         events, _ = clean_3000
         batch = events.time_slice(0, 8000)
         est = estimate_speed(batch, CENTER, (rpm_to_rad_s(1500), rpm_to_rad_s(4500)))
-        direct = objective(batch, CENTER, est.t_ref_us, est.omega_rad_s)
+        direct = ObjectiveEvaluator(batch, CENTER, est.t_ref_us).value(est.omega_rad_s)
         assert est.objective_value == pytest.approx(direct, rel=1e-12)
 
     def test_refinement_never_below_best_grid_point(self, clean_3000):
@@ -282,8 +268,8 @@ class TestWarpInvertsSimulation:
 
     def test_grid_scan_matches_direct_evaluation(self):
         """The uniform-grid rotation recurrence drifts only by float32
-        rounding from one value() per candidate; a non-uniform grid runs
-        value() itself."""
+        rounding from one value() per candidate; a non-uniform grid, or
+        a single candidate, is rejected."""
         for rpm, events in self.speed_streams():
             evaluator = ObjectiveEvaluator(events, CENTER, 0)
             grid = np.linspace(rpm_to_rad_s(rpm * 0.5), rpm_to_rad_s(rpm * 1.5), 64)
@@ -291,10 +277,10 @@ class TestWarpInvertsSimulation:
             direct = np.array([evaluator.value(float(w)) for w in grid])
             assert np.argmax(scanned) == np.argmax(direct)
             np.testing.assert_allclose(np.log(scanned), np.log(direct), rtol=0.01)
-            uneven = grid[[0, 1, 3, 7, 20, 40, 63]]
-            np.testing.assert_array_equal(
-                evaluator.value_grid(uneven), [evaluator.value(float(w)) for w in uneven]
-            )
+            with pytest.raises(ConfigError):
+                evaluator.value_grid(grid[[0, 1, 3, 7, 20, 40, 63]])
+            with pytest.raises(ConfigError):
+                evaluator.value_grid(grid[:1])
 
     def test_grid_window_scores_equal_the_full_scan(self):
         for rpm, events in self.speed_streams():
@@ -303,8 +289,8 @@ class TestWarpInvertsSimulation:
             full = evaluator.value_grid(grid)
             for start, stop in [(0, 64), (0, 1), (11, 54), (40, 64), (63, 64)]:
                 np.testing.assert_array_equal(evaluator.value_grid(grid, start, stop), full[start:stop])
-            uneven = grid[[0, 1, 3, 7, 20, 40, 63]]
-            np.testing.assert_array_equal(evaluator.value_grid(uneven, 2, 5), evaluator.value_grid(uneven)[2:5])
+            with pytest.raises(ConfigError):
+                evaluator.value_grid(grid[[0, 1, 3, 7, 20, 40, 63]], 2, 5)
 
 
 def window_size(bracket, prior, n_grid=64):

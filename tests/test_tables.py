@@ -46,8 +46,8 @@ def reference_write_truth_rpm_csv(path, truth, centers):
         for i, (cx, cy) in enumerate(centers):
             fh.write(f"# prop{i}_center={cx!r},{cy!r}\n")
         fh.write("t,prop_id,rpm\n")
-        for i in range(truth.rpm.shape[0]):
-            for k in range(truth.times_us.size):
+        for k in range(truth.times_us.size):
+            for i in range(truth.rpm.shape[0]):
                 fh.write(f"{int(truth.times_us[k])},{i},{float(truth.rpm[i, k])!r}\n")
 
 
@@ -77,10 +77,10 @@ def reference_write_command_csv(path, rows):
 
 
 def reference_speed_traces(path, times_us, rpm_traces):
-    """The loop `simulate` wrote speed_traces.csv with."""
+    """The loop `simulate` wrote speed_traces.csv with, in time-major order."""
     rows = []
-    for prop in range(rpm_traces.shape[0]):
-        for k in range(times_us.size):
+    for k in range(times_us.size):
+        for prop in range(rpm_traces.shape[0]):
             rows.append((int(times_us[k]), prop, float(rpm_traces[prop, k])))
     with open(path, "w", newline="\n") as fh:
         fh.write("t,prop_id,rpm\n")
