@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -43,15 +44,17 @@ _DERIVED_OPTIONS = {
 }
 
 
-def _say(line: str) -> None:
-    """Print one line to stdout. A reader that has closed the pipe is not
-    an error: stdout then goes to the null device, so the command still
-    writes its files and returns its own exit code, silently."""
+def _say(line: str, stream: TextIO | None = None) -> None:
+    """Print one line to stdout, or to stream. A reader that has closed
+    the pipe is not an error: the stream then goes to the null device, so
+    the command still writes its files and returns its own exit code,
+    silently."""
+    stream = sys.stdout if stream is None else stream
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -413,16 +416,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(f"config error: {exc}", sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _say(f"data error: {exc}", sys.stderr)
         return EXIT_DATA
     except (EstimationError, NumericalError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        _say(f"numerical error: {exc}", sys.stderr)
         return EXIT_NUMERIC
     except RotorSenseError as exc:  # pragma: no cover - catch-all for subclasses
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_DATA
 
 

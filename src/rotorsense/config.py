@@ -272,7 +272,11 @@ def parse_scenario(path: str) -> Scenario:
     if "width" in raw or "height" in raw:
         if not ("width" in raw and "height" in raw):
             raise ConfigError(f"{path}: width and height must be given together")
-        scenario.geometry = SensorGeometry(num(int, "width", raw["width"]), num(int, "height", raw["height"]))
+        width, height = num(int, "width", raw["width"]), num(int, "height", raw["height"])
+        for key, value in (("width", width), ("height", height)):
+            if value <= 0:
+                raise ConfigError(f"{path}: {key}: must be positive, got {value}")
+        scenario.geometry = SensorGeometry(width, height)
     scenario.duration_us = num(int, "duration_us", raw.get("duration_us", scenario.duration_us))
     scenario.tick_us = num(int, "tick_us", raw.get("tick_us", scenario.tick_us))
     scenario.seed = num(int, "seed", raw.get("seed", scenario.seed))

@@ -282,10 +282,10 @@ def estimate_track(
     """Run the adaptive batch loop over one propeller's events.
 
     Speed continuity confines each batch's search bracket to
-    [0.5, 1.5] x the previous estimate, and the grid scan starts with
-    the candidates within motion.PRIOR_WINDOW_HALF_WIDTH (0.32) x that
-    estimate; a peak on that window's inner edge, or a flat window,
-    rescans the full bracket. A speed change well beyond the window can
+    [0.5, 1.5] x the previous estimate, and the lattice scan starts with
+    the lattice points within motion.PRIOR_WINDOW_HALF_WIDTH (0.32) x
+    that estimate; a peak on that window's inner edge, or a flat window,
+    rescans the whole bracket's lattice. A speed change well beyond the window can
     still settle on a lesser peak inside it. A consistency stop (speed
     change) resets to the configured bracket and re-acquires.
     """

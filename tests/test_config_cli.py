@@ -443,6 +443,31 @@ class TestClosedStdout:
         assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+class TestClosedStderr:
+    """An error message to a reader that closed its end of stderr leaves
+    the command's exit code as it would be."""
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [(["--config", "bad.cfg", "pipeline"], EXIT_CONFIG), (["--config", "missing.cfg", "pipeline"], EXIT_DATA)],
+        ids=["config", "data"],
+    )
+    def test_closed_pipe_keeps_exit_code(self, tmp_path, argv, code):
+        (tmp_path / "bad.cfg").write_text("seed=x\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rotorsense.cli", *argv, "--out", str(tmp_path / "out")],
+                stdout=subprocess.PIPE, stderr=write_end, env=env, cwd=tmp_path, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+
+
 class TestScenarioNumbers:
     @pytest.mark.parametrize(
         ("old", "new", "key"),
@@ -452,8 +477,10 @@ class TestScenarioNumbers:
             ("seed=9", "seed=9\nscript=abc:hover", "script"),
             ("width=130", "width=x", "width"),
             ("noise.hot_pixels=4", "noise.hot_pixels=1.5", "noise.hot_pixels"),
+            ("width=130", "width=-1", "width"),
+            ("height=130", "height=0", "height"),
         ],
-        ids=["rpm", "rpm_step", "script_time", "width", "hot_pixels"],
+        ids=["rpm", "rpm_step", "script_time", "width", "hot_pixels", "negative_width", "zero_height"],
     )
     def test_malformed_number_exit_2(self, tmp_path, capsys, old, new, key):
         scene = tmp_path / "scene.cfg"

@@ -5,9 +5,9 @@ Each example takes one valid file (every declared table, the command
 model or a pipeline config), mutates it once (truncation, a flipped
 byte, a non-UTF-8 byte, a bad number or a dropped field) and runs the
 command that reads it. Tables that no command reads go through their
-reader, which returns or raises DataError. Scenario files are left out:
-their numbers size the simulation, so a mutated one can ask for any
-amount of work.
+reader, which returns or raises DataError. Scenario files go through
+`parse_scenario` alone, which returns or raises ConfigError: their numbers
+size the simulation, so a mutated one can ask for any amount of work.
 """
 
 import re
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from rotorsense import tables
 from rotorsense.cli import main
-from rotorsense.errors import DataError
+from rotorsense.config import parse_scenario
+from rotorsense.errors import ConfigError, DataError
 
 FLIGHT = """mode=flight
 duration_us=600000
@@ -137,3 +138,17 @@ def test_exit_code_contract_holds_for_mutated_inputs(corpus, data):
     finally:
         with open(path, "wb") as fh:
             fh.write(blob)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_scenario_parser_raises_only_config_errors(tmp_path_factory, data):
+    """A scenario file is configuration: whatever its bytes, parsing it
+    returns a scenario or raises ConfigError."""
+    blob = data.draw(st.sampled_from([FLIGHT, SCENE])).encode()
+    path = tmp_path_factory.getbasetemp() / "mutated_scenario.cfg"
+    path.write_bytes(mutate(data, blob))
+    try:
+        parse_scenario(str(path))
+    except ConfigError:
+        pass

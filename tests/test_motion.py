@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import ConfigError, DegenerateInputError, EstimationError
+from rotorsense import motion
 from rotorsense.events import Events, SensorGeometry
 from rotorsense.motion import (
+    LATTICE_STRIDE,
     PRIOR_WINDOW_HALF_WIDTH,
     ObjectiveEvaluator,
     PatchGeometry,
@@ -26,6 +29,21 @@ from conftest import CENTER, make_spec
 def make_events(rows):
     t, x, y, p = zip(*rows)
     return Events(np.array(t, np.uint64), np.array(x), np.array(y), np.array(p, np.int8))
+
+
+def blade_tip_events(omega, n=8, radius=40.0, center=(100.0, 100.0)):
+    """n events 1 ms apart on a circle, each where a blade tip turning at
+    omega stands at its time: only candidates near omega stack two of
+    them on one pixel."""
+    t = np.arange(n) * 1000
+    angle = -omega * t * 1e-6
+    events = Events(
+        t.astype(np.uint64),
+        np.round(center[0] + radius * np.cos(angle)).astype(int),
+        np.round(center[1] + radius * np.sin(angle)).astype(int),
+        np.ones(n, np.int8),
+    )
+    return events, center
 
 
 class TestWarp:
@@ -294,30 +312,46 @@ class TestWarpInvertsSimulation:
 
 
 def window_size(bracket, prior, n_grid=64):
-    """Candidates a locked scan scores first, from the documented rule."""
+    """Grid candidates inside a locked scan's window, from the documented rule."""
     spacing = (bracket[1] - bracket[0]) / (n_grid - 1)
     return min(n_grid, 2 * math.ceil(PRIOR_WINDOW_HALF_WIDTH * prior / spacing) + 1)
 
 
+def window_lattice_size(bracket, prior, n_grid=64):
+    """Lattice points a locked scan scores first: the multiples of
+    LATTICE_STRIDE among the window's grid indices."""
+    m = window_size(bracket, prior, n_grid)
+    grid = np.linspace(*bracket, n_grid)
+    j = int(np.clip(np.searchsorted(grid, prior) - m // 2, 0, n_grid - m))
+    return len(range(-(-j // LATTICE_STRIDE) * LATTICE_STRIDE, j + m, LATTICE_STRIDE))
+
+
+FULL_LATTICE = len(range(0, 64, LATTICE_STRIDE))
+FINE = 2 * LATTICE_STRIDE - 1
+
+
+@pytest.fixture()
+def scanned_sizes(monkeypatch):
+    """The number of candidates each value_grid call scores."""
+    sizes = []
+    original = ObjectiveEvaluator.value_grid
+
+    def recording(self, omegas, start=0, stop=None):
+        sizes.append(len(omegas[start:stop]))
+        return original(self, omegas, start, stop)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "value_grid", recording)
+    return sizes
+
+
 class TestPriorWindow:
-    """A locked track's prior confines the first scan to the candidates
+    """A locked track's prior confines the first scan to the lattice points
     within PRIOR_WINDOW_HALF_WIDTH x prior of it; anything the window
-    cannot settle rescans the grid."""
-
-    @pytest.fixture()
-    def scanned_sizes(self, monkeypatch):
-        sizes = []
-        original = ObjectiveEvaluator.value_grid
-
-        def recording(self, omegas, start=0, stop=None):
-            sizes.append(len(omegas[start:stop]))
-            return original(self, omegas, start, stop)
-
-        monkeypatch.setattr(ObjectiveEvaluator, "value_grid", recording)
-        return sizes
+    cannot settle rescans the whole lattice. Either way the fine
+    candidates around the lattice's best are scored last."""
 
     # truth 0.97x to 1.05x the prior, then speed steps of -29 % to +25 %:
-    # all within the window, so only the window is scored
+    # all within the window, so only the window's lattice points are scored
     @pytest.mark.parametrize("factor", [0.95, 1.0, 1.03, 0.8, 1.25, 1.4])
     def test_truth_inside_the_window_scans_the_window_only(self, clean_3000, scanned_sizes, factor):
         events, _ = clean_3000
@@ -325,11 +359,12 @@ class TestPriorWindow:
         prior = rpm_to_rad_s(3000.0) * factor
         bracket = (0.5 * prior, 1.5 * prior)
         windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
-        assert scanned_sizes == [window_size(bracket, prior)] and scanned_sizes[0] < 64
+        assert scanned_sizes == [window_lattice_size(bracket, prior), FINE]
+        assert scanned_sizes[0] < FULL_LATTICE
         assert windowed == estimate_speed(batch, CENTER, bracket)
 
     # truth 1.35x and 0.67x the prior: just past the window's upper and
-    # lower edge, whose best candidate then sits on the peak's flank
+    # lower edge, whose best lattice point then sits on the peak's flank
     @pytest.mark.parametrize("factor", [0.74, 1.5])
     def test_truth_past_the_window_edge_falls_back_to_the_grid(self, clean_3000, scanned_sizes, factor):
         events, _ = clean_3000
@@ -337,23 +372,13 @@ class TestPriorWindow:
         prior = rpm_to_rad_s(3000.0) * factor
         bracket = (0.5 * prior, 1.5 * prior)
         windowed = estimate_speed(batch, CENTER, bracket, prior_rad_s=prior)
-        assert scanned_sizes == [window_size(bracket, prior), 64]
+        assert scanned_sizes == [window_lattice_size(bracket, prior), FULL_LATTICE, FINE]
         assert windowed == estimate_speed(batch, CENTER, bracket, prior_rad_s=None)
 
     def test_flat_window_at_the_bracket_edge_falls_back(self, scanned_sizes):
-        # eight events on a circle, each where a 3000 RPM blade tip stands at
-        # its time: only candidates near 3000 RPM stack two of them on one
-        # pixel, so the window at the low end of the bracket is exactly flat
-        omega = rpm_to_rad_s(3000.0)
-        center = (100.0, 100.0)
-        t = np.arange(8) * 1000
-        angle = -omega * t * 1e-6
-        events = Events(
-            t.astype(np.uint64),
-            np.round(center[0] + 40.0 * np.cos(angle)).astype(int),
-            np.round(center[1] + 40.0 * np.sin(angle)).astype(int),
-            np.ones(8, np.int8),
-        )
+        # only candidates near 3000 RPM stack two tip events on one pixel,
+        # so the window at the low end of the bracket is exactly flat
+        events, center = blade_tip_events(rpm_to_rad_s(3000.0))
         bracket = (rpm_to_rad_s(1000.0), rpm_to_rad_s(4150.0))
         evaluator = ObjectiveEvaluator(events, center, 0)
         m = window_size(bracket, bracket[0])
@@ -361,7 +386,7 @@ class TestPriorWindow:
         assert np.all(values[:m] == values[0]) and values.max() > values[0]
         scanned_sizes.clear()
         windowed = estimate_speed(events, center, bracket, prior_rad_s=bracket[0])
-        assert scanned_sizes == [m, 64]
+        assert scanned_sizes == [window_lattice_size(bracket, bracket[0]), FULL_LATTICE, FINE]
         assert windowed == estimate_speed(events, center, bracket)
         assert abs(windowed.rpm - 3000.0) < 50.0
 
@@ -374,3 +399,104 @@ class TestPriorWindow:
         bracket = (rpm_to_rad_s(500), rpm_to_rad_s(1500))
         with pytest.raises(DegenerateInputError):
             estimate_speed(events, (250.0, 250.0), bracket, n_grid=16, prior_rad_s=rpm_to_rad_s(1000))
+
+
+def full_grid_estimate(events, center, bracket, tol_rad_s=0.05, n_grid=64):
+    """The scan the lattice replaced, kept as an oracle: score every grid
+    candidate, then Brent between the argmax's neighbours."""
+    evaluator = ObjectiveEvaluator(events, center, int(events.t[0]))
+    grid = np.linspace(*bracket, n_grid)
+    values = evaluator.value_grid(grid)
+    best = int(np.argmax(values))
+    omega, _ = brent_max(
+        lambda w: math.log(evaluator.value(w)), grid[max(best - 1, 0)], grid[min(best + 1, n_grid - 1)], tol=tol_rad_s
+    )
+    value = evaluator.value(omega)
+    if value < values[best]:
+        omega, value = float(grid[best]), float(values[best])
+    return omega, value
+
+
+class TestLatticeScan:
+    """The lattice of every LATTICE_STRIDE-th candidate, then the fine
+    candidates around its best, finds what a scan of the whole grid finds."""
+
+    @staticmethod
+    def three_blade_stream():
+        spec = dataclasses.replace(make_spec(rpm=4200.0), n_blades=3)
+        events, _ = simulate_propellers([spec], NO_NOISE, duration_us=10_000, tick_us=20, seed=5)
+        return 4200.0, events
+
+    def test_same_estimate_as_the_full_grid(self):
+        streams = [*TestWarpInvertsSimulation.speed_streams(), self.three_blade_stream()]
+        offsets = set()
+        for rpm, events in streams:
+            evaluator = ObjectiveEvaluator(events, CENTER, int(events.t[0]))
+            # brackets shifted by fractions of a step put the grid's argmax
+            # at every offset from the lattice's best
+            for lo in np.linspace(0.5, 0.9, 11):
+                bracket = (rpm_to_rad_s(rpm * lo), rpm_to_rad_s(rpm * (lo + 1.0)))
+                est = estimate_speed(events, CENTER, bracket)
+                assert (est.omega_rad_s, est.objective_value) == full_grid_estimate(events, CENTER, bracket)
+                grid = np.linspace(*bracket, 64)
+                lattice_best = LATTICE_STRIDE * int(np.argmax(evaluator.value_grid(grid[::LATTICE_STRIDE])))
+                offsets.add(int(np.argmax(evaluator.value_grid(grid))) - lattice_best)
+        assert offsets == {-2, -1, 0, 1, 2}
+
+    def test_scores_a_third_of_the_grid_plus_the_fine_candidates(self, clean_3000, scanned_sizes):
+        events, _ = clean_3000
+        estimate_speed(events.time_slice(0, 8000), CENTER, (rpm_to_rad_s(1500), rpm_to_rad_s(4500)))
+        assert scanned_sizes == [FULL_LATTICE, FINE] == [22, 5]
+
+    @pytest.mark.parametrize("n_grid", [3, 5, 6])
+    def test_a_grid_too_small_for_a_lattice_is_scanned_whole(self, clean_3000, scanned_sizes, n_grid):
+        batch = clean_3000[0].time_slice(0, 8000)
+        bracket = (rpm_to_rad_s(2500), rpm_to_rad_s(3500))
+        est = estimate_speed(batch, CENTER, bracket, n_grid=n_grid)
+        assert scanned_sizes == [n_grid]
+        assert (est.omega_rad_s, est.objective_value) == full_grid_estimate(batch, CENTER, bracket, n_grid=n_grid)
+
+    def test_a_peak_between_lattice_points_is_still_found(self):
+        # with a 90 px radius the eight tip events stack only at grid
+        # indices 25 and 26 of this bracket: every lattice point scores the
+        # same, and the scan falls back to the whole grid
+        events, center = blade_tip_events(rpm_to_rad_s(3000.0), radius=90.0)
+        bracket = (rpm_to_rad_s(1000.0), rpm_to_rad_s(6000.0))
+        grid = np.linspace(*bracket, 64)
+        values = ObjectiveEvaluator(events, center, 0).value_grid(grid)
+        assert np.all(values[::LATTICE_STRIDE] == values[0])
+        assert np.flatnonzero(values > values[0]).tolist() == [25, 26]
+        est = estimate_speed(events, center, bracket)
+        assert (est.omega_rad_s, est.objective_value) == full_grid_estimate(events, center, bracket)
+        assert abs(est.rpm - 3000.0) < 100.0
+
+    def test_uniform_noise_is_still_degenerate(self, rng):
+        n = 40
+        events = Events(
+            np.sort(rng.integers(0, 5_000, n)).astype(np.uint64),
+            rng.integers(0, 500, n), rng.integers(0, 500, n), np.ones(n, np.int8),
+        )
+        with pytest.raises(DegenerateInputError):
+            estimate_speed(events, (250.0, 250.0), (rpm_to_rad_s(500), rpm_to_rad_s(1500)))
+
+    def test_brent_scores_each_candidate_once(self, clean_3000, monkeypatch):
+        """The objective value reported is Brent's own score of its
+        result: value() runs once per point Brent tries, no more."""
+        brent_calls, value_calls = [], []
+        original_value, original_brent = ObjectiveEvaluator.value, motion.brent_max
+
+        def counting_value(self, omega):
+            value_calls.append(omega)
+            return original_value(self, omega)
+
+        def counting_brent(f, a, b, tol, max_iter=100):
+            return original_brent(lambda w: brent_calls.append(w) or f(w), a, b, tol, max_iter)
+
+        monkeypatch.setattr(ObjectiveEvaluator, "value", counting_value)
+        monkeypatch.setattr(motion, "brent_max", counting_brent)
+        events, _ = clean_3000
+        batch = events.time_slice(0, 8000)
+        est = estimate_speed(batch, CENTER, (rpm_to_rad_s(1500), rpm_to_rad_s(4500)))
+        assert len(brent_calls) > 3
+        assert value_calls == brent_calls
+        assert est.objective_value == original_value(ObjectiveEvaluator(batch, CENTER, est.t_ref_us), est.omega_rad_s)
