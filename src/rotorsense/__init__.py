@@ -51,12 +51,7 @@ from .motion import (
     ObjectiveEvaluator,
     PatchGeometry,
     SpeedEstimate,
-    WarpedImage,
-    accumulate,
     estimate_speed,
-    reward_accumulation,
-    reward_sparsity,
-    warp,
 )
 from .preprocess import HeatmapPair, PropellerTrack, build_heatmaps, filter_noise, segment_propellers
 from .sim import (

@@ -20,9 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError
 from .events import EventBatch, EventBundle, Events
 from .motion import ObjectiveEvaluator, PatchGeometry, patch_for
+from .preprocess import group_keys
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ def grow_batch(
     """Grow a batch from bundles[start] under the consistency and
     bundle-count criteria; returns the batch and why growth stopped. A
     gap before the next bundle stops growth for consistency, as an empty
-    candidate does."""
+    candidate does, and as a pair of bundles whose patch exceeds
+    motion.MAX_PATCH_AREA does."""
     if not bundles or start >= len(bundles):
         raise ConfigError("bundle stream is empty at the requested start")
     taken = [bundles[start]]
@@ -134,7 +136,10 @@ def grow_batch(
             half_k = patch_for(bundles[k].events, center).half_size
         half_m = patch_for(bundles[m].events, center).half_size
         patch = PatchGeometry(max(half_k, half_m))
-        rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, eps, spin, patch)
+        try:
+            rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, eps, spin, patch)
+        except DegenerateInputError:  # a patch too large to score
+            rate = math.inf
         if not rate < policy.delta:
             reason = StopReason.CONSISTENCY
             break
@@ -238,9 +243,10 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
 
     Voxels tile (x, y, t) with edges ceil(space_radius_px) pixels and
     ceil(time_radius_us) microseconds, anchored at pixel 0 and at the
-    first event's time. One sort-and-count pass gives a density proxy
-    that needs no pair checks; every event counts itself, so the result
-    is >= 1. The voxel key stays below 2^32 * len(events), which fits
+    first event's time. One `group_keys` pass over the voxels of the
+    events' bounding box, time slabs ranked, gives a density proxy that
+    needs no pair checks; every event counts itself, so the result is
+    >= 1. The box holds fewer than 2^32 * len(events) voxels, which fits
     int64 for any uint16 coordinates and any uint64 time span.
     """
     n = len(events)
@@ -249,11 +255,13 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
     side = int(math.ceil(space_radius_px))
     cx = events.x.astype(np.int64) // side
     cy = events.y.astype(np.int64) // side
+    cx -= cx.min()
+    cy -= cy.min()
     ct = (events.t - events.t[0]) // np.uint64(math.ceil(time_radius_us))
     # t is nondecreasing, so counting slab changes ranks the time slabs in [0, n)
     ct_rank = np.concatenate([[0], np.cumsum(ct[1:] != ct[:-1])])
-    key = (cx * (int(cy.max()) + 1) + cy) * (int(ct_rank[-1]) + 1) + ct_rank
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    ny, nt = int(cy.max()) + 1, int(ct_rank[-1]) + 1
+    _, inverse, counts = group_keys((cx * ny + cy) * nt + ct_rank, (int(cx.max()) + 1) * ny * nt)
     return counts[inverse]
 
 

@@ -74,10 +74,10 @@ class Events:
         copy: bool = True,
         validate: bool = True,
     ) -> None:
-        t = np.asarray(t, dtype=np.uint64)
-        x = np.asarray(x, dtype=np.uint16)
-        y = np.asarray(y, dtype=np.uint16)
-        p = np.asarray(p, dtype=np.int8)
+        t, x, y, p = (
+            _column(name, values, dtype, validate)
+            for name, values, dtype in (("t", t, np.uint64), ("x", x, np.uint16), ("y", y, np.uint16), ("p", p, np.int8))
+        )
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise DataError("event columns must be 1-D arrays of equal length")
         if validate and p.size and not np.all(np.abs(p) == 1):
@@ -144,6 +144,20 @@ class Events:
         if len(self) == 0:
             return SensorGeometry(1, 1)
         return SensorGeometry(int(self.x.max()) + 1, int(self.y.max()) + 1)
+
+
+def _column(name: str, values, dtype: type, validate: bool) -> np.ndarray:
+    """`values` as an array of `dtype`. With `validate`, values given in
+    another dtype (or as a list) must lie in the dtype's range; the first
+    one outside raises DataError naming the column and its index."""
+    if validate and not (isinstance(values, np.ndarray) and values.dtype == dtype):
+        values = np.asarray(values)
+        info = np.iinfo(dtype)
+        outside = ~((values >= info.min) & (values <= info.max))  # NaN too
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise DataError(f"event column {name} holds {values.flat[i]} at index {i}, outside [{info.min}, {info.max}]")
+    return np.asarray(values, dtype=dtype)
 
 
 def concat_events(parts: Sequence[Events]) -> Events:

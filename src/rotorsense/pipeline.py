@@ -417,7 +417,10 @@ def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, per_t
         sub = events.time_slice(first.t_ref_us, first.t_ref_us + cfg.beta * cfg.dt_us)
         if len(sub) == 0:
             continue
-        evaluator = ObjectiveEvaluator(sub, tracked.warp_centers[track.prop_id], first.t_ref_us, eps=cfg.epsilon)
+        try:
+            evaluator = ObjectiveEvaluator(sub, tracked.warp_centers[track.prop_id], first.t_ref_us, eps=cfg.epsilon)
+        except DegenerateInputError:  # a stray event makes the patch too large
+            continue
         omegas = np.linspace(0.5 * first.omega_rad_s, 1.5 * first.omega_rad_s, 101)
         values = [evaluator.value(float(w)) for w in omegas]
         curve = (track.prop_id, omegas, values)

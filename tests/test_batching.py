@@ -124,6 +124,16 @@ class TestGrowBatch:
         assert grown.reason is StopReason.STREAM_END
         assert len(grown.batch.bundles) == 1
 
+    def test_a_bundle_too_far_to_score_stops_for_consistency(self, clean_3000):
+        # one event 60000 px from the rotor: its bundle's patch is too large
+        events, _ = clean_3000
+        stray = Events(np.array([5500], np.uint64), np.array([60000]), np.array([60]), np.array([1], np.int8))
+        bundles = slice_bundles(concat_events([events.time_slice(0, 20_000), stray]), 1000)
+        grown = grow_batch(bundles, BatchPolicy(dt_us=1000, max_bundles=8), rpm_to_rad_s(3000), CENTER)
+        assert grown.reason is StopReason.CONSISTENCY
+        assert int(bundles[grown.next_index].events.x.max()) == 60000  # growth stopped at the stray's bundle
+        assert len(grown.batch.bundles) == grown.next_index == 5
+
     def test_growth_deterministic(self, clean_3000):
         events, _ = clean_3000
         bundles = slice_bundles(events, 2000)
@@ -207,6 +217,45 @@ class TestVoxelDensity:
 
     def test_empty(self):
         assert voxel_density(Events.empty(), 2.0, 200.0).size == 0
+
+
+def reference_voxel_density(events, space_radius_px, time_radius_us):
+    """voxel_density as one np.unique of the voxel keys, the time slabs
+    ranked by counting slab changes."""
+    side = int(math.ceil(space_radius_px))
+    cx = events.x.astype(np.int64) // side
+    cy = events.y.astype(np.int64) // side
+    ct = (events.t - events.t[0]) // np.uint64(math.ceil(time_radius_us))
+    ct_rank = np.concatenate([[0], np.cumsum(ct[1:] != ct[:-1])])
+    key = (cx * (int(cy.max()) + 1) + cy) * (int(ct_rank[-1]) + 1) + ct_rank
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return counts[inverse]
+
+
+class TestVoxelDensityAgainstTheSort:
+    @pytest.mark.parametrize("radii", [(2.0, 200.0), (1.0, 1.0), (3.5, 250.0), (40.0, 5000.0)])
+    def test_rotor_batches(self, clean_3000, radii):
+        events, _ = clean_3000
+        for t0 in range(0, 50_000, 8_000):
+            batch = events.time_slice(t0, t0 + 8_000)
+            assert np.array_equal(voxel_density(batch, *radii), reference_voxel_density(batch, *radii))
+
+    def test_a_batch_far_from_the_origin_is_counted_without_a_sort(self, clean_3000, monkeypatch):
+        # the voxel box starts at the batch's own corner, not at pixel 0
+        events, _ = clean_3000
+        batch = events.time_slice(0, 8_000)
+        far = Events(batch.t, batch.x + 60000, batch.y + 60000, batch.p)
+        want = reference_voxel_density(far, 2.0, 200.0)
+        monkeypatch.setattr(np, "unique", None)
+        assert np.array_equal(voxel_density(far, 2.0, 200.0), want)
+
+    @pytest.mark.parametrize("far", [10**12, 2**64 - 1])
+    def test_a_time_gap_and_a_stray_pixel(self, clean_3000, far):
+        events, _ = clean_3000
+        batch = events.time_slice(0, 8_000)
+        extra = Events(np.array([far, far], np.uint64), np.array([60000, 5]), np.array([70, 65535]), np.ones(2, np.int8))
+        both = concat_events([batch, extra])
+        assert np.array_equal(voxel_density(both, 2.0, 200.0), reference_voxel_density(both, 2.0, 200.0))
 
 
 class TestDensityDownsample:

@@ -582,6 +582,30 @@ class TestEvalSpeeds:
         assert all(e["value"] < 1.0 for e in scored)
 
 
+class TestStrayEvent:
+    """A rotor plus one event 60000 px away on a 65535 x 200 sensor: the
+    stray bundle's patch is too large to score, so it goes unreported.
+    Before, `pipeline` failed with a ValueError from np.bincount (exit 1)."""
+
+    @pytest.mark.parametrize("stray_t, plots", [(10_004, 0), (5_500, 1)])
+    def test_pipeline_exits_0(self, tmp_path, stray_t, plots):
+        from conftest import make_spec
+        from rotorsense.events import Events, SensorGeometry, concat_events, write_events
+        from rotorsense.sim import NO_NOISE, simulate_propellers
+
+        events, _ = simulate_propellers([make_spec(center=(70.0, 70.0))], NO_NOISE, duration_us=20_000, tick_us=50,
+                                        seed=1, geometry=SensorGeometry(200, 200))
+        stray = Events(np.array([stray_t], np.uint64), np.array([60000]), np.array([70]), np.array([1], np.int8))
+        path = str(tmp_path / "events.bin")
+        write_events(concat_events([events, stray]), SensorGeometry(65535, 200), path, "bin")
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(f"input={path}\nfilter_enabled=0\nk_props=1\nwindow_us=25000\nplots={plots}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "pipeline", "--out", str(out)]) == 0
+        speeds = pl.read_speed_csv(str(out / "speeds.csv"))
+        assert len(speeds) >= 2 and np.all(np.abs(speeds[:, 2] - 3000.0) < 60.0)
+
+
 class TestConfigOptions:
     @pytest.mark.parametrize("command, option", [
         ("preprocess", "--window-us"), ("preprocess", "--k"), ("preprocess", "--bin"),

@@ -42,6 +42,23 @@ class TestEventModel:
         with pytest.raises((ValueError, AttributeError)):
             events.t[0] = 5
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("column, values, index", [
+        ("x", [-20, 5], 0), ("y", [3, 70000], 1), ("t", [-1, 2], 0), ("t", [1, 2**64], 1),
+        ("p", [1, 300], 1), ("x", [1.0, float("nan")], 1), ("y", [0.0, float("inf")], 1),
+    ])
+    def test_values_outside_the_column_dtype_are_rejected(self, as_list, column, values, index):
+        columns = {"t": [1, 2], "x": [5, 6], "y": [7, 8], "p": [1, -1]}
+        columns[column] = values
+        if not as_list:
+            columns = {name: np.array(v) for name, v in columns.items()}
+        with pytest.raises(DataError, match=f"event column {column} holds .* at index {index}, outside"):
+            Events(columns["t"], columns["x"], columns["y"], columns["p"])
+
+    def test_in_range_input_of_any_integer_kind_is_kept(self):
+        events = Events(np.array([2, 1]), [0, 65535], np.array([65535.0, 0.0]), np.array([1, -1], np.int64))
+        assert events.t.tolist() == [1, 2] and events.x.tolist() == [65535, 0] and events.y.tolist() == [0, 65535]
+
 
 class TestCsvFormat:
     def test_csv_line_maps_fields(self, tmp_path):

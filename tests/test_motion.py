@@ -8,22 +8,19 @@ from hypothesis import given, settings, strategies as st
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import ConfigError, DegenerateInputError, EstimationError
 from rotorsense import motion
-from rotorsense.events import Events, SensorGeometry
+from rotorsense.events import Events, SensorGeometry, concat_events
 from rotorsense.motion import (
     LATTICE_STRIDE,
     PRIOR_WINDOW_HALF_WIDTH,
     ObjectiveEvaluator,
     PatchGeometry,
-    accumulate,
     brent_max,
     estimate_speed,
     patch_for,
-    reward_accumulation,
-    reward_sparsity,
-    warp,
 )
 from rotorsense.sim import NO_NOISE, blade_mask, simulate_propellers
 from conftest import CENTER, make_spec
+from oracles import accumulate, reward_accumulation, reward_sparsity, warp
 
 
 def make_events(rows):
@@ -180,6 +177,82 @@ class TestObjective:
         manual = reward_accumulation(image) + reward_sparsity(image, eps=1.0)
         fused = ObjectiveEvaluator(batch, CENTER, 0, patch, eps=1.0).value(omega)
         assert fused == pytest.approx(manual, rel=1e-9)
+
+
+def floor_and_mask_indices(evaluator, c, s):
+    """The pixel indices as the kernel computed them with a bounds mask:
+    floor of the shifted coordinates, events outside the patch dropped."""
+    side = evaluator.patch.side
+    ix = np.floor(c * evaluator._dx - s * evaluator._dy + evaluator._x_shift).astype(np.int32)
+    iy = np.floor(s * evaluator._dx + c * evaluator._dy + evaluator._y_shift).astype(np.int32)
+    inside = (ix >= 0) & (ix < side) & (iy >= 0) & (iy < side)
+    return (ix * side + iy)[inside]
+
+
+def disc_events(rng, n, center, radius):
+    """n events at random times, spread over a disc around center."""
+    r = radius * np.sqrt(rng.random(n))
+    a = rng.uniform(0, 2 * np.pi, n)
+    return Events(
+        np.sort(rng.integers(0, 8000, n)).astype(np.uint64),
+        np.round(center[0] + r * np.cos(a)).astype(int),
+        np.round(center[1] + r * np.sin(a)).astype(int),
+        np.ones(n, np.int8),
+    )
+
+
+class TestIndexKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indices_equal_floor_and_mask_along_the_recurrence(self, seed):
+        rng = np.random.default_rng(seed)
+        center = (float(rng.uniform(60, 61)), float(rng.uniform(60, 61)))
+        events = disc_events(rng, 3000, center, float(rng.uniform(5, 58)))
+        evaluator = ObjectiveEvaluator(events, center, int(rng.integers(0, 8000)), spin=int(rng.choice([-1, 1])))
+        omegas = np.linspace(rpm_to_rad_s(500), rpm_to_rad_s(20000), motion.RECURRENCE_STEPS)
+        dc = np.cos(evaluator._dt * np.float32(omegas[1] - omegas[0]))
+        ds = np.sin(evaluator._dt * np.float32(omegas[1] - omegas[0]))
+        c, s = np.cos(evaluator._dt * np.float32(omegas[0])), np.sin(evaluator._dt * np.float32(omegas[0]))
+        for k in range(motion.RECURRENCE_STEPS):  # the drifted (cos, sin) value_grid scores
+            if k % 97 == 0 or k == motion.RECURRENCE_STEPS - 1:
+                got = evaluator._indices_from(c, s)
+                assert got.size == len(events)
+                assert np.array_equal(got, floor_and_mask_indices(evaluator, c, s))
+            c, s = c * dc - s * ds, s * dc + c * ds
+
+    def test_a_patch_one_pixel_too_small_raises(self):
+        # the farthest event lies 25.5 px from the center: a 26 px half-size
+        # holds every warp, 25 px does not
+        rng = np.random.default_rng(5)
+        center = (40.5, 40.0)
+        disc = disc_events(rng, 500, center, 24.0)
+        events = concat_events([disc, make_events([(9000, 66, 40, 1)])])
+        evaluator = ObjectiveEvaluator(events, center, 0, PatchGeometry(26))
+        for omega in np.linspace(-2000.0, 2000.0, 41):
+            theta = evaluator._dt * np.float32(omega)
+            c, s = np.cos(theta), np.sin(theta)
+            assert np.array_equal(evaluator._indices_from(c, s), floor_and_mask_indices(evaluator, c, s))
+        with pytest.raises(ConfigError, match="does not hold"):
+            ObjectiveEvaluator(events, center, 0, PatchGeometry(25))
+
+    def test_a_patch_beyond_the_largest_image_is_degenerate(self):
+        events = make_events([(0, 10, 10, 1), (100, 6000, 10, 1)])
+        assert patch_for(events, (10.0, 10.0)).area > motion.MAX_PATCH_AREA
+        with pytest.raises(DegenerateInputError, match="patch exceeds"):
+            ObjectiveEvaluator(events, (10.0, 10.0), 0)
+
+    def test_the_recurrence_restarts_from_exact_trig(self, clean_3000):
+        events, _ = clean_3000
+        evaluator = ObjectiveEvaluator(events.time_slice(0, 4000), CENTER, 0)
+        k = motion.RECURRENCE_STEPS
+        omegas = np.linspace(100.0, 400.0, k + 40)
+        full = evaluator.value_grid(omegas)
+        assert full[k] == evaluator.value(omegas[k])
+        assert np.array_equal(evaluator.value_grid(omegas, k - 3, k + 5), full[k - 3 : k + 5])
+        rotations = []
+        evaluator._score_at = lambda c, s: rotations.append((c, s)) or 0.0
+        evaluator.value_grid(omegas)
+        theta = evaluator._dt * np.float32(omegas[k])
+        assert np.array_equal(rotations[k][0], np.cos(theta)) and np.array_equal(rotations[k][1], np.sin(theta))
 
 
 class TestBrent:

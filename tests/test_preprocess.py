@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from rotorsense.errors import ConfigError, DataError
-from rotorsense.events import Events
+from rotorsense.events import Events, concat_events
 from rotorsense.preprocess import (
+    DENSE_CELLS_FLOOR,
+    DENSE_CELLS_PER_KEY,
     build_heatmaps,
+    distinct_pixels,
     filter_noise,
+    group_keys,
     robust_center,
     segment_propellers,
 )
@@ -314,6 +318,74 @@ class TestDistinctPixels:
 
         pixels, counts, inverse = distinct_pixels(Events.empty())
         assert pixels.shape == (0, 2) and counts.size == 0 and inverse.size == 0
+
+
+def reference_distinct_pixels(events):
+    """distinct_pixels as one np.unique of the packed key (x << 16) | y,
+    which is unique for uint16 coordinates and orders like (x, y)."""
+    key = (events.x.astype(np.uint32) << 16) | events.y
+    keys, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return np.column_stack([keys >> 16, keys & 0xFFFF]).astype(np.int64), counts, inverse
+
+
+def assert_same_groups(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class TestGroupKeys:
+    @pytest.mark.parametrize("n", [1, 7, 300, 5000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_unique_on_both_sides_of_the_bound(self, n, offset):
+        size = DENSE_CELLS_PER_KEY * n + DENSE_CELLS_FLOOR + offset
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, size, n)
+        keys[:2] = [size - 1, 0][:n]
+        assert_same_groups(group_keys(keys, size), np.unique(keys, return_inverse=True, return_counts=True))
+
+    def test_sorts_only_above_the_bound(self, monkeypatch):
+        sorted_sizes = []
+        unique = np.unique
+
+        def spy(keys, **kwargs):
+            sorted_sizes.append(keys.size)
+            return unique(keys, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        bound = DENSE_CELLS_PER_KEY * 10 + DENSE_CELLS_FLOOR
+        keys = np.arange(10) * 3
+        group_keys(keys, bound)
+        assert sorted_sizes == []
+        group_keys(keys, bound + 1)
+        assert sorted_sizes == [10]
+
+    def test_empty_keys(self):
+        assert_same_groups(group_keys(np.zeros(0, np.int64), 1), np.unique(np.zeros(0, np.int64), return_inverse=True, return_counts=True))
+
+
+class TestDistinctPixelsAgainstTheSort:
+    def test_rotor_windows(self, noisy_3000):
+        events, _, _ = noisy_3000
+        for t0 in range(0, 100_000, 25_000):
+            window = events.time_slice(t0, t0 + 25_000)
+            assert_same_groups(distinct_pixels(window), reference_distinct_pixels(window))
+
+    def test_a_stray_event_takes_the_sort(self, noisy_3000, monkeypatch):
+        # a rotor plus one event 60000 px away: a 12M-cell bounding box
+        events, _, _ = noisy_3000
+        window = events.time_slice(0, 15_000)
+        stray = Events(np.array([7000], np.uint64), np.array([60000]), np.array([70]), np.array([1], np.int8))
+        both = concat_events([window, stray])
+        box = (int(both.x.max()) - int(both.x.min()) + 1) * (int(both.y.max()) - int(both.y.min()) + 1)
+        assert box > DENSE_CELLS_PER_KEY * len(both) + DENSE_CELLS_FLOOR
+        assert_same_groups(distinct_pixels(both), reference_distinct_pixels(both))
+
+    def test_corner_pixels(self):
+        x = np.array([0, 65535, 0, 65535, 0, 3, 3])
+        y = np.array([0, 65535, 65535, 0, 0, 4, 4])
+        events = Events(np.arange(7, dtype=np.uint64), x, y, np.ones(7, np.int8))
+        assert_same_groups(distinct_pixels(events), reference_distinct_pixels(events))
 
 
 def _per_event_lloyd(events, k, max_iters=100, tol=1e-3):

@@ -502,6 +502,93 @@ class TestDeclarations:
             tables.Table("a,b", (tables.INT,))
 
 
+# --- the column-matrix writer against one `%` string per row ---
+
+
+DECLARED = {name: v for name, v in vars(tables).items() if isinstance(v, tables.Table)}
+# the extremes each integer input dtype can carry into an int column
+INT_EXTREMES = {
+    np.int8: [-128, 127, 0, -1, 1],
+    np.uint16: [0, 65535, 9, 10, 99, 100],
+    np.int64: [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, -10, 10**18, -(10**18)],
+    np.uint64: [np.iinfo(np.uint64).max, 2**63, 0, 1, 10**19],
+}
+FLOAT_EXTREMES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, -1e16, 1e-05, 0.1, 1e15, 9999999999999998.0,
+                  2.2250738585072014e-308, -1.7976931348623157e308, 0.0001, 123456789.125]
+
+
+def reference_write(table, path, columns, comments=()):
+    """`table.row` %-formatted once per row: ints as Python ints (`%d`
+    truncates a float), floats as Python floats (`%r`), labels as text."""
+    cast = [float if kind.dtype is np.float64 else (lambda v: v) if kind.dtype is object else int for kind in table.kinds]
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in [*comments, table])
+        for row in zip(*columns):
+            fh.write(table.row % tuple(f(v) for f, v in zip(cast, row)))
+
+
+def extreme_columns(table, n, rng, int_dtype):
+    """n rows of a table: its extremes first, then random values, ints in
+    `int_dtype` (or the column's own dtype when narrower)."""
+    columns = []
+    for kind in table.kinds:
+        if kind.dtype is object:
+            values = np.array([kind.values[k % len(kind.values)] for k in range(n)], dtype=object)
+        elif kind.dtype is np.float64:
+            head = FLOAT_EXTREMES + list(rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64))
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            values[: min(n, len(head))] = head[:n]
+        else:
+            dtype = int_dtype if kind.dtype is np.int64 else kind.dtype
+            info = np.iinfo(dtype)
+            values = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+            head = INT_EXTREMES.get(dtype, [info.min, info.max, 0])
+            values[: min(n, len(head))] = np.array(head[:n], dtype=dtype)
+        columns.append(values)
+    return columns
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED))
+@pytest.mark.parametrize("int_dtype", [np.int8, np.uint16, np.int64, np.uint64])
+def test_every_table_writes_what_one_row_format_wrote(tmp_path, name, int_dtype):
+    table = DECLARED[name]
+    rng = np.random.default_rng(len(name))
+    rows = tables.BLOCK_LINES
+    for n in (0, 1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
+        columns = extreme_columns(table, n, rng, int_dtype)
+        comments = ["# width=3 height=4"] if table.comments else []
+        table.write(str(tmp_path / "got.csv"), columns, comments)
+        reference_write(table, str(tmp_path / "want.csv"), columns, comments)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (name, n)
+
+
+def test_int_columns_take_lists_and_truncated_floats(tmp_path):
+    times = [-2.9, -1.0, -0.5, 0.0, 0.5, 7.99, 1e15 + 0.5, -(2.0**62)]
+    columns = [times, [1.5] * len(times), [-0.0] * len(times), [1e300] * len(times)]
+    tables.GPS.write(str(tmp_path / "got.csv"), columns)
+    reference_write(tables.GPS, str(tmp_path / "want.csv"), columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    ints = [list(range(-5, 6)), [2**63 - 1] * 11]
+    tables.ASSIGNMENTS.write(str(tmp_path / "got.csv"), ints)
+    reference_write(tables.ASSIGNMENTS, str(tmp_path / "want.csv"), ints)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [2.0**63]])
+def test_an_int_column_rejects_a_float_it_cannot_hold(tmp_path, bad):
+    with pytest.raises(ValueError):
+        tables.GPS.write(str(tmp_path / "gps.csv"), [bad, [0.0], [0.0], [0.0]])
+
+
+def test_text_fields_are_written_as_given(tmp_path):
+    # labels fill `%s` fields of the template: a `%`, a space or a comma in
+    # one is text, not format
+    rows = [(0, "hover"), (1, "100% up"), (-7, " ,x ")]
+    write_command_csv(str(tmp_path / "got.csv"), rows)
+    reference_write_command_csv(str(tmp_path / "want.csv"), rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # --- infer-command windows ---
 
 
