@@ -9,6 +9,7 @@ whole config is validated before any stage runs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .batching import BatchPolicy
@@ -161,6 +162,14 @@ class PipelineConfig:
             raise ConfigError("min_emit_bundles must be at least 1")
         if self.gps_sigma_m <= 0:
             raise ConfigError("gps_sigma_m must be positive")
+        if self.process_noise_scale < 0:
+            raise ConfigError("process_noise_scale must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if not math.isfinite(self.gps_sigma_m * self.gps_sigma_m):  # the GPS noise variance
+            raise ConfigError(f"gps_sigma_m squared must be finite, got {self.gps_sigma_m!r}")
 
     def batch_policy(self) -> BatchPolicy:
         return BatchPolicy(

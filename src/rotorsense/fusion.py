@@ -3,11 +3,14 @@
 The filter tracks a 6-state belief (3-D position and velocity). The
 prediction step propagates a constant-acceleration model whose
 acceleration comes from the inferred command and the measured rotor
-speeds (a pluggable predictor; the reference implementation maps thrust
-surplus to climb/descent and a tilt fraction of total thrust to lateral
-motion). GPS fixes enter through a standard linear update in Joseph
-form. The covariance is symmetrized and checked positive semidefinite
-after every step.
+speeds (`KinematicPredictor` maps thrust surplus to climb/descent and a
+tilt fraction of total thrust to lateral motion). GPS fixes enter
+through a standard linear update in Joseph form. The covariance is
+symmetrized after every step. `predict` and `update` check their result
+at once; `run_fusion` checks the steps it predicted together: before
+each GPS update, before it raises any other error or logs a dropped
+measurement, every CHECK_STEPS steps and at the end. Either way the
+first failing step raises the error `predict` raises there.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from .errors import ConfigError, DataError, NumericalError
 LOG = logging.getLogger(__name__)
 
 PSD_TOLERANCE = -1e-9
+# most predicted steps `run_fusion` stacks for one check: 5 Hz GPS fixes over
+# 1 kHz speed rows check every 200 steps, so this bound only caps the stack
+# (1024 6x6 covariances, 295 KB) and the steps computed past a failing one
+# in a stream without GPS
+CHECK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,8 @@ class KinematicPredictor:
     """Reference command-conditioned acceleration model.
 
     Calibrated from one hover segment: k_f * sum(omega_hover^2) = g.
-    The interface (acceleration(prior) -> 3-vector) is the plug point
-    for richer learned predictors.
+    `predict` calls `acceleration(prior)`; `run_fusion` builds no prior
+    per step and calls `command_acceleration` with the same gains.
     """
 
     def __init__(self, k_f: float, hover_speed_sq_sum: float, tilt_fraction: float = 0.2) -> None:
@@ -99,11 +107,31 @@ class KinematicPredictor:
         )
 
 
+def _check_psd(covs: np.ndarray, where: str) -> None:
+    """NumericalError for the first of `covs` (one 6x6 covariance or a
+    stack of them) that is non-finite, whose eigenvalues do not converge or
+    that is not positive semidefinite within PSD_TOLERANCE."""
+    covs = covs.reshape(-1, 6, 6)
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    n = len(covs) if finite.all() else int(finite.argmin())  # eigvalsh needs finite input
+    try:
+        eigenvalues = np.linalg.eigvalsh(covs[:n])
+    except np.linalg.LinAlgError:
+        for cov in covs[:n] if n > 1 else ():
+            _check_psd(cov, where)  # the first failing one raises
+        raise NumericalError(f"covariance eigenvalues did not converge in {where}") from None
+    failing = eigenvalues.min(axis=1) < PSD_TOLERANCE
+    if failing.any():
+        raise NumericalError(
+            f"covariance lost positive semidefiniteness in {where}: min eig {eigenvalues[failing.argmax()].min()}"
+        )
+    if n < len(covs):
+        raise NumericalError(f"non-finite covariance in {where}")
+
+
 def _check_cov(cov: np.ndarray, where: str) -> np.ndarray:
     cov = 0.5 * (cov + cov.T)
-    eigenvalues = np.linalg.eigvalsh(cov)
-    if float(eigenvalues.min()) < PSD_TOLERANCE:
-        raise NumericalError(f"covariance lost positive semidefiniteness in {where}: min eig {eigenvalues.min()}")
+    _check_psd(cov, where)
     return cov
 
 
@@ -137,20 +165,47 @@ def _step_matrices(dt_s: float, accel_variance: float) -> tuple[np.ndarray, np.n
     return f, b, q
 
 
+def _step(state: FusedState, accel: np.ndarray, dt_s: float, accel_variance: float) -> FusedState:
+    """One constant-acceleration prediction, unchecked."""
+    f, b, q = _step_matrices(dt_s, accel_variance)
+    mean = f @ state.mean + b @ accel
+    cov = f @ state.cov @ f.T + q
+    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=0.5 * (cov + cov.T))
+
+
+def _check_steps(states: list[FusedState], accels: list[np.ndarray]) -> None:
+    """The checks of each step states[j] -> states[j + 1] made with
+    acceleration accels[j]: a finite state to start from, a finite
+    acceleration, a finite positive semidefinite covariance. Raises the
+    error of the first failing step. A non-finite acceleration makes the
+    mean it steps to non-finite, so only the first non-finite state needs
+    a closer look."""
+    if not accels:
+        return
+    finite = np.isfinite([s.mean for s in states]).all(axis=1)
+    covs = np.array([s.cov for s in states])
+    finite &= np.isfinite(covs).all(axis=(1, 2))
+    k = len(states) if finite.all() else int(finite.argmin())
+    if k == 0:
+        raise DataError("non-finite filter state")
+    _check_psd(covs[1:k], "predict")
+    if k == len(states):
+        return
+    if not np.isfinite(accels[k - 1]).all():
+        raise DataError("non-finite acceleration from predictor")
+    _check_psd(covs[k], "predict")
+    if k + 1 < len(states):  # a finite covariance, a mean that overflowed
+        raise DataError("non-finite filter state")
+
+
 def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: KinematicPredictor) -> FusedState:
     """Constant-acceleration propagation with command-derived acceleration."""
     if dt_s <= 0:
         raise ConfigError(f"dt must be positive, got {dt_s}")
-    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
-        raise DataError("non-finite filter state")
     accel = predictor.acceleration(prior)
-    if not np.isfinite(accel).all():
-        raise DataError("non-finite acceleration from predictor")
-    f, b, q = _step_matrices(dt_s, prior.process_noise_scale)
-    mean = f @ state.mean + b @ accel
-    cov = f @ state.cov @ f.T + q
-    cov = _check_cov(cov, "predict")
-    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
+    new_state = _step(state, accel, dt_s, prior.process_noise_scale)
+    _check_steps([state, new_state], [accel])
+    return new_state
 
 
 def _update_with_stats(
@@ -196,8 +251,8 @@ class FusionResult:
         return np.array([[s.t_us, *s.position] for s in self.states])
 
 
-def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, tuple[int, float]]]:
-    """(t_us, 1, (prop_id, rpm)) per (t_us, prop_id, rpm, ...) row. numpy
+def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """(t_us, 1, prop_id, rpm) per (t_us, prop_id, rpm, ...) row. numpy
     truncates the two integer columns, as int() would, so no per-row
     Python float is made and dropped (freed small objects fragment the
     heap that the filter states later fill)."""
@@ -206,7 +261,7 @@ def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, tuple[int, fl
     if not (np.abs(speed_stream[:, :2]) < 2.0**63).all():
         raise DataError("non-finite or out-of-range time or rotor id in the speed stream")
     t_us, props = speed_stream[:, :2].astype(np.int64).T.tolist()
-    return [(t, 1, (prop, rpm)) for t, prop, rpm in zip(t_us, props, speed_stream[:, 2].tolist())]
+    return [(t, 1, prop, rpm) for t, prop, rpm in zip(t_us, props, speed_stream[:, 2].tolist())]
 
 
 def run_fusion(
@@ -227,16 +282,18 @@ def run_fusion(
     initializes at the first GPS fix, predicts to each incoming
     measurement's time, updates on GPS, and emits a state after every
     step. Measurements older than the filter clock beyond the tolerance
-    are dropped with a warning.
+    are dropped with a warning. The predicted steps are checked together
+    (see the module docstring); a failing one raises the error `predict`
+    would have raised at that step, before any later step's.
     """
-    # (t, kind, payload); kind orders ties. Streams merge in their given
-    # order: a row arriving behind the filter clock is dropped, not
-    # silently re-sorted.
-    commands_q = [(int(t_us), 0, (label,)) for t_us, label in command_stream]
+    # (t, kind, value, rpm): a command label, a rotor id and its rpm or a GPS
+    # fix; kind orders ties. Streams merge in their given order: a row
+    # arriving behind the filter clock is dropped, not silently re-sorted.
+    commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
     speed_stream = np.asarray(speed_stream, dtype=np.float64)
     speeds_q = _speed_queue(speed_stream)
     gps_stream = np.asarray(gps_stream, dtype=np.float64)
-    gps_q = [(int(row[0]), 2, (np.array(row[1:4]),)) for row in gps_stream.tolist()]
+    gps_q = [(int(row[0]), 2, np.array(row[1:4]), None) for row in gps_stream.tolist()]
     events = heapq.merge(commands_q, speeds_q, gps_q, key=lambda e: (e[0], e[1]))
 
     r_gps = gps_sigma_m**2 * np.eye(3)
@@ -245,38 +302,61 @@ def run_fusion(
         n_props = max(n_props, int(speed_stream[:, 1].max()) + 1)
     hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
     speeds = np.full(n_props, hover_rad_s)
+    negative: set[int] = set()  # rotors whose speed MotionPrior rejects
+    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
     command = "hover"
     state: FusedState | None = None
+    # the last checked state, the states predicted from it since, and the
+    # acceleration of each of those steps
+    steps: list[FusedState] = []
+    accels: list[np.ndarray] = []
     result = FusionResult()
 
-    for t_us, kind, payload in events:
+    for t_us, kind, value, rpm in events:
         if kind == 0:
-            if payload[0] not in COMMANDS:
-                raise DataError(f"unknown command {payload[0]!r} in command stream")
-            command = payload[0]
+            if value not in COMMANDS:
+                _check_steps(steps, accels)
+                raise DataError(f"unknown command {value!r} in command stream")
+            command = value
         elif kind == 1:
-            prop, rpm = payload
-            if 0 <= prop < speeds.size:
-                speeds[prop] = rpm * 2.0 * math.pi / 60.0
+            if 0 <= value < speeds.size:
+                speeds[value] = omega = rpm * 2.0 * math.pi / 60.0
+                if omega < 0:
+                    negative.add(value)
+                elif negative:
+                    negative.discard(value)
         if state is None:
             if kind == 2:
                 mean = np.zeros(6)
-                mean[:3] = payload[0]
+                mean[:3] = value
                 cov = np.zeros((6, 6))
                 cov[:3, :3] = r_gps
                 cov[3:, 3:] = init_velocity_sigma**2 * np.eye(3)
                 state = FusedState(t_us=t_us, mean=mean, cov=cov)
+                steps = [state]
                 result.states.append(state)
             continue
         dt_us = t_us - state.t_us
         if dt_us < -out_of_order_tolerance_us:
+            _check_steps(steps, accels)
             LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
             continue
         if dt_us > 0:
-            prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)
-            state = predict(state, prior, dt_us * 1e-6, predictor)
+            if negative or process_noise_scale < 0:
+                _check_steps(steps, accels)
+                MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)  # raises
+            accel = command_acceleration(command, speeds, *gains)
+            state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
+            steps.append(state)
+            accels.append(accel)
+            if len(accels) == CHECK_STEPS:
+                _check_steps(steps, accels)
+                steps, accels = [state], []
         if kind == 2:
-            state, nis = _update_with_stats(state, payload[0], r_gps)
+            _check_steps(steps, accels)
+            state, nis = _update_with_stats(state, value, r_gps)
+            steps, accels = [state], []
             result.nis.append(nis)
         result.states.append(state)
+    _check_steps(steps, accels)
     return result

@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, main
+from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from rotorsense.config import PipelineConfig, parse_scenario
 from rotorsense.errors import ConfigError
 from rotorsense import pipeline as pl
@@ -79,6 +80,17 @@ class TestPipelineConfig:
         assert a.content_hash() == b.content_hash()
         b.seed = 1
         assert a.content_hash() != b.content_hash()
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_every_float_field_must_be_finite(self, value):
+        """A range check that already failed keeps its message; the others
+        now fail too, naming the key."""
+        floats = [f.name for f in fields(PipelineConfig) if isinstance(getattr(PipelineConfig(), f.name), float)]
+        assert len(floats) == 19
+        for key in floats:
+            with pytest.raises(ConfigError):
+                PipelineConfig.from_dict({key: value})
 
 
 class TestScenario:
@@ -734,3 +746,43 @@ class TestNonUtf8Inputs:
         code = main([arg.format(**paths) for arg in argv])
         assert code == expected
         assert f"{paths['bad']}: not UTF-8 text" in capsys.readouterr().err
+
+
+def fuse_with(tmp_path, config, speeds, gps):
+    """`fuse` exit code under `config`, over one hover command at t = 500 us."""
+    paths = {name: tmp_path / name for name in ("c.cfg", "speeds.csv", "commands.csv", "gps.csv")}
+    paths["c.cfg"].write_text(config + "\n")
+    paths["speeds.csv"].write_text("t_ref,prop_id,rpm,objective\n" + speeds)
+    paths["commands.csv"].write_text("t,command\n500,hover\n")
+    paths["gps.csv"].write_text("t,x,y,z\n" + gps)
+    return main(["--config", str(paths["c.cfg"]), "fuse", "--speeds", str(paths["speeds.csv"]),
+                 "--commands", str(paths["commands.csv"]), "--gps", str(paths["gps.csv"]),
+                 "--out-csv", str(tmp_path / "fused.csv")])
+
+
+class TestFusionNumbers:
+    HOVER = "".join(f"{t},{p},3000.0,0.0\n" for t in range(0, 600_000, 1000) for p in range(4))
+    GPS = "0,0.0,0.0,0.0\n200000,0.5,0.0,0.0\n400000,0.0,1.0,0.0\n"
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "process_noise_scale=inf",  # LinAlgError, exit 1
+            "process_noise_scale=nan",  # LinAlgError, exit 1
+            "process_noise_scale=-0.5",  # exit 2, but at the first step and not naming the key
+            "gps_sigma_m=1e200",  # OverflowError squaring it, exit 1
+            "gps_sigma_m=inf",  # non-finite filter state, exit 3
+            "gps_sigma_m=nan",  # non-finite filter state, exit 3
+            "hover_rpm=nan",  # exit 0
+            "tilt_fraction=nan",  # exit 0
+        ],
+    )
+    def test_rejected_by_the_config_naming_the_key(self, tmp_path, capsys, setting):
+        assert fuse_with(tmp_path, setting, self.HOVER, self.GPS) == EXIT_CONFIG
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    def test_an_overflowing_covariance_exits_4(self, tmp_path, capsys):
+        code = fuse_with(tmp_path, "process_noise_scale=1e300", "1000,0,3000.0,0.0\n2000000000,0,3000.0,0.0\n",
+                         "0,0.0,0.0,0.0\n3000000000,0.0,0.0,0.0\n")
+        assert code == EXIT_NUMERIC
+        assert "non-finite covariance in predict" in capsys.readouterr().err

@@ -1,13 +1,17 @@
+import heapq
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from rotorsense.dynamics import GRAVITY, rpm_to_rad_s
-from rotorsense.errors import ConfigError, DataError
+from rotorsense import fusion
+from rotorsense.dynamics import COMMANDS, GRAVITY, rpm_to_rad_s
+from rotorsense.errors import ConfigError, DataError, NumericalError
 from rotorsense.fusion import (
+    CHECK_STEPS,
     FusedState,
+    FusionResult,
     KinematicPredictor,
     MotionPrior,
     _check_cov,
@@ -282,3 +286,272 @@ class TestWriteFusedCsv:
         assert "np.float64(" not in got.read_text()
         table = read_table(str(got), FUSED_HEADER)
         assert same_bits(table[:, 7], [float(np.trace(s.cov)) for s in states])
+
+
+def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
+    """`run_fusion` as it ran with a check at every step: a MotionPrior and
+    a checked `predict` per prediction, `update` per GPS fix."""
+    speed_stream = np.asarray(speed_stream, dtype=np.float64).reshape(-1, 3)
+    events = heapq.merge(
+        [(int(t_us), 0, (label,)) for t_us, label in command_stream],
+        [(int(t_us), 1, (int(prop), rpm)) for t_us, prop, rpm in speed_stream.tolist()],
+        [(int(row[0]), 2, (np.array(row[1:4]),)) for row in np.asarray(gps_stream, dtype=np.float64).tolist()],
+        key=lambda e: (e[0], e[1]),
+    )
+    r_gps = gps_sigma_m**2 * np.eye(3)
+    n_props = max(4, int(speed_stream[:, 1].max()) + 1) if speed_stream.size else 4
+    speeds = np.full(n_props, math.sqrt(predictor.hover_speed_sq_sum / n_props))
+    command, state, result = "hover", None, FusionResult()
+    for t_us, kind, payload in events:
+        if kind == 0:
+            if payload[0] not in COMMANDS:
+                raise DataError(f"unknown command {payload[0]!r} in command stream")
+            command = payload[0]
+        elif kind == 1 and 0 <= payload[0] < speeds.size:
+            speeds[payload[0]] = payload[1] * 2.0 * math.pi / 60.0
+        if state is None:
+            if kind == 2:
+                mean, cov = np.zeros(6), np.zeros((6, 6))
+                mean[:3], cov[:3, :3], cov[3:, 3:] = payload[0], r_gps, 4.0 * np.eye(3)
+                state = FusedState(t_us=t_us, mean=mean, cov=cov)
+                result.states.append(state)
+            continue
+        if t_us < state.t_us:
+            continue
+        if t_us > state.t_us:
+            prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)
+            state = predict(state, prior, (t_us - state.t_us) * 1e-6, predictor)
+        if kind == 2:
+            state = update(state, payload[0], r_gps)
+        result.states.append(state)
+    return result
+
+
+def fusion_outcome(run, streams, predictor, **kwargs):
+    """The states `run` emits, or the type and message of what it raises."""
+    try:
+        return run(*streams, predictor, **kwargs).states
+    except (ConfigError, DataError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert [s.t_us for s in got] == [s.t_us for s in want]
+        for a, b in zip(got, want):
+            assert same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
+
+
+def flight_streams(ms=600, gps_every_ms=200):
+    """1 kHz rows of four rotors around hover, commands, GPS fixes."""
+    rng = np.random.default_rng(ms)
+    t = np.repeat(np.arange(1, ms + 1) * 1000, 4)
+    speeds = np.column_stack([t, np.tile(np.arange(4), ms), 3000.0 + rng.normal(0, 60, t.size)])
+    commands = [(0, "climb"), (ms * 400, "roll")]
+    gps_t = np.arange(0, ms + 1, gps_every_ms) * 1000
+    gps = np.column_stack([gps_t, rng.normal(0, 2.0, (gps_t.size, 3))])
+    return speeds, commands, gps
+
+
+def with_row(speeds, row, after=None):
+    """`speeds` with `row` put after its time's rows, or after row index `after`."""
+    at = int(np.searchsorted(speeds[:, 0], row[0], side="right")) if after is None else after + 1
+    return np.insert(speeds, at, row, axis=0)
+
+
+@pytest.fixture()
+def bad_q_at(monkeypatch):
+    """Make the n-th step's process noise lose positive semidefiniteness."""
+
+    def install(*calls):
+        count = [0]
+
+        def step_matrices(dt_s, accel_variance):
+            f, b, q = _step_matrices(dt_s, accel_variance)
+            count[0] += 1
+            if count[0] in calls:
+                q = q.copy()
+                q[0, 0] = -1e3
+            return f, b, q
+
+        monkeypatch.setattr(fusion, "_step_matrices", step_matrices)
+        return count
+
+    return install
+
+
+class TestDeferredChecks:
+    """`run_fusion` checks its steps together; each input raises what a
+    check at every step raises, from the first step that fails."""
+
+    def compare(self, streams, predictor, **kwargs):
+        got = fusion_outcome(run_fusion, streams, predictor, **kwargs)
+        assert_same_outcome(got, fusion_outcome(per_step_fusion, streams, predictor, **kwargs))
+        return got
+
+    def test_no_failure_bit_equal(self, predictor):
+        speeds, commands, gps = flight_streams()
+        states = self.compare((speeds, commands, gps), predictor)
+        assert len(states) == len(speeds) + len(gps) + 1  # each row, fix and the command after the first fix
+
+    def test_non_psd_step_inside_an_interval(self, predictor, bad_q_at):
+        count = bad_q_at(57)
+        got = fusion_outcome(run_fusion, flight_streams(), predictor)
+        assert got[0] is NumericalError
+        assert got[1].startswith("covariance lost positive semidefiniteness in predict: min eig -")
+        assert count[0] > 57  # found when the interval was checked, not at once
+        bad_q_at(57)
+        assert got == fusion_outcome(per_step_fusion, flight_streams(), predictor)
+
+    @pytest.mark.parametrize("rpm", [1e200, np.inf, np.nan])
+    def test_non_finite_acceleration(self, predictor, rpm):
+        speeds, commands, gps = flight_streams()
+        got = self.compare((with_row(speeds, [123_000, 2, rpm]), commands, gps), predictor)
+        assert got == (DataError, "non-finite acceleration from predictor")
+
+    def test_negative_rpm(self, predictor):
+        speeds, commands, gps = flight_streams()
+        got = self.compare((with_row(speeds, [123_000, 2, -1.0]), commands, gps), predictor)
+        assert got == (DataError, "rotor speeds must be nonnegative")
+
+    def test_negative_rpm_replaced_before_the_next_step(self, predictor):
+        speeds, commands, gps = flight_streams()
+        at = int(np.searchsorted(speeds[:, 0], 123_000))  # rotor 0's row predicts to t = 123 ms
+        speeds = with_row(with_row(speeds, [123_000, 2, -1.0], after=at), [123_000, 2, 3000.0], after=at + 1)
+        assert len(self.compare((speeds, commands, gps), predictor)) == len(speeds) + len(gps) + 1
+
+    def test_negative_process_noise(self, predictor):
+        got = self.compare(flight_streams(), predictor, process_noise_scale=-0.1)
+        assert got == (ConfigError, "process noise scale must be nonnegative")
+
+    def test_non_finite_gps_fix(self, predictor):
+        speeds, commands, gps = flight_streams()
+        gps[2, 2] = np.nan
+        got = self.compare((speeds, commands, gps), predictor)
+        assert got == (DataError, "GPS measurement must be a finite 3-vector")
+
+    def test_unknown_command(self, predictor):
+        speeds, commands, gps = flight_streams()
+        got = self.compare((speeds, commands + [(250_000, "jump")], gps), predictor)
+        assert got == (DataError, "unknown command 'jump' in command stream")
+
+    @pytest.mark.parametrize(
+        ("bad_step", "row", "error"),
+        [
+            (250, [280_000, 1, -1.0], NumericalError),  # the covariance first, then the rotor
+            (310, [280_000, 1, -1.0], DataError),  # the rotor first
+            (300, [260_000, 1, np.inf], DataError),  # the acceleration first
+            (210, [260_000, 1, np.inf], NumericalError),
+        ],
+    )
+    def test_two_failures_in_one_interval_raise_the_earlier(self, predictor, bad_q_at, bad_step, row, error):
+        speeds, commands, gps = flight_streams()
+        streams = (with_row(speeds, row), commands, gps)
+        bad_q_at(bad_step)
+        got = fusion_outcome(run_fusion, streams, predictor)
+        bad_q_at(bad_step)
+        assert got == fusion_outcome(per_step_fusion, streams, predictor)
+        assert got[0] is error
+
+    def test_non_psd_step_and_a_bad_gps_fix_in_one_interval(self, predictor, bad_q_at):
+        speeds, commands, gps = flight_streams()
+        gps[2, 1] = np.inf  # the fix at t = 400 ms
+        bad_q_at(350)
+        assert fusion_outcome(run_fusion, (speeds, commands, gps), predictor)[0] is NumericalError
+
+    def test_a_failing_step_before_an_unknown_command(self, predictor, bad_q_at):
+        speeds, commands, gps = flight_streams()
+        for bad_step, error in [(210, NumericalError), (260, DataError)]:
+            bad_q_at(bad_step)
+            got = fusion_outcome(run_fusion, (speeds, commands + [(250_000, "jump")], gps), predictor)
+            assert got[0] is error
+
+    def test_a_failing_step_before_a_dropped_row_logs_nothing(self, predictor, bad_q_at, caplog):
+        speeds, commands, gps = flight_streams()
+        last = int(np.searchsorted(speeds[:, 0], 260_000, side="right")) - 1
+        speeds = with_row(speeds, [250_000, 0, 3000.0], after=last)  # behind the clock at t = 260 ms
+        for bad_step, warned in [(230, False), (280, True)]:
+            caplog.clear()
+            bad_q_at(bad_step)
+            with caplog.at_level(logging.WARNING, logger="rotorsense.fusion"):
+                got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
+            assert got[0] is NumericalError and ("out-of-order" in caplog.text) == warned
+
+    def test_steps_past_check_steps_without_gps(self, predictor, bad_q_at):
+        speeds, commands, gps = flight_streams(ms=2 * CHECK_STEPS + 300, gps_every_ms=10_000)
+        assert len(gps) == 1
+        states = self.compare((speeds, commands, gps), predictor)
+        assert len(states) == len(speeds) + 2
+        n_steps = len(np.unique(speeds[:, 0])) + 1  # and the roll command's
+        # a failing step is found by the check after every CHECK_STEPS steps, or at the end
+        for bad_step, found_after in [(1000, CHECK_STEPS), (2 * CHECK_STEPS + 200, n_steps)]:
+            count = bad_q_at(bad_step)
+            got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
+            assert got[0] is NumericalError and count[0] == found_after
+            bad_q_at(bad_step)
+            assert got == fusion_outcome(per_step_fusion, (speeds, commands, gps), predictor)
+
+    def test_mean_overflow_fails_at_the_next_step(self):
+        """A finite acceleration can overflow the mean: that step passes, the
+        next one finds a non-finite state; without a next step nothing fails."""
+        strong = KinematicPredictor.from_hover_calibration(np.full(4, 1e-100))  # k_f about 2.5e200
+        gps = np.array([[0, 0.0, 0.0, 0.0]])
+        # about 1e308 m/s^2 from t = 1 us, over 2 s: the mean overflows
+        speeds = np.array([[1, p, 3.02e54] for p in range(4)] + [[2_000_001, 0, 3.02e54]])
+        states = self.compare((speeds, [(0, "climb")], gps), strong)
+        assert np.isfinite(states[-1].cov).all() and not np.isfinite(states[-1].mean).all()
+        later = np.vstack([speeds, [[3_000_000, 0, 3000.0], [3_000_000, 1, 3000.0]]])
+        got = self.compare((later, [(0, "climb")], gps), strong)
+        assert got == (DataError, "non-finite filter state")
+
+    def test_overflowing_covariance_is_a_numerical_error(self, predictor):
+        speeds = np.array([[1000, 0, 3000.0], [2_000_000_000, 0, 3000.0]])
+        gps = np.array([[0, 0.0, 0.0, 0.0], [3_000_000_000, 0.0, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match="non-finite covariance in predict"):
+            run_fusion(speeds, [(500, "hover")], gps, predictor, process_noise_scale=1e300)
+
+    def test_non_finite_initial_covariance_is_a_bad_state(self, predictor):
+        got = self.compare(flight_streams(), predictor, gps_sigma_m=np.inf)
+        assert got == (DataError, "non-finite filter state")
+
+    def test_no_motion_prior_per_step(self, predictor, monkeypatch):
+        def no_prior(**kwargs):
+            raise AssertionError("run_fusion built a MotionPrior")
+
+        monkeypatch.setattr(fusion, "MotionPrior", no_prior)
+        speeds, commands, gps = flight_streams()
+        assert len(run_fusion(speeds, commands, gps, predictor).states) == len(speeds) + len(gps) + 1
+
+
+class TestCheckPsd:
+    def test_a_stack_names_its_first_failing_covariance(self):
+        covs = np.stack([np.eye(6)] * 5)
+        covs[3, 0, 0] = -2.0
+        covs[4, 1, 1] = np.nan
+        with pytest.raises(NumericalError, match="in predict: min eig -2.0"):
+            fusion._check_psd(covs, "predict")
+        covs[3, 0, 0] = 1.0
+        with pytest.raises(NumericalError, match="non-finite covariance in predict"):
+            fusion._check_psd(covs, "predict")
+        fusion._check_psd(covs[:4], "predict")
+        fusion._check_psd(covs[:0], "predict")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_in_update(self, bad):
+        state = make_state()
+        with pytest.raises(NumericalError, match="non-finite covariance in update"):
+            update(state, np.zeros(3), np.diag([1.0, 1.0, bad]))
+
+    def test_a_stacked_check_words_its_error_as_the_per_step_check(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            a = rng.normal(size=(6, 6))
+            cov = 0.5 * (a + a.T)
+            want = f"covariance lost positive semidefiniteness in predict: min eig {np.linalg.eigvalsh(cov).min()}"
+            for covs in (cov, np.stack([np.eye(6), cov, np.eye(6)])):
+                with pytest.raises(NumericalError) as exc:
+                    fusion._check_psd(covs, "predict")
+                assert str(exc.value) == want

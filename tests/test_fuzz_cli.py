@@ -56,7 +56,7 @@ def corpus(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "flight.cfg").write_text(FLIGHT)
     (d / "scene.cfg").write_text(SCENE)
-    (d / "pipe.cfg").write_text("seed=2\nhover_rpm=3000\ngps_sigma_m=2\n")
+    (d / "pipe.cfg").write_text("seed=2\nhover_rpm=3000\ngps_sigma_m=2\nprocess_noise_scale=0.05\n")
     assert main(["simulate", str(d / "flight.cfg"), "--out", str(d)]) == 0
     assert main(["simulate", str(d / "scene.cfg"), "--out", str(d), "--format", "csv"]) == 0
     (t, prop, rpm), _ = tables.SPEED_TRACES.read(str(d / "speed_traces.csv"))

@@ -638,3 +638,88 @@ def test_window_ends_are_the_first_time_plus_whole_windows():
     for cursor in _command_windows(times, 33.3):
         k = round((cursor - 3.0) / 33.3)
         assert cursor == 3.0 + k * 33.3
+
+
+# --- runs of identical lines: parsed once, read back as every line ---
+
+
+def per_line_columns(table, text):
+    """Each body line of `text` (header first) split and parsed on its own."""
+    lines = [line.strip() for line in text.splitlines()[1:]]
+    rows = [line.split(",") for line in lines if line and not (table.comments and line[0] == "#")]
+    return [np.concatenate([kind.parse([row[col]]) for row in rows] or [np.zeros(0, kind.dtype)])
+            for col, kind in enumerate(table.kinds)]
+
+
+def gps_row(k):
+    return f"{k},{k / 7!r},{-k / 3!r},{k * 1e-300!r}\n"
+
+
+RUN_BODIES = {
+    "runs in one block": "".join(gps_row(k) * (1 + k % 4) for k in range(300)),
+    "a run across the block edge": "".join(gps_row(k) * 2 for k in range(tables.BLOCK_LINES // 2 - 3))
+    + gps_row(-1) * 40 + "".join(gps_row(k) * 3 for k in range(50)),
+    "one run": gps_row(5) * (2 * tables.BLOCK_LINES + 7),
+    "blank lines inside runs": (gps_row(1) * 3 + "\n  \n" + gps_row(1) * 2 + gps_row(2)) * 30,
+    "signed zeros": "0,0,0.0,-0.0\n0,-0,-0.0,0.0\n-0,-0,-0.0,0.0\n0,0,0.0,-0.0\n0,0,0.0,-0.0\n-0,0,0.0,0.0\n" * 20,
+    "the first rows differ": "".join(gps_row(k) for k in range(70)) + gps_row(1) * 9,
+}
+
+
+@pytest.mark.parametrize("body", list(RUN_BODIES.values()), ids=list(RUN_BODIES))
+def test_runs_read_as_every_line(tmp_path, body):
+    path = tmp_path / "gps.csv"
+    path.write_text(tables.GPS + "\n" + body)
+    got, _ = tables.GPS.read(str(path))
+    want = per_line_columns(tables.GPS, path.read_text())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_each_run_is_parsed_once(tmp_path, monkeypatch):
+    path = tmp_path / "gps.csv"
+    path.write_text(tables.GPS + "\n" + RUN_BODIES["runs in one block"])
+    parsed = []
+    parse = tables.Kind.parse
+    monkeypatch.setattr(tables.Kind, "parse", lambda kind, fields: parsed.append(len(fields)) or parse(kind, fields))
+    (t, *_), _ = tables.GPS.read(str(path))
+    assert parsed == [300] * 4 and len(t) == sum(1 + k % 4 for k in range(300))
+
+
+def test_a_comment_between_equal_rows(tmp_path):
+    text = "t,prop_id,rpm\n" + ("1000,0,3000.5\n" * 3 + "# prop0_center=1.0,2.0\n" + "1000,0,3000.5\n" * 2) * 5
+    path = tmp_path / "truth_rpm.csv"
+    path.write_text(text)
+    got, comments = tables.TRUTH_RPM.read(str(path))
+    for a, b in zip(got, per_line_columns(tables.TRUTH_RPM, text)):
+        assert np.array_equal(a, b) and len(a) == 25
+    assert [lineno for lineno, _ in comments] == [5 + 6 * k for k in range(5)]
+
+
+@pytest.mark.parametrize("bad", ["2,x,0.0,0.0", "2,0.0,0.0", "2.5,0.0,0.0,0.0"])
+def test_a_bad_run_names_its_first_line(tmp_path, bad):
+    path = tmp_path / "gps.csv"
+    path.write_text(tables.GPS + "\n" + gps_row(1) * 2 + gps_row(2) + f"{bad}\n" * 3 + gps_row(3))
+    with pytest.raises(DataError, match=rf"^{path}:5: "):
+        tables.GPS.read(str(path))
+
+
+def test_fused_csv_round_trips_bit_exactly(tmp_path):
+    from rotorsense.fusion import KinematicPredictor, run_fusion
+    from rotorsense.pipeline import write_fused_csv
+
+    rng = np.random.default_rng(6)
+    t = np.repeat(np.arange(1, 3001) * 1000, 4)
+    speeds = np.column_stack([t, np.tile(np.arange(4), 3000), 3000.0 + rng.normal(0, 60, t.size)])
+    gps = np.column_stack([np.arange(0, 3_000_001, 200_000), rng.normal(0, 2.0, (16, 3))])
+    predictor = KinematicPredictor.from_hover_calibration(np.full(4, 3000 * np.pi / 30))
+    states = run_fusion(speeds, [(0, "climb"), (1_500_000, "roll")], gps, predictor).states
+    path = tmp_path / "fused.csv"
+    write_fused_csv(str(path), states)
+    got, _ = tables.FUSED.read(str(path))
+    want = [np.array([s.t_us for s in states]), *np.array([s.mean for s in states]).T,
+            np.array([np.trace(s.cov) for s in states])]
+    assert len(got[0]) == len(states) > 4 * 3000
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.astype(a.dtype).view(np.int64))
