@@ -339,6 +339,7 @@ def run_fusion(
         dt_us = t_us - state.t_us
         if dt_us < -out_of_order_tolerance_us:
             _check_steps(steps, accels)
+            steps, accels = [state], []
             LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
             continue
         if dt_us > 0:
