@@ -80,45 +80,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fmt = args.format
     with open(args.scenario, "rb") as fh:
         scenario_hash = hashlib.sha256(fh.read()).hexdigest()
-    artifacts = []
     if scenario.mode == "propellers":
-        events, truth = simulate_propellers(
-            scenario.specs, scenario.noise, scenario.duration_us, scenario.tick_us,
-            seed=scenario.seed, geometry=scenario.geometry,
-        )
-        geometry = scenario.geometry or events.infer_geometry()
-        events_path = os.path.join(args.out, f"events.{fmt}")
-        write_events(events, geometry, events_path, fmt)
-        truth_path = os.path.join(args.out, "truth_rpm.csv")
-        pl.write_truth_rpm_csv(truth_path, truth, [s.center for s in scenario.specs])
-        artifacts += [events_path, truth_path]
+        events, _, _, artifacts = pl.simulate_scene(scenario, args.out, fmt)
         _say(f"simulated {len(events)} events over {scenario.duration_us} us -> {args.out}")
     else:
         flight = simulate_flight(
             scenario.script, scenario.drone, scenario.noise, scenario.duration_us,
             seed=scenario.seed, render_events=scenario.render_events, geometry=scenario.geometry,
         )
+        artifacts = []
         if scenario.render_events and len(flight.events):
-            geometry = scenario.geometry or flight.events.infer_geometry()
-            events_path = os.path.join(args.out, f"events.{fmt}")
-            write_events(flight.events, geometry, events_path, fmt)
-            artifacts.append(events_path)
+            artifacts.append(os.path.join(args.out, f"events.{fmt}"))
+            write_events(flight.events, scenario.geometry or flight.events.infer_geometry(), artifacts[0], fmt)
+        names = ("truth_state.csv", "gps.csv", "speed_traces.csv", "commands.csv")
+        state_path, gps_path, traces_path, commands_path = (os.path.join(args.out, name) for name in names)
         truth = flight.truth
-        states = np.hstack([truth.positions, truth.velocities])
         labels = [truth.command_labels[int(c)] for c in truth.command_ids]
-        pl.write_state_csv(
-            os.path.join(args.out, "truth_state.csv"), truth.times_us, states,
-            extra={"command": np.array(labels, dtype=object)},
-        )
-        pl.write_xyz_csv(os.path.join(args.out, "gps.csv"), flight.gps)
-        tables.SPEED_TRACES.write(
-            os.path.join(args.out, "speed_traces.csv"), pl.prop_rpm_columns(truth.times_us, flight.rpm_traces)
-        )
-        pl.write_command_csv(os.path.join(args.out, "commands.csv"), list(zip(truth.times_us.tolist(), labels)))
-        artifacts += [
-            os.path.join(args.out, name)
-            for name in ("truth_state.csv", "gps.csv", "speed_traces.csv", "commands.csv")
-        ]
+        tables.TRUTH_STATE.write(state_path, [truth.times_us, *truth.positions.T, *truth.velocities.T, labels])
+        pl.write_xyz_csv(gps_path, flight.gps)
+        tables.SPEED_TRACES.write(traces_path, pl.prop_rpm_columns(truth.times_us, flight.rpm_traces))
+        pl.write_command_csv(commands_path, list(zip(truth.times_us.tolist(), labels)))
+        artifacts += [state_path, gps_path, traces_path, commands_path]
         _say(f"simulated flight ({len(flight.gps)} GPS fixes) -> {args.out}")
     pl.write_manifest(os.path.join(args.out, "manifest.json"), scenario_hash, scenario.seed, artifacts)
     return EXIT_OK
@@ -225,7 +207,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     speeds = pl.read_speed_csv(args.speeds) if args.speeds else np.zeros((0, 4))
     commands = pl.read_command_csv(args.commands) if args.commands else []
-    gps = pl.read_xyz_csv(args.gps)
+    gps = pl.read_table(args.gps, tables.GPS)
     hover = np.full(4, rpm_to_rad_s(cfg.hover_rpm))
     predictor = KinematicPredictor.from_hover_calibration(hover, tilt_fraction=cfg.tilt_fraction)
     result = run_fusion(
@@ -258,9 +240,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         entries.append({"metric": "error_cdf", "value": [[q, e] for q, e in cdf]})
     if not entries:
         raise ConfigError("eval needs --speeds/--truth-rpm and/or --fused/--truth-state")
-    with open(args.report, "w", newline="\n") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    pl.write_jsonl(args.report, entries)
     pl.write_manifest(args.report + ".manifest.json", cfg.content_hash(), cfg.seed, [args.report])
     for entry in entries:
         _say(json.dumps(entry, sort_keys=True))

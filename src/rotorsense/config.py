@@ -50,11 +50,15 @@ def _parse_pair(value: str, key: str) -> tuple[float, float]:
 
 
 def _number(kind: type, key: str, value):
-    """int(value) or float(value); a malformed number raises ConfigError naming `key`."""
+    """int(value) or float(value); a malformed or non-finite number raises
+    ConfigError naming `key`."""
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         raise ConfigError(f"{key}: bad value {value!r}, expected {'an integer' if kind is int else 'a number'}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return number
 
 
 @dataclass
@@ -215,10 +219,17 @@ _SCENARIO_KEYS = {
     "mode", "width", "height", "duration_us", "tick_us", "seed", "render_events", "script",
 }
 _PROP_KEYS = {"center", "blades", "blade_length", "blade_width", "phase", "spin", "rpm", "rpm_step", "rpm_ramp"}
-_NOISE_KEYS = {"background_rate", "hot_pixels", "hot_pixel_rate", "jitter_px", "on_fraction"}
-_DRONE_KEYS = {
-    "hover_rpm", "delta_rpm", "rpm_jitter", "tilt_fraction", "gps_rate_hz", "gps_sigma_m",
-    "blade_length", "blade_width", "n_blades",
+# the `noise.*` and `drone.*` keys, each mapped to the NoiseSpec or DroneSpec
+# field it sets; the field's default gives the value's type
+_SPEC_KEYS = {
+    "noise": (NoiseSpec, {
+        "background_rate": "background_rate", "hot_pixels": "hot_pixel_count", "hot_pixel_rate": "hot_pixel_rate",
+        "jitter_px": "vibration_jitter_px", "on_fraction": "background_on_fraction",
+    }),
+    "drone": (DroneSpec, {name: name for name in (
+        "hover_rpm", "delta_rpm", "rpm_jitter", "tilt_fraction", "gps_rate_hz", "gps_sigma_m",
+        "blade_length", "blade_width", "n_blades",
+    )}),
 }
 
 
@@ -244,31 +255,29 @@ def _build_profile(entry: dict[str, str], name: str):
 
 
 def parse_scenario(path: str) -> Scenario:
+    """The scenario of a key=value file. Each `noise.*` and `drone.*` key
+    sets the NoiseSpec or DroneSpec field that `_SPEC_KEYS` maps it to,
+    parsed as the type of that field's default; an omitted key keeps the
+    default. An unknown key, or a malformed or non-finite number, raises
+    ConfigError naming the key."""
     raw = parse_kv_file(path)
     scenario = Scenario()
     props: dict[int, dict[str, str]] = {}
-    noise_kv: dict[str, str] = {}
-    drone_kv: dict[str, str] = {}
+    blocks: dict[str, dict[str, str]] = {name: {} for name in _SPEC_KEYS}
     for key, value in raw.items():
+        block, dot, sub = key.partition(".")
         if key.startswith("prop"):
-            head, _, sub = key.partition(".")
             try:
-                idx = int(head[4:])
+                idx = int(block[4:])
             except ValueError:
                 raise ConfigError(f"{path}: bad propeller key {key!r}") from None
             if sub not in _PROP_KEYS:
                 raise ConfigError(f"{path}: unknown propeller key {key!r}")
             props.setdefault(idx, {})[sub] = value
-        elif key.startswith("noise."):
-            sub = key[6:]
-            if sub not in _NOISE_KEYS:
-                raise ConfigError(f"{path}: unknown noise key {key!r}")
-            noise_kv[sub] = value
-        elif key.startswith("drone."):
-            sub = key[6:]
-            if sub not in _DRONE_KEYS:
-                raise ConfigError(f"{path}: unknown drone key {key!r}")
-            drone_kv[sub] = value
+        elif dot and block in _SPEC_KEYS:
+            if sub not in _SPEC_KEYS[block][1]:
+                raise ConfigError(f"{path}: unknown {block} key {key!r}")
+            blocks[block][sub] = value
         elif key not in _SCENARIO_KEYS:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
 
@@ -306,25 +315,12 @@ def parse_scenario(path: str) -> Scenario:
                 spin=num(int, f"{name}.spin", entry.get("spin", 1)),
             )
         )
-    scenario.noise = NoiseSpec(
-        background_rate=num(float, "noise.background_rate", noise_kv.get("background_rate", 0.0)),
-        hot_pixel_count=num(int, "noise.hot_pixels", noise_kv.get("hot_pixels", 0)),
-        hot_pixel_rate=num(float, "noise.hot_pixel_rate", noise_kv.get("hot_pixel_rate", 0.0)),
-        vibration_jitter_px=num(float, "noise.jitter_px", noise_kv.get("jitter_px", 0.0)),
-        background_on_fraction=num(float, "noise.on_fraction", noise_kv.get("on_fraction", 0.95)),
-    )
-    if drone_kv:
-        scenario.drone = DroneSpec(
-            hover_rpm=num(float, "drone.hover_rpm", drone_kv.get("hover_rpm", 3000.0)),
-            delta_rpm=num(float, "drone.delta_rpm", drone_kv.get("delta_rpm", 300.0)),
-            rpm_jitter=num(float, "drone.rpm_jitter", drone_kv.get("rpm_jitter", 0.0)),
-            tilt_fraction=num(float, "drone.tilt_fraction", drone_kv.get("tilt_fraction", 0.2)),
-            gps_rate_hz=num(float, "drone.gps_rate_hz", drone_kv.get("gps_rate_hz", 5.0)),
-            gps_sigma_m=num(float, "drone.gps_sigma_m", drone_kv.get("gps_sigma_m", 2.0)),
-            blade_length=num(float, "drone.blade_length", drone_kv.get("blade_length", 30.0)),
-            blade_width=num(float, "drone.blade_width", drone_kv.get("blade_width", 5.0)),
-            n_blades=num(int, "drone.n_blades", drone_kv.get("n_blades", 2)),
-        )
+    for block, (spec, names) in _SPEC_KEYS.items():
+        defaults = {f.name: f.default for f in fields(spec)}
+        given = blocks[block]
+        setattr(scenario, block, spec(**{
+            name: num(type(defaults[name]), f"{block}.{key}", given[key]) for key, name in names.items() if key in given
+        }))
     if "script" in raw:
         for part in raw["script"].split(","):
             t_str, _, name = part.partition(":")

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .batching import StopReason, density_downsample, grow_batch
-from .config import PipelineConfig, parse_scenario
+from .config import PipelineConfig, Scenario, parse_scenario
 from . import tables
 from .dynamics import rad_s_to_rpm, rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
@@ -37,10 +37,6 @@ LOG = logging.getLogger(__name__)
 
 
 # --- CSV artifacts (declared in `tables`) ---
-
-
-# the declarations under their former header-constant names
-SPEED_HEADER, XYZ_HEADER, STATE_HEADER, FUSED_HEADER = tables.SPEEDS, tables.GPS, tables.STATE, tables.FUSED
 
 
 def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
@@ -105,17 +101,13 @@ def read_truth_rpm_csv(path: str) -> tuple[np.ndarray, list[tuple[float, float]]
     return np.column_stack(columns).astype(np.float64), [centers[i] for i in sorted(centers)]
 
 
-def write_state_csv(path: str, times_us: np.ndarray, states: np.ndarray, extra: dict[str, np.ndarray] | None = None) -> None:
-    """States as t,x,y,z,vx,vy,vz; `extra` may hold truth_state.csv's command column."""
-    (tables.TRUTH_STATE if extra else tables.STATE).write(path, [times_us, *np.asarray(states).T, *(extra or {}).values()])
+def write_state_csv(path: str, times_us: np.ndarray, states: np.ndarray) -> None:
+    """States as t,x,y,z,vx,vy,vz."""
+    tables.STATE.write(path, [times_us, *np.asarray(states).T])
 
 
 def write_xyz_csv(path: str, rows: np.ndarray) -> None:
     tables.GPS.write(path, np.asarray(rows).T)
-
-
-def read_xyz_csv(path: str) -> np.ndarray:
-    return read_table(path, tables.GPS)
 
 
 def write_command_csv(path: str, rows: list[tuple[int, str]]) -> None:
@@ -368,6 +360,12 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def write_jsonl(path: str, entries: list[dict]) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+
+
 def write_manifest(manifest_path: str, config_hash: str, seed: int, artifacts: list[str]) -> str:
     """Record the config hash, seed, and artifact checksums for one run."""
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -450,6 +448,22 @@ def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, per_t
     return artifacts
 
 
+def simulate_scene(scenario: Scenario, out_dir: str, fmt: str) -> tuple[Events, SensorGeometry, GroundTruth, list[str]]:
+    """Simulate a propeller scenario into out_dir: events.<fmt> and
+    truth_rpm.csv. Returns the events, their geometry (the scenario's, or
+    else the one the events span), the truth and the two paths."""
+    events, truth = simulate_propellers(
+        scenario.specs, scenario.noise, scenario.duration_us, scenario.tick_us,
+        seed=scenario.seed, geometry=scenario.geometry,
+    )
+    geometry = scenario.geometry or events.infer_geometry()
+    events_path = os.path.join(out_dir, f"events.{fmt}")
+    write_events(events, geometry, events_path, fmt)
+    truth_path = os.path.join(out_dir, "truth_rpm.csv")
+    write_truth_rpm_csv(truth_path, truth, [s.center for s in scenario.specs])
+    return events, geometry, truth, [events_path, truth_path]
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
     """Execute simulate/ingest -> preprocess -> estimate -> metrics."""
     os.makedirs(out_dir, exist_ok=True)
@@ -458,24 +472,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
 
     # stage: simulate or ingest
     truth = None
-    true_centers: list[tuple[float, float]] = []
     with _stage("simulate"):
         if cfg.scenario:
             scenario = parse_scenario(cfg.scenario)
             if scenario.mode != "propellers":
                 raise ConfigError("run_pipeline drives propeller scenes; use the simulate/fuse subcommands for flights")
-            events, truth = simulate_propellers(
-                scenario.specs, scenario.noise, scenario.duration_us, scenario.tick_us,
-                seed=scenario.seed, geometry=scenario.geometry,
-            )
-            geometry = scenario.geometry or events.infer_geometry()
-            true_centers = [s.center for s in scenario.specs]
-            events_path = os.path.join(out_dir, f"events.{cfg.output_format}")
-            write_events(events, geometry, events_path, cfg.output_format)
-            artifacts.append(events_path)
-            truth_path = os.path.join(out_dir, "truth_rpm.csv")
-            write_truth_rpm_csv(truth_path, truth, true_centers)
-            artifacts.append(truth_path)
+            events, geometry, truth, paths = simulate_scene(scenario, out_dir, cfg.output_format)
+            artifacts.extend(paths)
         elif cfg.input:
             events, geometry = read_events(cfg.input, cfg.input_format)
         else:
@@ -497,13 +500,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
     if truth is not None:
         speeds = np.column_stack(_speed_columns(all_estimates)[:3])
         truth_rows = np.column_stack(prop_rpm_columns(truth.times_us, truth.rpm))
-        metrics.extend(score_speeds(speeds, truth_rows, tracked.centroids, true_centers))
+        metrics.extend(score_speeds(speeds, truth_rows, tracked.centroids, [s.center for s in scenario.specs]))
     metrics.append({"metric": "n_events", "value": len(events)})
     metrics.append({"metric": "n_events_filtered", "value": len(tracked.events)})
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    with open(metrics_path, "w", newline="\n") as fh:
-        for entry in metrics:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_jsonl(metrics_path, metrics)
     artifacts.append(metrics_path)
 
     if cfg.plots:

@@ -320,99 +320,84 @@ def default_geometry(specs: Sequence[PropellerSpec]) -> SensorGeometry:
     return SensorGeometry(width, height)
 
 
-def _background_events(
-    noise: NoiseSpec, geometry: SensorGeometry, duration_us: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    parts_t, parts_x, parts_y, parts_p, parts_o = [], [], [], [], []
-    duration_s = duration_us * 1e-6
-    if noise.background_rate > 0:
-        n = rng.poisson(noise.background_rate * geometry.width * geometry.height * duration_s)
-        if n:
-            parts_t.append(rng.integers(0, duration_us + 1, size=n, dtype=np.int64))
-            parts_x.append(rng.integers(0, geometry.width, size=n, dtype=np.int64))
-            parts_y.append(rng.integers(0, geometry.height, size=n, dtype=np.int64))
-            pol = np.where(rng.random(n) < noise.background_on_fraction, 1, -1).astype(np.int8)
-            parts_p.append(pol)
-            parts_o.append(np.full(n, ORIGIN_BACKGROUND, dtype=np.int16))
-    if noise.hot_pixel_count > 0 and noise.hot_pixel_rate > 0:
-        n_px = min(noise.hot_pixel_count, geometry.width * geometry.height)
-        flat = rng.choice(geometry.width * geometry.height, size=n_px, replace=False)
-        hx, hy = flat // geometry.height, flat % geometry.height
-        sign = np.where(rng.random(n_px) < 0.5, 1, -1).astype(np.int8)
-        counts = rng.poisson(noise.hot_pixel_rate * duration_s, size=n_px)
-        for i in range(n_px):
-            if counts[i] == 0:
-                continue
-            parts_t.append(rng.integers(0, duration_us + 1, size=counts[i], dtype=np.int64))
-            parts_x.append(np.full(counts[i], hx[i], dtype=np.int64))
-            parts_y.append(np.full(counts[i], hy[i], dtype=np.int64))
-            parts_p.append(np.full(counts[i], sign[i], dtype=np.int8))
-            parts_o.append(np.full(counts[i], ORIGIN_HOT_PIXEL, dtype=np.int16))
-    if not parts_t:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.empty(0, np.int8), np.empty(0, np.int16)
-    return (
-        np.concatenate(parts_t),
-        np.concatenate(parts_x),
-        np.concatenate(parts_y),
-        np.concatenate(parts_p),
-        np.concatenate(parts_o),
-    )
+def _columns(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The (t, x, y, p, origin) columns of the parts, concatenated; with no
+    parts, empty columns of the stream's dtypes."""
+    empty = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.int8), np.empty(0, np.int16))
+    return tuple(np.concatenate(column) for column in zip(empty, *parts))
 
 
-def _paint_propellers(
+def _render(
     specs: Sequence[PropellerSpec],
     phases: list[np.ndarray],
     tick_times: np.ndarray,
-    geometry: SensorGeometry,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rasterize coverage transitions for all propellers over shared ticks."""
+    noise: NoiseSpec,
+    geometry: SensorGeometry | None,
+    duration_us: int,
+    rng: np.random.Generator,
+) -> tuple[Events, np.ndarray]:
+    """Events and their origins: each propeller's coverage transitions over
+    the shared ticks (propeller i at phases[i]), background and hot-pixel
+    events over [0, duration_us], then positional jitter on the blade
+    events, all merged by time. Draws from `rng` in that order."""
+    geometry = geometry or default_geometry(specs)
     painters = [_BladePainter(spec, geometry) for spec in specs]
     for painter, phase in zip(painters, phases):
         painter.reset(float(phase[0]))
-    parts_t, parts_x, parts_y, parts_p, parts_o = [], [], [], [], []
+    blade = []
     for k in range(1, tick_times.size):
         t_prev, t_now = float(tick_times[k - 1]), float(tick_times[k])
         for i, painter in enumerate(painters):
             t, x, y, p = painter.step(float(phases[i][k]), t_prev, t_now)
             if x.size:
-                parts_t.append(t)
-                parts_x.append(x.astype(np.int64))
-                parts_y.append(y.astype(np.int64))
-                parts_p.append(p)
-                parts_o.append(np.full(x.size, i, dtype=np.int16))
-    if not parts_t:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.empty(0, np.int8), np.empty(0, np.int16)
-    return (
-        np.concatenate(parts_t),
-        np.concatenate(parts_x),
-        np.concatenate(parts_y),
-        np.concatenate(parts_p),
-        np.concatenate(parts_o),
-    )
-
-
-def _assemble_stream(
-    blade: tuple[np.ndarray, ...],
-    noise_parts: tuple[np.ndarray, ...],
-    noise: NoiseSpec,
-    geometry: SensorGeometry,
-    rng: np.random.Generator,
-) -> tuple[Events, np.ndarray]:
-    bt, bx, by, bp, bo = blade
-    if noise.vibration_jitter_px > 0 and bt.size:
-        bx = np.clip(np.rint(bx + rng.normal(0, noise.vibration_jitter_px, bt.size)), 0, geometry.width - 1).astype(np.int64)
-        by = np.clip(np.rint(by + rng.normal(0, noise.vibration_jitter_px, bt.size)), 0, geometry.height - 1).astype(np.int64)
-    nt, nx, ny, np_, no = noise_parts
-    t = np.concatenate([bt, nt])
-    x = np.concatenate([bx, nx])
-    y = np.concatenate([by, ny])
-    p = np.concatenate([bp, np_])
-    origin = np.concatenate([bo, no])
+                blade.append((t, x.astype(np.int64), y.astype(np.int64), p, np.full(x.size, i, dtype=np.int16)))
+    background = _background(noise, geometry, duration_us, rng)
+    t, x, y, p, origin = _columns(blade)
+    if noise.vibration_jitter_px > 0 and t.size:
+        x = np.clip(np.rint(x + rng.normal(0, noise.vibration_jitter_px, t.size)), 0, geometry.width - 1).astype(np.int64)
+        y = np.clip(np.rint(y + rng.normal(0, noise.vibration_jitter_px, t.size)), 0, geometry.height - 1).astype(np.int64)
+    t, x, y, p, origin = _columns([(t, x, y, p, origin), *background])
     order = np.argsort(t, kind="stable")
-    events = Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False)
-    return events, origin[order]
+    return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]
+
+
+def _poisson(rng: np.random.Generator, lam: float, name: str, size: int | None = None):
+    try:
+        return rng.poisson(lam, size=size)
+    except ValueError:  # numpy refuses an expected count near 2^63 or above
+        raise ConfigError(f"noise.{name} too large: {lam:.3g} expected events") from None
+
+
+def _background(
+    noise: NoiseSpec, geometry: SensorGeometry, duration_us: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, ...]]:
+    """(t, x, y, p, origin) parts of the Poisson background and the hot pixels."""
+    parts = []
+    duration_s = duration_us * 1e-6
+    if noise.background_rate > 0:
+        n = _poisson(rng, noise.background_rate * geometry.width * geometry.height * duration_s, "background_rate")
+        if n:
+            t = rng.integers(0, duration_us + 1, size=n, dtype=np.int64)
+            x = rng.integers(0, geometry.width, size=n, dtype=np.int64)
+            y = rng.integers(0, geometry.height, size=n, dtype=np.int64)
+            pol = np.where(rng.random(n) < noise.background_on_fraction, 1, -1).astype(np.int8)
+            parts.append((t, x, y, pol, np.full(n, ORIGIN_BACKGROUND, dtype=np.int16)))
+    if noise.hot_pixel_count > 0 and noise.hot_pixel_rate > 0:
+        n_px = min(noise.hot_pixel_count, geometry.width * geometry.height)
+        flat = rng.choice(geometry.width * geometry.height, size=n_px, replace=False)
+        hx, hy = flat // geometry.height, flat % geometry.height
+        sign = np.where(rng.random(n_px) < 0.5, 1, -1).astype(np.int8)
+        counts = _poisson(rng, noise.hot_pixel_rate * duration_s, "hot_pixel_rate", n_px)
+        for i in np.flatnonzero(counts).tolist():
+            n = counts[i]
+            parts.append((
+                rng.integers(0, duration_us + 1, size=n, dtype=np.int64),
+                np.full(n, hx[i], dtype=np.int64),
+                np.full(n, hy[i], dtype=np.int64),
+                np.full(n, sign[i], dtype=np.int8),
+                np.full(n, ORIGIN_HOT_PIXEL, dtype=np.int16),
+            ))
+    return parts
 
 
 def simulate_propellers(
@@ -435,8 +420,6 @@ def simulate_propellers(
         raise ConfigError("tick and duration must be positive")
     for spec in specs:
         _validate_tick(spec, duration_us, tick_us)
-    if geometry is None:
-        geometry = default_geometry(specs)
 
     n_ticks = duration_us // tick_us
     tick_times = np.arange(n_ticks + 1, dtype=np.int64) * tick_us
@@ -460,10 +443,7 @@ def simulate_propellers(
         phases.append(phase)
         rpm[i] = [profile.rpm_at(float(t)) for t in tick_times]
 
-    rng = np.random.default_rng(seed)
-    blade = _paint_propellers(specs, phases, tick_times, geometry)
-    noise_parts = _background_events(noise, geometry, duration_us, rng)
-    events, origin = _assemble_stream(blade, noise_parts, noise, geometry, rng)
+    events, origin = _render(specs, phases, tick_times, noise, geometry, duration_us, np.random.default_rng(seed))
     truth = GroundTruth(tick_us=tick_us, times_us=tick_times, rpm=rpm, event_origin=origin)
     return events, truth
 
@@ -491,6 +471,13 @@ class DroneSpec:
     blade_width: float = 5.0
     n_blades: int = 2
 
+    def __post_init__(self) -> None:
+        if not (self.gps_rate_hz > 0 and math.isfinite(1e6 / self.gps_rate_hz)):
+            raise ConfigError(f"drone gps_rate_hz must be positive with a finite period, got {self.gps_rate_hz!r}")
+        for name in ("gps_sigma_m", "rpm_jitter"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"drone {name} must be nonnegative, got {getattr(self, name)!r}")
+
     @property
     def n_rotors(self) -> int:
         return len(self.rotor_centers)
@@ -517,6 +504,11 @@ def _script_commands(script: Sequence[tuple[int, str]], tick_times: np.ndarray) 
     return ids
 
 
+# Blade phases are painted every 40 us: the tick `_validate_tick` needs for
+# the default 30 px blades at up to about 7960 RPM.
+RENDER_TICK_US = 40
+
+
 def simulate_flight(
     command_script: Sequence[tuple[int, str]],
     drone_spec: DroneSpec,
@@ -526,17 +518,18 @@ def simulate_flight(
     *,
     tick_us: int = 1000,
     render_events: bool = False,
-    render_tick_us: int = 40,
     geometry: SensorGeometry | None = None,
 ) -> FlightResult:
     """Simulate a scripted quadrotor flight.
 
     Rotor speeds follow the command mixer plus Gaussian jitter; the true
     trajectory integrates the command-conditioned acceleration model on
-    the clean speeds; GPS samples are truth plus zero-mean Gaussian
-    noise. Event rendering is optional because command/fusion studies
-    only need the traces; when enabled, blade phases integrate the
-    jittered traces so painted events match the reported speeds.
+    the clean speeds, tick by tick; GPS samples are truth plus zero-mean
+    Gaussian noise. Each command's speeds and acceleration are computed
+    once, for the commands the script uses. Event rendering is optional
+    because command/fusion studies only need the traces; when enabled,
+    blade phases integrate the jittered traces, painted every
+    RENDER_TICK_US, so painted events match the reported speeds.
     """
     if tick_us <= 0 or duration_us <= 0:
         raise ConfigError("tick and duration must be positive")
@@ -545,12 +538,14 @@ def simulate_flight(
     tick_times = np.arange(n_ticks + 1, dtype=np.int64) * tick_us
     command_ids = _script_commands(list(command_script), tick_times)
 
+    # rotor speeds, and the position and velocity steps of the acceleration,
+    # once per command the script uses
+    used = np.unique(command_ids).tolist()
     n_rotors = drone_spec.n_rotors
-    clean_rpm = np.zeros((n_rotors, tick_times.size))
-    for k in range(tick_times.size):
-        clean_rpm[:, k] = command_rpm_pattern(
-            COMMANDS[command_ids[k]], drone_spec.hover_rpm, drone_spec.delta_rpm, n_rotors
-        )
+    pattern = np.zeros((len(COMMANDS), n_rotors))
+    for c in used:
+        pattern[c] = command_rpm_pattern(COMMANDS[c], drone_spec.hover_rpm, drone_spec.delta_rpm, n_rotors)
+    clean_rpm = pattern[command_ids].T
     jitter = rng.normal(0.0, drone_spec.rpm_jitter, size=clean_rpm.shape) if drone_spec.rpm_jitter > 0 else 0.0
     traces = np.maximum(clean_rpm + jitter, 0.0)
 
@@ -559,17 +554,17 @@ def simulate_flight(
     )
     k_f = calibrate_thrust_gain(hover_speeds)
     hover_sq = float(np.sum(np.square(hover_speeds)))
-
     dt_s = tick_us * 1e-6
+    dx, dv = np.zeros((len(COMMANDS), 3)), np.zeros((len(COMMANDS), 3))
+    for c in used:
+        accel = command_acceleration(COMMANDS[c], rpm_to_rad_s(pattern[c]), k_f, hover_sq, drone_spec.tilt_fraction)
+        dx[c], dv[c] = 0.5 * accel * dt_s**2, accel * dt_s
+
     positions = np.zeros((tick_times.size, 3))
     velocities = np.zeros((tick_times.size, 3))
-    for k in range(1, tick_times.size):
-        cmd = COMMANDS[command_ids[k - 1]]
-        accel = command_acceleration(
-            cmd, rpm_to_rad_s(clean_rpm[:, k - 1]), k_f, hover_sq, drone_spec.tilt_fraction
-        )
-        positions[k] = positions[k - 1] + velocities[k - 1] * dt_s + 0.5 * accel * dt_s**2
-        velocities[k] = velocities[k - 1] + accel * dt_s
+    for k, c in enumerate(command_ids[:-1].tolist(), start=1):
+        positions[k] = positions[k - 1] + velocities[k - 1] * dt_s + dx[c]
+        velocities[k] = velocities[k - 1] + dv[c]
 
     gps_period_us = max(int(round(1e6 / drone_spec.gps_rate_hz)), tick_us)
     gps_period_us -= gps_period_us % tick_us  # align fixes to truth ticks
@@ -578,13 +573,29 @@ def simulate_flight(
     gps_pos = positions[gps_idx] + rng.normal(0.0, drone_spec.gps_sigma_m, size=(gps_times.size, 3))
     gps = np.column_stack([gps_times.astype(np.float64), gps_pos])
 
+    events, origin = Events.empty(), np.empty(0, dtype=np.int16)
     if render_events:
-        events, origin = _render_flight_events(
-            drone_spec, noise, traces, tick_times, render_tick_us, geometry, rng
-        )
-    else:
-        events = Events.empty()
-        origin = np.empty(0, dtype=np.int16)
+        specs = [
+            PropellerSpec(
+                center=c, n_blades=drone_spec.n_blades, blade_length=drone_spec.blade_length,
+                blade_width=drone_spec.blade_width, initial_phase=0.0,
+                speed_profile=ConstantSpeed(float(np.max(traces))), spin=int(ROTOR_SPINS[i % 4]),
+            )
+            for i, c in enumerate(drone_spec.rotor_centers)
+        ]
+        end_us = int(tick_times[-1])
+        for spec in specs:
+            _validate_tick(spec, end_us, RENDER_TICK_US)
+        render_times = np.arange(0, end_us + 1, RENDER_TICK_US, dtype=np.int64)
+        # zero-order-hold phase integral of the per-tick traces
+        idx = np.minimum(render_times // tick_us, n_ticks)
+        frac = (render_times - tick_times[idx]).astype(np.float64)
+        phases = []
+        for spec, trace in zip(specs, traces):
+            omega_rad_us = trace * RPM_TO_RAD_US
+            coarse = np.concatenate([[0.0], np.cumsum(omega_rad_us[:-1] * np.diff(tick_times))])
+            phases.append(spec.initial_phase - spec.spin * (coarse[idx] + omega_rad_us[idx] * frac))
+        events, origin = _render(specs, phases, render_times, noise, geometry, end_us, rng)
 
     truth = GroundTruth(
         tick_us=tick_us,
@@ -596,48 +607,6 @@ def simulate_flight(
         command_ids=command_ids,
     )
     return FlightResult(events=events, truth=truth, rpm_traces=traces, gps=gps)
-
-
-def _render_flight_events(
-    drone: DroneSpec,
-    noise: NoiseSpec,
-    traces: np.ndarray,
-    tick_times: np.ndarray,
-    render_tick_us: int,
-    geometry: SensorGeometry | None,
-    rng: np.random.Generator,
-) -> tuple[Events, np.ndarray]:
-    specs = [
-        PropellerSpec(
-            center=c,
-            n_blades=drone.n_blades,
-            blade_length=drone.blade_length,
-            blade_width=drone.blade_width,
-            initial_phase=0.0,
-            speed_profile=ConstantSpeed(float(np.max(traces))),
-            spin=int(ROTOR_SPINS[i % 4]),
-        )
-        for i, c in enumerate(drone.rotor_centers)
-    ]
-    for spec in specs:
-        _validate_tick(spec, int(tick_times[-1]), render_tick_us)
-    if geometry is None:
-        geometry = default_geometry(specs)
-    duration_us = int(tick_times[-1])
-    render_times = np.arange(0, duration_us + 1, render_tick_us, dtype=np.int64)
-    # zero-order-hold phase integral of the per-tick traces
-    phases = []
-    for i, spec in enumerate(specs):
-        omega_rad_us = traces[i] * RPM_TO_RAD_US
-        coarse = np.concatenate([[0.0], np.cumsum(omega_rad_us[:-1] * np.diff(tick_times))])
-        idx = np.minimum(render_times // (tick_times[1] - tick_times[0]), len(coarse) - 1)
-        base = coarse[idx]
-        frac = (render_times - tick_times[idx]).astype(np.float64)
-        phase = base + omega_rad_us[np.minimum(idx, traces.shape[1] - 1)] * frac
-        phases.append(spec.initial_phase - spec.spin * phase)
-    blade = _paint_propellers(specs, phases, render_times, geometry)
-    noise_parts = _background_events(noise, geometry, duration_us, rng)
-    return _assemble_stream(blade, noise_parts, noise, geometry, rng)
 
 
 # --- Classifier dataset synthesis ---

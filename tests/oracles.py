@@ -3,7 +3,11 @@
 `warp` and `accumulate` rotate and rasterize events one step at a time,
 and `reward_accumulation` and `reward_sparsity` score a whole count
 image, pixel by pixel; `ObjectiveEvaluator` fuses these steps, and the
-tests compare the two.
+tests compare the two. `simulate_flight` evaluates the command mixer and
+the acceleration model at every tick, and paints, draws noise and merges
+a rendered flight's events in separate passes; `sim.simulate_flight`
+tabulates each command once and renders through the renderer it shares
+with `sim.simulate_propellers`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rotorsense import sim
+from rotorsense.dynamics import (
+    COMMANDS,
+    ROTOR_SPINS,
+    calibrate_thrust_gain,
+    command_acceleration,
+    command_rpm_pattern,
+    rpm_to_rad_s,
+)
 from rotorsense.errors import ConfigError
 from rotorsense.events import Events
 from rotorsense.motion import H_MAX_DEFAULT, US_TO_S, PatchGeometry
@@ -96,3 +109,107 @@ def reward_sparsity(
         raise ConfigError(f"eps must be positive, got {eps}")
     h = np.minimum(_counts_of(image).astype(np.float64), h_max)
     return float((1.0 / (np.exp(h) - 1.0 + eps)).sum())
+
+
+def simulate_flight(script, drone, noise, duration_us, seed, tick_us=1000, render_events=False, geometry=None):
+    """(traces, positions, velocities, gps, events, origin) of a scripted
+    flight, each tick's speeds and acceleration computed at that tick."""
+    rng = np.random.default_rng(seed)
+    tick_times = np.arange(duration_us // tick_us + 1, dtype=np.int64) * tick_us
+    command_ids = sim._script_commands(list(script), tick_times)
+    n_rotors = drone.n_rotors
+    clean_rpm = np.zeros((n_rotors, tick_times.size))
+    for k in range(tick_times.size):
+        clean_rpm[:, k] = command_rpm_pattern(COMMANDS[command_ids[k]], drone.hover_rpm, drone.delta_rpm, n_rotors)
+    jitter = rng.normal(0.0, drone.rpm_jitter, size=clean_rpm.shape) if drone.rpm_jitter > 0 else 0.0
+    traces = np.maximum(clean_rpm + jitter, 0.0)
+    hover_speeds = rpm_to_rad_s(command_rpm_pattern("hover", drone.hover_rpm, drone.delta_rpm, n_rotors))
+    k_f = calibrate_thrust_gain(hover_speeds)
+    hover_sq = float(np.sum(np.square(hover_speeds)))
+    dt_s = tick_us * 1e-6
+    positions = np.zeros((tick_times.size, 3))
+    velocities = np.zeros((tick_times.size, 3))
+    for k in range(1, tick_times.size):
+        cmd = COMMANDS[command_ids[k - 1]]
+        accel = command_acceleration(cmd, rpm_to_rad_s(clean_rpm[:, k - 1]), k_f, hover_sq, drone.tilt_fraction)
+        positions[k] = positions[k - 1] + velocities[k - 1] * dt_s + 0.5 * accel * dt_s**2
+        velocities[k] = velocities[k - 1] + accel * dt_s
+    gps_period_us = max(int(round(1e6 / drone.gps_rate_hz)), tick_us)
+    gps_period_us -= gps_period_us % tick_us
+    gps_times = np.arange(0, duration_us + 1, gps_period_us, dtype=np.int64)
+    gps_pos = positions[gps_times // tick_us] + rng.normal(0.0, drone.gps_sigma_m, size=(gps_times.size, 3))
+    gps = np.column_stack([gps_times.astype(np.float64), gps_pos])
+    if not render_events:
+        return traces, positions, velocities, gps, Events.empty(), np.empty(0, dtype=np.int16)
+    events, origin = _render_flight(drone, noise, traces, tick_times, geometry, rng)
+    return traces, positions, velocities, gps, events, origin
+
+
+def _render_flight(drone, noise, traces, tick_times, geometry, rng, render_tick_us=40):
+    specs = [
+        sim.PropellerSpec(
+            center=c, n_blades=drone.n_blades, blade_length=drone.blade_length, blade_width=drone.blade_width,
+            initial_phase=0.0, speed_profile=sim.ConstantSpeed(float(np.max(traces))), spin=int(ROTOR_SPINS[i % 4]),
+        )
+        for i, c in enumerate(drone.rotor_centers)
+    ]
+    duration_us = int(tick_times[-1])
+    for spec in specs:
+        sim._validate_tick(spec, duration_us, render_tick_us)
+    geometry = geometry or sim.default_geometry(specs)
+    render_times = np.arange(0, duration_us + 1, render_tick_us, dtype=np.int64)
+    phases = []
+    for i, spec in enumerate(specs):
+        omega_rad_us = traces[i] * sim.RPM_TO_RAD_US
+        coarse = np.concatenate([[0.0], np.cumsum(omega_rad_us[:-1] * np.diff(tick_times))])
+        idx = np.minimum(render_times // (tick_times[1] - tick_times[0]), len(coarse) - 1)
+        frac = (render_times - tick_times[idx]).astype(np.float64)
+        phase = coarse[idx] + omega_rad_us[np.minimum(idx, traces.shape[1] - 1)] * frac
+        phases.append(spec.initial_phase - spec.spin * phase)
+    # paint
+    painters = [sim._BladePainter(spec, geometry) for spec in specs]
+    for painter, phase in zip(painters, phases):
+        painter.reset(float(phase[0]))
+    blade = [[] for _ in range(5)]
+    for k in range(1, render_times.size):
+        for i, painter in enumerate(painters):
+            t, x, y, p = painter.step(float(phases[i][k]), float(render_times[k - 1]), float(render_times[k]))
+            for column, values in zip(blade, (t, x.astype(np.int64), y.astype(np.int64), p, np.full(x.size, i, np.int16))):
+                column.append(values)
+    bt, bx, by, bp, bo = (np.concatenate(column) for column in blade)
+    # background and hot pixels
+    noise_columns = [[np.empty(0, np.int64)] * 3 + [np.empty(0, np.int8), np.empty(0, np.int16)]]
+    duration_s = duration_us * 1e-6
+    if noise.background_rate > 0:
+        n = rng.poisson(noise.background_rate * geometry.width * geometry.height * duration_s)
+    if noise.background_rate > 0 and n:
+        noise_columns.append([
+            rng.integers(0, duration_us + 1, size=n, dtype=np.int64),
+            rng.integers(0, geometry.width, size=n, dtype=np.int64),
+            rng.integers(0, geometry.height, size=n, dtype=np.int64),
+            np.where(rng.random(n) < noise.background_on_fraction, 1, -1).astype(np.int8),
+            np.full(n, sim.ORIGIN_BACKGROUND, dtype=np.int16),
+        ])
+    if noise.hot_pixel_count > 0 and noise.hot_pixel_rate > 0:
+        n_px = min(noise.hot_pixel_count, geometry.width * geometry.height)
+        flat = rng.choice(geometry.width * geometry.height, size=n_px, replace=False)
+        sign = np.where(rng.random(n_px) < 0.5, 1, -1).astype(np.int8)
+        counts = rng.poisson(noise.hot_pixel_rate * duration_s, size=n_px)
+        for i in range(n_px):
+            if counts[i]:
+                noise_columns.append([
+                    rng.integers(0, duration_us + 1, size=counts[i], dtype=np.int64),
+                    np.full(counts[i], flat[i] // geometry.height, dtype=np.int64),
+                    np.full(counts[i], flat[i] % geometry.height, dtype=np.int64),
+                    np.full(counts[i], sign[i], dtype=np.int8),
+                    np.full(counts[i], sim.ORIGIN_HOT_PIXEL, dtype=np.int16),
+                ])
+    nt, nx, ny, np_, no = (np.concatenate(column) for column in zip(*noise_columns))
+    # jitter, then merge by time
+    if noise.vibration_jitter_px > 0 and bt.size:
+        bx = np.clip(np.rint(bx + rng.normal(0, noise.vibration_jitter_px, bt.size)), 0, geometry.width - 1)
+        by = np.clip(np.rint(by + rng.normal(0, noise.vibration_jitter_px, bt.size)), 0, geometry.height - 1)
+    t = np.concatenate([bt, nt])
+    order = np.argsort(t, kind="stable")
+    columns = [np.concatenate([b, n])[order] for b, n in ((bx, nx), (by, ny), (bp, np_), (bo, no))]
+    return Events(t[order].astype(np.uint64), *columns[:3], validate=False), columns[3]

@@ -4,15 +4,16 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from rotorsense.config import PipelineConfig, parse_scenario
+from rotorsense.config import _SPEC_KEYS, PipelineConfig, parse_scenario
 from rotorsense.errors import ConfigError
 from rotorsense import pipeline as pl
+from rotorsense.sim import DroneSpec, NoiseSpec
 
 
 SCENE = """
@@ -32,6 +33,20 @@ noise.background_rate=5
 noise.hot_pixels=4
 noise.hot_pixel_rate=1000
 noise.jitter_px=0.3
+"""
+
+FLIGHT = """
+mode=flight
+duration_us=200000
+tick_us=1000
+seed=3
+script=0:hover,100000:climb
+drone.hover_rpm=3000
+drone.delta_rpm=300
+drone.rpm_jitter=20
+drone.tilt_fraction=0.2
+drone.gps_rate_hz=10
+drone.gps_sigma_m=2
 """
 
 PIPE = """
@@ -113,6 +128,33 @@ class TestScenario:
         with pytest.raises(ConfigError, match="script"):
             parse_scenario(str(path))
 
+    def test_each_spec_key_sets_its_field(self, tmp_path):
+        """Every noise.* and drone.* key sets one field of NoiseSpec or
+        DroneSpec, with the field's type; an omitted block is the default."""
+        values = {
+            "noise.background_rate": 7.5, "noise.hot_pixels": 3, "noise.hot_pixel_rate": 12.5, "noise.jitter_px": 0.25,
+            "noise.on_fraction": 0.5, "drone.hover_rpm": 3100.0, "drone.delta_rpm": 250.0, "drone.rpm_jitter": 30.0,
+            "drone.tilt_fraction": 0.3, "drone.gps_rate_hz": 8.0, "drone.gps_sigma_m": 1.5, "drone.blade_length": 25.0,
+            "drone.blade_width": 4.0, "drone.n_blades": 3,
+        }
+        renamed = {"noise.hot_pixels": "hot_pixel_count", "noise.jitter_px": "vibration_jitter_px",
+                   "noise.on_fraction": "background_on_fraction"}
+        assert set(values) == {f"{block}.{key}" for block, (_, names) in _SPEC_KEYS.items() for key in names}
+        defaults = {"noise": NoiseSpec(), "drone": DroneSpec()}
+        path = tmp_path / "flight.cfg"
+        path.write_text("mode=flight\nscript=0:hover\n")
+        bare = parse_scenario(str(path))
+        assert (bare.noise, bare.drone) == (defaults["noise"], defaults["drone"])
+        for key, value in values.items():
+            path.write_text(f"mode=flight\nscript=0:hover\n{key}={value}\n")
+            scenario = parse_scenario(str(path))
+            block, _, name = key.partition(".")
+            name = renamed.get(key, name)
+            assert getattr(scenario, block) == replace(defaults[block], **{name: value})
+            assert type(getattr(getattr(scenario, block), name)) is type(value)
+            other = "drone" if block == "noise" else "noise"
+            assert getattr(scenario, other) == defaults[other]
+
     def test_bad_command_in_script(self, tmp_path):
         path = tmp_path / "flight.cfg"
         path.write_text("mode=flight\nscript=0:wobble\n")
@@ -147,6 +189,14 @@ class TestRunPipeline:
     def test_needs_scenario_or_input(self):
         with pytest.raises(ConfigError):
             pl.run_pipeline(PipelineConfig(), "/tmp/never")
+
+    def test_simulate_writes_what_the_pipeline_simulates(self, scene_file, pipe_file, tmp_path):
+        """`simulate` and `run_pipeline` share one simulate stage: the same
+        scenario and seed give the same events and truth files."""
+        assert main(["simulate", scene_file, "--out", str(tmp_path / "sim")]) == 0
+        pl.run_pipeline(PipelineConfig.from_file(pipe_file), str(tmp_path / "run"))
+        for name in ("events.bin", "truth_rpm.csv"):
+            assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 class TestCliExitCodes:
@@ -480,6 +530,34 @@ class TestClosedStderr:
         assert proc.stdout == b""
 
 
+# a scenario line (replacing its key's line), and what exit 2 reports
+OUT_OF_RANGE = [
+    # exited 1 with a traceback
+    (SCENE, "prop0.center=nan,20", "prop0.center: must be finite"),
+    (SCENE, "prop0.phase=inf", "prop0.phase: must be finite"),
+    (SCENE, "noise.background_rate=inf", "noise.background_rate: must be finite"),
+    (SCENE, "noise.background_rate=1e300", "noise.background_rate too large"),
+    (SCENE, "noise.hot_pixel_rate=1e300", "noise.hot_pixel_rate too large"),
+    (FLIGHT, "drone.gps_rate_hz=0", "gps_rate_hz must be positive"),
+    (FLIGHT, "drone.gps_rate_hz=nan", "drone.gps_rate_hz: must be finite"),
+    (FLIGHT, "drone.gps_sigma_m=-1", "gps_sigma_m must be nonnegative"),
+    (FLIGHT, "drone.gps_rate_hz=1e-320", "gps_rate_hz must be positive"),
+    # exited 0 with a wrong simulation
+    (SCENE, "prop0.rpm=nan", "prop0.rpm: must be finite"),
+    (SCENE, "prop0.phase=nan", "prop0.phase: must be finite"),
+    (SCENE, "noise.background_rate=nan", "noise.background_rate: must be finite"),
+    (SCENE, "noise.hot_pixel_rate=nan", "noise.hot_pixel_rate: must be finite"),
+    (SCENE, "noise.jitter_px=nan", "noise.jitter_px: must be finite"),
+    (SCENE, "noise.jitter_px=inf", "noise.jitter_px: must be finite"),
+    (FLIGHT, "drone.hover_rpm=nan", "drone.hover_rpm: must be finite"),
+    (FLIGHT, "drone.delta_rpm=nan", "drone.delta_rpm: must be finite"),
+    (FLIGHT, "drone.tilt_fraction=nan", "drone.tilt_fraction: must be finite"),
+    (FLIGHT, "drone.gps_sigma_m=inf", "drone.gps_sigma_m: must be finite"),
+    (FLIGHT, "drone.gps_rate_hz=-5", "gps_rate_hz must be positive"),
+    (FLIGHT, "drone.rpm_jitter=-1", "rpm_jitter must be nonnegative"),
+]
+
+
 class TestScenarioNumbers:
     @pytest.mark.parametrize(
         ("old", "new", "key"),
@@ -501,6 +579,40 @@ class TestScenarioNumbers:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert f"{scene}: {key}:" in err
+
+    @pytest.mark.parametrize(("scene", "line", "message"), OUT_OF_RANGE, ids=[line for _, line, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, scene, line, message):
+        """Each value replaces its key's line; all failed other than with exit 2."""
+        key = line.split("=")[0]
+        text, n = re.subn(rf"^{re.escape(key)}=.*$", line, scene, flags=re.M)
+        assert n == 1
+        path = tmp_path / "scene.cfg"
+        path.write_text(text)
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_every_scenario_float_must_be_finite(self, tmp_path, value):
+        """The scenario twin of PipelineConfig's check: every float key of
+        propN, noise and drone rejects a non-finite value, naming the key."""
+        prop_keys = ["blade_length", "blade_width", "phase", "rpm"]
+        spec_keys = {
+            block: [key for key, name in names.items() if isinstance(getattr(spec(), name), float)]
+            for block, (spec, names) in _SPEC_KEYS.items()
+        }
+        assert len(spec_keys["noise"]) == 4 and len(spec_keys["drone"]) == 8
+        no_rpm = SCENE.replace("prop0.rpm=3000\n", "")
+        cases = [(SCENE, f"prop0.{key}", f"prop0.{key}={value}") for key in prop_keys]
+        cases += [(SCENE, "prop0.center", f"prop0.center=60,{value}"), (SCENE, "prop0.center", f"prop0.center={value},60")]
+        cases += [(no_rpm, "prop0.rpm_step", f"prop0.rpm_step=0:3000,{value}:4000"),
+                  (no_rpm, "prop0.rpm_ramp", f"prop0.rpm_ramp=0:{value},9:1")]
+        cases += [(FLIGHT, f"{block}.{key}", f"{block}.{key}={value}") for block in spec_keys for key in spec_keys[block]]
+        path = tmp_path / "scene.cfg"
+        for scene, key, line in cases:
+            path.write_text(scene + line + "\n")
+            with pytest.raises(ConfigError, match=f"{re.escape(key)}: must be finite, got"):
+                parse_scenario(str(path))
 
     def test_ramp_pair_values_are_checked(self, tmp_path):
         scene = tmp_path / "scene.cfg"

@@ -22,7 +22,8 @@ from rotorsense.fusion import (
     run_fusion,
     update,
 )
-from rotorsense.pipeline import FUSED_HEADER, read_table, write_fused_csv
+from rotorsense.pipeline import read_table, write_fused_csv
+from rotorsense import tables
 from rotorsense.sim import DroneSpec, NO_NOISE, simulate_flight
 
 HOVER = np.full(4, rpm_to_rad_s(3000.0))
@@ -259,7 +260,7 @@ class TestSpeedQueue:
 def reference_fused_csv(path, states):
     """The per-state formatter that `write_fused_csv` replaced."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(FUSED_HEADER + "\n")
+        fh.write(tables.FUSED + "\n")
         for state in states:
             vals = ",".join(repr(float(v)) for v in state.mean)
             fh.write(f"{state.t_us},{vals},{float(np.trace(state.cov))!r}\n")
@@ -284,7 +285,7 @@ class TestWriteFusedCsv:
         assert len(rows) == 1 + len(states)
         assert rows[51] == "7,-0.0,1e-300,1e+300,24.0,0.1,-2.5,24.0"
         assert "np.float64(" not in got.read_text()
-        table = read_table(str(got), FUSED_HEADER)
+        table = read_table(str(got), tables.FUSED)
         assert same_bits(table[:, 7], [float(np.trace(s.cov)) for s in states])
 
 

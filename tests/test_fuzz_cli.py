@@ -27,7 +27,20 @@ duration_us=600000
 tick_us=5000
 seed=3
 script=0:hover,300000:climb
+noise.background_rate=0
+noise.hot_pixels=0
+noise.hot_pixel_rate=0
+noise.jitter_px=0
+noise.on_fraction=0.95
+drone.hover_rpm=3000
+drone.delta_rpm=300
+drone.rpm_jitter=0
+drone.tilt_fraction=0.2
 drone.gps_rate_hz=10
+drone.gps_sigma_m=2
+drone.blade_length=30
+drone.blade_width=5
+drone.n_blades=2
 """
 
 SCENE = """mode=propellers

@@ -7,16 +7,13 @@ import pytest
 
 from rotorsense.batching import BatchPolicy, StopReason, grow_batch
 from rotorsense import motion
+from rotorsense import tables
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import DataError
 from rotorsense.events import EventBundle, Events, SensorGeometry, slice_bundles, write_events
 from rotorsense.motion import SpeedEstimate
 from rotorsense.pipeline import (
-    FUSED_HEADER,
-    SPEED_HEADER,
-    STATE_HEADER,
-    XYZ_HEADER,
     TrackedStream,
     _emit_plots,
     estimate_track,
@@ -269,24 +266,24 @@ MANY = "".join(f"{t},{t % 4},{3000.0 + t / 7!r},0.0\n" for t in range(5000))
 class TestReadTable:
     def test_extra_columns_checked_but_not_parsed(self, tmp_path):
         path = tmp_path / "truth_state.csv"
-        path.write_text(STATE_HEADER + ",command\n0,1,2,3,4,5,6,hover\n\n5000,1,2,3,4,5,6,climb\n")
-        rows = read_table(str(path), STATE_HEADER, extra_columns=True)
+        path.write_text(tables.STATE + ",command\n0,1,2,3,4,5,6,hover\n\n5000,1,2,3,4,5,6,climb\n")
+        rows = read_table(str(path), tables.STATE, extra_columns=True)
         assert rows.shape == (2, 7)
         assert rows[1, 0] == 5000.0
         with pytest.raises(DataError, match=":1: unexpected header"):
-            read_table(str(path), STATE_HEADER)
+            read_table(str(path), tables.STATE)
 
     def test_field_count_is_checked_per_line(self, tmp_path):
         path = tmp_path / "truth_state.csv"
-        path.write_text(STATE_HEADER + ",command\n0,1,2,3,4,5,6,hover\n5000,1,2,3,4,5,6\n")
+        path.write_text(tables.STATE + ",command\n0,1,2,3,4,5,6,hover\n5000,1,2,3,4,5,6\n")
         with pytest.raises(DataError, match=r":3: expected 8 fields, got 7"):
-            read_table(str(path), STATE_HEADER, extra_columns=True)
+            read_table(str(path), tables.STATE, extra_columns=True)
 
     def test_header_prefix_is_matched_by_field(self, tmp_path):
         path = tmp_path / "truth_state.csv"
         path.write_text("t,x,y,z,vx,vy,vzz\n0,1,2,3,4,5,6\n")
         with pytest.raises(DataError, match=":1: unexpected header"):
-            read_table(str(path), STATE_HEADER, extra_columns=True)
+            read_table(str(path), tables.STATE, extra_columns=True)
 
     def test_empty_table_keeps_its_width(self, tmp_path):
         path = tmp_path / "speeds.csv"
@@ -296,35 +293,35 @@ class TestReadTable:
     @pytest.mark.parametrize(
         ("file_header", "body", "header", "extra_columns"),
         [
-            (SPEED_HEADER, "1000,0,3000.5,0.0\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "", SPEED_HEADER, False),
-            (SPEED_HEADER, "\n\n   \n", SPEED_HEADER, False),
-            (SPEED_HEADER, "  1,0,2.5,0.0  \n\n\t\n2, 1 ,3.5 ,1e-300\n   \n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0\r\n2,1,3.5,0.0\r\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,nan,-inf\n2,1,inf,NaN\n3,2,-0.0,1_000\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "\x1c1,0,2.5,0.0\x1f\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,\x1c0,2.5,0.0\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "#1,0,2.5,0.0\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0\n# comment\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0\n2,1,abc,0.0\n3,1,2.5\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0\n2,1,2.5\n3,1,abc,0.0\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5,0.0,9\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,2.5\n2,1,3.5,0.0,9\n", SPEED_HEADER, False),
-            (SPEED_HEADER, "1,0,,0.0\n", SPEED_HEADER, False),
-            (SPEED_HEADER, ",,,\n", SPEED_HEADER, False),
-            (SPEED_HEADER, MANY, SPEED_HEADER, False),
-            (SPEED_HEADER, MANY + "\n\n" + MANY, SPEED_HEADER, False),
-            (SPEED_HEADER, MANY + "5000,1,x,0.0\n" + MANY, SPEED_HEADER, False),
-            (SPEED_HEADER, MANY + "5000,1,0.0\n", SPEED_HEADER, False),
-            (STATE_HEADER, "0,1,2,3,4,5,6\n", STATE_HEADER, True),
-            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n 7,1,2,3,4,5,6,\n", STATE_HEADER, True),
-            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,x,climb\n", STATE_HEADER, True),
-            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,6\n", STATE_HEADER, True),
-            (STATE_HEADER + ",command,note", "0,1,2,3,4,5,6,hover,a b\n", STATE_HEADER, True),
-            (STATE_HEADER + ",command", "0,1,2,3,4,5,6,hover\n", STATE_HEADER, False),
-            (FUSED_HEADER, "0,1.5,2.5,3.5,0.0,0.0,0.0,24.0\n", FUSED_HEADER, False),
-            ("t,x,y,zz", "0,1,2,3\n", XYZ_HEADER, False),
+            (tables.SPEEDS, "1000,0,3000.5,0.0\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "", tables.SPEEDS, False),
+            (tables.SPEEDS, "\n\n   \n", tables.SPEEDS, False),
+            (tables.SPEEDS, "  1,0,2.5,0.0  \n\n\t\n2, 1 ,3.5 ,1e-300\n   \n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0\r\n2,1,3.5,0.0\r\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,nan,-inf\n2,1,inf,NaN\n3,2,-0.0,1_000\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "\x1c1,0,2.5,0.0\x1f\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,\x1c0,2.5,0.0\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "#1,0,2.5,0.0\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0\n# comment\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0\n2,1,abc,0.0\n3,1,2.5\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0\n2,1,2.5\n3,1,abc,0.0\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5,0.0,9\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,2.5\n2,1,3.5,0.0,9\n", tables.SPEEDS, False),
+            (tables.SPEEDS, "1,0,,0.0\n", tables.SPEEDS, False),
+            (tables.SPEEDS, ",,,\n", tables.SPEEDS, False),
+            (tables.SPEEDS, MANY, tables.SPEEDS, False),
+            (tables.SPEEDS, MANY + "\n\n" + MANY, tables.SPEEDS, False),
+            (tables.SPEEDS, MANY + "5000,1,x,0.0\n" + MANY, tables.SPEEDS, False),
+            (tables.SPEEDS, MANY + "5000,1,0.0\n", tables.SPEEDS, False),
+            (tables.STATE, "0,1,2,3,4,5,6\n", tables.STATE, True),
+            (tables.STATE + ",command", "0,1,2,3,4,5,6,hover\n 7,1,2,3,4,5,6,\n", tables.STATE, True),
+            (tables.STATE + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,x,climb\n", tables.STATE, True),
+            (tables.STATE + ",command", "0,1,2,3,4,5,6,hover\n7,1,2,3,4,5,6\n", tables.STATE, True),
+            (tables.STATE + ",command,note", "0,1,2,3,4,5,6,hover,a b\n", tables.STATE, True),
+            (tables.STATE + ",command", "0,1,2,3,4,5,6,hover\n", tables.STATE, False),
+            (tables.FUSED, "0,1.5,2.5,3.5,0.0,0.0,0.0,24.0\n", tables.FUSED, False),
+            ("t,x,y,zz", "0,1,2,3\n", tables.GPS, False),
         ],
     )
     def test_same_values_and_errors(self, tmp_path, file_header, body, header, extra_columns):
@@ -340,6 +337,6 @@ class TestReadTable:
 
     def test_a_bad_line_is_named_in_a_later_block(self, tmp_path):
         path = tmp_path / "speeds.csv"
-        path.write_text(SPEED_HEADER + "\n" + MANY + "\n" + MANY + "1,2,three,0.0\n")
+        path.write_text(tables.SPEEDS + "\n" + MANY + "\n" + MANY + "1,2,three,0.0\n")
         with pytest.raises(DataError, match=rf":{2 + 2 * 5000 + 1}: non-numeric field in '1,2,three,0.0'"):
-            read_table(str(path), SPEED_HEADER)
+            read_table(str(path), tables.SPEEDS)

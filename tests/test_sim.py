@@ -16,6 +16,7 @@ from rotorsense.sim import (
     simulate_propellers,
 )
 from conftest import CENTER, make_spec
+import oracles
 
 
 class TestSpeedProfiles:
@@ -168,7 +169,69 @@ class TestSimulateFlight:
         drone = DroneSpec(rpm_jitter=10.0)
         flight = simulate_flight(
             [(0, "hover")], drone, NO_NOISE, duration_us=30_000, seed=2,
-            render_events=True, render_tick_us=40, geometry=SensorGeometry(480, 480),
+            render_events=True, geometry=SensorGeometry(480, 480),
         )
         assert len(flight.events) > 0
         assert set(np.unique(flight.truth.event_origin)) == {0, 1, 2, 3}
+
+
+SIX_COMMANDS = [(0, "hover"), (4_000, "climb"), (8_000, "roll"), (12_000, "pitch"), (16_000, "yaw"), (20_000, "descent")]
+
+
+class TestOnePath:
+    """Scenes and flights render through one renderer, and a flight
+    tabulates each command's speeds and acceleration once; both must give
+    exactly what the per-tick reference does."""
+
+    @pytest.mark.parametrize(
+        ("script", "duration_us", "render", "noise"),
+        [
+            (SIX_COMMANDS, 24_000, True, NoiseSpec(background_rate=2.0, hot_pixel_count=5, hot_pixel_rate=300.0,
+                                                   vibration_jitter_px=0.4)),
+            ([(t * 50, name) for t, name in SIX_COMMANDS] + [(1_100_000, "hover")], 1_300_000, False, NO_NOISE),
+        ],
+        ids=["rendered", "traces_only"],
+    )
+    def test_flight_matches_per_tick_reference(self, script, duration_us, render, noise):
+        drone = DroneSpec(rpm_jitter=40.0, delta_rpm=250.0, tilt_fraction=0.25, gps_rate_hz=400.0, gps_sigma_m=1.5)
+        flight = simulate_flight(script, drone, noise, duration_us, seed=4, render_events=render)
+        traces, positions, velocities, gps, events, origin = oracles.simulate_flight(
+            script, drone, noise, duration_us, seed=4, render_events=render
+        )
+        truth = flight.truth
+        assert sorted(set(truth.command_ids.tolist())) == list(range(6))
+        for got, want in [
+            (flight.rpm_traces, traces), (truth.rpm, traces), (truth.positions, positions),
+            (truth.velocities, velocities), (flight.gps, gps), (truth.event_origin, origin),
+            (flight.events.t, events.t), (flight.events.x, events.x), (flight.events.y, events.y),
+            (flight.events.p, events.p),
+        ]:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()  # bit-equal, -0.0 included
+        assert (len(flight.events) > 0) == render
+        if render:
+            assert set(np.unique(origin).tolist()) == {-2, -1, 0, 1, 2, 3}
+
+    def test_unused_command_with_a_negative_speed_raises_nothing(self):
+        """Only the commands the script reaches are tabulated: a descent
+        below zero speed is fine while the flight never descends."""
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=3500.0)
+        simulate_flight([(0, "hover"), (5_000, "climb"), (20_000, "descent")], drone, NO_NOISE, 10_000, seed=0)
+        with pytest.raises(ConfigError, match="negative rotor speed"):
+            simulate_flight([(0, "hover"), (5_000, "descent")], drone, NO_NOISE, 10_000, seed=0)
+
+    def test_rendered_flight_shorter_than_a_tick(self):
+        """One truth tick and one render tick: nothing to paint, and no
+        second truth tick to read the tick length from."""
+        flight = simulate_flight([(0, "hover")], DroneSpec(), NO_NOISE, 500, seed=0, render_events=True)
+        assert len(flight.events) == 0 and flight.truth.times_us.tolist() == [0]
+
+    def test_empty_streams_keep_their_dtypes(self):
+        noise = NoiseSpec(background_rate=5.0, hot_pixel_count=3, hot_pixel_rate=100.0, vibration_jitter_px=0.5)
+        scene, truth = simulate_propellers([make_spec()], noise, duration_us=0, tick_us=50, seed=1)
+        flight = simulate_flight([(0, "hover")], DroneSpec(), noise, 10_000, seed=1)
+        for events, origin in ((scene, truth.event_origin), (flight.events, flight.truth.event_origin)):
+            assert len(events) == 0 and origin.size == 0
+            assert [a.dtype for a in (events.t, events.x, events.y, events.p, origin)] == [
+                np.uint64, np.uint16, np.uint16, np.int8, np.int16
+            ]

@@ -269,7 +269,10 @@ class TestWritersMatchTheReplacedLoops:
         times = np.arange(n, dtype=np.int64) * 5000 + 2**53
         states = floats(rng, 6 * n).reshape(n, 6)
         extra = {"command": np.array([COMMANDS[k % 6] for k in range(n)], dtype=object)} if with_command else None
-        write_state_csv(str(tmp_path / "got.csv"), times, states, extra=extra)
+        if with_command:  # truth_state.csv, as `simulate` writes it
+            tables.TRUTH_STATE.write(str(tmp_path / "got.csv"), [times, *states.T, extra["command"]])
+        else:
+            write_state_csv(str(tmp_path / "got.csv"), times, states)
         reference_write_state_csv(str(tmp_path / "want.csv"), times, states, extra=extra)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
