@@ -8,7 +8,6 @@ truth for every stage.
 """
 
 from .batching import (
-    BatchPolicy,
     StopReason,
     consistency_rate,
     density_downsample,
@@ -49,7 +48,6 @@ from .fusion import FusedState, KinematicPredictor, MotionPrior, predict, run_fu
 from .metrics import localization_error, rmae
 from .motion import (
     ObjectiveEvaluator,
-    PatchGeometry,
     SpeedEstimate,
     estimate_speed,
 )

@@ -20,38 +20,11 @@ from enum import Enum
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ConfigError, DegenerateInputError
 from .events import EventBatch, EventBundle, Events
-from .motion import ObjectiveEvaluator, PatchGeometry, patch_for
+from .motion import ObjectiveEvaluator, patch_for
 from .preprocess import group_keys
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Knobs for batch growth and downsampling."""
-
-    dt_us: int = 1000  # bundle interval
-    delta: float = 0.3  # consistency threshold
-    max_bundles: int = 8
-    sample_fraction: float = 1.0
-    space_radius_px: float = 2.0
-    time_radius_us: float = 200.0  # 2 px at the default 100 us-per-px ratio
-
-    def __post_init__(self) -> None:
-        if self.dt_us <= 0:
-            raise ConfigError("dt_us must be positive")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.max_bundles < 1:
-            raise ConfigError("max_bundles must be at least 1")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError("sample_fraction must lie in (0, 1]")
-        if self.space_radius_px <= 0 or self.time_radius_us <= 0:
-            raise ConfigError("neighborhood radii must be positive")
-
-    @property
-    def neighborhood_radius(self) -> tuple[float, float]:
-        return (self.space_radius_px, self.time_radius_us)
 
 
 class StopReason(str, Enum):
@@ -67,7 +40,7 @@ def consistency_rate(
     center: tuple[float, float],
     eps: float = 1.0,
     spin: int = +1,
-    patch: PatchGeometry | None = None,
+    half_size: int | None = None,
 ) -> float:
     """Relative alignment-score gap between a candidate bundle and the
     batch tail: |S(candidate) - S(last)| / S(last).
@@ -80,18 +53,18 @@ def consistency_rate(
     consistent bundles; the log domain keeps the rate small for
     same-speed bundles and large when the candidate's alignment
     collapses. An empty candidate yields +inf (reject). The default
-    patch is the larger of the two bundles' ``patch_for`` patches.
+    patch half-size is the larger of the two bundles' ``patch_for``.
     """
     if len(candidate) == 0:
         return math.inf
-    if patch is None:
-        patch = PatchGeometry(max(patch_for(b.events, center).half_size for b in (last_bundle, candidate)))
+    if half_size is None:
+        half_size = max(patch_for(b.events, center) for b in (last_bundle, candidate))
     t_ref = last_bundle.t_start
     s_last = math.log(
-        ObjectiveEvaluator(last_bundle.events, center, t_ref, patch, eps, spin=spin).value(omega_rad_s)
+        ObjectiveEvaluator(last_bundle.events, center, t_ref, half_size, eps, spin=spin).value(omega_rad_s)
     )
     s_cand = math.log(
-        ObjectiveEvaluator(candidate.events, center, t_ref, patch, eps, spin=spin).value(omega_rad_s)
+        ObjectiveEvaluator(candidate.events, center, t_ref, half_size, eps, spin=spin).value(omega_rad_s)
     )
     return abs(s_cand - s_last) / abs(s_last)
 
@@ -105,17 +78,17 @@ class GrowResult:
 
 def grow_batch(
     bundles: list[EventBundle],
-    policy: BatchPolicy,
+    cfg: PipelineConfig,
     omega_rad_s: float,
     center: tuple[float, float],
     *,
     start: int = 0,
-    eps: float = 1.0,
     spin: int = +1,
 ) -> GrowResult:
-    """Grow a batch from bundles[start] under the consistency and
-    bundle-count criteria; returns the batch and why growth stopped. A
-    gap before the next bundle stops growth for consistency, as an empty
+    """Grow a batch from bundles[start] while each next bundle's
+    consistency rate (at cfg.epsilon) stays below cfg.delta, up to
+    cfg.beta bundles; returns the batch and why growth stopped. A gap
+    before the next bundle stops growth for consistency, as an empty
     candidate does, and as a pair of bundles whose patch exceeds
     motion.MAX_PATCH_AREA does."""
     if not bundles or start >= len(bundles):
@@ -123,24 +96,23 @@ def grow_batch(
     taken = [bundles[start]]
     k = start
     m = start + 1
-    half_k = None  # patch_for(bundles[k].events).half_size, once needed
+    half_k = None  # patch_for(bundles[k].events), once needed
     reason = StopReason.STREAM_END
     while m < len(bundles):
-        if len(taken) >= policy.max_bundles:
+        if len(taken) >= cfg.beta:
             reason = StopReason.BUNDLE_LIMIT
             break
         if bundles[m].t_start != bundles[k].t_end:
             reason = StopReason.CONSISTENCY
             break
         if half_k is None:
-            half_k = patch_for(bundles[k].events, center).half_size
-        half_m = patch_for(bundles[m].events, center).half_size
-        patch = PatchGeometry(max(half_k, half_m))
+            half_k = patch_for(bundles[k].events, center)
+        half_m = patch_for(bundles[m].events, center)
         try:
-            rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, eps, spin, patch)
+            rate = consistency_rate(bundles[k], bundles[m], omega_rad_s, center, cfg.epsilon, spin, max(half_k, half_m))
         except DegenerateInputError:  # a patch too large to score
             rate = math.inf
-        if not rate < policy.delta:
+        if not rate < cfg.delta:
             reason = StopReason.CONSISTENCY
             break
         taken.append(bundles[m])
@@ -265,12 +237,8 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
     return counts[inverse]
 
 
-def density_downsample(
-    batch: Events,
-    policy: BatchPolicy,
-    seed: int,
-) -> Events:
-    """Keep ceil(sample_fraction * N) events, chosen without replacement
+def density_downsample(batch: Events, cfg: PipelineConfig, seed: int) -> Events:
+    """Keep ceil(cfg.sample_fraction * N) events, chosen without replacement
     with probability proportional to local density; time order is
     preserved and the result is deterministic per seed.
 
@@ -283,10 +251,10 @@ def density_downsample(
     proportional to density rather than exact neighbor counts.
     """
     n = len(batch)
-    if policy.sample_fraction >= 1.0 or n == 0:
+    if cfg.sample_fraction >= 1.0 or n == 0:
         return batch
-    n_keep = math.ceil(policy.sample_fraction * n)
-    weights = voxel_density(batch, policy.space_radius_px, policy.time_radius_us).astype(np.float64)
+    n_keep = math.ceil(cfg.sample_fraction * n)
+    weights = voxel_density(batch, cfg.space_radius_px, cfg.time_radius_us).astype(np.float64)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     keys = np.log(u) / weights  # weights >= 1 by self-inclusion

@@ -2,8 +2,12 @@
 
 Two file kinds share the same syntax (one ``key=value`` per line, ``#``
 comments): scenario files describing what to simulate, and pipeline
-configs holding every stage's knobs. Unknown keys are rejected and the
-whole config is validated before any stage runs.
+configs holding every stage's knobs. Unknown keys are rejected.
+`PipelineConfig.validate` holds every check of the pipeline config; it
+runs when a config is parsed, when the CLI has applied its options and
+when `run_pipeline` starts, before any stage writes an artifact. The
+estimate stage (`batching.grow_batch`, `batching.density_downsample`,
+`pipeline.estimate_track`) reads its knobs from the config it is given.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .batching import BatchPolicy
 from .dynamics import COMMANDS
 from .errors import ConfigError, open_text
 from .events import SensorGeometry
@@ -148,8 +151,16 @@ class PipelineConfig:
             raise ConfigError("count_ratio must be nonnegative")
         if not 0.0 <= self.polarity_lo <= self.polarity_hi <= 1.0:
             raise ConfigError("polarity band must satisfy 0 <= lo <= hi <= 1")
-        # BatchPolicy re-validates its own invariants (delta > 0, beta >= 1, ...)
-        self.batch_policy()
+        if self.dt_us <= 0:
+            raise ConfigError("dt_us must be positive")
+        if self.delta <= 0:
+            raise ConfigError("delta must be positive")
+        if self.beta < 1:
+            raise ConfigError("beta must be at least 1")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ConfigError("sample_fraction must lie in (0, 1]")
+        if self.space_radius_px <= 0 or self.time_radius_us <= 0:
+            raise ConfigError("neighborhood radii must be positive")
         if not 0 <= self.bracket_rpm_lo < self.bracket_rpm_hi:
             raise ConfigError("speed bracket must satisfy 0 <= lo < hi")
         if self.n_grid < 3:
@@ -174,16 +185,6 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not math.isfinite(self.gps_sigma_m * self.gps_sigma_m):  # the GPS noise variance
             raise ConfigError(f"gps_sigma_m squared must be finite, got {self.gps_sigma_m!r}")
-
-    def batch_policy(self) -> BatchPolicy:
-        return BatchPolicy(
-            dt_us=self.dt_us,
-            delta=self.delta,
-            max_bundles=self.beta,
-            sample_fraction=self.sample_fraction,
-            space_radius_px=self.space_radius_px,
-            time_radius_us=self.time_radius_us,
-        )
 
     def canonical(self) -> str:
         lines = []

@@ -200,7 +200,7 @@ class EventBundle:
 
 @dataclass(frozen=True)
 class EventBatch:
-    """Time-contiguous concatenation of bundles grown by the batching policy."""
+    """Time-contiguous concatenation of bundles grown by `batching.grow_batch`."""
 
     bundles: tuple[EventBundle, ...]
 

@@ -34,6 +34,14 @@ PSD_TOLERANCE = -1e-9
 # (1024 6x6 covariances, 295 KB) and the steps computed past a failing one
 # in a stream without GPS
 CHECK_STEPS = 1024
+# standard deviation (m/s) of each velocity component at the first GPS fix
+INIT_VELOCITY_SIGMA = 2.0
+# how far (us) a measurement may lag the filter clock and still be used
+OUT_OF_ORDER_TOLERANCE_US = 0
+# rotor ids in the speed stream lie below this bound: `run_fusion` holds one
+# speed per id up to the largest, so the bound caps that vector at 512 KB,
+# far above the 4 to 8 rotors of a multirotor
+MAX_ROTOR_ID = 2**16
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,8 @@ class KinematicPredictor:
         self.tilt_fraction = tilt_fraction
 
     @classmethod
-    def from_hover_calibration(
-        cls, hover_speeds_rad_s: np.ndarray, tilt_fraction: float = 0.2, gravity: float = GRAVITY
-    ) -> "KinematicPredictor":
-        k_f = calibrate_thrust_gain(hover_speeds_rad_s, gravity)
+    def from_hover_calibration(cls, hover_speeds_rad_s: np.ndarray, tilt_fraction: float = 0.2) -> "KinematicPredictor":
+        k_f = calibrate_thrust_gain(hover_speeds_rad_s, GRAVITY)
         hover_sq = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
         return cls(k_f=k_f, hover_speed_sq_sum=hover_sq, tilt_fraction=tilt_fraction)
 
@@ -255,11 +261,14 @@ def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, int, float]]:
     """(t_us, 1, prop_id, rpm) per (t_us, prop_id, rpm, ...) row. numpy
     truncates the two integer columns, as int() would, so no per-row
     Python float is made and dropped (freed small objects fragment the
-    heap that the filter states later fill)."""
+    heap that the filter states later fill). A rotor id at or above
+    MAX_ROTOR_ID raises DataError."""
     if not speed_stream.size:
         return []
     if not (np.abs(speed_stream[:, :2]) < 2.0**63).all():
         raise DataError("non-finite or out-of-range time or rotor id in the speed stream")
+    if not speed_stream[:, 1].max() < MAX_ROTOR_ID:
+        raise DataError(f"rotor id {int(speed_stream[:, 1].max())} in the speed stream is not below {MAX_ROTOR_ID}")
     t_us, props = speed_stream[:, :2].astype(np.int64).T.tolist()
     return [(t, 1, prop, rpm) for t, prop, rpm in zip(t_us, props, speed_stream[:, 2].tolist())]
 
@@ -272,8 +281,6 @@ def run_fusion(
     *,
     gps_sigma_m: float = 2.0,
     process_noise_scale: float = 0.05,
-    init_velocity_sigma: float = 2.0,
-    out_of_order_tolerance_us: int = 0,
 ) -> FusionResult:
     """Event-driven fusion loop over timestamp-ordered input streams.
 
@@ -281,10 +288,13 @@ def run_fusion(
     are (t_us, label); gps_stream rows are (t_us, x, y, z). The filter
     initializes at the first GPS fix, predicts to each incoming
     measurement's time, updates on GPS, and emits a state after every
-    step. Measurements older than the filter clock beyond the tolerance
-    are dropped with a warning. The predicted steps are checked together
-    (see the module docstring); a failing one raises the error `predict`
-    would have raised at that step, before any later step's.
+    step. Measurements older than the filter clock beyond
+    OUT_OF_ORDER_TOLERANCE_US are dropped with a warning. A negative
+    rotor speed raises DataError, and a negative process_noise_scale
+    ConfigError, at the first prediction step they would drive. The
+    predicted steps are checked together (see the module docstring); a
+    failing one raises the error `predict` would have raised at that
+    step, before any later step's.
     """
     # (t, kind, value, rpm): a command label, a rotor id and its rpm or a GPS
     # fix; kind orders ties. Streams merge in their given order: a row
@@ -302,7 +312,7 @@ def run_fusion(
         n_props = max(n_props, int(speed_stream[:, 1].max()) + 1)
     hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
     speeds = np.full(n_props, hover_rad_s)
-    negative: set[int] = set()  # rotors whose speed MotionPrior rejects
+    negative: set[int] = set()  # rotors whose speed is negative
     gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
     command = "hover"
     state: FusedState | None = None
@@ -331,13 +341,13 @@ def run_fusion(
                 mean[:3] = value
                 cov = np.zeros((6, 6))
                 cov[:3, :3] = r_gps
-                cov[3:, 3:] = init_velocity_sigma**2 * np.eye(3)
+                cov[3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
                 state = FusedState(t_us=t_us, mean=mean, cov=cov)
                 steps = [state]
                 result.states.append(state)
             continue
         dt_us = t_us - state.t_us
-        if dt_us < -out_of_order_tolerance_us:
+        if dt_us < -OUT_OF_ORDER_TOLERANCE_US:
             _check_steps(steps, accels)
             steps, accels = [state], []
             LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
@@ -345,7 +355,9 @@ def run_fusion(
         if dt_us > 0:
             if negative or process_noise_scale < 0:
                 _check_steps(steps, accels)
-                MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)  # raises
+                if negative:  # the errors MotionPrior raises, speeds first
+                    raise DataError("rotor speeds must be nonnegative")
+                raise ConfigError("process noise scale must be nonnegative")
             accel = command_acceleration(command, speeds, *gains)
             state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
             steps.append(state)

@@ -55,42 +55,28 @@ RECURRENCE_STEPS = 1024
 # Relative slack on the largest event radius that a patch must hold: the
 # recurrence's drift, plus float32 rounding of the coordinates (2^-24
 # relative) and of the shifted pixel coordinate (2^-13 px in a patch of
-# MAX_PATCH_AREA). patch_for's 2 px margin covers it up to that area.
+# MAX_PATCH_AREA). PATCH_MARGIN covers it up to that area.
 RADIUS_SLACK = 2**-10
+# Pixels `patch_for` adds to the largest event radius.
+PATCH_MARGIN = 2
+# Iterations after which `brent_max` stops short of its tolerance.
+BRENT_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class PatchGeometry:
-    """Square accumulation patch centered on the rotor center.
-
-    Pixel (i, j) of the patch is the sensor pixel
-    (x0 + i, y0 + j) with x0 = floor(cx) - half_size.
-    """
-
-    half_size: int
-
-    @property
-    def side(self) -> int:
-        return 2 * self.half_size + 1
-
-    @property
-    def area(self) -> int:
-        return self.side * self.side
-
-
-def patch_for(events: Events, center: tuple[float, float], margin: int = 2) -> PatchGeometry:
-    """Smallest patch containing every possible warp of these events.
+def patch_for(events: Events, center: tuple[float, float]) -> int:
+    """Half-size of the smallest square patch, centered on the rotor,
+    containing every possible warp of these events.
 
     Warping is a pure rotation about the center, so radii are preserved
-    and a patch spanning the maximum event radius plus a margin holds
+    and a patch spanning the maximum event radius plus PATCH_MARGIN holds
     every warped point for every candidate speed.
     """
     if len(events) == 0:
-        return PatchGeometry(half_size=margin)
+        return PATCH_MARGIN
     dx = events.x.astype(np.float64) - center[0]
     dy = events.y.astype(np.float64) - center[1]
     r_max = float(np.sqrt(np.max(dx * dx + dy * dy)))
-    return PatchGeometry(half_size=int(math.ceil(r_max)) + margin)
+    return int(math.ceil(r_max)) + PATCH_MARGIN
 
 
 class ObjectiveEvaluator:
@@ -106,12 +92,14 @@ class ObjectiveEvaluator:
     unweighted sum of the accumulation and sparsity rewards. Everything
     is plain vectorized numpy.
 
-    The patch must hold every warp of every event: the largest event
-    radius, stretched by RADIUS_SLACK, must not exceed its half_size
-    (``patch_for`` pads it by 2 px), or ConfigError is raised. So every
-    warped event lands inside the patch and its pixel index needs no
-    bounds check. A patch larger than MAX_PATCH_AREA raises
-    DegenerateInputError.
+    The patch is the square of side 2 * half_size + 1 whose pixel (i, j)
+    is the sensor pixel (floor(cx) - half_size + i, floor(cy) - half_size
+    + j). It must hold every warp of every event: the largest event
+    radius, stretched by RADIUS_SLACK, must not exceed half_size
+    (``patch_for``, the default, pads it by PATCH_MARGIN px), or
+    ConfigError is raised. So every warped event lands inside the patch
+    and its pixel index needs no bounds check. A patch larger than
+    MAX_PATCH_AREA raises DegenerateInputError.
     """
 
     def __init__(
@@ -119,7 +107,7 @@ class ObjectiveEvaluator:
         events: Events,
         center: tuple[float, float],
         t_ref_us: int,
-        patch: PatchGeometry | None = None,
+        half_size: int | None = None,
         eps: float = 1.0,
         spin: int = +1,
     ) -> None:
@@ -127,18 +115,17 @@ class ObjectiveEvaluator:
             raise ConfigError(f"eps must be positive, got {eps}")
         if spin not in (-1, +1):
             raise ConfigError("spin must be -1 or +1")
-        if patch is None:
-            patch = patch_for(events, center)
-        if patch.area > MAX_PATCH_AREA:
+        half = patch_for(events, center) if half_size is None else half_size
+        self.side = 2 * half + 1
+        self.area = self.side * self.side
+        if self.area > MAX_PATCH_AREA:
             raise DegenerateInputError(
-                f"a {patch.side} x {patch.side} px patch exceeds {MAX_PATCH_AREA} px: events lie too far from the center"
+                f"a {self.side} x {self.side} px patch exceeds {MAX_PATCH_AREA} px: events lie too far from the center"
             )
         self.center = center
         self.t_ref_us = int(t_ref_us)
-        self.patch = patch
         self.eps = float(eps)
         self.n_events = len(events)
-        half = patch.half_size
         self._dx = (events.x.astype(np.float64) - center[0]).astype(np.float32)
         self._dy = (events.y.astype(np.float64) - center[1]).astype(np.float32)
         r2 = self._dx * self._dx
@@ -152,7 +139,6 @@ class ObjectiveEvaluator:
         self._dt = (dt_us * (spin * US_TO_S)).astype(np.float32)
         self._x_shift = np.float32(center[0] - (math.floor(center[0]) - half))
         self._y_shift = np.float32(center[1] - (math.floor(center[1]) - half))
-        self._side = patch.side
         self._empty_term = 1.0 + 1.0 / self.eps
 
     def _indices_from(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -160,22 +146,22 @@ class ObjectiveEvaluator:
         # truncation is floor: the pixel (ix, iy) of the patch
         ix = (c * self._dx - s * self._dy + self._x_shift).astype(np.int32)
         iy = (s * self._dx + c * self._dy + self._y_shift).astype(np.int32)
-        return ix * self._side + iy
+        return ix * self.side + iy
 
     def _score(self, counts: np.ndarray) -> float:
         occupied = np.minimum(counts[counts > 0].astype(np.float64), H_MAX_DEFAULT)
         e = np.exp(occupied)
         r_acc = float(e.sum())
         r_spa = float((1.0 / (e - 1.0 + self.eps)).sum())
-        return r_acc + r_spa + (self.patch.area - occupied.size) * self._empty_term
+        return r_acc + r_spa + (self.area - occupied.size) * self._empty_term
 
     def _score_at(self, c: np.ndarray, s: np.ndarray) -> float:
         """R for per-event rotations (cos, sin): rotate, bincount, score."""
-        return self._score(np.bincount(self._indices_from(c, s), minlength=self.patch.area))
+        return self._score(np.bincount(self._indices_from(c, s), minlength=self.area))
 
     def value(self, omega_rad_s: float) -> float:
         if self.n_events == 0:
-            return self.patch.area * self._empty_term
+            return self.area * self._empty_term
         theta = self._dt * np.float32(omega_rad_s)
         return self._score_at(np.cos(theta), np.sin(theta))
 
@@ -196,7 +182,7 @@ class ObjectiveEvaluator:
             raise ConfigError(f"value_grid needs at least 2 uniformly spaced candidates, got {omegas.size}")
         stop = omegas.size if stop is None else stop
         if self.n_events == 0:
-            return np.full(stop - start, self.patch.area * self._empty_term)
+            return np.full(stop - start, self.area * self._empty_term)
         out = np.empty(stop - start)
         dc = np.cos(self._dt * np.float32(steps[0]))
         ds = np.sin(self._dt * np.float32(steps[0]))
@@ -226,10 +212,11 @@ class SpeedEstimate:
         return self.omega_rad_s * 60.0 / (2.0 * math.pi)
 
 
-def brent_max(f, a: float, b: float, tol: float, max_iter: int = 100) -> tuple[float, float]:
+def brent_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Bounded scalar maximization (Brent: golden section + parabolic steps).
 
-    Returns (x, f(x)) with x located to absolute tolerance tol.
+    Returns (x, f(x)) with x located to absolute tolerance tol, or where
+    BRENT_MAX_ITER iterations left it.
     """
     golden = 0.381966011250105
     if b < a:
@@ -237,7 +224,7 @@ def brent_max(f, a: float, b: float, tol: float, max_iter: int = 100) -> tuple[f
     x = w = v = a + golden * (b - a)
     fx = fw = fv = -f(x)
     d = e = 0.0
-    for _ in range(max_iter):
+    for _ in range(BRENT_MAX_ITER):
         mid = 0.5 * (a + b)
         tol1 = 1e-12 * abs(x) + 0.5 * tol
         tol2 = 2.0 * tol1

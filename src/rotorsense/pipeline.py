@@ -281,9 +281,8 @@ def estimate_track(
     still settle on a lesser peak inside it. A consistency stop (speed
     change) resets to the configured bracket and re-acquires.
     """
-    policy = cfg.batch_policy()
     out = TrackEstimates(prop_id=prop_id)
-    bundles = slice_bundles(track_events, policy.dt_us)
+    bundles = slice_bundles(track_events, cfg.dt_us)
     cfg_lo, cfg_hi = rpm_to_rad_s(cfg.bracket_rpm_lo), rpm_to_rad_s(cfg.bracket_rpm_hi)
     i = 0
     omega_prior: float | None = None
@@ -295,7 +294,7 @@ def estimate_track(
                 i += 1
                 continue
             omega_prior, spin = acquired
-        grown = grow_batch(bundles, policy, omega_prior, center, start=i, eps=cfg.epsilon, spin=spin)
+        grown = grow_batch(bundles, cfg, omega_prior, center, start=i, spin=spin)
         if len(grown.batch.bundles) < cfg.min_emit_bundles:
             # too little accumulation to trust; consume without reporting
             if grown.reason is StopReason.CONSISTENCY:
@@ -303,12 +302,8 @@ def estimate_track(
             i = grown.next_index
             continue
         batch_events = grown.batch.events()
-        ordinal = (bundles[i].t_start - bundles[0].t_start) // policy.dt_us  # gaps count too
-        used = (
-            density_downsample(batch_events, policy, seed=cfg.seed + ordinal)
-            if policy.sample_fraction < 1.0
-            else batch_events
-        )
+        ordinal = (bundles[i].t_start - bundles[0].t_start) // cfg.dt_us  # gaps count too
+        used = density_downsample(batch_events, cfg, seed=cfg.seed + ordinal)
         lo = max(cfg_lo, 0.5 * omega_prior)
         hi = min(cfg_hi, 1.5 * omega_prior)
         if not hi > lo:
@@ -465,7 +460,9 @@ def simulate_scene(scenario: Scenario, out_dir: str, fmt: str) -> tuple[Events, 
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
-    """Execute simulate/ingest -> preprocess -> estimate -> metrics."""
+    """Execute simulate/ingest -> preprocess -> estimate -> metrics. An
+    invalid config raises ConfigError before any stage runs."""
+    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     artifacts: list[str] = []
     metrics: list[dict] = []

@@ -22,6 +22,11 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .events import Events
 
+# `segment_propellers` stops Lloyd's iteration once no centroid moves by
+# KMEANS_TOL px or more, or after KMEANS_MAX_ITERS iterations
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class HeatmapPair:
@@ -218,12 +223,7 @@ def _weighted_means(coords: np.ndarray, weights: np.ndarray, assign: np.ndarray,
     return np.divide(sums, total, out=np.full((k, 2), np.nan), where=total > 0)
 
 
-def segment_propellers(
-    events: Events,
-    k: int,
-    max_iters: int = 100,
-    tol: float = 1e-3,
-) -> list[PropellerTrack]:
+def segment_propellers(events: Events, k: int) -> list[PropellerTrack]:
     """Split a filtered stream into k per-propeller tracks.
 
     Lloyd's iteration on spatial coordinates with deterministic
@@ -250,7 +250,7 @@ def segment_propellers(
 
     centroids = _farthest_point_seeds(coords, k)
     prev_objective = np.inf
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(coords)), assign]
@@ -267,7 +267,7 @@ def segment_propellers(
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         prev_objective = objective
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
 
     # final assignment against converged centroids

@@ -361,11 +361,20 @@ def _render(
     return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]
 
 
+# Most background or hot-pixel events a stream may expect. A background
+# event peaks at about 107 bytes while the stream is assembled and sorted
+# (2M of them on a 40 x 40 sensor), so the bound keeps the noise near 1 GB.
+# A 640 x 480 sensor at 10 events per pixel per second reaches it in 3.3 s.
+MAX_NOISE_EVENTS = 10**7
+
+
 def _poisson(rng: np.random.Generator, lam: float, name: str, size: int | None = None):
-    try:
-        return rng.poisson(lam, size=size)
-    except ValueError:  # numpy refuses an expected count near 2^63 or above
-        raise ConfigError(f"noise.{name} too large: {lam:.3g} expected events") from None
+    """Poisson draws of mean lam, `size` of them (one without); ConfigError
+    naming noise.`name` when they expect more than MAX_NOISE_EVENTS events."""
+    expected = lam * (1 if size is None else size)
+    if not expected <= MAX_NOISE_EVENTS:
+        raise ConfigError(f"noise.{name} too large: {expected:.3g} expected events, at most {MAX_NOISE_EVENTS:.0e}")
+    return rng.poisson(lam, size=size)
 
 
 def _background(
@@ -472,6 +481,9 @@ class DroneSpec:
     n_blades: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("hover_rpm", "delta_rpm", "rpm_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"drone {name} must be finite, got {getattr(self, name)!r}")
         if not (self.gps_rate_hz > 0 and math.isfinite(1e6 / self.gps_rate_hz)):
             raise ConfigError(f"drone gps_rate_hz must be positive with a finite period, got {self.gps_rate_hz!r}")
         for name in ("gps_sigma_m", "rpm_jitter"):

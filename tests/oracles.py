@@ -28,7 +28,7 @@ from rotorsense.dynamics import (
 )
 from rotorsense.errors import ConfigError
 from rotorsense.events import Events
-from rotorsense.motion import H_MAX_DEFAULT, US_TO_S, PatchGeometry
+from rotorsense.motion import H_MAX_DEFAULT, US_TO_S
 
 
 @dataclass
@@ -65,17 +65,17 @@ def warp(
 
 def accumulate(
     warped: np.ndarray,
-    patch: PatchGeometry,
+    half: int,
     center: tuple[float, float],
     t_ref_us: int = 0,
 ) -> WarpedImage:
-    """Rasterize warped points into integer pixel counts (floor binning).
+    """Rasterize warped points into integer pixel counts (floor binning)
+    over the patch of half-size `half` around the center.
 
     Each point increments the sensor pixel containing center + point;
     points outside the patch are dropped and counted.
     """
-    half = patch.half_size
-    side = patch.side
+    side = 2 * half + 1
     x0 = math.floor(center[0]) - half
     y0 = math.floor(center[1]) - half
     counts = np.zeros((side, side), dtype=np.int64)

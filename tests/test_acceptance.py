@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from rotorsense.batching import BatchPolicy, StopReason, density_downsample, grow_batch
+from rotorsense.batching import StopReason, density_downsample, grow_batch
 from rotorsense.commands import CommandSample, predict_command, train_command_model
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import GRAVITY, rpm_to_rad_s
@@ -234,8 +234,8 @@ def test_06_adaptive_batching_step_detection():
             bundles[0].events, (50.0, 50.0), (rpm_to_rad_s(1500), rpm_to_rad_s(4500)),
             t_ref_us=bundles[0].t_start,
         )
-        policy = BatchPolicy(dt_us=dt_us, delta=0.3, max_bundles=8)
-        grown = grow_batch(bundles, policy, est.omega_rad_s, (50.0, 50.0))
+        cfg = PipelineConfig(dt_us=dt_us, delta=0.3, beta=8)
+        grown = grow_batch(bundles, cfg, est.omega_rad_s, (50.0, 50.0))
         if grown.reason is StopReason.CONSISTENCY and grown.next_index == 4:
             hits += 1
     report("06 adaptive-batching", hits >= 95, f"{hits}/100 runs stopped at the step bundle")
@@ -252,13 +252,13 @@ def test_07_downsampling_fidelity():
     )
     span = 16_000
     events, _ = simulate_propellers([spec], NO_NOISE, duration_us=span * 100, tick_us=40, seed=5)
-    policy = BatchPolicy(sample_fraction=0.25)
+    cfg = PipelineConfig(sample_fraction=0.25)
     bracket = (rpm_to_rad_s(1500), rpm_to_rad_s(4500))
     deviations = []
     t_full = t_down = 0.0
     for b in range(100):
         batch = events.time_slice(b * span, (b + 1) * span)
-        kept = density_downsample(batch, policy, seed=b)
+        kept = density_downsample(batch, cfg, seed=b)
         t0 = time.perf_counter()
         full = estimate_speed(batch, center, bracket, t_ref_us=b * span)
         t_full += time.perf_counter() - t0

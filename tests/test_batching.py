@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rotorsense.batching import (
-    BatchPolicy,
     StopReason,
     consistency_rate,
     density_downsample,
@@ -14,7 +13,7 @@ from rotorsense.batching import (
     voxel_density,
 )
 from rotorsense.dynamics import rpm_to_rad_s
-from rotorsense.errors import ConfigError
+from rotorsense.config import PipelineConfig
 from rotorsense.events import EventBundle, Events, slice_bundles
 from rotorsense.motion import ObjectiveEvaluator, patch_for
 from rotorsense.events import concat_events
@@ -50,17 +49,6 @@ def make_step_stream(seed, dt_us=2000, step_bundle=4, rpm_a=3000.0, rpm_b=4500.0
     return slice_bundles(events, dt_us), t_step
 
 
-class TestBatchPolicy:
-    def test_invariants(self):
-        with pytest.raises(ConfigError):
-            BatchPolicy(delta=0.0)
-        with pytest.raises(ConfigError):
-            BatchPolicy(max_bundles=0)
-        with pytest.raises(ConfigError):
-            BatchPolicy(sample_fraction=0.0)
-        assert BatchPolicy().neighborhood_radius == (2.0, 200.0)
-
-
 class TestConsistencyRate:
     def test_identical_bundles_rate_zero(self, clean_3000):
         events, _ = clean_3000
@@ -76,9 +64,9 @@ class TestConsistencyRate:
         omega = rpm_to_rad_s(3000.0)
         last, cand = bundles[2], bundles[3]
         both = concat_events([last.events, cand.events])
-        patch = patch_for(both, CENTER)
-        s_last = math.log(ObjectiveEvaluator(last.events, CENTER, last.t_start, patch).value(omega))
-        s_cand = math.log(ObjectiveEvaluator(cand.events, CENTER, last.t_start, patch).value(omega))
+        half_size = patch_for(both, CENTER)
+        s_last = math.log(ObjectiveEvaluator(last.events, CENTER, last.t_start, half_size).value(omega))
+        s_cand = math.log(ObjectiveEvaluator(cand.events, CENTER, last.t_start, half_size).value(omega))
         expected = abs(s_cand - s_last) / abs(s_last)
         assert consistency_rate(last, cand, omega, CENTER) == pytest.approx(expected, rel=1e-12)
 
@@ -102,16 +90,16 @@ class TestGrowBatch:
     def test_constant_speed_hits_bundle_limit(self, clean_3000):
         events, _ = clean_3000
         bundles = slice_bundles(events, 2000)
-        policy = BatchPolicy(dt_us=2000, max_bundles=8)
-        grown = grow_batch(bundles, policy, rpm_to_rad_s(3000), CENTER)
+        cfg = PipelineConfig(dt_us=2000, beta=8)
+        grown = grow_batch(bundles, cfg, rpm_to_rad_s(3000), CENTER)
         assert grown.reason is StopReason.BUNDLE_LIMIT
         assert len(grown.batch.bundles) == 8
         assert grown.next_index == 8
 
     def test_step_stops_with_consistency_at_step_bundle(self):
         bundles, t_step = make_step_stream(seed=1)
-        policy = BatchPolicy(dt_us=2000, max_bundles=8)
-        grown = grow_batch(bundles, policy, rpm_to_rad_s(3000), (50.0, 50.0))
+        cfg = PipelineConfig(dt_us=2000, beta=8)
+        grown = grow_batch(bundles, cfg, rpm_to_rad_s(3000), (50.0, 50.0))
         assert grown.reason is StopReason.CONSISTENCY
         assert len(grown.batch.bundles) == 4
         assert bundles[grown.next_index].t_start == t_step
@@ -119,8 +107,8 @@ class TestGrowBatch:
     def test_single_bundle_stream_end(self):
         events = make_events([(t, 10, 10, 1) for t in range(0, 900, 100)])
         bundles = slice_bundles(events, 1000)
-        policy = BatchPolicy(dt_us=1000)
-        grown = grow_batch(bundles, policy, 100.0, (10.0, 10.0))
+        cfg = PipelineConfig(dt_us=1000)
+        grown = grow_batch(bundles, cfg, 100.0, (10.0, 10.0))
         assert grown.reason is StopReason.STREAM_END
         assert len(grown.batch.bundles) == 1
 
@@ -129,7 +117,7 @@ class TestGrowBatch:
         events, _ = clean_3000
         stray = Events(np.array([5500], np.uint64), np.array([60000]), np.array([60]), np.array([1], np.int8))
         bundles = slice_bundles(concat_events([events.time_slice(0, 20_000), stray]), 1000)
-        grown = grow_batch(bundles, BatchPolicy(dt_us=1000, max_bundles=8), rpm_to_rad_s(3000), CENTER)
+        grown = grow_batch(bundles, PipelineConfig(dt_us=1000, beta=8), rpm_to_rad_s(3000), CENTER)
         assert grown.reason is StopReason.CONSISTENCY
         assert int(bundles[grown.next_index].events.x.max()) == 60000  # growth stopped at the stray's bundle
         assert len(grown.batch.bundles) == grown.next_index == 5
@@ -137,9 +125,9 @@ class TestGrowBatch:
     def test_growth_deterministic(self, clean_3000):
         events, _ = clean_3000
         bundles = slice_bundles(events, 2000)
-        policy = BatchPolicy(dt_us=2000, max_bundles=6)
-        a = grow_batch(bundles, policy, rpm_to_rad_s(3000), CENTER)
-        b = grow_batch(bundles, policy, rpm_to_rad_s(3000), CENTER)
+        cfg = PipelineConfig(dt_us=2000, beta=6)
+        a = grow_batch(bundles, cfg, rpm_to_rad_s(3000), CENTER)
+        b = grow_batch(bundles, cfg, rpm_to_rad_s(3000), CENTER)
         assert a.reason == b.reason and a.next_index == b.next_index
         assert a.batch.n_events == b.batch.n_events
 
@@ -262,24 +250,24 @@ class TestDensityDownsample:
     def test_fraction_one_identity(self, clean_3000):
         events, _ = clean_3000
         batch = events.time_slice(0, 5000)
-        policy = BatchPolicy(sample_fraction=1.0)
-        assert density_downsample(batch, policy, seed=3) == batch
+        cfg = PipelineConfig(sample_fraction=1.0)
+        assert density_downsample(batch, cfg, seed=3) == batch
 
     def test_deterministic_per_seed(self, clean_3000):
         events, _ = clean_3000
         batch = events.time_slice(0, 5000)
-        policy = BatchPolicy(sample_fraction=0.25)
-        a = density_downsample(batch, policy, seed=3)
-        b = density_downsample(batch, policy, seed=3)
-        c = density_downsample(batch, policy, seed=4)
+        cfg = PipelineConfig(sample_fraction=0.25)
+        a = density_downsample(batch, cfg, seed=3)
+        b = density_downsample(batch, cfg, seed=3)
+        c = density_downsample(batch, cfg, seed=4)
         assert a == b
         assert not (a == c)
 
     def test_output_size_and_order(self, clean_3000):
         events, _ = clean_3000
         batch = events.time_slice(0, 5000)
-        policy = BatchPolicy(sample_fraction=0.3)
-        kept = density_downsample(batch, policy, seed=1)
+        cfg = PipelineConfig(sample_fraction=0.3)
+        kept = density_downsample(batch, cfg, seed=1)
         assert len(kept) == math.ceil(0.3 * len(batch))
         assert np.all(np.diff(kept.t.astype(np.int64)) >= 0)
 
@@ -299,11 +287,11 @@ class TestDensityDownsample:
             np.ones(1000, np.int8),
         )
         is_dense = order < 900
-        policy = BatchPolicy(sample_fraction=0.1, space_radius_px=3.0, time_radius_us=300.0)
+        cfg = PipelineConfig(sample_fraction=0.1, space_radius_px=3.0, time_radius_us=300.0)
         kept_dense = kept_total = 0
         for seed in range(50):
             kept_idx = []
-            kept = density_downsample(events, policy, seed=seed)
+            kept = density_downsample(events, cfg, seed=seed)
             # map kept events back by exact (t, x, y) identity
             key_all = events.t.astype(np.int64) * 10_000_000 + events.x.astype(np.int64) * 1000 + events.y
             key_kept = kept.t.astype(np.int64) * 10_000_000 + kept.x.astype(np.int64) * 1000 + kept.y
@@ -335,11 +323,11 @@ class TestDensityDownsample:
         center = (70.0, 70.0)
         spec = make_spec(center=center, blade_length=60.0)
         events, _ = simulate_propellers([spec], NO_NOISE, duration_us=64_000, tick_us=40, seed=6)
-        policy = BatchPolicy(sample_fraction=0.25)
+        cfg = PipelineConfig(sample_fraction=0.25)
         bracket = (rpm_to_rad_s(1500), rpm_to_rad_s(4500))
         for start in (0, 16_000, 32_000, 48_000):
             batch = events.time_slice(start, start + 16_000)
             full = estimate_speed(batch, center, bracket, t_ref_us=start)
-            kept = density_downsample(batch, policy, seed=start)
+            kept = density_downsample(batch, cfg, seed=start)
             sampled = estimate_speed(kept, center, bracket, t_ref_us=start)
             assert abs(sampled.omega_rad_s - full.omega_rad_s) / full.omega_rad_s <= 0.005

@@ -13,6 +13,7 @@ from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from rotorsense.config import _SPEC_KEYS, PipelineConfig, parse_scenario
 from rotorsense.errors import ConfigError
 from rotorsense import pipeline as pl
+from rotorsense import sim
 from rotorsense.sim import DroneSpec, NoiseSpec
 
 
@@ -189,6 +190,27 @@ class TestRunPipeline:
     def test_needs_scenario_or_input(self):
         with pytest.raises(ConfigError):
             pl.run_pipeline(PipelineConfig(), "/tmp/never")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "delta=0",  # raised after the preprocess artifacts were written
+            "n_grid=2",  # likewise
+            "window_us=0",  # ZeroDivisionError, then "window interval is inverted"
+            "gps_sigma_m=-1",  # ran, and hashed the invalid config into the manifest
+            "beta=0",
+            "sample_fraction=0",
+        ],
+    )
+    def test_invalid_config_raises_before_any_stage(self, pipe_file, tmp_path, setting):
+        cfg = PipelineConfig.from_file(pipe_file)
+        key, value = setting.split("=")
+        setattr(cfg, key, type(getattr(cfg, key))(value))
+        out = tmp_path / "run"
+        out.mkdir()
+        with pytest.raises(ConfigError, match=key):
+            pl.run_pipeline(cfg, str(out))
+        assert list(out.iterdir()) == []
 
     def test_simulate_writes_what_the_pipeline_simulates(self, scene_file, pipe_file, tmp_path):
         """`simulate` and `run_pipeline` share one simulate stage: the same
@@ -555,6 +577,9 @@ OUT_OF_RANGE = [
     (FLIGHT, "drone.gps_sigma_m=inf", "drone.gps_sigma_m: must be finite"),
     (FLIGHT, "drone.gps_rate_hz=-5", "gps_rate_hz must be positive"),
     (FLIGHT, "drone.rpm_jitter=-1", "rpm_jitter must be nonnegative"),
+    # exited 1 allocating the noise (_ArrayMemoryError, 45.5 PiB and up)
+    (SCENE, "noise.background_rate=1e15", "noise.background_rate too large"),
+    (SCENE, "noise.hot_pixel_rate=1e15", "noise.hot_pixel_rate too large"),
 ]
 
 
@@ -591,6 +616,18 @@ class TestScenarioNumbers:
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_noise_bound_is_on_the_expected_count(self):
+        """Background draws one count, hot pixels one per pixel: the bound
+        holds the expected total of either."""
+        rng = np.random.default_rng(0)
+        bound = sim.MAX_NOISE_EVENTS
+        assert sim._poisson(rng, bound, "background_rate") > 0
+        assert sim._poisson(rng, bound / 4, "hot_pixel_rate", 4).size == 4
+        with pytest.raises(ConfigError, match="noise.background_rate too large"):
+            sim._poisson(rng, bound * (1 + 1e-9), "background_rate")
+        with pytest.raises(ConfigError, match="noise.hot_pixel_rate too large"):
+            sim._poisson(rng, bound / 4 * (1 + 1e-9), "hot_pixel_rate", 4)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_every_scenario_float_must_be_finite(self, tmp_path, value):
@@ -898,3 +935,15 @@ class TestFusionNumbers:
                          "0,0.0,0.0,0.0\n3000000000,0.0,0.0,0.0\n")
         assert code == EXIT_NUMERIC
         assert "non-finite covariance in predict" in capsys.readouterr().err
+
+
+class TestTrainCommandNumbers:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(("option", "field"), [("--delta-rpm", "delta_rpm"), ("--jitter-rpm", "rpm_jitter")])
+    def test_non_finite_rpm_exit_2(self, tmp_path, capsys, option, field, value):
+        """nan exited 0 and wrote a model of all-NaN feature means."""
+        model = tmp_path / "model.txt"
+        code = main(["train-command", "--model", str(model), "--samples-per-class", "6", option, value])
+        assert code == EXIT_CONFIG
+        assert f"drone {field} must be finite" in capsys.readouterr().err
+        assert not model.exists()

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotorsense import tables
-from rotorsense.cli import main
+from rotorsense.cli import EXIT_DATA, EXIT_OK, main
+from rotorsense.fusion import MAX_ROTOR_ID
 from rotorsense.config import parse_scenario
 from rotorsense.errors import ConfigError, DataError
 
@@ -165,3 +166,20 @@ def test_scenario_parser_raises_only_config_errors(tmp_path_factory, data):
         parse_scenario(str(path))
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize(
+    ("prop_id", "code"),
+    [(2**50, EXIT_DATA), (MAX_ROTOR_ID, EXIT_DATA), (MAX_ROTOR_ID - 1, EXIT_OK)],
+)
+def test_fuse_bounds_the_rotor_id(corpus, prop_id, code):
+    """A speed row's rotor id sizes fusion's speed vector: 2^50 asked for
+    8 PiB and exited 1. Ids below MAX_ROTOR_ID still fuse."""
+    d, targets = corpus
+    header, first, *rest = targets["speeds/fuse"][1].decode().splitlines()
+    t, _, rpm, objective = first.split(",")
+    speeds = d / "speeds_far_id.csv"
+    speeds.write_text("\n".join([header, f"{t},{prop_id},{rpm},{objective}", *rest]) + "\n")
+    argv = ["fuse", "--speeds", str(speeds), "--commands", str(d / "commands.csv"), "--gps", str(d / "gps.csv"),
+            "--out-csv", str(d / "out")]
+    assert main(argv) == code

@@ -13,7 +13,6 @@ from rotorsense.motion import (
     LATTICE_STRIDE,
     PRIOR_WINDOW_HALF_WIDTH,
     ObjectiveEvaluator,
-    PatchGeometry,
     brent_max,
     estimate_speed,
     patch_for,
@@ -87,23 +86,23 @@ class TestWarp:
 class TestAccumulate:
     def test_three_points_one_pixel(self):
         pts = np.array([[1.2, 1.3], [1.4, 1.8], [1.9, 1.1]])
-        image = accumulate(pts, PatchGeometry(4), center=(0.0, 0.0))
+        image = accumulate(pts, 4, center=(0.0, 0.0))
         assert image.counts.sum() == 3
         assert image.counts[1 + 4, 1 + 4] == 3
 
     def test_empty_input(self):
-        image = accumulate(np.zeros((0, 2)), PatchGeometry(3), center=(5.0, 5.0))
+        image = accumulate(np.zeros((0, 2)), 3, center=(5.0, 5.0))
         assert image.counts.sum() == 0 and image.n_dropped == 0
 
     def test_conservation(self, rng):
         pts = rng.uniform(-10, 10, size=(500, 2))
-        image = accumulate(pts, PatchGeometry(12), center=(40.0, 40.0))
+        image = accumulate(pts, 12, center=(40.0, 40.0))
         assert image.counts.sum() + image.n_dropped == 500
         assert image.counts.sum() == 500  # patch covers all points
 
     def test_outside_points_dropped_and_counted(self):
         pts = np.array([[100.0, 100.0], [0.0, 0.0]])
-        image = accumulate(pts, PatchGeometry(2), center=(0.0, 0.0))
+        image = accumulate(pts, 2, center=(0.0, 0.0))
         assert image.counts.sum() == 1
         assert image.n_dropped == 1
 
@@ -146,9 +145,8 @@ class TestRewards:
 
 class TestObjective:
     def test_zero_event_batch_closed_form(self):
-        patch = PatchGeometry(5)
-        value = ObjectiveEvaluator(Events.empty(), (0.0, 0.0), 0, patch, eps=0.5).value(100.0)
-        assert value == pytest.approx(patch.area * (1.0 + 1.0 / 0.5))
+        value = ObjectiveEvaluator(Events.empty(), (0.0, 0.0), 0, 5, eps=0.5).value(100.0)
+        assert value == pytest.approx(11 * 11 * (1.0 + 1.0 / 0.5))
 
     def test_polarity_invariance(self, clean_3000):
         events, _ = clean_3000
@@ -171,18 +169,18 @@ class TestObjective:
         events, _ = clean_3000
         batch = events.time_slice(0, 3000)
         omega = rpm_to_rad_s(3000.0)
-        patch = patch_for(batch, CENTER)
+        half_size = patch_for(batch, CENTER)
         warped = warp(batch, CENTER, 0, omega)
-        image = accumulate(warped, patch, CENTER, 0)
+        image = accumulate(warped, half_size, CENTER, 0)
         manual = reward_accumulation(image) + reward_sparsity(image, eps=1.0)
-        fused = ObjectiveEvaluator(batch, CENTER, 0, patch, eps=1.0).value(omega)
+        fused = ObjectiveEvaluator(batch, CENTER, 0, half_size, eps=1.0).value(omega)
         assert fused == pytest.approx(manual, rel=1e-9)
 
 
 def floor_and_mask_indices(evaluator, c, s):
     """The pixel indices as the kernel computed them with a bounds mask:
     floor of the shifted coordinates, events outside the patch dropped."""
-    side = evaluator.patch.side
+    side = evaluator.side
     ix = np.floor(c * evaluator._dx - s * evaluator._dy + evaluator._x_shift).astype(np.int32)
     iy = np.floor(s * evaluator._dx + c * evaluator._dy + evaluator._y_shift).astype(np.int32)
     inside = (ix >= 0) & (ix < side) & (iy >= 0) & (iy < side)
@@ -226,17 +224,17 @@ class TestIndexKernel:
         center = (40.5, 40.0)
         disc = disc_events(rng, 500, center, 24.0)
         events = concat_events([disc, make_events([(9000, 66, 40, 1)])])
-        evaluator = ObjectiveEvaluator(events, center, 0, PatchGeometry(26))
+        evaluator = ObjectiveEvaluator(events, center, 0, 26)
         for omega in np.linspace(-2000.0, 2000.0, 41):
             theta = evaluator._dt * np.float32(omega)
             c, s = np.cos(theta), np.sin(theta)
             assert np.array_equal(evaluator._indices_from(c, s), floor_and_mask_indices(evaluator, c, s))
         with pytest.raises(ConfigError, match="does not hold"):
-            ObjectiveEvaluator(events, center, 0, PatchGeometry(25))
+            ObjectiveEvaluator(events, center, 0, 25)
 
     def test_a_patch_beyond_the_largest_image_is_degenerate(self):
         events = make_events([(0, 10, 10, 1), (100, 6000, 10, 1)])
-        assert patch_for(events, (10.0, 10.0)).area > motion.MAX_PATCH_AREA
+        assert (2 * patch_for(events, (10.0, 10.0)) + 1) ** 2 > motion.MAX_PATCH_AREA
         with pytest.raises(DegenerateInputError, match="patch exceeds"):
             ObjectiveEvaluator(events, (10.0, 10.0), 0)
 
@@ -562,8 +560,8 @@ class TestLatticeScan:
             value_calls.append(omega)
             return original_value(self, omega)
 
-        def counting_brent(f, a, b, tol, max_iter=100):
-            return original_brent(lambda w: brent_calls.append(w) or f(w), a, b, tol, max_iter)
+        def counting_brent(f, a, b, tol):
+            return original_brent(lambda w: brent_calls.append(w) or f(w), a, b, tol)
 
         monkeypatch.setattr(ObjectiveEvaluator, "value", counting_value)
         monkeypatch.setattr(motion, "brent_max", counting_brent)

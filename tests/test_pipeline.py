@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from rotorsense.batching import BatchPolicy, StopReason, grow_batch
+from rotorsense.batching import StopReason, grow_batch
 from rotorsense import motion
 from rotorsense import tables
 from rotorsense.config import PipelineConfig
@@ -129,8 +129,8 @@ class TestEstimateTrack:
         bundles = slice_bundles(events, 2000)
         gap = EventBundle(events=Events.empty(), t_start=bundles[2].t_start, t_end=bundles[2].t_end)
         with_gap = bundles[:2] + [gap] + bundles[3:]
-        policy = BatchPolicy(dt_us=2000, max_bundles=8)
-        grown = grow_batch(with_gap, policy, rpm_to_rad_s(3000), (60.0, 60.0))
+        cfg = PipelineConfig(dt_us=2000, beta=8)
+        grown = grow_batch(with_gap, cfg, rpm_to_rad_s(3000), (60.0, 60.0))
         assert grown.reason is StopReason.CONSISTENCY
         assert grown.next_index == 2
 

@@ -93,9 +93,8 @@ def reference_preprocess_stream(events, cfg):
 def reference_estimate_track(track_events, center, cfg, prop_id=0):
     """The batch loop over contiguous bundles, skipping each empty one,
     with downsampling seeded by the bundle's index."""
-    policy = cfg.batch_policy()
     estimates, stop_reasons = [], []
-    bundles = reference_slice_bundles(track_events, policy.dt_us)
+    bundles = reference_slice_bundles(track_events, cfg.dt_us)
     cfg_lo, cfg_hi = rpm_to_rad_s(cfg.bracket_rpm_lo), rpm_to_rad_s(cfg.bracket_rpm_hi)
     i, omega_prior, spin = 0, None, +1
     while i < len(bundles):
@@ -108,7 +107,7 @@ def reference_estimate_track(track_events, center, cfg, prop_id=0):
                 i += 1
                 continue
             omega_prior, spin = acquired
-        grown = grow_batch(bundles, policy, omega_prior, center, start=i, eps=cfg.epsilon, spin=spin)
+        grown = grow_batch(bundles, cfg, omega_prior, center, start=i, spin=spin)
         if len(grown.batch.bundles) < cfg.min_emit_bundles:
             if grown.reason is StopReason.CONSISTENCY:
                 omega_prior = None
@@ -116,8 +115,8 @@ def reference_estimate_track(track_events, center, cfg, prop_id=0):
             continue
         batch_events = grown.batch.events()
         used = (
-            density_downsample(batch_events, policy, seed=cfg.seed + i)
-            if policy.sample_fraction < 1.0
+            density_downsample(batch_events, cfg, seed=cfg.seed + i)
+            if cfg.sample_fraction < 1.0
             else batch_events
         )
         lo, hi = max(cfg_lo, 0.5 * omega_prior), min(cfg_hi, 1.5 * omega_prior)
@@ -221,7 +220,7 @@ def test_hole_stops_growth_for_consistency():
     cfg = CASES["hole"][1]
     bundles = slice_bundles(events, cfg.dt_us)
     gap = next(m for m in range(1, len(bundles)) if bundles[m].t_start != bundles[m - 1].t_end)
-    grown = grow_batch(bundles, cfg.batch_policy(), rpm_to_rad_s(3000), (60.0, 60.0), start=gap - 3)
+    grown = grow_batch(bundles, cfg, rpm_to_rad_s(3000), (60.0, 60.0), start=gap - 3)
     assert grown.reason is StopReason.CONSISTENCY
     assert grown.next_index == gap
 
