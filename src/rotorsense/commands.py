@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import COMMANDS
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, NumericalError, open_text
 
 FEATURES_PER_CHANNEL = 5
 
@@ -131,7 +131,12 @@ def _prepare_features(
 
 
 def _fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return features.mean(axis=0), features.std(axis=0)
+    """Per-feature mean and std; NumericalError when either is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = features.mean(axis=0), features.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise NumericalError("training features are not finite or overflow: cannot standardize them")
+    return mean, std
 
 
 def _pegasos_ovr(
@@ -203,7 +208,8 @@ def train_command_model(
     Deterministic per seed. Raises DataError when an expected class is
     missing from the training set or has fewer than k samples. The
     expected class set defaults to all six commands; reduced synthetic
-    problems may pass a subset.
+    problems may pass a subset. Raises NumericalError when the features,
+    or their mean or spread, are not finite.
     """
     if not samples:
         raise DataError("no training samples")

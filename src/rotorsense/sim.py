@@ -211,11 +211,20 @@ class GroundTruth:
 # --- Blade rasterization ---
 
 
-class _BladePainter:
-    """Incremental coverage rasterizer for one propeller.
+# Ticks painted per block. A pixel's coverage margin is 1-Lipschitz in its
+# position, and a pixel at radius r moves at most r * |dphase|, so a pixel
+# whose margin at a block's first tick is farther from zero than r times
+# the block's summed |dphase| cannot flip inside the block.
+_BLOCK = 8
+_SLACK_PX = 1e-6  # covers the rounding of the margins and of the bound
 
-    Tracks a signed coverage margin per pixel (distance in pixels to the
-    nearest blade boundary, positive inside) so a coverage flip between
+
+class _BladePainter:
+    """Coverage rasterizer for one propeller over the disk of pixels it
+    can cover.
+
+    The coverage margin of a pixel is its distance in pixels to the
+    nearest blade boundary, positive inside, so a coverage flip between
     ticks can be timestamped at the interpolated crossing instant rather
     than the tick edge.
     """
@@ -234,72 +243,64 @@ class _BladePainter:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         dx = gx.ravel().astype(np.float64) - cx
         dy = gy.ravel().astype(np.float64) - cy
-        keep = dx * dx + dy * dy <= (spec.blade_length + 1.0) ** 2
+        r2 = dx * dx + dy * dy
+        keep = r2 <= (spec.blade_length + 1.0) ** 2
         self.px = gx.ravel()[keep].astype(np.uint16)
         self.py = gy.ravel()[keep].astype(np.uint16)
         self.dx = dx[keep]
         self.dy = dy[keep]
+        self.radius = np.sqrt(r2[keep])
         self.spec = spec
-        self.margin = np.full(self.dx.size, -np.inf)
 
-    def coverage_margin(self, phase: float) -> np.ndarray:
-        """max over blades of min(u, L-u, w/2-|v|): >= 0 iff covered."""
+    def margins(self, phases: Sequence[float], pixels: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """(len(phases), n) margins of the pixels at each phase: the max over
+        blades of min(u, L-u, w/2-|v|), >= 0 iff covered."""
         spec = self.spec
         half_w = 0.5 * spec.blade_width
-        margin = np.full(self.dx.size, -np.inf)
+        dx, dy = self.dx[pixels], self.dy[pixels]
+        margin = np.full((len(phases), dx.size), -np.inf)
         for b in range(spec.n_blades):
-            theta = phase + 2.0 * math.pi * b / spec.n_blades
-            c, s = math.cos(theta), math.sin(theta)
-            u = self.dx * c + self.dy * s
-            v = self.dy * c - self.dx * s
+            thetas = [phase + 2.0 * math.pi * b / spec.n_blades for phase in phases]
+            c = np.array([math.cos(theta) for theta in thetas])[:, None]
+            s = np.array([math.sin(theta) for theta in thetas])[:, None]
+            u = dx * c + dy * s
+            v = dy * c - dx * s
             m = np.minimum(np.minimum(u, spec.blade_length - u), half_w - np.abs(v))
             np.maximum(margin, m, out=margin)
         return margin
 
-    def coverage(self, phase: float) -> np.ndarray:
-        return self.coverage_margin(phase) >= 0.0
+    def paint(
+        self, phases: list[float], first: np.ndarray, times: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Coverage transitions over one block of ticks.
 
-    def reset(self, phase: float) -> None:
-        self.margin = self.coverage_margin(phase)
-
-    def step(
-        self, phase: float, t_prev_us: float, t_now_us: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance to a new phase; return (t, x, y, p) of transition events.
-
+        `phases` and `times` give the block's ticks; `first` holds every
+        pixel's margins at the first of them. Returns every pixel's
+        margins at the last tick, and the (tick, t, pixel, p) of each
+        transition in (tick, on-before-off, pixel) order, where tick j is
+        the step from tick j to tick j + 1 of the block. Between the
+        block's ends only the band of pixels that can flip is evaluated.
         Timestamps are the linear-interpolation crossing instants of the
-        coverage margin inside (t_prev, t_now]; the tick validation keeps
-        per-tick motion under a pixel, where the margin is near-linear.
+        margin inside (t_prev, t_now]; the tick validation keeps per-tick
+        motion under a pixel, where the margin is near-linear.
         """
-        margin = self.coverage_margin(phase)
-        prev = self.margin
-        new_on = (margin >= 0.0) & (prev < 0.0)
-        new_off = (margin < 0.0) & (prev >= 0.0)
-        on_idx = np.flatnonzero(new_on)
-        off_idx = np.flatnonzero(new_off)
-        idx = np.concatenate([on_idx, off_idx])
-        p = np.concatenate(
-            [np.ones(on_idx.size, dtype=np.int8), -np.ones(off_idx.size, dtype=np.int8)]
-        )
-        denom = margin[idx] - prev[idx]
-        finite_prev = np.isfinite(prev[idx])
+        sweep = sum(abs(b - a) for a, b in zip(phases, phases[1:]))
+        last = self.margins(phases[-1:])[0]
+        # `not >` keeps a NaN margin or bound in the band
+        band = np.flatnonzero(~(np.abs(first) > self.radius * sweep + _SLACK_PX))
+        rows = np.vstack([first[band], self.margins(phases[1:-1], band), last[band]])
+        prev, now = rows[:-1], rows[1:]
+        flips = np.stack([(now >= 0.0) & (prev < 0.0), (now < 0.0) & (prev >= 0.0)], axis=1)
+        tick, off, b = np.nonzero(flips)
+        prev, now = prev[tick, b], now[tick, b]
+        denom = now - prev
         with np.errstate(invalid="ignore"):
-            frac = np.where(
-                finite_prev & (np.abs(denom) > 0), -prev[idx] / denom, 1.0
-            )
+            frac = np.where(np.isfinite(prev) & (np.abs(denom) > 0), -prev / denom, 1.0)
         frac = np.clip(frac, 0.0, 1.0)
-        t = np.rint(t_prev_us + frac * (t_now_us - t_prev_us)).astype(np.int64)
-        self.margin = margin
-        return t, self.px[idx], self.py[idx], p
-
-
-def blade_mask(spec: PropellerSpec, phase: float, geometry: SensorGeometry) -> np.ndarray:
-    """Boolean (width, height) image of pixels covered at a given phase."""
-    painter = _BladePainter(spec, geometry)
-    mask = np.zeros((geometry.width, geometry.height), dtype=bool)
-    cov = painter.coverage(phase)
-    mask[painter.px[cov].astype(np.int64), painter.py[cov].astype(np.int64)] = True
-    return mask
+        t_prev, t_now = times[tick], times[tick + 1]
+        t = np.rint(t_prev + frac * (t_now - t_prev)).astype(np.int64)
+        p = np.where(off == 0, 1, -1).astype(np.int8)
+        return last, (tick, t, band[b], p)
 
 
 def _validate_tick(spec: PropellerSpec, duration_us: int, tick_us: int) -> None:
@@ -312,6 +313,21 @@ def _validate_tick(spec: PropellerSpec, duration_us: int, tick_us: int) -> None:
             f"{tip_speed * tick_us * 1e-6:.2f} px per tick at {peak_rpm:.0f} RPM; "
             f"use tick <= {required} us"
         )
+
+
+# Most ticks a simulation may take. Tick times, phases, speeds and a
+# flight's states are held per tick: about 1.5 GB for a four-rotor flight
+# at the bound, where a 1e13-tick scene asked for 72.8 TiB. The acceptance
+# scenes take at most 160k ticks.
+MAX_TICKS = 10**7
+
+
+def _n_ticks(duration_us: int, tick_us: int, what: str = "duration_us / tick_us") -> int:
+    """duration_us // tick_us; ConfigError when that exceeds MAX_TICKS."""
+    n_ticks = duration_us // tick_us
+    if n_ticks > MAX_TICKS:
+        raise ConfigError(f"{what} too large: {n_ticks} ticks, at most {MAX_TICKS:.0e}")
+    return n_ticks
 
 
 def default_geometry(specs: Sequence[PropellerSpec]) -> SensorGeometry:
@@ -342,15 +358,20 @@ def _render(
     events, all merged by time. Draws from `rng` in that order."""
     geometry = geometry or default_geometry(specs)
     painters = [_BladePainter(spec, geometry) for spec in specs]
-    for painter, phase in zip(painters, phases):
-        painter.reset(float(phase[0]))
+    margins = [painter.margins([float(phase[0])])[0] for painter, phase in zip(painters, phases)]
+    times = tick_times.astype(np.float64)
     blade = []
-    for k in range(1, tick_times.size):
-        t_prev, t_now = float(tick_times[k - 1]), float(tick_times[k])
+    for k0 in range(0, tick_times.size - 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, tick_times.size - 1)
+        found = []
         for i, painter in enumerate(painters):
-            t, x, y, p = painter.step(float(phases[i][k]), t_prev, t_now)
-            if x.size:
-                blade.append((t, x.astype(np.int64), y.astype(np.int64), p, np.full(x.size, i, dtype=np.int16)))
+            margins[i], (tick, t, pixel, p) = painter.paint(phases[i][k0 : k1 + 1].tolist(), margins[i], times[k0 : k1 + 1])
+            origin = np.full(t.size, i, dtype=np.int16)
+            found.append((tick, t, painter.px[pixel].astype(np.int64), painter.py[pixel].astype(np.int64), p, origin))
+        # the painters' transitions in (tick, painter) order
+        tick, *columns = (np.concatenate(column) for column in zip(*found))
+        order = np.argsort(tick, kind="stable")
+        blade.append(tuple(column[order] for column in columns))
     background = _background(noise, geometry, duration_us, rng)
     t, x, y, p, origin = _columns(blade)
     if noise.vibration_jitter_px > 0 and t.size:
@@ -427,10 +448,10 @@ def simulate_propellers(
         raise ConfigError("need at least one propeller spec")
     if tick_us <= 0 or duration_us < 0:
         raise ConfigError("tick and duration must be positive")
+    n_ticks = _n_ticks(duration_us, tick_us)
     for spec in specs:
         _validate_tick(spec, duration_us, tick_us)
 
-    n_ticks = duration_us // tick_us
     tick_times = np.arange(n_ticks + 1, dtype=np.int64) * tick_us
     phases = []
     rpm = np.zeros((len(specs), tick_times.size))
@@ -545,8 +566,10 @@ def simulate_flight(
     """
     if tick_us <= 0 or duration_us <= 0:
         raise ConfigError("tick and duration must be positive")
+    n_ticks = _n_ticks(duration_us, tick_us)
+    if render_events:
+        _n_ticks(duration_us, RENDER_TICK_US, f"duration_us / {RENDER_TICK_US} us render tick")
     rng = np.random.default_rng(seed)
-    n_ticks = duration_us // tick_us
     tick_times = np.arange(n_ticks + 1, dtype=np.int64) * tick_us
     command_ids = _script_commands(list(command_script), tick_times)
 

@@ -7,7 +7,10 @@ tests compare the two. `simulate_flight` evaluates the command mixer and
 the acceleration model at every tick, and paints, draws noise and merges
 a rendered flight's events in separate passes; `sim.simulate_flight`
 tabulates each command once and renders through the renderer it shares
-with `sim.simulate_propellers`.
+with `sim.simulate_propellers`. `BladePainter` evaluates every disk
+pixel's coverage margin on every tick, and `render` paints with it one
+tick at a time; `sim._render` paints blocks of ticks and evaluates only
+the pixels that can flip.
 """
 
 from __future__ import annotations
@@ -166,17 +169,7 @@ def _render_flight(drone, noise, traces, tick_times, geometry, rng, render_tick_
         frac = (render_times - tick_times[idx]).astype(np.float64)
         phase = coarse[idx] + omega_rad_us[np.minimum(idx, traces.shape[1] - 1)] * frac
         phases.append(spec.initial_phase - spec.spin * phase)
-    # paint
-    painters = [sim._BladePainter(spec, geometry) for spec in specs]
-    for painter, phase in zip(painters, phases):
-        painter.reset(float(phase[0]))
-    blade = [[] for _ in range(5)]
-    for k in range(1, render_times.size):
-        for i, painter in enumerate(painters):
-            t, x, y, p = painter.step(float(phases[i][k]), float(render_times[k - 1]), float(render_times[k]))
-            for column, values in zip(blade, (t, x.astype(np.int64), y.astype(np.int64), p, np.full(x.size, i, np.int16))):
-                column.append(values)
-    bt, bx, by, bp, bo = (np.concatenate(column) for column in blade)
+    bt, bx, by, bp, bo = sim._columns(paint(specs, phases, render_times, geometry))
     # background and hot pixels
     noise_columns = [[np.empty(0, np.int64)] * 3 + [np.empty(0, np.int8), np.empty(0, np.int16)]]
     duration_s = duration_us * 1e-6
@@ -213,3 +206,85 @@ def _render_flight(drone, noise, traces, tick_times, geometry, rng, render_tick_
     order = np.argsort(t, kind="stable")
     columns = [np.concatenate([b, n])[order] for b, n in ((bx, nx), (by, ny), (bp, np_), (bo, no))]
     return Events(t[order].astype(np.uint64), *columns[:3], validate=False), columns[3]
+
+
+class BladePainter(sim._BladePainter):
+    """Per-tick coverage rasterizer over every pixel of the disk."""
+
+    def coverage_margin(self, phase: float) -> np.ndarray:
+        """max over blades of min(u, L-u, w/2-|v|): >= 0 iff covered."""
+        spec = self.spec
+        half_w = 0.5 * spec.blade_width
+        margin = np.full(self.dx.size, -np.inf)
+        for b in range(spec.n_blades):
+            theta = phase + 2.0 * math.pi * b / spec.n_blades
+            c, s = math.cos(theta), math.sin(theta)
+            u = self.dx * c + self.dy * s
+            v = self.dy * c - self.dx * s
+            m = np.minimum(np.minimum(u, spec.blade_length - u), half_w - np.abs(v))
+            np.maximum(margin, m, out=margin)
+        return margin
+
+    def coverage(self, phase: float) -> np.ndarray:
+        return self.coverage_margin(phase) >= 0.0
+
+    def reset(self, phase: float) -> None:
+        self.margin = self.coverage_margin(phase)
+
+    def step(self, phase: float, t_prev_us: float, t_now_us: float):
+        """Advance to a new phase; return (t, x, y, p) of transition events,
+        timestamped at the interpolated crossing inside (t_prev, t_now]."""
+        margin = self.coverage_margin(phase)
+        prev = self.margin
+        on_idx = np.flatnonzero((margin >= 0.0) & (prev < 0.0))
+        off_idx = np.flatnonzero((margin < 0.0) & (prev >= 0.0))
+        idx = np.concatenate([on_idx, off_idx])
+        p = np.concatenate([np.ones(on_idx.size, dtype=np.int8), -np.ones(off_idx.size, dtype=np.int8)])
+        denom = margin[idx] - prev[idx]
+        finite_prev = np.isfinite(prev[idx])
+        with np.errstate(invalid="ignore"):
+            frac = np.where(finite_prev & (np.abs(denom) > 0), -prev[idx] / denom, 1.0)
+        frac = np.clip(frac, 0.0, 1.0)
+        t = np.rint(t_prev_us + frac * (t_now_us - t_prev_us)).astype(np.int64)
+        self.margin = margin
+        return t, self.px[idx], self.py[idx], p
+
+
+def blade_mask(spec: sim.PropellerSpec, phase: float, geometry) -> np.ndarray:
+    """Boolean (width, height) image of pixels covered at a given phase."""
+    painter = BladePainter(spec, geometry)
+    mask = np.zeros((geometry.width, geometry.height), dtype=bool)
+    cov = painter.coverage(phase)
+    mask[painter.px[cov].astype(np.int64), painter.py[cov].astype(np.int64)] = True
+    return mask
+
+
+def paint(specs, phases, tick_times, geometry) -> list[tuple[np.ndarray, ...]]:
+    """(t, x, y, p, origin) parts of every propeller's transitions, one
+    tick and one propeller at a time."""
+    painters = [BladePainter(spec, geometry) for spec in specs]
+    for painter, phase in zip(painters, phases):
+        painter.reset(float(phase[0]))
+    blade = []
+    for k in range(1, tick_times.size):
+        t_prev, t_now = float(tick_times[k - 1]), float(tick_times[k])
+        for i, painter in enumerate(painters):
+            t, x, y, p = painter.step(float(phases[i][k]), t_prev, t_now)
+            if x.size:
+                blade.append((t, x.astype(np.int64), y.astype(np.int64), p, np.full(x.size, i, dtype=np.int16)))
+    return blade
+
+
+def render(specs, phases, tick_times, noise, geometry, duration_us, rng):
+    """`sim._render` with the per-tick painter: paint, draw background and
+    hot pixels, jitter the blade events, merge by time."""
+    geometry = geometry or sim.default_geometry(specs)
+    blade = paint(specs, phases, tick_times, geometry)
+    background = sim._background(noise, geometry, duration_us, rng)
+    t, x, y, p, origin = sim._columns(blade)
+    if noise.vibration_jitter_px > 0 and t.size:
+        x = np.clip(np.rint(x + rng.normal(0, noise.vibration_jitter_px, t.size)), 0, geometry.width - 1).astype(np.int64)
+        y = np.clip(np.rint(y + rng.normal(0, noise.vibration_jitter_px, t.size)), 0, geometry.height - 1).astype(np.int64)
+    t, x, y, p, origin = sim._columns([(t, x, y, p, origin), *background])
+    order = np.argsort(t, kind="stable")
+    return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]

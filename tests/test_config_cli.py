@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from rotorsense.config import _SPEC_KEYS, PipelineConfig, parse_scenario
@@ -580,6 +581,9 @@ OUT_OF_RANGE = [
     # exited 1 allocating the noise (_ArrayMemoryError, 45.5 PiB and up)
     (SCENE, "noise.background_rate=1e15", "noise.background_rate too large"),
     (SCENE, "noise.hot_pixel_rate=1e15", "noise.hot_pixel_rate too large"),
+    # exited 1 allocating the ticks (_ArrayMemoryError, 72.8 TiB and up)
+    (SCENE, "duration_us=10000000000000", "duration_us / tick_us too large"),
+    (FLIGHT, "duration_us=10000000000000000", "duration_us / tick_us too large"),
 ]
 
 
@@ -628,6 +632,37 @@ class TestScenarioNumbers:
             sim._poisson(rng, bound * (1 + 1e-9), "background_rate")
         with pytest.raises(ConfigError, match="noise.hot_pixel_rate too large"):
             sim._poisson(rng, bound / 4 * (1 + 1e-9), "hot_pixel_rate", 4)
+
+    def test_tick_bound_is_on_the_tick_count(self):
+        assert sim._n_ticks(sim.MAX_TICKS * 7 + 6, 7) == sim.MAX_TICKS
+        with pytest.raises(ConfigError, match="duration_us / tick_us too large"):
+            sim._n_ticks(sim.MAX_TICKS * 7 + 7, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tick_us=st.integers(1, 10**9),
+        excess=st.integers(1, 10**12),
+        flight=st.booleans(),
+        render=st.booleans(),
+    )
+    def test_too_many_ticks_raise_before_allocating(self, tick_us, excess, flight, render):
+        """Any tick count above MAX_TICKS is a ConfigError naming the keys,
+        raised before a per-tick array exists; so is a rendered flight
+        whose render ticks exceed it."""
+        duration_us = (sim.MAX_TICKS + excess) * tick_us
+        with pytest.raises(ConfigError, match="duration_us / "):
+            if flight:
+                sim.simulate_flight([(0, "hover")], DroneSpec(), NoiseSpec(), duration_us, seed=0,
+                                    tick_us=tick_us, render_events=render)
+            else:
+                spec = sim.PropellerSpec((20.0, 20.0), 2, 12.0, 3.0, 0.0, sim.ConstantSpeed(0.0))
+                sim.simulate_propellers([spec], NoiseSpec(), duration_us, tick_us, seed=0)
+
+    def test_rendered_flight_bounds_its_render_ticks(self):
+        """10**6 truth ticks of 1 s are fine; 2.5e10 render ticks are not."""
+        with pytest.raises(ConfigError, match="duration_us / 40 us render tick too large"):
+            sim.simulate_flight([(0, "hover")], DroneSpec(), NoiseSpec(), 10**12, seed=0,
+                                tick_us=10**6, render_events=True)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_every_scenario_float_must_be_finite(self, tmp_path, value):
@@ -947,3 +982,13 @@ class TestTrainCommandNumbers:
         assert code == EXIT_CONFIG
         assert f"drone {field} must be finite" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_overflowing_features_exit_4(self, tmp_path, capsys):
+        """The squared speeds overflow: this exited 0 and wrote a model of
+        inf/nan feature means and all-zero weights."""
+        model = tmp_path / "model.txt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train-command", "--model", str(model), "--samples-per-class", "6", "--jitter-rpm", "1e200"])
+        assert code == EXIT_NUMERIC
+        assert "training features are not finite" in capsys.readouterr().err
+        assert not model.exists() and not os.path.exists(str(model) + ".manifest.json")

@@ -17,9 +17,9 @@ from rotorsense.motion import (
     estimate_speed,
     patch_for,
 )
-from rotorsense.sim import NO_NOISE, blade_mask, simulate_propellers
+from rotorsense.sim import NO_NOISE, simulate_propellers
 from conftest import CENTER, make_spec
-from oracles import accumulate, reward_accumulation, reward_sparsity, warp
+from oracles import accumulate, blade_mask, reward_accumulation, reward_sparsity, warp
 
 
 def make_events(rows):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rotorsense.dynamics import COMMANDS, command_rpm_pattern
+from rotorsense import sim
+from rotorsense.dynamics import COMMANDS, command_rpm_pattern, rpm_to_rad_s
 from rotorsense.errors import ConfigError
 from rotorsense.events import SensorGeometry
 from rotorsense.sim import (
@@ -9,9 +11,9 @@ from rotorsense.sim import (
     DroneSpec,
     NO_NOISE,
     NoiseSpec,
+    PropellerSpec,
     RampSpeed,
     StepSpeed,
-    blade_mask,
     simulate_flight,
     simulate_propellers,
 )
@@ -105,7 +107,7 @@ class TestSimulatePropellers:
         for i in range(0, len(events), step):
             t = int(events.t[i])
             phase = spec.initial_phase - spec.spin * profile.phase_advance(0.0, t)
-            mask = blade_mask(spec, phase, geometry)
+            mask = oracles.blade_mask(spec, phase, geometry)
             x, y = int(events.x[i]), int(events.y[i])
             window = mask[max(x - 1, 0) : x + 2, max(y - 1, 0) : y + 2]
             assert window.any(), f"event {i} at ({x},{y}) t={t} off the blade"
@@ -235,3 +237,89 @@ class TestOnePath:
             assert [a.dtype for a in (events.t, events.x, events.y, events.p, origin)] == [
                 np.uint64, np.uint16, np.uint16, np.int8, np.int16
             ]
+
+
+def assert_same_stream(got, want):
+    """Events and origins bit-equal, dtypes and shapes included."""
+    (events, origin), (ref_events, ref_origin) = got, want
+    for a, b in [(events.t, ref_events.t), (events.x, ref_events.x), (events.y, ref_events.y),
+                 (events.p, ref_events.p), (origin, ref_origin)]:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def with_both_painters(simulate):
+    """simulate() painted by sim._render, then by the per-tick oracle."""
+    got = simulate()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "_render", oracles.render)
+        want = simulate()
+    return got, want
+
+
+def scene(specs, noise=NO_NOISE, duration_us=12_000, tick_us=40, geometry=None):
+    def simulate():
+        events, truth = simulate_propellers(specs, noise, duration_us, tick_us, seed=5, geometry=geometry)
+        return events, truth.event_origin
+    return simulate
+
+
+JITTER = NoiseSpec(background_rate=20.0, hot_pixel_count=4, hot_pixel_rate=800.0, vibration_jitter_px=0.6)
+BAND_SCENES = {
+    "two_blades": scene([make_spec()]),
+    "three_blades_ramp": scene([PropellerSpec(CENTER, 3, 30.0, 5.0, 0.2, RampSpeed(1_000, 500.0, 9_000, 6000.0))]),
+    "step": scene([PropellerSpec(CENTER, 2, 25.0, 4.0, 2.0, StepSpeed([(0, 2000.0), (5_000, 7000.0)]))]),
+    "spin_minus_one": scene([make_spec(spin=-1, phase=-1.0)], duration_us=9_970),
+    "zero_rpm": scene([make_spec(rpm=0.0), make_spec(rpm=4000.0, center=(100.0, 60.0))]),
+    # painters share pixels and tie in time: the merge keeps painter order
+    "overlapping": scene([make_spec(), make_spec(rpm=4500.0, center=(72.0, 66.0), phase=1.1, spin=-1)]),
+    "noise_jitter": scene([make_spec(), make_spec(rpm=0.0, center=(70.0, 65.0))], JITTER, geometry=SensorGeometry(140, 130)),
+}
+
+
+class TestBandPainter:
+    """`sim._render` paints blocks of ticks and evaluates only the pixels a
+    blade edge can cross; the per-tick oracle evaluates every pixel on
+    every tick. Their streams must be bit-equal. TestOnePath compares a
+    noisy rendered flight against an oracle that paints per tick, too."""
+
+    @pytest.mark.parametrize("name", list(BAND_SCENES))
+    def test_bit_equal_to_the_per_tick_painter(self, name):
+        got, want = with_both_painters(BAND_SCENES[name])
+        assert len(got[0]) > 0
+        assert_same_stream(got, want)
+
+    def test_rendered_flight_bit_equal(self):
+        def simulate():
+            flight = simulate_flight([(0, "hover"), (6_000, "yaw")], DroneSpec(rpm_jitter=30.0), JITTER, 12_000,
+                                     seed=2, render_events=True)
+            return flight.events, flight.truth.event_origin
+        got, want = with_both_painters(simulate)
+        assert set(np.unique(got[1]).tolist()) == {-2, -1, 0, 1, 2, 3}
+        assert_same_stream(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_on_random_scenes(self, data):
+        """Random blade geometry, phase, profile and spin, one or two rotors
+        on a small sensor (disks may be clipped), any tick count."""
+        specs, peak = [], []
+        for _ in range(data.draw(st.integers(1, 2))):
+            length = data.draw(st.floats(2.0, 18.0))
+            rpms = data.draw(st.lists(st.floats(0.0, 9000.0), min_size=2, max_size=2))
+            profile = data.draw(st.sampled_from([
+                ConstantSpeed(rpms[0]), StepSpeed([(0, rpms[0]), (600, rpms[1])]), RampSpeed(200, rpms[0], 900, rpms[1]),
+            ]))
+            specs.append(PropellerSpec(
+                center=(data.draw(st.floats(5.0, 45.0)), data.draw(st.floats(5.0, 45.0))),
+                n_blades=data.draw(st.integers(1, 4)), blade_length=length,
+                blade_width=length * data.draw(st.floats(0.05, 0.6)), initial_phase=data.draw(st.floats(-20.0, 20.0)),
+                speed_profile=profile, spin=data.draw(st.sampled_from([-1, 1])),
+            ))
+            peak.append(rpm_to_rad_s(max(rpms)) * length)
+        tick_us = max(1, int(1e6 / max(max(peak), 1.0) * data.draw(st.floats(0.1, 1.0))))
+        tick_us = min(tick_us, 300)
+        duration_us = tick_us * data.draw(st.integers(0, 40)) + data.draw(st.integers(0, tick_us - 1))
+        got, want = with_both_painters(scene(specs, duration_us=duration_us, tick_us=tick_us,
+                                             geometry=SensorGeometry(50, 50)))
+        assert_same_stream(got, want)
