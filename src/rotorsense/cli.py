@@ -85,8 +85,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _say(f"simulated {len(events)} events over {scenario.duration_us} us -> {args.out}")
     else:
         flight = simulate_flight(
-            scenario.script, scenario.drone, scenario.noise, scenario.duration_us,
-            seed=scenario.seed, render_events=scenario.render_events, geometry=scenario.geometry,
+            scenario.script, scenario.drone, scenario.noise, scenario.duration_us, seed=scenario.seed,
+            tick_us=scenario.tick_us, render_events=scenario.render_events, geometry=scenario.geometry,
         )
         artifacts = []
         if scenario.render_events and len(flight.events):

@@ -19,6 +19,10 @@ from .dynamics import COMMANDS
 from .errors import ConfigError, DataError, NumericalError, open_text
 
 FEATURES_PER_CHANNEL = 5
+# samples per filter and feature pass in training: one pass over all of
+# train-command's 1200 windows peaks at about 23 MB of arrays, blocks of 64
+# at under 2 MB
+FEATURE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,12 @@ class CommandSample:
 
 
 def lowpass_filter(trace: np.ndarray, cutoff_hz: float, rate_hz: float) -> np.ndarray:
-    """Single-pole smoothing run forward then backward: zero phase lag,
-    unit DC gain, monotone step response."""
+    """Single-pole smoothing run forward then backward along the last
+    axis: zero phase lag, unit DC gain, monotone step response.
+
+    The recurrence steps a time-first view, so a stack of traces advances
+    one time step at a time with the same float operations per element as
+    each trace alone, and a 1-D trace steps scalars."""
     if cutoff_hz <= 0:
         raise ConfigError("cutoff must be positive")
     if cutoff_hz > rate_hz / 2.0:
@@ -54,35 +62,56 @@ def lowpass_filter(trace: np.ndarray, cutoff_hz: float, rate_hz: float) -> np.nd
     def one_pass(sig: np.ndarray) -> np.ndarray:
         out = np.empty_like(sig)
         out[0] = sig[0]
-        for i in range(1, sig.size):
-            out[i] = a * out[i - 1] + (1.0 - a) * sig[i]
+        scaled = (1.0 - a) * sig
+        for i in range(1, len(sig)):
+            out[i] = a * out[i - 1] + scaled[i]
         return out
 
-    return one_pass(one_pass(x)[::-1])[::-1]
+    time_first = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return np.moveaxis(one_pass(one_pass(time_first)[::-1])[::-1], 0, -1)
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _channel_features(signal: np.ndarray, rate_hz: float) -> np.ndarray:
-    mean = float(signal.mean())
-    std = float(signal.std())
-    n_fft = _next_pow2(signal.size)
-    padded = np.zeros(n_fft)
-    padded[: signal.size] = signal - mean  # keep zero-padding from leaking DC
-    spectrum = np.fft.rfft(padded)
-    mags_sq = np.abs(spectrum[1:]) ** 2  # DC excluded
-    floor = (1e-9 * signal.size * max(1.0, abs(mean) + std)) ** 2
-    if mags_sq.size == 0 or float(mags_sq.max()) <= floor:
-        return np.array([mean, std, 0.0, 0.0, 0.0])
-    energy = float(mags_sq.sum())
-    dominant_bin = int(np.argmax(mags_sq)) + 1
-    dominant_hz = dominant_bin * rate_hz / n_fft
-    p = mags_sq / energy
-    nz = p[p > 0]
-    entropy = float(-(nz * np.log(nz)).sum())
-    return np.array([mean, std, dominant_hz, energy, entropy])
+def _features(channels: np.ndarray, rate_hz: float) -> np.ndarray:
+    """The five features of each row of a (channels, window) stack, as a
+    (channels, 5) array.
+
+    Each reduction runs over one contiguous row, so every row gets the
+    float operations it would get alone. Non-finite or overflowing
+    windows give non-finite features without a warning; training rejects
+    them when it standardizes."""
+    x = np.ascontiguousarray(channels, dtype=np.float64)
+    n_rows, n = x.shape
+    n_fft = _next_pow2(n)
+    feats = np.zeros((n_rows, FEATURES_PER_CHANNEL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x.mean(axis=1), x.std(axis=1)
+        feats[:, 0], feats[:, 1] = mean, std
+        padded = np.zeros((n_rows, n_fft))
+        padded[:, :n] = x - mean[:, None]  # keep zero-padding from leaking DC
+        mags_sq = np.abs(np.fft.rfft(padded)[:, 1:]) ** 2  # DC excluded
+        if mags_sq.shape[1] == 0:
+            return feats
+        floor = np.square(1e-9 * n * np.fmax(1.0, np.abs(mean) + std))
+        # a flat row keeps 0 for the spectral features; a NaN peak is not flat
+        live = np.flatnonzero(~(mags_sq.max(axis=1) <= floor))
+        mags_sq = mags_sq[live]
+        energy = mags_sq.sum(axis=1)
+        feats[live, 2] = (np.argmax(mags_sq, axis=1) + 1) * rate_hz / n_fft
+        feats[live, 3] = energy
+        p = mags_sq / energy[:, None]
+    # rows with a zero (or NaN) bin sum only their positive terms, which
+    # is a different summation than over the full row
+    positive = (p > 0).all(axis=1)
+    p_pos = p[positive]
+    feats[live[positive], 4] = -(p_pos * np.log(p_pos)).sum(axis=1)
+    for row, probs in zip(live[~positive], p[~positive]):
+        nz = probs[probs > 0]
+        feats[row, 4] = -(nz * np.log(nz)).sum()
+    return feats
 
 
 def extract_features(sample: CommandSample | np.ndarray, rate_hz: float = 1000.0) -> np.ndarray:
@@ -95,7 +124,7 @@ def extract_features(sample: CommandSample | np.ndarray, rate_hz: float = 1000.0
     data = sample.speeds_sq if isinstance(sample, CommandSample) else np.asarray(sample, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("expected a (n_props, window) array")
-    return np.concatenate([_channel_features(data[ch], rate_hz) for ch in range(data.shape[0])])
+    return _features(data, rate_hz).reshape(-1)
 
 
 @dataclass
@@ -121,13 +150,15 @@ class CommandModel:
 def _prepare_features(
     samples: list[CommandSample], rate_hz: float, cutoff_hz: float | None
 ) -> np.ndarray:
+    """One feature row per sample, FEATURE_BLOCK samples per filter and
+    feature pass."""
     rows = []
-    for s in samples:
-        data = s.speeds_sq
+    for start in range(0, len(samples), FEATURE_BLOCK):
+        block = np.stack([s.speeds_sq for s in samples[start : start + FEATURE_BLOCK]])
         if cutoff_hz is not None:
-            data = np.stack([lowpass_filter(ch, cutoff_hz, rate_hz) for ch in data])
-        rows.append(extract_features(data, rate_hz))
-    return np.stack(rows)
+            block = lowpass_filter(block, cutoff_hz, rate_hz)
+        rows.append(_features(block.reshape(-1, block.shape[-1]), rate_hz).reshape(len(block), -1))
+    return np.concatenate(rows)
 
 
 def _fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,40 +176,45 @@ def _pegasos_ovr(
     n_classes: int,
     lambda_reg: float,
     epochs: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hinge-loss one-vs-rest by stochastic subgradient descent with a
-    fixed seeded shuffle per epoch.
+    fixed seeded shuffle per epoch, for k fits of equal training-set size
+    stepped in lockstep: features (k, n, dim), labels (k, n) and one
+    generator per fit; returns weights (k, classes, dim) and biases
+    (k, classes).
 
     The bias rides along as a regularized constant feature, the step
     schedule 1/(lambda*(t+n)) is warm-started to avoid the violent first
     steps, and the returned model averages the iterates of the second
     half of training (the last raw iterate is noisy enough to cost
-    several accuracy points on fold evaluations).
+    several accuracy points on fold evaluations). Each fit takes the
+    float operations it would take alone: its scores come from a stacked
+    matmul, which matches a single fit's `weights @ x`.
     """
-    n, dim = features.shape
-    augmented = np.hstack([features, np.ones((n, 1))])
-    weights = np.zeros((n_classes, dim + 1))
+    k, n, dim = features.shape
+    augmented = np.concatenate([features, np.ones((k, n, 1))], axis=2)
+    signs = np.full((k, n, n_classes), -1.0)
+    np.put_along_axis(signs, labels[..., None], 1.0, axis=2)
+    weights = np.zeros((k, n_classes, dim + 1))
     weights_sum = np.zeros_like(weights)
     n_averaged = 0
-    signs = np.full((n, n_classes), -1.0)
-    signs[np.arange(n), labels] = 1.0
+    fits = np.arange(k)
     t = 0
     for epoch in range(epochs):
-        for i in rng.permutation(n):
+        order = np.stack([rng.permutation(n) for rng in rngs], axis=1)  # (n, k)
+        for x, s in zip(augmented[fits, order], signs[fits, order]):
             t += 1
             eta = 1.0 / (lambda_reg * (t + n))
-            x = augmented[i]
-            margins = signs[i] * (weights @ x)
-            violated = margins < 1.0
+            violated = s * np.matmul(weights, x[..., None])[..., 0] < 1.0
             weights *= 1.0 - eta * lambda_reg
             if violated.any():
-                weights[violated] += eta * signs[i, violated, None] * x
+                np.add(weights, (eta * s)[..., None] * x[:, None, :], out=weights, where=violated[..., None])
             if epoch >= epochs // 2:
                 weights_sum += weights
                 n_averaged += 1
     final = weights_sum / n_averaged if n_averaged else weights
-    return final[:, :dim], final[:, dim].copy()
+    return final[..., :dim], final[..., dim].copy()
 
 
 def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -231,23 +267,31 @@ def train_command_model(
         raise DataError("all samples must share the same channel count and window length")
 
     features_raw = _prepare_features(samples, rate_hz, cutoff_hz)
-    rng = np.random.default_rng(seed)
-    folds = stratified_folds(labels, k_folds, rng)
+    every = np.arange(len(samples))
+    folds = stratified_folds(labels, k_folds, np.random.default_rng(seed))
+    # training rows and seed of each fold fit, then of the final fit on every sample
+    rows = [np.setdiff1d(every, val_idx) for val_idx in folds] + [every]
+    seeds = [seed + 1 + f for f in range(k_folds)] + [seed]
+    stats = [_fit_standardization(features_raw[r]) for r in rows]
+    std_safe = [np.where(std > 0, std, 1.0) for _, std in stats]
+    # fits with equal training-set size step in lockstep
+    fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for size in {r.size for r in rows}:
+        group = [i for i, r in enumerate(rows) if r.size == size]
+        w, b = _pegasos_ovr(
+            np.stack([(features_raw[rows[i]] - stats[i][0]) / std_safe[i] for i in group]),
+            np.stack([labels[rows[i]] for i in group]),
+            len(classes), lambda_reg, epochs, [np.random.default_rng(seeds[i]) for i in group],
+        )
+        for j, i in enumerate(group):
+            fits[i] = w[j], b[j]
     accuracies = np.zeros(k_folds)
     for f, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(samples)), val_idx)
-        mean, std = _fit_standardization(features_raw[train_idx])
-        std_safe = np.where(std > 0, std, 1.0)
-        x_train = (features_raw[train_idx] - mean) / std_safe
-        x_val = (features_raw[val_idx] - mean) / std_safe
-        w, b = _pegasos_ovr(x_train, labels[train_idx], len(classes), lambda_reg, epochs, np.random.default_rng(seed + 1 + f))
-        pred = np.argmax(x_val @ w.T + b, axis=1)
-        accuracies[f] = float((pred == labels[val_idx]).mean())
+        x_val = (features_raw[val_idx] - stats[f][0]) / std_safe[f]
+        w, b = fits[f]
+        accuracies[f] = float((np.argmax(x_val @ w.T + b, axis=1) == labels[val_idx]).mean())
 
-    mean, std = _fit_standardization(features_raw)
-    std_safe = np.where(std > 0, std, 1.0)
-    x_all = (features_raw - mean) / std_safe
-    w, b = _pegasos_ovr(x_all, labels, len(classes), lambda_reg, epochs, np.random.default_rng(seed))
+    (mean, std), (w, b) = stats[k_folds], fits[k_folds]
     model = CommandModel(
         weights=w,
         biases=b,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from .dynamics import COMMANDS
 from .errors import ConfigError, open_text
 from .events import SensorGeometry
-from .sim import ConstantSpeed, DroneSpec, NoiseSpec, PropellerSpec, RampSpeed, StepSpeed
+from .sim import FLIGHT_TICK_US, ConstantSpeed, DroneSpec, NoiseSpec, PropellerSpec, RampSpeed, StepSpeed
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
@@ -207,7 +207,7 @@ class Scenario:
     mode: str = "propellers"
     geometry: SensorGeometry | None = None
     duration_us: int = 100_000
-    tick_us: int = 50
+    tick_us: int = 50  # a flight's default is sim.FLIGHT_TICK_US
     seed: int = 0
     specs: list[PropellerSpec] = field(default_factory=list)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -297,7 +297,10 @@ def parse_scenario(path: str) -> Scenario:
                 raise ConfigError(f"{path}: {key}: must be positive, got {value}")
         scenario.geometry = SensorGeometry(width, height)
     scenario.duration_us = num(int, "duration_us", raw.get("duration_us", scenario.duration_us))
-    scenario.tick_us = num(int, "tick_us", raw.get("tick_us", scenario.tick_us))
+    default_tick = FLIGHT_TICK_US if scenario.mode == "flight" else scenario.tick_us
+    scenario.tick_us = num(int, "tick_us", raw.get("tick_us", default_tick))
+    if scenario.tick_us <= 0:
+        raise ConfigError(f"{path}: tick_us: must be positive, got {scenario.tick_us}")
     scenario.seed = num(int, "seed", raw.get("seed", scenario.seed))
     scenario.render_events = _parse_bool(raw.get("render_events", "0"), f"{path}: render_events")
 

@@ -540,6 +540,9 @@ def _script_commands(script: Sequence[tuple[int, str]], tick_times: np.ndarray) 
 # Blade phases are painted every 40 us: the tick `_validate_tick` needs for
 # the default 30 px blades at up to about 7960 RPM.
 RENDER_TICK_US = 40
+# A flight's truth, speed traces and commands step every millisecond unless
+# its scenario sets `tick_us`.
+FLIGHT_TICK_US = 1000
 
 
 def simulate_flight(
@@ -549,7 +552,7 @@ def simulate_flight(
     duration_us: int,
     seed: int,
     *,
-    tick_us: int = 1000,
+    tick_us: int = FLIGHT_TICK_US,
     render_events: bool = False,
     geometry: SensorGeometry | None = None,
 ) -> FlightResult:
@@ -658,6 +661,8 @@ def generate_command_dataset(
 
     Each sample is an (n_rotors, window) array of squared angular speeds
     (rad/s)^2 following the command mixer plus per-step Gaussian jitter.
+    A square that overflows is inf, which training rejects as a
+    non-finite feature.
     """
     rng = np.random.default_rng(seed)
     samples = []
@@ -666,5 +671,6 @@ def generate_command_dataset(
         for _ in range(n_per_class):
             rpm = pattern[:, None] + rng.normal(0.0, drone_spec.rpm_jitter, size=(drone_spec.n_rotors, window_samples))
             omega = rpm_to_rad_s(np.maximum(rpm, 0.0))
-            samples.append((np.square(omega), command))
+            with np.errstate(over="ignore"):
+                samples.append((np.square(omega), command))
     return samples

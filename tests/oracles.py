@@ -10,7 +10,10 @@ tabulates each command once and renders through the renderer it shares
 with `sim.simulate_propellers`. `BladePainter` evaluates every disk
 pixel's coverage margin on every tick, and `render` paints with it one
 tick at a time; `sim._render` paints blocks of ticks and evaluates only
-the pixels that can flip.
+the pixels that can flip. `lowpass_filter` smooths one trace with a
+scalar loop, `channel_features` summarizes one channel and
+`pegasos_ovr` runs one classifier fit; `commands` filters and
+summarizes stacks of windows and steps fits of equal size in lockstep.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotorsense import sim
+from rotorsense import commands, sim
 from rotorsense.dynamics import (
     COMMANDS,
     ROTOR_SPINS,
@@ -288,3 +291,101 @@ def render(specs, phases, tick_times, noise, geometry, duration_us, rng):
     t, x, y, p, origin = sim._columns([(t, x, y, p, origin), *background])
     order = np.argsort(t, kind="stable")
     return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]
+
+
+def lowpass_filter(trace: np.ndarray, cutoff_hz: float, rate_hz: float) -> np.ndarray:
+    """Single-pole smoothing of one trace, forward then backward, one
+    scalar step at a time."""
+    x = np.asarray(trace, dtype=np.float64)
+    if x.size == 0:
+        return x.copy()
+    a = math.exp(-2.0 * math.pi * cutoff_hz / rate_hz)
+
+    def one_pass(sig: np.ndarray) -> np.ndarray:
+        out = np.empty_like(sig)
+        out[0] = sig[0]
+        for i in range(1, sig.size):
+            out[i] = a * out[i - 1] + (1.0 - a) * sig[i]
+        return out
+
+    return one_pass(one_pass(x)[::-1])[::-1]
+
+
+def channel_features(signal: np.ndarray, rate_hz: float) -> np.ndarray:
+    """Mean, standard deviation, dominant frequency, spectral energy and
+    spectral entropy of one channel."""
+    mean = float(signal.mean())
+    std = float(signal.std())
+    n_fft = 1 << (signal.size - 1).bit_length()
+    padded = np.zeros(n_fft)
+    padded[: signal.size] = signal - mean
+    spectrum = np.fft.rfft(padded)
+    mags_sq = np.abs(spectrum[1:]) ** 2
+    floor = (1e-9 * signal.size * max(1.0, abs(mean) + std)) ** 2
+    if mags_sq.size == 0 or float(mags_sq.max()) <= floor:
+        return np.array([mean, std, 0.0, 0.0, 0.0])
+    energy = float(mags_sq.sum())
+    dominant_bin = int(np.argmax(mags_sq)) + 1
+    dominant_hz = dominant_bin * rate_hz / n_fft
+    p = mags_sq / energy
+    nz = p[p > 0]
+    entropy = float(-(nz * np.log(nz)).sum())
+    return np.array([mean, std, dominant_hz, energy, entropy])
+
+
+def pegasos_ovr(features, labels, n_classes, lambda_reg, epochs, rng):
+    """One hinge-loss one-vs-rest fit, one sample step at a time, which
+    updates only the violated classes."""
+    n, dim = features.shape
+    augmented = np.hstack([features, np.ones((n, 1))])
+    weights = np.zeros((n_classes, dim + 1))
+    weights_sum = np.zeros_like(weights)
+    n_averaged = 0
+    signs = np.full((n, n_classes), -1.0)
+    signs[np.arange(n), labels] = 1.0
+    t = 0
+    for epoch in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lambda_reg * (t + n))
+            x = augmented[i]
+            margins = signs[i] * (weights @ x)
+            violated = margins < 1.0
+            weights *= 1.0 - eta * lambda_reg
+            if violated.any():
+                weights[violated] += eta * signs[i, violated, None] * x
+            if epoch >= epochs // 2:
+                weights_sum += weights
+                n_averaged += 1
+    final = weights_sum / n_averaged if n_averaged else weights
+    return final[:, :dim], final[:, dim].copy()
+
+
+def train_command_model(samples, k_folds, lambda_reg, epochs, seed, rate_hz, cutoff_hz, classes=COMMANDS):
+    """(weights, biases, feature mean, feature std, fold accuracies) of
+    `commands.train_command_model`, filtering and summarizing one channel
+    at a time and fitting one fold after the other."""
+    rows = []
+    for s in samples:
+        data = s.speeds_sq
+        if cutoff_hz is not None:
+            data = np.stack([lowpass_filter(ch, cutoff_hz, rate_hz) for ch in data])
+        rows.append(np.concatenate([channel_features(ch, rate_hz) for ch in data]))
+    features = np.stack(rows)
+    labels = np.array([classes.index(s.label) for s in samples])
+
+    def fit(train_idx, rng_seed):
+        mean, std = features[train_idx].mean(axis=0), features[train_idx].std(axis=0)
+        std_safe = np.where(std > 0, std, 1.0)
+        w, b = pegasos_ovr((features[train_idx] - mean) / std_safe, labels[train_idx], len(classes), lambda_reg,
+                           epochs, np.random.default_rng(rng_seed))
+        return w, b, mean, std, std_safe
+
+    folds = commands.stratified_folds(labels, k_folds, np.random.default_rng(seed))
+    accuracies = np.zeros(k_folds)
+    for f, val_idx in enumerate(folds):
+        w, b, mean, _, std_safe = fit(np.setdiff1d(np.arange(len(samples)), val_idx), seed + 1 + f)
+        pred = np.argmax((features[val_idx] - mean) / std_safe @ w.T + b, axis=1)
+        accuracies[f] = float((pred == labels[val_idx]).mean())
+    w, b, mean, std, _ = fit(np.arange(len(samples)), seed)
+    return w, b, mean, std, accuracies

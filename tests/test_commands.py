@@ -1,9 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 
+from rotorsense import commands
+from rotorsense.cli import EXIT_NUMERIC, main
 from rotorsense.commands import (
     CommandModel,
     CommandSample,
@@ -94,6 +98,114 @@ class TestFeatures:
 
     def test_dimension_is_five_per_channel(self, dataset):
         assert extract_features(dataset[0]).shape == (5 * 4,)
+
+
+def flat_and_spiky_windows(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of length n: random, constant, constant plus a ripple below the
+    flat floor, zero, and a square-speed-like trace."""
+    base = 1e5 + rng.normal(0.0, 1.0, size=n)
+    return np.stack([
+        rng.normal(size=n), np.full(n, 42.0), 42.0 + 1e-13 * rng.normal(size=n), np.zeros(n),
+        np.square(base), rng.uniform(0.0, 1e-3, size=n),
+    ])
+
+
+class TestBatchedMatchesOracles:
+    """The stacked filter, the feature kernel and lockstep fits give the
+    per-channel, per-fit references' bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 99, 100, 101])
+    def test_filter_stack_equals_scalar_loop(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(1e5, 300.0, size=(3, 4, n))
+        got = lowpass_filter(stack, 50.0, 1000.0)
+        assert got.shape == stack.shape
+        for block, want_block in zip(got, stack):
+            for row, trace in zip(block, want_block):
+                assert np.array_equal(row, oracles.lowpass_filter(trace, 50.0, 1000.0))
+        assert np.array_equal(lowpass_filter(stack[0, 0], 50.0, 1000.0), oracles.lowpass_filter(stack[0, 0], 50.0, 1000.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 99, 100, 101, 128])
+    def test_features_equal_per_channel(self, n):
+        rows = flat_and_spiky_windows(n, np.random.default_rng(n))
+        got = commands._features(rows, 1000.0)
+        want = np.stack([oracles.channel_features(row, 1000.0) for row in rows])
+        assert np.array_equal(got, want)
+        assert np.array_equal(extract_features(rows, 1000.0), want.reshape(-1))
+        if n > 2:  # the constant rows take the flat branch
+            assert np.array_equal(got[1, 2:], np.zeros(3)) and np.array_equal(got[2, 2:], np.zeros(3))
+
+    @pytest.mark.parametrize("signal", [[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, -1.0, 0.0] * 2, [1.0, -1.0] * 8,
+                                        [3.0, 2.0, 1.0, 2.0] * 25])
+    def test_zero_spectral_bin_keeps_the_positive_sum(self, signal):
+        """A row with an exactly-zero bin sums only its positive terms,
+        next to rows without one."""
+        x = np.array(signal)
+        rows = np.stack([x, np.random.default_rng(0).normal(size=x.size), x[::-1].copy()])
+        padded = np.zeros(1 << (x.size - 1).bit_length())
+        padded[: x.size] = x - x.mean()
+        assert (np.abs(np.fft.rfft(padded)[1:]) == 0).any()
+        want = np.stack([oracles.channel_features(row, 1000.0) for row in rows])
+        assert np.array_equal(commands._features(rows, 1000.0), want)
+
+    def test_features_do_not_warn(self):
+        rows = np.vstack([flat_and_spiky_windows(100, np.random.default_rng(3)), np.full((1, 100), np.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats = commands._features(rows, 1000.0)
+        assert np.isfinite(feats[:-1]).all() and not np.isfinite(feats[-1]).all()
+
+    def test_floor_of_a_huge_window_is_infinite(self):
+        """A window of mean 1e164 has a floor that overflows a double: the
+        per-channel reference raised OverflowError (exit 1 on
+        `hover_rpm=1e82`); the kernel reads the window as flat."""
+        rows = 1e164 + 1e150 * np.random.default_rng(2).normal(size=(2, 100))
+        with pytest.raises(OverflowError):
+            oracles.channel_features(rows[0], 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats = commands._features(rows, 1000.0)
+        assert np.array_equal(feats[:, :2], np.stack([rows.mean(axis=1), rows.std(axis=1)], axis=1))
+        assert np.array_equal(feats[:, 2:], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "per_class, k_folds, cutoff_hz, seed",
+        [(7, 5, 50.0, 1), (7, 5, None, 3), (11, 3, 50.0, 7919), (40, 5, 50.0, 11)],
+    )
+    def test_training_equals_per_sample_reference(self, per_class, k_folds, cutoff_hz, seed):
+        """Fold sizes differ when k does not divide the per-class count (7
+        per class in 5 folds: 30 and 36 training samples), so the fits step
+        in groups of equal size."""
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+        raw = generate_command_dataset(per_class, drone, window_samples=100, rate_hz=1000.0, seed=seed)
+        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
+        model, accs = train_command_model(samples, k_folds=k_folds, seed=seed, epochs=6, cutoff_hz=cutoff_hz)
+        w, b, mean, std, want_accs = oracles.train_command_model(
+            samples, k_folds, 1e-3, 6, seed, 1000.0, cutoff_hz,
+        )
+        for got, want in ((model.weights, w), (model.biases, b), (model.feature_mean, mean),
+                          (model.feature_std, std), (accs, want_accs)):
+            assert np.array_equal(got, want)
+
+    def test_lockstep_fits_equal_sequential_fits(self):
+        rng = np.random.default_rng(5)
+        features, labels = rng.normal(size=(3, 50, 4)), rng.integers(0, 3, size=(3, 50))
+        w, b = commands._pegasos_ovr(features, labels, 3, 1e-2, 5, [np.random.default_rng(s) for s in (1, 2, 3)])
+        for f, s in enumerate((1, 2, 3)):
+            want_w, want_b = oracles.pegasos_ovr(features[f], labels[f], 3, 1e-2, 5, np.random.default_rng(s))
+            assert np.array_equal(w[f], want_w) and np.array_equal(b[f], want_b)
+
+    def test_overflowing_jitter_exits_4_with_one_stderr_line(self, tmp_path, capsys):
+        """Squared speeds of 1e200 RPM jitter overflow: the command reports
+        that once, and numpy prints nothing."""
+        assert np.geterr()["over"] == "warn"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train-command", "--model", str(tmp_path / "m.txt"), "--jitter-rpm", "1e200",
+                         "--samples-per-class", "6"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
 class TestTraining:

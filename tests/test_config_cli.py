@@ -124,6 +124,21 @@ class TestScenario:
         with pytest.raises(ConfigError, match="unknown propeller key"):
             parse_scenario(str(path))
 
+    def test_flight_tick_is_honoured(self, tmp_path):
+        """A flight steps at its scenario's `tick_us`; without one it steps
+        at sim.FLIGHT_TICK_US, the same bytes as `tick_us=1000`."""
+        def truth_state(text, name):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            assert main(["simulate", str(path), "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "truth_state.csv").read_bytes()
+
+        default = truth_state(FLIGHT.replace("tick_us=1000\n", ""), "default")
+        assert default == truth_state(FLIGHT, "explicit")
+        coarse = truth_state(FLIGHT.replace("tick_us=1000", "tick_us=5000"), "coarse")
+        assert len(default.splitlines()) == 1 + 201 and len(coarse.splitlines()) == 1 + 41
+        assert parse_scenario(str(tmp_path / "default.cfg")).tick_us == sim.FLIGHT_TICK_US
+
     def test_flight_requires_script(self, tmp_path):
         path = tmp_path / "flight.cfg"
         path.write_text("mode=flight\nduration_us=1000\n")
@@ -313,7 +328,7 @@ class TestFlightCliFlow:
     def test_train_infer_fuse_eval(self, tmp_path, capsys):
         flight_scene = tmp_path / "flight.cfg"
         flight_scene.write_text(
-            "mode=flight\nduration_us=12000000\ntick_us=5000\nseed=5\n"
+            "mode=flight\nduration_us=12000000\nseed=5\n"
             "script=0:hover,2000000:climb,5000000:hover,7000000:descent,10000000:hover\n"
             "drone.rpm_jitter=60\ndrone.gps_rate_hz=5\ndrone.gps_sigma_m=2\n"
         )
@@ -352,7 +367,7 @@ class TestFlightCliFlow:
         """speed_traces.csv is time-major, so `fuse` reads it in file order
         without dropping rows behind its clock."""
         flight_scene = tmp_path / "flight.cfg"
-        flight_scene.write_text("mode=flight\nduration_us=3000000\ntick_us=5000\nseed=5\nscript=0:hover,1000000:climb\n")
+        flight_scene.write_text("mode=flight\nduration_us=3000000\nseed=5\nscript=0:hover,1000000:climb\n")
         sim_out = str(tmp_path / "flight")
         assert main(["simulate", str(flight_scene), "--out", sim_out]) == 0
         traces = open(os.path.join(sim_out, "speed_traces.csv")).read().splitlines()[1:]
@@ -598,12 +613,15 @@ class TestScenarioNumbers:
             ("noise.hot_pixels=4", "noise.hot_pixels=1.5", "noise.hot_pixels"),
             ("width=130", "width=-1", "width"),
             ("height=130", "height=0", "height"),
+            ("tick_us=50", "tick_us=0", "tick_us"),
+            ("tick_us=1000", "tick_us=-5000", "tick_us"),
         ],
-        ids=["rpm", "rpm_step", "script_time", "width", "hot_pixels", "negative_width", "zero_height"],
+        ids=["rpm", "rpm_step", "script_time", "width", "hot_pixels", "negative_width", "zero_height", "zero_tick",
+             "negative_flight_tick"],
     )
     def test_malformed_number_exit_2(self, tmp_path, capsys, old, new, key):
         scene = tmp_path / "scene.cfg"
-        scene.write_text(SCENE.replace(old, new))
+        scene.write_text((FLIGHT if old in FLIGHT else SCENE).replace(old, new))
         code = main(["simulate", str(scene), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG

@@ -25,7 +25,7 @@ from rotorsense.errors import ConfigError, DataError
 
 FLIGHT = """mode=flight
 duration_us=600000
-tick_us=5000
+tick_us=1000
 seed=3
 script=0:hover,300000:climb
 noise.background_rate=0
