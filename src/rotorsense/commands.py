@@ -81,8 +81,8 @@ def _features(channels: np.ndarray, rate_hz: float) -> np.ndarray:
 
     Each reduction runs over one contiguous row, so every row gets the
     float operations it would get alone. Non-finite or overflowing
-    windows give non-finite features without a warning; training rejects
-    them when it standardizes."""
+    windows, and windows whose flatness floor overflows, give non-finite
+    features without a warning; training and prediction reject them."""
     x = np.ascontiguousarray(channels, dtype=np.float64)
     n_rows, n = x.shape
     n_fft = _next_pow2(n)
@@ -111,6 +111,8 @@ def _features(channels: np.ndarray, rate_hz: float) -> np.ndarray:
     for row, probs in zip(live[~positive], p[~positive]):
         nz = probs[probs > 0]
         feats[row, 4] = -(nz * np.log(nz)).sum()
+    # a floor that overflows cannot tell a flat row from a live one
+    feats[~np.isfinite(floor), 2:] = np.nan
     return feats
 
 
@@ -142,23 +144,32 @@ class CommandModel:
     classes: tuple[str, ...] = COMMANDS
     fold_accuracies: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def standardize(self, features: np.ndarray) -> np.ndarray:
-        std = np.where(self.feature_std > 0, self.feature_std, 1.0)
-        return (features - self.feature_mean) / std
-
 
 def _prepare_features(
-    samples: list[CommandSample], rate_hz: float, cutoff_hz: float | None
+    windows: list[np.ndarray] | np.ndarray, rate_hz: float, cutoff_hz: float | None
 ) -> np.ndarray:
-    """One feature row per sample, FEATURE_BLOCK samples per filter and
-    feature pass."""
+    """One feature row per (n_props, window) window of a sequence or stack,
+    FEATURE_BLOCK windows per filter and feature pass."""
     rows = []
-    for start in range(0, len(samples), FEATURE_BLOCK):
-        block = np.stack([s.speeds_sq for s in samples[start : start + FEATURE_BLOCK]])
+    for start in range(0, len(windows), FEATURE_BLOCK):
+        block = np.asarray(windows[start : start + FEATURE_BLOCK], dtype=np.float64)
         if cutoff_hz is not None:
             block = lowpass_filter(block, cutoff_hz, rate_hz)
         rows.append(_features(block.reshape(-1, block.shape[-1]), rate_hz).reshape(len(block), -1))
     return np.concatenate(rows)
+
+
+def _standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Z-scores of feature rows; a feature of zero spread is only centred."""
+    return (features - mean) / np.where(std > 0, std, 1.0)
+
+
+def _scores(weights: np.ndarray, biases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(..., classes) scores of (..., dim) standardized rows. Each row
+    takes its own matrix-vector product, the float operations of
+    `weights @ row`; a matrix product `z @ weights.T` can round
+    differently."""
+    return np.matmul(weights, z[..., None])[..., 0] + biases
 
 
 def _fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,20 +277,19 @@ def train_command_model(
     if any(s.speeds_sq.shape != (n_props, window) for s in samples):
         raise DataError("all samples must share the same channel count and window length")
 
-    features_raw = _prepare_features(samples, rate_hz, cutoff_hz)
+    features_raw = _prepare_features([s.speeds_sq for s in samples], rate_hz, cutoff_hz)
     every = np.arange(len(samples))
     folds = stratified_folds(labels, k_folds, np.random.default_rng(seed))
     # training rows and seed of each fold fit, then of the final fit on every sample
     rows = [np.setdiff1d(every, val_idx) for val_idx in folds] + [every]
     seeds = [seed + 1 + f for f in range(k_folds)] + [seed]
     stats = [_fit_standardization(features_raw[r]) for r in rows]
-    std_safe = [np.where(std > 0, std, 1.0) for _, std in stats]
     # fits with equal training-set size step in lockstep
     fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for size in {r.size for r in rows}:
         group = [i for i, r in enumerate(rows) if r.size == size]
         w, b = _pegasos_ovr(
-            np.stack([(features_raw[rows[i]] - stats[i][0]) / std_safe[i] for i in group]),
+            np.stack([_standardize(features_raw[rows[i]], *stats[i]) for i in group]),
             np.stack([labels[rows[i]] for i in group]),
             len(classes), lambda_reg, epochs, [np.random.default_rng(seeds[i]) for i in group],
         )
@@ -287,9 +297,8 @@ def train_command_model(
             fits[i] = w[j], b[j]
     accuracies = np.zeros(k_folds)
     for f, val_idx in enumerate(folds):
-        x_val = (features_raw[val_idx] - stats[f][0]) / std_safe[f]
-        w, b = fits[f]
-        accuracies[f] = float((np.argmax(x_val @ w.T + b, axis=1) == labels[val_idx]).mean())
+        scores = _scores(*fits[f], _standardize(features_raw[val_idx], *stats[f]))
+        accuracies[f] = float((np.argmax(scores, axis=1) == labels[val_idx]).mean())
 
     (mean, std), (w, b) = stats[k_folds], fits[k_folds]
     model = CommandModel(
@@ -307,23 +316,41 @@ def train_command_model(
     return model, accuracies
 
 
-def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> tuple[str, dict[str, float]]:
-    """Classify one window; ties break in fixed class order."""
-    data = sample.speeds_sq if isinstance(sample, CommandSample) else np.asarray(sample, dtype=np.float64)
-    if data.shape != (model.n_props, model.window):
+def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Classify an (n, n_props, window) stack of squared-speed windows
+    through training's filter, features and standardization; returns the
+    labels and the (n, classes) scores. Ties break in fixed class order.
+    Raises NumericalError when a window's features or scores are not
+    finite."""
+    data = np.asarray(windows, dtype=np.float64)
+    if data.size == 0:
+        raise DataError("no windows to classify")
+    if data.ndim != 3 or data.shape[1:] != (model.n_props, model.window):
         raise DataError(
-            f"sample shape {data.shape} does not match the model's ({model.n_props}, {model.window})"
+            f"windows of shape {data.shape} do not stack the model's ({model.n_props}, {model.window})"
         )
     if model.feature_mean.size != model.n_props * FEATURES_PER_CHANNEL:
         raise DataError(
             f"model has {model.feature_mean.size} features for {model.n_props} rotors, not {FEATURES_PER_CHANNEL} per rotor"
         )
-    if model.cutoff_hz is not None:
-        data = np.stack([lowpass_filter(ch, model.cutoff_hz, model.rate_hz) for ch in data])
-    z = model.standardize(extract_features(data, model.rate_hz))
-    scores = model.weights @ z + model.biases
-    best = int(np.argmax(scores))  # first max wins: fixed class order
-    return model.classes[best], {c: float(s) for c, s in zip(model.classes, scores)}
+    features = _prepare_features(data, model.rate_hz, model.cutoff_hz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _scores(model.weights, model.biases, _standardize(features, model.feature_mean, model.feature_std))
+    if not np.isfinite(scores).all():
+        raise NumericalError("window features or their scores are not finite or overflow: cannot classify them")
+    best = np.argmax(scores, axis=1)  # first max wins: fixed class order
+    return [model.classes[c] for c in best], scores
+
+
+def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> tuple[str, dict[str, float]]:
+    """Classify one window: `predict_commands` on a stack of one."""
+    data = sample.speeds_sq if isinstance(sample, CommandSample) else np.asarray(sample, dtype=np.float64)
+    if data.shape != (model.n_props, model.window):
+        raise DataError(
+            f"sample shape {data.shape} does not match the model's ({model.n_props}, {model.window})"
+        )
+    labels, scores = predict_commands(model, data[None])
+    return labels[0], {c: float(v) for c, v in zip(model.classes, scores[0])}
 
 
 # --- Model file format (versioned plain text) ---

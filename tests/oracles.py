@@ -14,6 +14,9 @@ the pixels that can flip. `lowpass_filter` smooths one trace with a
 scalar loop, `channel_features` summarizes one channel and
 `pegasos_ovr` runs one classifier fit; `commands` filters and
 summarizes stacks of windows and steps fits of equal size in lockstep.
+`predict_command` classifies one window channel by channel, and
+`infer_commands` runs it on each window `infer-command` collects;
+`commands.predict_commands` classifies every window in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rotorsense import commands, sim
+from rotorsense.cli import _command_windows
 from rotorsense.dynamics import (
     COMMANDS,
     ROTOR_SPINS,
@@ -389,3 +393,38 @@ def train_command_model(samples, k_folds, lambda_reg, epochs, seed, rate_hz, cut
         accuracies[f] = float((pred == labels[val_idx]).mean())
     w, b, mean, std, _ = fit(np.arange(len(samples)), seed)
     return w, b, mean, std, accuracies
+
+
+def predict_command(model, window):
+    """(label, scores) of one (n_props, window) window, filtered and
+    summarized one channel at a time and scored by `weights @ z`."""
+    data = np.asarray(window, dtype=np.float64)
+    if model.cutoff_hz is not None:
+        data = np.stack([lowpass_filter(ch, model.cutoff_hz, model.rate_hz) for ch in data])
+    features = np.concatenate([channel_features(ch, model.rate_hz) for ch in data])
+    z = (features - model.feature_mean) / np.where(model.feature_std > 0, model.feature_std, 1.0)
+    scores = model.weights @ z + model.biases
+    return model.classes[int(np.argmax(scores))], scores
+
+
+def infer_commands(model, speeds, window_us):
+    """(window end, label) rows of time-ordered (t_ref, prop_id, rpm) speed
+    rows, each complete window resampled, squared and classified on its
+    own."""
+    times = speeds[:, 0]
+    rows = []
+    for t_cursor in _command_windows(times, window_us):
+        window_rows = speeds[(times >= t_cursor - window_us) & (times <= t_cursor)]
+        channels = []
+        for prop in range(model.n_props):
+            prop_rows = window_rows[window_rows[:, 1] == prop]
+            if prop_rows.shape[0] == 0:
+                break
+            trace = commands.resample_zero_order_hold(
+                prop_rows[:, 0], rpm_to_rad_s(prop_rows[:, 2]), model.rate_hz,
+                int(t_cursor - window_us), int(t_cursor),
+            )
+            channels.append(np.square(trace[: model.window]))
+        if len(channels) == model.n_props and all(c.size == model.window for c in channels):
+            rows.append((int(t_cursor), predict_command(model, np.stack(channels))[0]))
+    return rows

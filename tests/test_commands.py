@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from rotorsense import commands
-from rotorsense.cli import EXIT_NUMERIC, main
+from rotorsense.cli import EXIT_NUMERIC, EXIT_OK, main
 from rotorsense.commands import (
     CommandModel,
     CommandSample,
@@ -15,13 +15,14 @@ from rotorsense.commands import (
     load_model,
     lowpass_filter,
     predict_command,
+    predict_commands,
     save_model,
     stratified_folds,
     train_command_model,
 )
 from rotorsense.dynamics import COMMANDS, rpm_to_rad_s
-from rotorsense.errors import ConfigError, DataError
-from rotorsense.sim import DroneSpec, generate_command_dataset
+from rotorsense.errors import ConfigError, DataError, NumericalError
+from rotorsense.sim import NO_NOISE, DroneSpec, generate_command_dataset, simulate_flight
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +159,31 @@ class TestBatchedMatchesOracles:
     def test_floor_of_a_huge_window_is_infinite(self):
         """A window of mean 1e164 has a floor that overflows a double: the
         per-channel reference raised OverflowError (exit 1 on
-        `hover_rpm=1e82`); the kernel reads the window as flat."""
+        `hover_rpm=1e82`); the kernel cannot tell whether the window is
+        flat and gives NaN spectral features, next to finite rows."""
         rows = 1e164 + 1e150 * np.random.default_rng(2).normal(size=(2, 100))
         with pytest.raises(OverflowError):
             oracles.channel_features(rows[0], 1000.0)
+        small = flat_and_spiky_windows(100, np.random.default_rng(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            feats = commands._features(rows, 1000.0)
-        assert np.array_equal(feats[:, :2], np.stack([rows.mean(axis=1), rows.std(axis=1)], axis=1))
-        assert np.array_equal(feats[:, 2:], np.zeros((2, 3)))
+            feats = commands._features(np.vstack([rows, small]), 1000.0)
+        assert np.array_equal(feats[:2, :2], np.stack([rows.mean(axis=1), rows.std(axis=1)], axis=1))
+        assert np.isnan(feats[:2, 2:]).all()
+        assert np.array_equal(feats[2:], commands._features(small, 1000.0))
+
+    def test_huge_hover_speed_exits_4_with_one_stderr_line(self, tmp_path, capsys):
+        """`hover_rpm=1e82` squares to about 1e164: every window's floor
+        overflows, and training stops before it writes a model."""
+        config = tmp_path / "drone.cfg"
+        config.write_text("hover_rpm=1e82\n")
+        model = tmp_path / "m.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(config), "train-command", "--model", str(model), "--samples-per-class", "6"])
+        assert code == EXIT_NUMERIC and not model.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error:")
 
     @pytest.mark.parametrize(
         "per_class, k_folds, cutoff_hz, seed",
@@ -295,6 +312,106 @@ class TestPredict:
             rpm = 3000.0 + rng.normal(0, 60.0, size=(4, 100))
             climb_sq = np.square(rpm_to_rad_s(rpm + 300.0))
             assert predict_command(model, climb_sq)[0] == "climb"
+
+
+class TestBatchedPredict:
+    """`predict_commands` classifies a stack through training's filter,
+    features and standardization with the per-window reference's bits."""
+
+    @pytest.fixture(scope="class", params=[50.0, None], ids=["cutoff50", "nocutoff"])
+    def model(self, request):
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+        raw = generate_command_dataset(7, drone, window_samples=100, rate_hz=1000.0, seed=5)
+        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
+        return train_command_model(samples, k_folds=5, seed=5, epochs=6, cutoff_hz=request.param)[0]
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+        raw = generate_command_dataset(22, drone, window_samples=100, rate_hz=1000.0, seed=17)
+        return np.stack([x for x, _ in raw])[np.random.default_rng(17).permutation(len(raw))]
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_stack_equals_per_window_reference(self, model, windows, n):
+        labels, scores = predict_commands(model, windows[:n])
+        assert scores.shape == (n, len(COMMANDS))
+        for window, label, row in zip(windows[:n], labels, scores):
+            want_label, want_scores = oracles.predict_command(model, window)
+            assert label == want_label and np.array_equal(row, want_scores)
+
+    def test_one_window_is_a_stack_of_one(self, model, windows):
+        label, scores = predict_command(model, windows[3])
+        want_label, want_scores = oracles.predict_command(model, windows[3])
+        assert label == want_label
+        assert np.array_equal([scores[c] for c in COMMANDS], want_scores)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+    def test_non_finite_features_raise_without_a_warning(self, model, windows, bad):
+        stack = windows[:3].copy()
+        stack[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                predict_commands(model, stack)
+
+    def test_shape_mismatch(self, model, windows):
+        with pytest.raises(DataError, match="shape"):
+            predict_commands(model, windows[:, :, :50])
+        with pytest.raises(DataError, match="no windows"):
+            predict_commands(model, windows[:0])
+
+
+class TestInferCommandCli:
+    """`infer-command` collects every complete window, then classifies them
+    in one call."""
+
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("model") / "model.txt")
+        assert main(["--seed", "11", "train-command", "--model", path, "--samples-per-class", "40"]) == EXIT_OK
+        return path
+
+    @pytest.fixture(scope="class")
+    def flight_rows(self):
+        """1 kHz speed rows of a 1 s hover, climb, roll flight, time-ordered."""
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+        flight = simulate_flight([(0, "hover"), (300_000, "climb"), (600_000, "roll")], drone, NO_NOISE,
+                                 duration_us=1_000_000, seed=3, tick_us=1000)
+        times = flight.truth.times_us
+        return [f"{int(t)},{p},{float(flight.rpm_traces[p, k])!r},0.0\n" for k, t in enumerate(times) for p in range(4)]
+
+    @staticmethod
+    def infer(tmp_path, model_path, rows, name="speeds.csv"):
+        speeds = tmp_path / name
+        speeds.write_text("t_ref,prop_id,rpm,objective\n" + "".join(rows))
+        out = tmp_path / (name + ".commands.csv")
+        assert main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    def test_labels_equal_the_per_window_reference(self, tmp_path, model_path, flight_rows):
+        got = self.infer(tmp_path, model_path, flight_rows).decode().splitlines()
+        speeds = np.array([[float(v) for v in row.split(",")] for row in flight_rows])
+        want = oracles.infer_commands(load_model(model_path), speeds, 100_000.0)
+        assert got == ["t,command"] + [f"{t},{label}" for t, label in want]
+        assert len(want) == 10 and len({label for _, label in want}) > 1
+
+    def test_row_order_does_not_change_the_labels(self, tmp_path, model_path, flight_rows):
+        want = self.infer(tmp_path, model_path, flight_rows)
+        shuffled = [flight_rows[i] for i in np.random.default_rng(0).permutation(len(flight_rows))]
+        assert self.infer(tmp_path, model_path, flight_rows[::-1], "reversed.csv") == want
+        assert self.infer(tmp_path, model_path, shuffled, "shuffled.csv") == want
+
+    def test_overflowing_squares_exit_4_with_one_stderr_line(self, tmp_path, capsys, model_path):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n"
+                          + "".join(f"{t},{p},1e200,0.0\n" for t in range(0, 300_000, 1000) for p in range(4)))
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(out)])
+        assert code == EXIT_NUMERIC and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
 class TestFolds:
