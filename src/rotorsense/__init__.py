@@ -18,7 +18,6 @@ from .batching import (
 from .commands import (
     CommandModel,
     CommandSample,
-    extract_features,
     load_model,
     lowpass_filter,
     predict_command,

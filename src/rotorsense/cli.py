@@ -183,9 +183,12 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     # rows of equal time in file order
     speeds = speeds[np.argsort(speeds[:, 0], kind="stable")]
     times = speeds[:, 0]
+    cursors = _command_windows(times, window_us)
+    firsts = np.searchsorted(times, cursors - window_us, "left")
+    lasts = np.searchsorted(times, cursors, "right")
     ends, windows = [], []
-    for t_cursor in _command_windows(times, window_us):
-        window_rows = speeds[(times >= t_cursor - window_us) & (times <= t_cursor)]
+    for t_cursor, first, last in zip(cursors, firsts.tolist(), lasts.tolist()):
+        window_rows = speeds[first:last]
         channels = []
         for prop in range(model.n_props):
             prop_rows = window_rows[window_rows[:, 1] == prop]
@@ -223,8 +226,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         gps_sigma_m=cfg.gps_sigma_m, process_noise_scale=cfg.process_noise_scale,
     )
     pl.write_fused_csv(args.out_csv, result.states)
+    summary = f"fused {len(result.states)} states ({len(result.nis)} GPS updates) -> {args.out_csv}"
+    del result  # the state arrays (3.4 MB for 10 s at 1 kHz) go before the manifest reads fused.csv back
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])
-    _say(f"fused {len(result.states)} states ({len(result.nis)} GPS updates) -> {args.out_csv}")
+    _say(summary)
     return EXIT_OK
 
 

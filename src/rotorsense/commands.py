@@ -116,19 +116,6 @@ def _features(channels: np.ndarray, rate_hz: float) -> np.ndarray:
     return feats
 
 
-def extract_features(sample: CommandSample | np.ndarray, rate_hz: float = 1000.0) -> np.ndarray:
-    """Five features per channel, concatenated channel-major.
-
-    Spectral features use the mean-removed window zero-padded to a power
-    of two; a window whose non-DC spectrum stays below the tolerance
-    floor reports dominant frequency, energy, and entropy of 0.
-    """
-    data = sample.speeds_sq if isinstance(sample, CommandSample) else np.asarray(sample, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("expected a (n_props, window) array")
-    return _features(data, rate_hz).reshape(-1)
-
-
 @dataclass
 class CommandModel:
     """One-vs-rest linear classifier plus its standardization statistics."""

@@ -82,13 +82,27 @@ def command_acceleration(
     """
     if command not in _MIXER:
         raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
-    speeds = np.asarray(speeds_rad_s, dtype=np.float64)
-    total_sq = float(np.square(speeds).sum())
-    accel = np.zeros(3)
-    if command in ("climb", "descent"):
-        accel[2] = k_f * (total_sq - hover_speed_sq_sum)
-    elif command == "roll":
-        accel[0] = tilt_fraction * k_f * total_sq
-    elif command == "pitch":
-        accel[1] = tilt_fraction * k_f * total_sq
+    speeds = np.asarray(speeds_rad_s, dtype=np.float64).reshape(1, -1)
+    return command_accelerations([COMMANDS.index(command)], speeds, k_f, hover_speed_sq_sum, tilt_fraction)[0]
+
+
+def command_accelerations(
+    command_ids: np.ndarray,
+    speeds_rad_s: np.ndarray,
+    k_f: float,
+    hover_speed_sq_sum: float,
+    tilt_fraction: float = 0.2,
+) -> np.ndarray:
+    """`command_acceleration` of each row: (n, 3) accelerations of the
+    commands COMMANDS[command_ids[i]] at rotor speeds speeds_rad_s[i], an
+    (n, n_rotors) array. Each row's squares are summed over its rotors as
+    one contiguous row, the float operations of a single speed vector."""
+    ids = np.asarray(command_ids)
+    total_sq = np.square(np.asarray(speeds_rad_s, dtype=np.float64)).sum(axis=1)
+    accel = np.zeros((ids.size, 3))
+    vertical = (ids == COMMANDS.index("climb")) | (ids == COMMANDS.index("descent"))
+    accel[vertical, 2] = k_f * (total_sq[vertical] - hover_speed_sq_sum)
+    for axis, command in ((0, "roll"), (1, "pitch")):
+        tilted = ids == COMMANDS.index(command)
+        accel[tilted, axis] = tilt_fraction * k_f * total_sq[tilted]
     return accel

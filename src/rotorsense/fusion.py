@@ -7,41 +7,54 @@ speeds (`KinematicPredictor` maps thrust surplus to climb/descent and a
 tilt fraction of total thrust to lateral motion). GPS fixes enter
 through a standard linear update in Joseph form. The covariance is
 symmetrized after every step. `predict` and `update` check their result
-at once; `run_fusion` checks the steps it predicted together: before
-each GPS update, before it raises any other error or logs a dropped
-measurement, every CHECK_STEPS steps and at the end. Either way the
-first failing step raises the error `predict` raises there.
+at once.
+
+`run_fusion` works on state arrays. One numpy pass orders the rows of
+the three streams as a timestamp merge takes them, carries each rotor's
+speed and the command in force forward, finds the dropped rows and the
+steps, and computes every step's acceleration. Its loop visits only the
+prediction steps, GPS updates and dropped rows, and writes each state
+into preallocated time (n,), mean (n, 6) and covariance (n, 6, 6)
+arrays; `FusionResult.states` shows them as one `FusedState` per
+measurement. It checks the steps it predicted together: before each GPS
+update, before it raises any other error or logs a dropped measurement,
+every CHECK_STEPS steps and at the end. Either way the first failing
+step raises the error `predict` raises there.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import COMMANDS, GRAVITY, calibrate_thrust_gain, command_acceleration
+from .dynamics import COMMANDS, GRAVITY, calibrate_thrust_gain, command_acceleration, command_accelerations
 from .errors import ConfigError, DataError, NumericalError
 
 LOG = logging.getLogger(__name__)
 
 PSD_TOLERANCE = -1e-9
-# most predicted steps `run_fusion` stacks for one check: 5 Hz GPS fixes over
-# 1 kHz speed rows check every 200 steps, so this bound only caps the stack
-# (1024 6x6 covariances, 295 KB) and the steps computed past a failing one
-# in a stream without GPS
+# most predicted steps `run_fusion` checks together: 5 Hz GPS fixes over
+# 1 kHz speed rows check every 200 steps, so this bound only caps a check's
+# slice (1024 6x6 covariances, 295 KB) and the steps computed past a failing
+# one in a stream without GPS
 CHECK_STEPS = 1024
 # standard deviation (m/s) of each velocity component at the first GPS fix
 INIT_VELOCITY_SIGMA = 2.0
 # how far (us) a measurement may lag the filter clock and still be used
 OUT_OF_ORDER_TOLERANCE_US = 0
-# rotor ids in the speed stream lie below this bound: `run_fusion` holds one
-# speed per id up to the largest, so the bound caps that vector at 512 KB,
-# far above the 4 to 8 rotors of a multirotor
+# rotor ids in the speed stream lie below this bound: `run_fusion` sums one
+# speed per id up to the largest at every step, so the bound caps a step's
+# row at 512 KB, far above the 4 to 8 rotors of a multirotor
 MAX_ROTOR_ID = 2**16
+# most rotor speeds `run_fusion` holds at once to sum each step's squares:
+# 32 KB, 1024 steps of a quadrotor; a step of MAX_ROTOR_ID rotors is one block
+SPEED_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,7 @@ class KinematicPredictor:
 
     Calibrated from one hover segment: k_f * sum(omega_hover^2) = g.
     `predict` calls `acceleration(prior)`; `run_fusion` builds no prior
-    per step and calls `command_acceleration` with the same gains.
+    and calls `command_accelerations` on all its steps with the same gains.
     """
 
     def __init__(self, k_f: float, hover_speed_sq_sum: float, tilt_fraction: float = 0.2) -> None:
@@ -171,36 +184,34 @@ def _step_matrices(dt_s: float, accel_variance: float) -> tuple[np.ndarray, np.n
     return f, b, q
 
 
-def _step(state: FusedState, accel: np.ndarray, dt_s: float, accel_variance: float) -> FusedState:
-    """One constant-acceleration prediction, unchecked."""
-    f, b, q = _step_matrices(dt_s, accel_variance)
-    mean = f @ state.mean + b @ accel
-    cov = f @ state.cov @ f.T + q
-    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=0.5 * (cov + cov.T))
+def _step(mean: np.ndarray, cov: np.ndarray, f: np.ndarray, q: np.ndarray, b_accel: np.ndarray):
+    """One constant-acceleration prediction, unchecked: the mean
+    f @ mean + b @ accel from b_accel = b @ accel, and the symmetrized
+    covariance f @ cov @ f.T + q."""
+    cov = f @ cov @ f.T + q
+    return f @ mean + b_accel, 0.5 * (cov + cov.T)
 
 
-def _check_steps(states: list[FusedState], accels: list[np.ndarray]) -> None:
-    """The checks of each step states[j] -> states[j + 1] made with
-    acceleration accels[j]: a finite state to start from, a finite
-    acceleration, a finite positive semidefinite covariance. Raises the
-    error of the first failing step. A non-finite acceleration makes the
-    mean it steps to non-finite, so only the first non-finite state needs
-    a closer look."""
-    if not accels:
+def _check_steps(means: np.ndarray, covs: np.ndarray, accels: np.ndarray) -> None:
+    """The checks of each step from state j to state j + 1 (means (n + 1, 6),
+    covs (n + 1, 6, 6)) made with acceleration accels[j]: a finite state
+    to start from, a finite acceleration, a finite positive semidefinite
+    covariance. Raises the error of the first failing step. A non-finite
+    acceleration makes the mean it steps to non-finite, so only the first
+    non-finite state needs a closer look."""
+    if not len(accels):
         return
-    finite = np.isfinite([s.mean for s in states]).all(axis=1)
-    covs = np.array([s.cov for s in states])
-    finite &= np.isfinite(covs).all(axis=(1, 2))
-    k = len(states) if finite.all() else int(finite.argmin())
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    k = len(finite) if finite.all() else int(finite.argmin())
     if k == 0:
         raise DataError("non-finite filter state")
     _check_psd(covs[1:k], "predict")
-    if k == len(states):
+    if k == len(finite):
         return
     if not np.isfinite(accels[k - 1]).all():
         raise DataError("non-finite acceleration from predictor")
     _check_psd(covs[k], "predict")
-    if k + 1 < len(states):  # a finite covariance, a mean that overflowed
+    if k + 1 < len(finite):  # a finite covariance, a mean that overflowed
         raise DataError("non-finite filter state")
 
 
@@ -209,14 +220,17 @@ def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: Kinem
     if dt_s <= 0:
         raise ConfigError(f"dt must be positive, got {dt_s}")
     accel = predictor.acceleration(prior)
-    new_state = _step(state, accel, dt_s, prior.process_noise_scale)
-    _check_steps([state, new_state], [accel])
-    return new_state
+    f, b, q = _step_matrices(dt_s, prior.process_noise_scale)
+    mean, cov = _step(state.mean, state.cov, f, q, b @ accel)
+    _check_steps(np.stack([state.mean, mean]), np.stack([state.cov, cov]), accel[None])
+    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
 
 
-def _update_with_stats(
-    state: FusedState, gps_xyz: np.ndarray, r_gps: np.ndarray
-) -> tuple[FusedState, float]:
+def _update(
+    mean: np.ndarray, cov: np.ndarray, gps_xyz: np.ndarray, r_gps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The checked Joseph-form update of (mean, cov) with one GPS fix, and
+    its normalized innovation squared."""
     z = np.asarray(gps_xyz, dtype=np.float64)
     if z.shape != (3,) or not np.all(np.isfinite(z)):
         raise DataError("GPS measurement must be a finite 3-vector")
@@ -225,52 +239,206 @@ def _update_with_stats(
         raise ConfigError("R_gps must be a 3x3 covariance")
     h = np.zeros((3, 6))
     h[:, :3] = np.eye(3)
-    innovation = z - h @ state.mean
-    s = h @ state.cov @ h.T + r
+    innovation = z - h @ mean
+    s = h @ cov @ h.T + r
     try:
         s_inv = np.linalg.inv(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular innovation covariance") from exc
-    gain = state.cov @ h.T @ s_inv
-    mean = state.mean + gain @ innovation
+    gain = cov @ h.T @ s_inv
     joseph = np.eye(6) - gain @ h
-    cov = joseph @ state.cov @ joseph.T + gain @ r @ gain.T
-    cov = _check_cov(cov, "update")
+    new_cov = _check_cov(joseph @ cov @ joseph.T + gain @ r @ gain.T, "update")
     nis = float(innovation @ s_inv @ innovation)
-    return FusedState(t_us=state.t_us, mean=mean, cov=cov), nis
+    return mean + gain @ innovation, new_cov, nis
 
 
 def update(state: FusedState, gps_xyz: np.ndarray, r_gps: np.ndarray) -> FusedState:
     """Joseph-form EKF update with the linear position observation."""
-    new_state, _ = _update_with_stats(state, gps_xyz, r_gps)
-    return new_state
+    mean, cov, _ = _update(state.mean, state.cov, gps_xyz, r_gps)
+    return FusedState(t_us=state.t_us, mean=mean, cov=cov)
+
+
+class FusedStates(Sequence):
+    """The state after each measurement of a `run_fusion` stream, as
+    `FusedState`s made on access from arrays of the distinct states:
+    t_us (n,), mean (n, 6), cov (n, 6, 6), and index, the distinct state
+    each measurement shows (non-decreasing: a measurement that needs no
+    prediction shows the state before it). Slicing gives a list."""
+
+    def __init__(self, t_us: np.ndarray, mean: np.ndarray, cov: np.ndarray, index: np.ndarray) -> None:
+        self.t_us, self.mean, self.cov, self.index = t_us, mean, cov, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        j = self.index[i]
+        return FusedState(t_us=int(self.t_us[j]), mean=self.mean[j], cov=self.cov[j])
 
 
 @dataclass
 class FusionResult:
-    """Filter outputs: a state after every step plus per-update NIS."""
+    """Filter outputs: the state after every measurement plus per-update NIS."""
 
-    states: list[FusedState] = field(default_factory=list)
-    nis: list[float] = field(default_factory=list)
+    states: FusedStates
+    nis: list[float]
 
     def positions(self) -> np.ndarray:
-        return np.array([[s.t_us, *s.position] for s in self.states])
+        """(t_us, x, y, z) rows of `states`."""
+        index = self.states.index
+        return np.column_stack([self.states.t_us[index], self.states.mean[index, :3]])
 
 
-def _speed_queue(speed_stream: np.ndarray) -> list[tuple[int, int, int, float]]:
-    """(t_us, 1, prop_id, rpm) per (t_us, prop_id, rpm, ...) row. numpy
-    truncates the two integer columns, as int() would, so no per-row
-    Python float is made and dropped (freed small objects fragment the
-    heap that the filter states later fill). A rotor id at or above
-    MAX_ROTOR_ID raises DataError."""
-    if not speed_stream.size:
-        return []
-    if not (np.abs(speed_stream[:, :2]) < 2.0**63).all():
+def _speed_rows(speed_stream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time (us), rotor id and rpm columns of (t_us, prop_id, rpm, ...)
+    rows; numpy truncates the time and id toward zero, as int() would. A
+    time or id that is not finite or not inside int64, or a rotor id at or
+    above MAX_ROTOR_ID, raises DataError."""
+    rows = np.asarray(speed_stream, dtype=np.float64)
+    if not rows.size:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    if not (np.abs(rows[:, :2]) < 2.0**63).all():
         raise DataError("non-finite or out-of-range time or rotor id in the speed stream")
-    if not speed_stream[:, 1].max() < MAX_ROTOR_ID:
-        raise DataError(f"rotor id {int(speed_stream[:, 1].max())} in the speed stream is not below {MAX_ROTOR_ID}")
-    t_us, props = speed_stream[:, :2].astype(np.int64).T.tolist()
-    return [(t, 1, prop, rpm) for t, prop, rpm in zip(t_us, props, speed_stream[:, 2].tolist())]
+    if not rows[:, 1].max() < MAX_ROTOR_ID:
+        raise DataError(f"rotor id {int(rows[:, 1].max())} in the speed stream is not below {MAX_ROTOR_ID}")
+    t_us, props = rows[:, :2].astype(np.int64).T
+    return t_us, props, rows[:, 2]
+
+
+def _step_accelerations(
+    speed_rows: np.ndarray, speed_props: np.ndarray, speed_omega: np.ndarray, step_rows: np.ndarray,
+    step_commands: np.ndarray, predictor: KinematicPredictor,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The acceleration of each step and whether a rotor speed is negative
+    there. speed_rows are the merged rows (ascending) that set rotor
+    speed_props (ignored below 0) to speed_omega (rad/s); a step at row
+    step_rows[j] sees each rotor's speed from its latest row at or before
+    it, the hover speed before its first, and the command step_commands[j].
+    One speed is held per rotor id up to the largest, and at least 4. Steps
+    go through `command_accelerations` in blocks of at most SPEED_BLOCK
+    speeds."""
+    n_props = max(4, int(speed_props.max(initial=3)) + 1)
+    hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
+    rotors = np.unique(speed_props)
+    rotors = rotors[rotors >= 0]
+    # each speed row's key (its rotor's column, then its row), in order: the
+    # last key at or below (column, step row) is that rotor's latest row. A
+    # negative id's rows take the column past the last, which no step reads
+    stride = int(max(speed_rows.max(initial=0), step_rows.max(initial=0))) + 1
+    keys = np.searchsorted(rotors, speed_props)
+    keys[speed_props < 0] = len(rotors)
+    keys *= stride
+    keys += speed_rows
+    by_key = np.argsort(keys)
+    keys, omega = keys[by_key], speed_omega[by_key]
+    column_keys = np.arange(len(rotors)) * stride
+    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
+    accels, negative = np.empty((len(step_rows), 3)), np.empty(len(step_rows), bool)
+    block = max(1, SPEED_BLOCK // n_props)
+    for start in range(0, len(step_rows), block):
+        at = slice(start, start + block)
+        latest = np.searchsorted(keys, column_keys + step_rows[at, None], "right") - 1
+        held = np.where((latest >= 0) & (keys[latest] >= column_keys), omega[latest], hover_rad_s)
+        speeds = np.full((len(held), n_props), hover_rad_s)
+        speeds[:, rotors] = held
+        accels[at] = command_accelerations(step_commands[at], speeds, *gains)
+        negative[at] = (held < 0).any(axis=1)
+    return accels, negative
+
+
+class _Schedule(NamedTuple):
+    """What `run_fusion`'s loop takes from its numpy pass. It visits each
+    row from the first fix that steps, updates or is dropped, in order."""
+
+    t_us: np.ndarray  # (n,) each state's time: the clock after the row that made it
+    index: np.ndarray  # the state each measurement shows
+    accels: np.ndarray  # (n, 3) the acceleration each predicted state was stepped with
+    means: np.ndarray  # (n, 6) b @ that acceleration, b of its step: the loop adds f @ the mean before
+    gaps: list[int]  # per visited row, the step it takes (us), or 0
+    fixes: list[int]  # per visited row, the GPS fix it updates with, -1 for none, -2 if dropped
+    dropped_t_us: list[int]  # the time of each dropped row
+    error: Exception | None  # what ends the run once the steps are checked, or None
+
+
+def _schedule(
+    labels: list, command_t: np.ndarray, speed_t: np.ndarray, props: np.ndarray, rpm: np.ndarray,
+    gps_t: np.ndarray, predictor: KinematicPredictor, process_noise_scale: float,
+) -> _Schedule | None:
+    """The numpy pass of `run_fusion` over its streams' columns, or None
+    without a GPS fix. Rows are ordered stably by (the latest time of
+    their stream so far, stream), the order a timestamp merge of the
+    streams takes, so a row behind its stream's clock stays in place."""
+    times = [command_t, speed_t, gps_t]
+    order = np.argsort(np.concatenate([np.maximum.accumulate(stream_t) for stream_t in times]), kind="stable")
+    t = np.concatenate(times)[order]
+    # each stream keeps its order, so its i-th entry lands on its i-th row
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    del order
+    command_rows, speed_rows, fix_rows = np.split(position, np.cumsum([len(command_t), len(speed_t)]))
+
+    # stop: the row whose error ends the run after the steps before it are
+    # checked. An unknown command is one wherever it falls
+    codes = np.array([COMMANDS.index(label) if label in COMMANDS else -1 for label in labels], dtype=np.int64)
+    unknown = np.flatnonzero(codes < 0)
+    stop, error = len(t), None
+    if unknown.size:
+        stop = command_rows[unknown[0]]
+        error = DataError(f"unknown command {labels[unknown[0]]!r} in command stream")
+    if not (fix_rows.size and fix_rows[0] < stop):
+        if error is not None:
+            raise error
+        return None
+    first = fix_rows[0]  # the filter starts here, with GPS fix 0
+
+    # the clock after each row from the first fix; a later row behind the
+    # clock before it is dropped, one ahead of it is a step of the gap
+    # between them (unsigned: the int64 times may lie 2^63 or more apart)
+    clock = np.maximum.accumulate(t[first:stop])
+    dropped = t[first + 1 : stop] < clock[:-1] - OUT_OF_ORDER_TOLERANCE_US
+    is_step = t[first + 1 : stop] > clock[:-1]
+    step_rows = first + 1 + np.flatnonzero(is_step)
+    gaps = clock[step_rows - first].view(np.uint64) - clock[step_rows - first - 1].view(np.uint64)
+    # the command in force: that of the last command row at or before the step
+    step_commands = np.concatenate([[0], codes])[np.searchsorted(command_rows, step_rows, "right")]
+    omega = rpm * 2.0  # in place from here: rpm * 2.0 * math.pi / 60.0
+    omega *= math.pi
+    omega /= 60.0
+    accels, negative = _step_accelerations(speed_rows, props, omega, step_rows, step_commands, predictor)
+    if negative.any():  # the errors MotionPrior raises, speeds first
+        stop, error = step_rows[negative.argmax()], DataError("rotor speeds must be nonnegative")
+    if process_noise_scale < 0 and step_rows.size and step_rows[0] < stop:
+        stop, error = step_rows[0], ConfigError("process noise scale must be nonnegative")
+
+    # each row's states, a step and then an update, are the next ones
+    n = stop - first - 1
+    dropped, is_step = dropped[:n], is_step[:n]
+    n_steps = int(np.searchsorted(step_rows, stop))
+    is_fix = np.zeros(n, bool)
+    is_fix[fix_rows[1 : np.searchsorted(fix_rows, stop)] - first - 1] = True
+    is_fix &= ~dropped
+    made = is_step.view(np.int8) + is_fix.view(np.int8)
+    state_after = np.cumsum(made)
+    t_states = np.concatenate([clock[:1], np.repeat(clock[1 : n + 1], made)])
+    step_states = (state_after - is_fix)[is_step]
+    step_accels, means = np.zeros((len(t_states), 3)), np.zeros((len(t_states), 6))
+    step_accels[step_states] = accels[:n_steps]
+    gaps = gaps[:n_steps]
+    for gap in np.unique(gaps).tolist():
+        _, b = _transition(gap * 1e-6)
+        same = step_states[gaps == gap]
+        means[same] = np.matmul(b, step_accels[same, :, None])[..., 0]
+
+    visit = np.flatnonzero(made | dropped)
+    visit_gaps = np.zeros(len(visit), np.uint64)
+    visit_gaps[is_step[visit]] = gaps
+    fixes = np.where(is_fix[visit], np.searchsorted(fix_rows, first + 1 + visit), np.where(dropped[visit], -2, -1))
+    return _Schedule(
+        t_states, np.concatenate([[0], state_after[~dropped]]), step_accels, means,
+        visit_gaps.tolist(), fixes.tolist(), t[first + 1 : stop][dropped].tolist(), error,
+    )
 
 
 def run_fusion(
@@ -287,89 +455,61 @@ def run_fusion(
     speed_stream rows are (t_us, prop_id, rpm); command_stream entries
     are (t_us, label); gps_stream rows are (t_us, x, y, z). The filter
     initializes at the first GPS fix, predicts to each incoming
-    measurement's time, updates on GPS, and emits a state after every
-    step. Measurements older than the filter clock beyond
-    OUT_OF_ORDER_TOLERANCE_US are dropped with a warning. A negative
-    rotor speed raises DataError, and a negative process_noise_scale
-    ConfigError, at the first prediction step they would drive. The
-    predicted steps are checked together (see the module docstring); a
-    failing one raises the error `predict` would have raised at that
-    step, before any later step's.
+    measurement's time, updates on GPS, and emits the state after each
+    measurement from the first fix on. Streams merge in their given order: a measurement older than
+    the filter clock beyond OUT_OF_ORDER_TOLERANCE_US is dropped with a
+    warning, not re-sorted. A negative rotor speed raises DataError, and
+    a negative process_noise_scale ConfigError, at the first prediction
+    step they would drive. The predicted steps are checked together (see
+    the module docstring); a failing one raises the error `predict` would
+    have raised at that step, before any later step's.
     """
-    # (t, kind, value, rpm): a command label, a rotor id and its rpm or a GPS
-    # fix; kind orders ties. Streams merge in their given order: a row
-    # arriving behind the filter clock is dropped, not silently re-sorted.
-    commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
-    speed_stream = np.asarray(speed_stream, dtype=np.float64)
-    speeds_q = _speed_queue(speed_stream)
-    gps_stream = np.asarray(gps_stream, dtype=np.float64)
-    gps_q = [(int(row[0]), 2, np.array(row[1:4]), None) for row in gps_stream.tolist()]
-    events = heapq.merge(commands_q, speeds_q, gps_q, key=lambda e: (e[0], e[1]))
+    speed_t, props, rpm = _speed_rows(speed_stream)
+    gps = np.asarray(gps_stream, dtype=np.float64)
+    if not gps.size:
+        gps = np.zeros((0, 4))
+    if not (np.abs(gps[:, 0]) < 2.0**63).all():
+        raise DataError("non-finite or out-of-range time in the GPS stream")
+    plan = _schedule(
+        [label for _, label in command_stream], np.array([int(t_us) for t_us, _ in command_stream], dtype=np.int64),
+        speed_t, props, rpm, gps[:, 0].astype(np.int64), predictor, process_noise_scale,
+    )
+    if plan is None:
+        empty = FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6)), np.zeros(0, np.int64))
+        return FusionResult(empty, [])
 
     r_gps = gps_sigma_m**2 * np.eye(3)
-    n_props = 4
-    if speed_stream.size:
-        n_props = max(n_props, int(speed_stream[:, 1].max()) + 1)
-    hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
-    speeds = np.full(n_props, hover_rad_s)
-    negative: set[int] = set()  # rotors whose speed is negative
-    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
-    command = "hover"
-    state: FusedState | None = None
-    # the last checked state, the states predicted from it since, and the
-    # acceleration of each of those steps
-    steps: list[FusedState] = []
-    accels: list[np.ndarray] = []
-    result = FusionResult()
+    means, covs = plan.means, np.zeros((len(plan.t_us), 6, 6))
+    means[0, :3] = gps[0, 1:4]
+    covs[0, :3, :3] = r_gps
+    covs[0, 3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
+    nis: list[float] = []
+    dropped_t_us = iter(plan.dropped_t_us)
+    k = checked = 0  # the current state and the last checked one
 
-    for t_us, kind, value, rpm in events:
-        if kind == 0:
-            if value not in COMMANDS:
-                _check_steps(steps, accels)
-                raise DataError(f"unknown command {value!r} in command stream")
-            command = value
-        elif kind == 1:
-            if 0 <= value < speeds.size:
-                speeds[value] = omega = rpm * 2.0 * math.pi / 60.0
-                if omega < 0:
-                    negative.add(value)
-                elif negative:
-                    negative.discard(value)
-        if state is None:
-            if kind == 2:
-                mean = np.zeros(6)
-                mean[:3] = value
-                cov = np.zeros((6, 6))
-                cov[:3, :3] = r_gps
-                cov[3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
-                state = FusedState(t_us=t_us, mean=mean, cov=cov)
-                steps = [state]
-                result.states.append(state)
+    def check() -> None:
+        _check_steps(means[checked : k + 1], covs[checked : k + 1], plan.accels[checked + 1 : k + 1])
+
+    for gap, fix in zip(plan.gaps, plan.fixes):
+        if fix == -2:
+            check()
+            checked = k
+            t_us = next(dropped_t_us)
+            LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, plan.t_us[k])
             continue
-        dt_us = t_us - state.t_us
-        if dt_us < -OUT_OF_ORDER_TOLERANCE_US:
-            _check_steps(steps, accels)
-            steps, accels = [state], []
-            LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
-            continue
-        if dt_us > 0:
-            if negative or process_noise_scale < 0:
-                _check_steps(steps, accels)
-                if negative:  # the errors MotionPrior raises, speeds first
-                    raise DataError("rotor speeds must be nonnegative")
-                raise ConfigError("process noise scale must be nonnegative")
-            accel = command_acceleration(command, speeds, *gains)
-            state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
-            steps.append(state)
-            accels.append(accel)
-            if len(accels) == CHECK_STEPS:
-                _check_steps(steps, accels)
-                steps, accels = [state], []
-        if kind == 2:
-            _check_steps(steps, accels)
-            state, nis = _update_with_stats(state, value, r_gps)
-            steps, accels = [state], []
-            result.nis.append(nis)
-        result.states.append(state)
-    _check_steps(steps, accels)
-    return result
+        if gap:
+            f, _, q = _step_matrices(gap * 1e-6, process_noise_scale)
+            means[k + 1], covs[k + 1] = _step(means[k], covs[k], f, q, means[k + 1])
+            k += 1
+            if k - checked == CHECK_STEPS:
+                check()
+                checked = k
+        if fix >= 0:
+            check()
+            means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
+            k = checked = k + 1
+            nis.append(fix_nis)
+    check()
+    if plan.error is not None:
+        raise plan.error
+    return FusionResult(FusedStates(plan.t_us, means, covs, plan.index), nis)

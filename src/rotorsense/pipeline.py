@@ -27,7 +27,7 @@ from . import tables
 from .dynamics import rad_s_to_rpm, rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
-from .fusion import FusedState
+from .fusion import FusedState, FusedStates
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
 from .preprocess import build_heatmaps, filter_noise, robust_center, segment_propellers
@@ -41,17 +41,18 @@ LOG = logging.getLogger(__name__)
 
 def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
     """The fused track: t, position, velocity and the covariance trace of
-    each state, one row per state, streamed without stacking the states.
-    A state repeated back to back (`run_fusion` emits the same state for
-    each measurement that needs no prediction) is formatted once."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(tables.FUSED + "\n")
-        last, row = None, ""
-        for state in states:
-            if state is not last:
-                last = state
-                row = tables.FUSED.row % (state.t_us, *state.mean.tolist(), float(state.cov.trace()))
-            fh.write(row)
+    each state, one row per state. `run_fusion`'s states are written from
+    their arrays: each distinct state is formatted once and its line
+    repeated for every measurement that shows it."""
+    if not isinstance(states, FusedStates):
+        states = list(states)
+        states = FusedStates(
+            np.array([s.t_us for s in states], dtype=np.int64), np.array([s.mean for s in states]).reshape(-1, 6),
+            np.array([s.cov for s in states]).reshape(-1, 6, 6), np.arange(len(states)),
+        )
+    trace = np.trace(states.cov, axis1=1, axis2=2)
+    repeats = np.bincount(states.index, minlength=len(states.t_us))
+    tables.FUSED.write(path, [states.t_us, *states.mean.T, trace], repeats=repeats)
 
 
 def _speed_columns(estimates: list[SpeedEstimate]) -> list[np.ndarray]:

@@ -191,11 +191,14 @@ class Table(str):
                     return DataError(f"{path}:{lineno}: {problem}")
         return DataError(f"{path}: malformed table")
 
-    def write(self, path: str, columns: Sequence[Sequence], comments: Sequence[str] = ()) -> None:
+    def write(
+        self, path: str, columns: Sequence[Sequence], comments: Sequence[str] = (), repeats: np.ndarray | None = None
+    ) -> None:
         """The `#` comment lines, the header, then one row per index of
         `columns` (one sequence per column), BLOCK_LINES rows per pass:
         the `%` of the block's template (`_template`) over the values of
-        its float and text columns."""
+        its float and text columns. With `repeats`, row i is formatted
+        once and its line written repeats[i] times."""
         n_rows, n_others = len(columns[0]), len(self._others)
         with open(path, "w", newline="\n") as fh:
             fh.writelines(f"{line}\n" for line in [*comments, self])
@@ -204,7 +207,12 @@ class Table(str):
                 fields = [None] * ((stop - start) * n_others)  # row-major, filled a column at a time
                 for i, (col, dtype) in enumerate(self._others):
                     fields[i::n_others] = np.asarray(columns[col][start:stop], dtype).tolist()
-                fh.write(self._template(columns, start, stop) % tuple(fields))
+                text = self._template(columns, start, stop) % tuple(fields)
+                if repeats is None:
+                    fh.write(text)
+                else:
+                    lines = text.split("\n")[:-1]
+                    fh.writelines(f"{line}\n" * count for line, count in zip(lines, repeats[start:stop].tolist()))
 
     def _template(self, columns: Sequence[Sequence], start: int, stop: int) -> str:
         """`row` once per row in [start, stop), each `%d` replaced by the

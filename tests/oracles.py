@@ -17,16 +17,23 @@ summarizes stacks of windows and steps fits of equal size in lockstep.
 `predict_command` classifies one window channel by channel, and
 `infer_commands` runs it on each window `infer-command` collects;
 `commands.predict_commands` classifies every window in one pass.
+`extract_features` summarizes one window through the feature kernel.
+`run_fusion` merges its three streams with `heapq.merge` and walks every
+row, building a `FusedState` per step and a list of them per check;
+`fusion.run_fusion` orders and carries the rows forward in one numpy
+pass and steps state arrays over the steps, GPS fixes and dropped rows.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from rotorsense import commands, sim
+from rotorsense import commands, fusion, sim
 from rotorsense.cli import _command_windows
 from rotorsense.dynamics import (
     COMMANDS,
@@ -36,7 +43,7 @@ from rotorsense.dynamics import (
     command_rpm_pattern,
     rpm_to_rad_s,
 )
-from rotorsense.errors import ConfigError
+from rotorsense.errors import ConfigError, DataError
 from rotorsense.events import Events
 from rotorsense.motion import H_MAX_DEFAULT, US_TO_S
 
@@ -428,3 +435,121 @@ def infer_commands(model, speeds, window_us):
         if len(channels) == model.n_props and all(c.size == model.window for c in channels):
             rows.append((int(t_cursor), predict_command(model, np.stack(channels))[0]))
     return rows
+
+
+def extract_features(sample, rate_hz=1000.0):
+    """Five features per channel of one (n_props, window) sample,
+    concatenated channel-major."""
+    data = sample.speeds_sq if isinstance(sample, commands.CommandSample) else np.asarray(sample, dtype=np.float64)
+    if data.ndim != 2:
+        raise DataError("expected a (n_props, window) array")
+    return commands._features(data, rate_hz).reshape(-1)
+
+
+@dataclass
+class FusionTrack:
+    """The state after every measurement plus per-update NIS."""
+
+    states: list = field(default_factory=list)
+    nis: list = field(default_factory=list)
+
+
+def _speed_queue(speed_stream):
+    """(t_us, 1, prop_id, rpm) per (t_us, prop_id, rpm, ...) row."""
+    t_us, props, rpm = fusion._speed_rows(speed_stream)
+    return list(zip(t_us.tolist(), [1] * len(t_us), props.tolist(), rpm.tolist()))
+
+
+def _step(state, accel, dt_s, accel_variance):
+    """One constant-acceleration prediction, unchecked."""
+    f, b, q = fusion._step_matrices(dt_s, accel_variance)
+    mean = f @ state.mean + b @ accel
+    cov = f @ state.cov @ f.T + q
+    return fusion.FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=0.5 * (cov + cov.T))
+
+
+def _check_steps(states, accels):
+    if accels:
+        fusion._check_steps(np.array([s.mean for s in states]), np.array([s.cov for s in states]), np.array(accels))
+
+
+def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
+    """`fusion.run_fusion` row by row: the streams merged by `heapq.merge`
+    on (t, kind), each step's acceleration from `command_acceleration`
+    and its state a new `FusedState`, the steps since the last check
+    checked together in the same places."""
+    commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
+    speed_stream = np.asarray(speed_stream, dtype=np.float64)
+    speeds_q = _speed_queue(speed_stream)
+    gps_stream = np.asarray(gps_stream, dtype=np.float64)
+    gps_q = [(int(row[0]), 2, np.array(row[1:4]), None) for row in gps_stream.tolist()]
+    events = heapq.merge(commands_q, speeds_q, gps_q, key=lambda e: (e[0], e[1]))
+
+    r_gps = gps_sigma_m**2 * np.eye(3)
+    n_props = 4
+    if speed_stream.size:
+        n_props = max(n_props, int(speed_stream[:, 1].max()) + 1)
+    hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
+    speeds = np.full(n_props, hover_rad_s)
+    negative: set[int] = set()  # rotors whose speed is negative
+    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
+    command = "hover"
+    state = None
+    # the last checked state, the states predicted from it since, and the
+    # acceleration of each of those steps
+    steps, accels = [], []
+    result = FusionTrack()
+    log = logging.getLogger(fusion.__name__)
+
+    for t_us, kind, value, rpm in events:
+        if kind == 0:
+            if value not in COMMANDS:
+                _check_steps(steps, accels)
+                raise DataError(f"unknown command {value!r} in command stream")
+            command = value
+        elif kind == 1:
+            if 0 <= value < speeds.size:
+                speeds[value] = omega = rpm * 2.0 * math.pi / 60.0
+                if omega < 0:
+                    negative.add(value)
+                elif negative:
+                    negative.discard(value)
+        if state is None:
+            if kind == 2:
+                mean = np.zeros(6)
+                mean[:3] = value
+                cov = np.zeros((6, 6))
+                cov[:3, :3] = r_gps
+                cov[3:, 3:] = fusion.INIT_VELOCITY_SIGMA**2 * np.eye(3)
+                state = fusion.FusedState(t_us=t_us, mean=mean, cov=cov)
+                steps = [state]
+                result.states.append(state)
+            continue
+        dt_us = t_us - state.t_us
+        if dt_us < -fusion.OUT_OF_ORDER_TOLERANCE_US:
+            _check_steps(steps, accels)
+            steps, accels = [state], []
+            log.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
+            continue
+        if dt_us > 0:
+            if negative or process_noise_scale < 0:
+                _check_steps(steps, accels)
+                if negative:
+                    raise DataError("rotor speeds must be nonnegative")
+                raise ConfigError("process noise scale must be nonnegative")
+            accel = command_acceleration(command, speeds, *gains)
+            state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
+            steps.append(state)
+            accels.append(accel)
+            if len(accels) == fusion.CHECK_STEPS:
+                _check_steps(steps, accels)
+                steps, accels = [state], []
+        if kind == 2:
+            _check_steps(steps, accels)
+            mean, cov, nis = fusion._update(state.mean, state.cov, value, r_gps)
+            state = fusion.FusedState(t_us=state.t_us, mean=mean, cov=cov)
+            steps, accels = [state], []
+            result.nis.append(nis)
+        result.states.append(state)
+    _check_steps(steps, accels)
+    return result

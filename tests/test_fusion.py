@@ -1,9 +1,12 @@
 import heapq
 import logging
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorsense import fusion
 from rotorsense.dynamics import COMMANDS, GRAVITY, rpm_to_rad_s
@@ -11,7 +14,6 @@ from rotorsense.errors import ConfigError, DataError, NumericalError
 from rotorsense.fusion import (
     CHECK_STEPS,
     FusedState,
-    FusionResult,
     KinematicPredictor,
     MotionPrior,
     _check_cov,
@@ -143,7 +145,7 @@ class TestRunFusion:
 
     def test_zero_duration_stream_empty_output(self, predictor):
         result = run_fusion(np.zeros((0, 3)), [], np.zeros((0, 4)), predictor)
-        assert result.states == []
+        assert len(result.states) == 0 and list(result.states) == []
 
     def test_out_of_order_measurement_dropped_with_warning(self, predictor, caplog):
         gps = np.array([[0, 0, 0, 0], [200_000, 0, 0, 0], [100_000, 5, 5, 5], [400_000, 0, 0, 0]])
@@ -302,7 +304,7 @@ def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_
     r_gps = gps_sigma_m**2 * np.eye(3)
     n_props = max(4, int(speed_stream[:, 1].max()) + 1) if speed_stream.size else 4
     speeds = np.full(n_props, math.sqrt(predictor.hover_speed_sq_sum / n_props))
-    command, state, result = "hover", None, FusionResult()
+    command, state, result = "hover", None, oracles.FusionTrack()
     for t_us, kind, payload in events:
         if kind == 0:
             if payload[0] not in COMMANDS:
@@ -346,6 +348,14 @@ def assert_same_outcome(got, want):
             assert same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
 
 
+def assert_references(got, streams, predictor, install=lambda: None, **kwargs):
+    """`got` is what per_step_fusion and oracles.run_fusion give, each run
+    after a fresh `install()` (a `bad_q_at` hook, or none)."""
+    for reference in (per_step_fusion, oracles.run_fusion):
+        install()
+        assert_same_outcome(got, fusion_outcome(reference, streams, predictor, **kwargs))
+
+
 def flight_streams(ms=600, gps_every_ms=200):
     """1 kHz rows of four rotors around hover, commands, GPS fixes."""
     rng = np.random.default_rng(ms)
@@ -386,11 +396,15 @@ def bad_q_at(monkeypatch):
 
 class TestDeferredChecks:
     """`run_fusion` checks its steps together; each input raises what a
-    check at every step raises, from the first step that fails."""
+    check at every step raises, from the first step that fails, and what
+    the row-by-row reference `oracles.run_fusion` raises."""
 
-    def compare(self, streams, predictor, **kwargs):
+    def compare(self, streams, predictor, install=lambda: None, **kwargs):
+        """run_fusion's outcome, run after `install()`, once both references
+        give the same, each run after a fresh `install()`."""
+        install()
         got = fusion_outcome(run_fusion, streams, predictor, **kwargs)
-        assert_same_outcome(got, fusion_outcome(per_step_fusion, streams, predictor, **kwargs))
+        assert_references(got, streams, predictor, install, **kwargs)
         return got
 
     def test_no_failure_bit_equal(self, predictor):
@@ -404,8 +418,7 @@ class TestDeferredChecks:
         assert got[0] is NumericalError
         assert got[1].startswith("covariance lost positive semidefiniteness in predict: min eig -")
         assert count[0] > 57  # found when the interval was checked, not at once
-        bad_q_at(57)
-        assert got == fusion_outcome(per_step_fusion, flight_streams(), predictor)
+        assert_references(got, flight_streams(), predictor, lambda: bad_q_at(57))
 
     @pytest.mark.parametrize("rpm", [1e200, np.inf, np.nan])
     def test_non_finite_acceleration(self, predictor, rpm):
@@ -451,23 +464,18 @@ class TestDeferredChecks:
     def test_two_failures_in_one_interval_raise_the_earlier(self, predictor, bad_q_at, bad_step, row, error):
         speeds, commands, gps = flight_streams()
         streams = (with_row(speeds, row), commands, gps)
-        bad_q_at(bad_step)
-        got = fusion_outcome(run_fusion, streams, predictor)
-        bad_q_at(bad_step)
-        assert got == fusion_outcome(per_step_fusion, streams, predictor)
+        got = self.compare(streams, predictor, lambda: bad_q_at(bad_step))
         assert got[0] is error
 
     def test_non_psd_step_and_a_bad_gps_fix_in_one_interval(self, predictor, bad_q_at):
         speeds, commands, gps = flight_streams()
         gps[2, 1] = np.inf  # the fix at t = 400 ms
-        bad_q_at(350)
-        assert fusion_outcome(run_fusion, (speeds, commands, gps), predictor)[0] is NumericalError
+        assert self.compare((speeds, commands, gps), predictor, lambda: bad_q_at(350))[0] is NumericalError
 
     def test_a_failing_step_before_an_unknown_command(self, predictor, bad_q_at):
         speeds, commands, gps = flight_streams()
         for bad_step, error in [(210, NumericalError), (260, DataError)]:
-            bad_q_at(bad_step)
-            got = fusion_outcome(run_fusion, (speeds, commands + [(250_000, "jump")], gps), predictor)
+            got = self.compare((speeds, commands + [(250_000, "jump")], gps), predictor, lambda: bad_q_at(bad_step))
             assert got[0] is error
 
     def test_a_failing_step_before_a_dropped_row_logs_nothing(self, predictor, bad_q_at, caplog):
@@ -480,6 +488,7 @@ class TestDeferredChecks:
             with caplog.at_level(logging.WARNING, logger="rotorsense.fusion"):
                 got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
             assert got[0] is NumericalError and ("out-of-order" in caplog.text) == warned
+            assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
 
     def test_steps_past_check_steps_without_gps(self, predictor, bad_q_at):
         speeds, commands, gps = flight_streams(ms=2 * CHECK_STEPS + 300, gps_every_ms=10_000)
@@ -492,8 +501,13 @@ class TestDeferredChecks:
             count = bad_q_at(bad_step)
             got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
             assert got[0] is NumericalError and count[0] == found_after
-            bad_q_at(bad_step)
-            assert got == fusion_outcome(per_step_fusion, (speeds, commands, gps), predictor)
+            assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
+
+    def test_the_largest_rotor_id_sums_its_speeds_in_blocks(self, predictor):
+        speeds, commands, gps = flight_streams(ms=40, gps_every_ms=20)
+        speeds = with_row(speeds, [5_000, fusion.MAX_ROTOR_ID - 1, 2900.0])
+        assert fusion.SPEED_BLOCK // fusion.MAX_ROTOR_ID < 40  # a block holds fewer steps than the run takes
+        assert len(self.compare((speeds, commands, gps), predictor)) == len(speeds) + len(gps) + 1
 
     def test_mean_overflow_fails_at_the_next_step(self):
         """A finite acceleration can overflow the mean: that step passes, the
@@ -511,8 +525,8 @@ class TestDeferredChecks:
     def test_overflowing_covariance_is_a_numerical_error(self, predictor):
         speeds = np.array([[1000, 0, 3000.0], [2_000_000_000, 0, 3000.0]])
         gps = np.array([[0, 0.0, 0.0, 0.0], [3_000_000_000, 0.0, 0.0, 0.0]])
-        with pytest.raises(NumericalError, match="non-finite covariance in predict"):
-            run_fusion(speeds, [(500, "hover")], gps, predictor, process_noise_scale=1e300)
+        got = self.compare((speeds, [(500, "hover")], gps), predictor, process_noise_scale=1e300)
+        assert got == (NumericalError, "non-finite covariance in predict")
 
     def test_non_finite_initial_covariance_is_a_bad_state(self, predictor):
         got = self.compare(flight_streams(), predictor, gps_sigma_m=np.inf)
@@ -522,9 +536,12 @@ class TestDeferredChecks:
         def no_prior(**kwargs):
             raise AssertionError("run_fusion built a MotionPrior")
 
-        monkeypatch.setattr(fusion, "MotionPrior", no_prior)
         speeds, commands, gps = flight_streams()
-        assert len(run_fusion(speeds, commands, gps, predictor).states) == len(speeds) + len(gps) + 1
+        want = fusion_outcome(per_step_fusion, (speeds, commands, gps), predictor)
+        monkeypatch.setattr(fusion, "MotionPrior", no_prior)
+        got = self.compare((speeds, commands, gps), predictor)
+        assert_same_outcome(got, want)
+        assert len(got) == len(speeds) + len(gps) + 1
 
 
 class TestCheckPsd:
@@ -556,3 +573,89 @@ class TestCheckPsd:
                 with pytest.raises(NumericalError) as exc:
                     fusion._check_psd(covs, "predict")
                 assert str(exc.value) == want
+
+
+@contextmanager
+def fusion_warnings():
+    """The messages the fusion logger warns with inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("rotorsense.fusion")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+# times on a 250 us grid tie often; a row drawn after a later one of its
+# stream lands behind the filter clock
+TIMES = st.integers(0, 40).map(lambda k: 250 * k)
+RPMS = st.one_of(st.floats(2500.0, 3500.0), st.sampled_from([-1.0, 0.0, np.nan, np.inf, 3000.0]))
+
+
+class TestMerge:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        speeds=st.lists(st.tuples(TIMES, st.integers(-1, 5), RPMS), max_size=30),
+        commands=st.lists(st.tuples(TIMES, st.sampled_from(COMMANDS * 3 + ("jump",))), max_size=6),
+        fixes=st.lists(st.tuples(TIMES, *[st.floats(-5.0, 5.0)] * 3), max_size=6),
+    )
+    def test_unsorted_tied_streams_match_the_row_by_row_merge(self, speeds, commands, fixes):
+        """Unsorted streams with tied times, rows before the first fix and
+        behind the clock, negative or NaN rpm and unknown commands: the
+        same states or error as `oracles.run_fusion`, and the same
+        out-of-order warnings in the same order."""
+        predictor = KinematicPredictor.from_hover_calibration(HOVER)
+        streams = (np.array(speeds, dtype=float).reshape(-1, 3), commands, np.array(fixes, dtype=float).reshape(-1, 4))
+        with fusion_warnings() as got_warnings:
+            got = fusion_outcome(run_fusion, streams, predictor)
+        with fusion_warnings() as want_warnings:
+            want = fusion_outcome(oracles.run_fusion, streams, predictor)
+        assert_same_outcome(got, want)
+        assert got_warnings == want_warnings
+
+
+def test_fuse_writes_the_reference_bytes_without_a_state_per_measurement(tmp_path, monkeypatch):
+    """`fuse` over a 2 s flight's 1 kHz rotor speeds writes the fused.csv
+    of the row-by-row reference and the per-state formatter, and builds at
+    most one FusedState per GPS fix, not one per measurement."""
+    from rotorsense import pipeline as pl
+    from rotorsense.cli import main
+    from rotorsense.config import PipelineConfig
+
+    drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0, gps_rate_hz=5.0, gps_sigma_m=2.0)
+    script = [(0, "hover"), (500_000, "climb"), (1_200_000, "roll")]
+    flight = simulate_flight(script, drone, NO_NOISE, duration_us=2_000_000, seed=3, tick_us=1000)
+    truth = flight.truth
+    t, prop, rpm = pl.prop_rpm_columns(truth.times_us, flight.rpm_traces)
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("speeds", "commands", "gps", "fused", "want")}
+    tables.SPEEDS.write(paths["speeds"], [t, prop, rpm, np.zeros(len(t))])
+    pl.write_command_csv(paths["commands"], [(int(k), truth.command_labels[int(c)])
+                                             for k, c in zip(truth.times_us[::100], truth.command_ids[::100])])
+    pl.write_xyz_csv(paths["gps"], flight.gps)
+
+    cfg = PipelineConfig()
+    predictor = KinematicPredictor.from_hover_calibration(np.full(4, rpm_to_rad_s(cfg.hover_rpm)), cfg.tilt_fraction)
+    want = oracles.run_fusion(
+        pl.read_speed_csv(paths["speeds"])[:, :3], pl.read_command_csv(paths["commands"]),
+        pl.read_table(paths["gps"], tables.GPS), predictor,
+        gps_sigma_m=cfg.gps_sigma_m, process_noise_scale=cfg.process_noise_scale,
+    )
+    reference_fused_csv(paths["want"], want.states)
+
+    calls = [0]
+    init = FusedState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusedState, "__init__", counting_init)
+    rc = main(["fuse", "--speeds", paths["speeds"], "--commands", paths["commands"], "--gps", paths["gps"],
+               "--out-csv", paths["fused"]])
+    assert rc == 0
+    assert open(paths["fused"], "rb").read() == open(paths["want"], "rb").read()
+    assert len(want.states) > len(t)  # a line per measurement from the first fix
+    assert calls[0] <= len(flight.gps)

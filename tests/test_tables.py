@@ -563,6 +563,11 @@ def test_every_table_writes_what_one_row_format_wrote(tmp_path, name, int_dtype)
         table.write(str(tmp_path / "got.csv"), columns, comments)
         reference_write(table, str(tmp_path / "want.csv"), columns, comments)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (name, n)
+        if n == rows + 1:  # over a block boundary, each row formatted once and written 0 to 3 times
+            repeats = rng.integers(0, 4, n)
+            table.write(str(tmp_path / "got.csv"), columns, comments, repeats=repeats)
+            reference_write(table, str(tmp_path / "want.csv"), [np.repeat(c, repeats) for c in columns], comments)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (name, n, "repeats")
 
 
 def test_int_columns_take_lists_and_truncated_floats(tmp_path):
