@@ -19,7 +19,6 @@ from .commands import (
     CommandModel,
     CommandSample,
     load_model,
-    lowpass_filter,
     predict_command,
     predict_commands,
     save_model,

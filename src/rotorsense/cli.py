@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from typing import TextIO
@@ -137,12 +138,14 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
     from .sim import DroneSpec
 
     drone = DroneSpec(hover_rpm=cfg.hover_rpm, delta_rpm=args.delta_rpm, rpm_jitter=args.jitter_rpm)
+    if not args.delta_rpm > 0:  # at 0 every command has the hover pattern
+        raise ConfigError(f"--delta-rpm must be positive, got {args.delta_rpm}")
     window = int(cfg.window_ms * cfg.resample_hz / 1000.0)
     raw = generate_command_dataset(args.samples_per_class, drone, window, cfg.resample_hz, cfg.seed)
     samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
     model, accuracies = train_command_model(
         samples, k_folds=cfg.svm_folds, lambda_reg=cfg.svm_lambda, epochs=cfg.svm_epochs,
-        seed=cfg.seed, rate_hz=cfg.resample_hz, cutoff_hz=cfg.cutoff_hz,
+        seed=cfg.seed, rate_hz=cfg.resample_hz,
     )
     save_model(model, args.model)
     pl.write_manifest(args.model + ".manifest.json", cfg.content_hash(), cfg.seed, [args.model])
@@ -271,6 +274,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if args.duration_us <= 0:
+        raise ConfigError(f"--duration-us must be positive, got {args.duration_us}")
+    if not 0 <= args.min_events_per_sec < math.inf:
+        raise ConfigError(f"--min-events-per-sec must be finite and nonnegative, got {args.min_events_per_sec}")
     if args.input:
         events, _ = read_events(args.input, args.format)
         tracked = pl.preprocess_stream(events, cfg)
@@ -296,7 +303,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         fh.write("\n")
     pl.write_manifest(os.path.join(args.out, "manifest.json"), cfg.content_hash(), cfg.seed, [bench_path])
     _say(json.dumps(report, sort_keys=True))
-    return EXIT_OK if report["pass"] else EXIT_NUMERIC
+    if not report["pass"]:
+        raise NumericalError(
+            f"{report['events_per_sec']:.4g} events/s is below --min-events-per-sec {args.min_events_per_sec:g}"
+        )
+    return EXIT_OK
 
 
 def _number_pair(text: str) -> tuple[float, float]:

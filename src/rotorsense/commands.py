@@ -1,28 +1,22 @@
 """Flight-command classification from multi-propeller speed traces.
 
-Squared-speed windows (thrust scales with speed squared) are low-pass
-filtered, summarized per channel by five features (mean, standard
-deviation, dominant frequency, spectral energy, spectral entropy),
-z-scored with training statistics, and classified by one-vs-rest linear
-hinge-loss classifiers trained with seeded stochastic subgradient
-descent. Stratified k-fold cross-validation scores ship with the model.
+A window's feature is each rotor's mean squared speed over the window:
+thrust scales with speed squared, and the command mixer
+(`dynamics.command_rpm_pattern`) moves each rotor's speed per command,
+so these means carry the command. They are z-scored with training
+statistics and classified by one-vs-rest linear hinge-loss classifiers
+trained with seeded stochastic subgradient descent. Stratified k-fold
+cross-validation scores ship with the model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import COMMANDS
-from .errors import ConfigError, DataError, NumericalError, open_text
-
-FEATURES_PER_CHANNEL = 5
-# samples per filter and feature pass in training: one pass over all of
-# train-command's 1200 windows peaks at about 23 MB of arrays, blocks of 64
-# at under 2 MB
-FEATURE_BLOCK = 64
+from .errors import DataError, NumericalError, open_text
 
 
 @dataclass(frozen=True)
@@ -43,77 +37,15 @@ class CommandSample:
             raise DataError(f"unknown label {self.label!r}")
 
 
-def lowpass_filter(trace: np.ndarray, cutoff_hz: float, rate_hz: float) -> np.ndarray:
-    """Single-pole smoothing run forward then backward along the last
-    axis: zero phase lag, unit DC gain, monotone step response.
+def _features(windows: np.ndarray) -> np.ndarray:
+    """Each rotor's mean squared speed: the means over the last axis of an
+    (..., n_props, window) array.
 
-    The recurrence steps a time-first view, so a stack of traces advances
-    one time step at a time with the same float operations per element as
-    each trace alone, and a 1-D trace steps scalars."""
-    if cutoff_hz <= 0:
-        raise ConfigError("cutoff must be positive")
-    if cutoff_hz > rate_hz / 2.0:
-        raise ConfigError(f"cutoff {cutoff_hz} Hz exceeds Nyquist {rate_hz / 2.0} Hz")
-    x = np.asarray(trace, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
-    a = math.exp(-2.0 * math.pi * cutoff_hz / rate_hz)
-
-    def one_pass(sig: np.ndarray) -> np.ndarray:
-        out = np.empty_like(sig)
-        out[0] = sig[0]
-        scaled = (1.0 - a) * sig
-        for i in range(1, len(sig)):
-            out[i] = a * out[i - 1] + scaled[i]
-        return out
-
-    time_first = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    return np.moveaxis(one_pass(one_pass(time_first)[::-1])[::-1], 0, -1)
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
-def _features(channels: np.ndarray, rate_hz: float) -> np.ndarray:
-    """The five features of each row of a (channels, window) stack, as a
-    (channels, 5) array.
-
-    Each reduction runs over one contiguous row, so every row gets the
-    float operations it would get alone. Non-finite or overflowing
-    windows, and windows whose flatness floor overflows, give non-finite
-    features without a warning; training and prediction reject them."""
-    x = np.ascontiguousarray(channels, dtype=np.float64)
-    n_rows, n = x.shape
-    n_fft = _next_pow2(n)
-    feats = np.zeros((n_rows, FEATURES_PER_CHANNEL))
+    Each mean reduces one contiguous row, the float operations of that
+    row alone. A window whose sum overflows gives inf without a warning;
+    training and prediction reject it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = x.mean(axis=1), x.std(axis=1)
-        feats[:, 0], feats[:, 1] = mean, std
-        padded = np.zeros((n_rows, n_fft))
-        padded[:, :n] = x - mean[:, None]  # keep zero-padding from leaking DC
-        mags_sq = np.abs(np.fft.rfft(padded)[:, 1:]) ** 2  # DC excluded
-        if mags_sq.shape[1] == 0:
-            return feats
-        floor = np.square(1e-9 * n * np.fmax(1.0, np.abs(mean) + std))
-        # a flat row keeps 0 for the spectral features; a NaN peak is not flat
-        live = np.flatnonzero(~(mags_sq.max(axis=1) <= floor))
-        mags_sq = mags_sq[live]
-        energy = mags_sq.sum(axis=1)
-        feats[live, 2] = (np.argmax(mags_sq, axis=1) + 1) * rate_hz / n_fft
-        feats[live, 3] = energy
-        p = mags_sq / energy[:, None]
-    # rows with a zero (or NaN) bin sum only their positive terms, which
-    # is a different summation than over the full row
-    positive = (p > 0).all(axis=1)
-    p_pos = p[positive]
-    feats[live[positive], 4] = -(p_pos * np.log(p_pos)).sum(axis=1)
-    for row, probs in zip(live[~positive], p[~positive]):
-        nz = probs[probs > 0]
-        feats[row, 4] = -(nz * np.log(nz)).sum()
-    # a floor that overflows cannot tell a flat row from a live one
-    feats[~np.isfinite(floor), 2:] = np.nan
-    return feats
+        return np.ascontiguousarray(windows, dtype=np.float64).mean(axis=-1)
 
 
 @dataclass
@@ -127,23 +59,8 @@ class CommandModel:
     n_props: int
     window: int
     rate_hz: float
-    cutoff_hz: float | None
     classes: tuple[str, ...] = COMMANDS
     fold_accuracies: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def _prepare_features(
-    windows: list[np.ndarray] | np.ndarray, rate_hz: float, cutoff_hz: float | None
-) -> np.ndarray:
-    """One feature row per (n_props, window) window of a sequence or stack,
-    FEATURE_BLOCK windows per filter and feature pass."""
-    rows = []
-    for start in range(0, len(windows), FEATURE_BLOCK):
-        block = np.asarray(windows[start : start + FEATURE_BLOCK], dtype=np.float64)
-        if cutoff_hz is not None:
-            block = lowpass_filter(block, cutoff_hz, rate_hz)
-        rows.append(_features(block.reshape(-1, block.shape[-1]), rate_hz).reshape(len(block), -1))
-    return np.concatenate(rows)
 
 
 def _standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -160,11 +77,15 @@ def _scores(weights: np.ndarray, biases: np.ndarray, z: np.ndarray) -> np.ndarra
 
 
 def _fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and std; NumericalError when either is not finite."""
+    """Per-feature mean and std; NumericalError when either is not finite,
+    or when no feature varies over the rows, which leaves nothing to
+    separate the classes by."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = features.mean(axis=0), features.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise NumericalError("training features are not finite or overflow: cannot standardize them")
+    if (features == features[0]).all():
+        raise NumericalError("no training feature varies: every window has the same mean squared speeds")
     return mean, std
 
 
@@ -234,7 +155,6 @@ def train_command_model(
     seed: int = 0,
     *,
     rate_hz: float = 1000.0,
-    cutoff_hz: float | None = 50.0,
     classes: tuple[str, ...] = COMMANDS,
 ) -> tuple[CommandModel, np.ndarray]:
     """Fit the classifier and score it by stratified k-fold validation.
@@ -243,7 +163,9 @@ def train_command_model(
     missing from the training set or has fewer than k samples. The
     expected class set defaults to all six commands; reduced synthetic
     problems may pass a subset. Raises NumericalError when the features,
-    or their mean or spread, are not finite.
+    or their mean or spread, are not finite, or when no feature varies.
+    rate_hz is the sample rate of the windows, which `infer-command`
+    resamples speed rows to.
     """
     if not samples:
         raise DataError("no training samples")
@@ -264,7 +186,7 @@ def train_command_model(
     if any(s.speeds_sq.shape != (n_props, window) for s in samples):
         raise DataError("all samples must share the same channel count and window length")
 
-    features_raw = _prepare_features([s.speeds_sq for s in samples], rate_hz, cutoff_hz)
+    features_raw = np.stack([_features(s.speeds_sq) for s in samples])
     every = np.arange(len(samples))
     folds = stratified_folds(labels, k_folds, np.random.default_rng(seed))
     # training rows and seed of each fold fit, then of the final fit on every sample
@@ -296,7 +218,6 @@ def train_command_model(
         n_props=n_props,
         window=window,
         rate_hz=rate_hz,
-        cutoff_hz=cutoff_hz,
         classes=classes,
         fold_accuracies=accuracies,
     )
@@ -305,10 +226,9 @@ def train_command_model(
 
 def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Classify an (n, n_props, window) stack of squared-speed windows
-    through training's filter, features and standardization; returns the
-    labels and the (n, classes) scores. Ties break in fixed class order.
-    Raises NumericalError when a window's features or scores are not
-    finite."""
+    through training's features and standardization; returns the labels
+    and the (n, classes) scores. Ties break in fixed class order. Raises
+    NumericalError when a window's features or scores are not finite."""
     data = np.asarray(windows, dtype=np.float64)
     if data.size == 0:
         raise DataError("no windows to classify")
@@ -316,11 +236,9 @@ def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str
         raise DataError(
             f"windows of shape {data.shape} do not stack the model's ({model.n_props}, {model.window})"
         )
-    if model.feature_mean.size != model.n_props * FEATURES_PER_CHANNEL:
-        raise DataError(
-            f"model has {model.feature_mean.size} features for {model.n_props} rotors, not {FEATURES_PER_CHANNEL} per rotor"
-        )
-    features = _prepare_features(data, model.rate_hz, model.cutoff_hz)
+    if model.feature_mean.size != model.n_props:
+        raise DataError(f"model has {model.feature_mean.size} features for {model.n_props} rotors, not one per rotor")
+    features = _features(data)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _scores(model.weights, model.biases, _standardize(features, model.feature_mean, model.feature_std))
     if not np.isfinite(scores).all():
@@ -342,7 +260,7 @@ def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> 
 
 # --- Model file format (versioned plain text) ---
 
-_MODEL_HEADER = "rotorsense-command-model v1"
+_MODEL_HEADER = "rotorsense-command-model v2"
 
 
 def _fmt_vec(values: np.ndarray) -> str:
@@ -352,8 +270,7 @@ def _fmt_vec(values: np.ndarray) -> str:
 def save_model(model: CommandModel, path: str) -> None:
     lines = [
         _MODEL_HEADER,
-        f"n_props={model.n_props} window={model.window} rate_hz={float(model.rate_hz)!r} "
-        f"cutoff_hz={'none' if model.cutoff_hz is None else repr(float(model.cutoff_hz))}",
+        f"n_props={model.n_props} window={model.window} rate_hz={float(model.rate_hz)!r}",
         "classes=" + ",".join(model.classes),
         "feature_mean=" + _fmt_vec(model.feature_mean),
         "feature_std=" + _fmt_vec(model.feature_std),
@@ -391,16 +308,15 @@ def load_model(path: str) -> CommandModel:
     if len(lines) < 5:
         raise DataError(f"{path}: truncated after line {len(lines)}, expected settings, classes and feature lines")
     fields = dict(text.partition("=")[::2] for text in lines[1].split())
-    missing = [key for key in ("n_props", "window", "rate_hz", "cutoff_hz") if not fields.get(key)]
+    missing = [key for key in ("n_props", "window", "rate_hz") if not fields.get(key)]
     if missing:
         raise DataError(f"{path}:2: missing {', '.join(missing)} in {lines[1]!r}")
     try:
         n_props, window, rate_hz = int(fields["n_props"]), int(fields["window"]), float(fields["rate_hz"])
-        cutoff_hz = None if fields["cutoff_hz"] == "none" else float(fields["cutoff_hz"])
     except ValueError as exc:
         raise DataError(f"{path}:2: non-numeric setting in {lines[1]!r}") from exc
     # speed rows are stamped in whole microseconds: a finer grid than 1 MHz adds nothing
-    if n_props < 1 or window < 1 or not 0 < rate_hz <= 1e6 or not (cutoff_hz is None or 0 < cutoff_hz < math.inf):
+    if n_props < 1 or window < 1 or not 0 < rate_hz <= 1e6:
         raise DataError(f"{path}:2: setting out of range in {lines[1]!r}")
     classes = tuple(_model_value(path, 3, lines[2], "classes").split(","))
     mean = _model_floats(path, 4, _model_value(path, 4, lines[3], "feature_mean"))
@@ -432,7 +348,6 @@ def load_model(path: str) -> CommandModel:
         n_props=n_props,
         window=window,
         rate_hz=rate_hz,
-        cutoff_hz=cutoff_hz,
         classes=classes,
         fold_accuracies=np.array(folds),
     )

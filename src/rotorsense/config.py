@@ -16,6 +16,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .dynamics import COMMANDS
 from .errors import ConfigError, open_text
 from .events import SensorGeometry
@@ -103,7 +105,6 @@ class PipelineConfig:
     svm_folds: int = 5
     window_ms: float = 100.0
     resample_hz: float = 1000.0
-    cutoff_hz: float = 50.0
     # fusion
     hover_rpm: float = 3000.0
     gps_sigma_m: float = 2.0
@@ -141,6 +142,10 @@ class PipelineConfig:
         return cls.from_dict(parse_kv_file(path), source=path)
 
     def validate(self) -> None:
+        for f in fields(self):  # integers feed int64 arrays and numpy generators
+            value = getattr(self, f.name)
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ConfigError(f"{f.name} must fit in 64 bits, got {value!r}")
         if self.window_us <= 0:
             raise ConfigError("window_us must be positive")
         if self.bin_size < 1:
@@ -183,6 +188,18 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # the warp takes float32 omega times float32 (t - t_ref), and a batch
+        # (or a consistency check's pair of bundles) spans up to max(beta, 2)
+        # bundles: omega and that angle must stay finite, with half of
+        # float32's range left for rounding both factors
+        span_s = max(self.beta, 2) * self.dt_us * 1e-6
+        if self.bracket_rpm_hi * (2.0 * math.pi / 60.0) * max(span_s, 1.0) > 0.5 * float(np.finfo(np.float32).max):
+            raise ConfigError(
+                f"bracket_rpm_hi {self.bracket_rpm_hi!r} gives a warp angle beyond float32 range "
+                f"over a batch of {max(self.beta, 2)} x {self.dt_us} us"
+            )
         if not math.isfinite(self.gps_sigma_m * self.gps_sigma_m):  # the GPS noise variance
             raise ConfigError(f"gps_sigma_m squared must be finite, got {self.gps_sigma_m!r}")
 

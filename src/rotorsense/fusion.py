@@ -116,8 +116,9 @@ class KinematicPredictor:
 
     @classmethod
     def from_hover_calibration(cls, hover_speeds_rad_s: np.ndarray, tilt_fraction: float = 0.2) -> "KinematicPredictor":
-        k_f = calibrate_thrust_gain(hover_speeds_rad_s, GRAVITY)
-        hover_sq = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
+        with np.errstate(over="ignore"):  # squares that overflow give a zero gain, rejected below
+            k_f = calibrate_thrust_gain(hover_speeds_rad_s, GRAVITY)
+            hover_sq = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
         return cls(k_f=k_f, hover_speed_sq_sum=hover_sq, tilt_fraction=tilt_fraction)
 
     def acceleration(self, prior: MotionPrior) -> np.ndarray:
@@ -464,52 +465,53 @@ def run_fusion(
     the module docstring); a failing one raises the error `predict` would
     have raised at that step, before any later step's.
     """
-    speed_t, props, rpm = _speed_rows(speed_stream)
-    gps = np.asarray(gps_stream, dtype=np.float64)
-    if not gps.size:
-        gps = np.zeros((0, 4))
-    if not (np.abs(gps[:, 0]) < 2.0**63).all():
-        raise DataError("non-finite or out-of-range time in the GPS stream")
-    plan = _schedule(
-        [label for _, label in command_stream], np.array([int(t_us) for t_us, _ in command_stream], dtype=np.int64),
-        speed_t, props, rpm, gps[:, 0].astype(np.int64), predictor, process_noise_scale,
-    )
-    if plan is None:
-        empty = FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6)), np.zeros(0, np.int64))
-        return FusionResult(empty, [])
+    with np.errstate(over="ignore", invalid="ignore"):  # the step checks report what overflows
+        speed_t, props, rpm = _speed_rows(speed_stream)
+        gps = np.asarray(gps_stream, dtype=np.float64)
+        if not gps.size:
+            gps = np.zeros((0, 4))
+        if not (np.abs(gps[:, 0]) < 2.0**63).all():
+            raise DataError("non-finite or out-of-range time in the GPS stream")
+        plan = _schedule(
+            [label for _, label in command_stream], np.array([int(t_us) for t_us, _ in command_stream], dtype=np.int64),
+            speed_t, props, rpm, gps[:, 0].astype(np.int64), predictor, process_noise_scale,
+        )
+        if plan is None:
+            empty = FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6)), np.zeros(0, np.int64))
+            return FusionResult(empty, [])
 
-    r_gps = gps_sigma_m**2 * np.eye(3)
-    means, covs = plan.means, np.zeros((len(plan.t_us), 6, 6))
-    means[0, :3] = gps[0, 1:4]
-    covs[0, :3, :3] = r_gps
-    covs[0, 3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
-    nis: list[float] = []
-    dropped_t_us = iter(plan.dropped_t_us)
-    k = checked = 0  # the current state and the last checked one
+        r_gps = gps_sigma_m**2 * np.eye(3)
+        means, covs = plan.means, np.zeros((len(plan.t_us), 6, 6))
+        means[0, :3] = gps[0, 1:4]
+        covs[0, :3, :3] = r_gps
+        covs[0, 3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
+        nis: list[float] = []
+        dropped_t_us = iter(plan.dropped_t_us)
+        k = checked = 0  # the current state and the last checked one
 
-    def check() -> None:
-        _check_steps(means[checked : k + 1], covs[checked : k + 1], plan.accels[checked + 1 : k + 1])
+        def check() -> None:
+            _check_steps(means[checked : k + 1], covs[checked : k + 1], plan.accels[checked + 1 : k + 1])
 
-    for gap, fix in zip(plan.gaps, plan.fixes):
-        if fix == -2:
-            check()
-            checked = k
-            t_us = next(dropped_t_us)
-            LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, plan.t_us[k])
-            continue
-        if gap:
-            f, _, q = _step_matrices(gap * 1e-6, process_noise_scale)
-            means[k + 1], covs[k + 1] = _step(means[k], covs[k], f, q, means[k + 1])
-            k += 1
-            if k - checked == CHECK_STEPS:
+        for gap, fix in zip(plan.gaps, plan.fixes):
+            if fix == -2:
                 check()
                 checked = k
-        if fix >= 0:
-            check()
-            means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
-            k = checked = k + 1
-            nis.append(fix_nis)
-    check()
-    if plan.error is not None:
-        raise plan.error
-    return FusionResult(FusedStates(plan.t_us, means, covs, plan.index), nis)
+                t_us = next(dropped_t_us)
+                LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, plan.t_us[k])
+                continue
+            if gap:
+                f, _, q = _step_matrices(gap * 1e-6, process_noise_scale)
+                means[k + 1], covs[k + 1] = _step(means[k], covs[k], f, q, means[k + 1])
+                k += 1
+                if k - checked == CHECK_STEPS:
+                    check()
+                    checked = k
+            if fix >= 0:
+                check()
+                means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
+                k = checked = k + 1
+                nis.append(fix_nis)
+        check()
+        if plan.error is not None:
+            raise plan.error
+        return FusionResult(FusedStates(plan.t_us, means, covs, plan.index), nis)

@@ -10,14 +10,15 @@ tabulates each command once and renders through the renderer it shares
 with `sim.simulate_propellers`. `BladePainter` evaluates every disk
 pixel's coverage margin on every tick, and `render` paints with it one
 tick at a time; `sim._render` paints blocks of ticks and evaluates only
-the pixels that can flip. `lowpass_filter` smooths one trace with a
-scalar loop, `channel_features` summarizes one channel and
-`pegasos_ovr` runs one classifier fit; `commands` filters and
-summarizes stacks of windows and steps fits of equal size in lockstep.
-`predict_command` classifies one window channel by channel, and
-`infer_commands` runs it on each window `infer-command` collects;
-`commands.predict_commands` classifies every window in one pass.
-`extract_features` summarizes one window through the feature kernel.
+the pixels that can flip. `pegasos_ovr` runs one classifier fit and
+`train_command_model` averages one channel at a time and fits one fold
+after the other; `commands` averages stacks of windows and steps fits of
+equal size in lockstep. `predict_command` classifies one window channel
+by channel, and `infer_commands` runs it on each window `infer-command`
+collects; `commands.predict_commands` classifies every window in one
+pass. `nearest_mixer_pattern` is the untrained baseline the classifier
+is checked against: the command whose mixer pattern lies nearest a
+window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
 row, building a `FusedState` per step and a list of them per check;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
@@ -304,44 +305,9 @@ def render(specs, phases, tick_times, noise, geometry, duration_us, rng):
     return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]
 
 
-def lowpass_filter(trace: np.ndarray, cutoff_hz: float, rate_hz: float) -> np.ndarray:
-    """Single-pole smoothing of one trace, forward then backward, one
-    scalar step at a time."""
-    x = np.asarray(trace, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
-    a = math.exp(-2.0 * math.pi * cutoff_hz / rate_hz)
-
-    def one_pass(sig: np.ndarray) -> np.ndarray:
-        out = np.empty_like(sig)
-        out[0] = sig[0]
-        for i in range(1, sig.size):
-            out[i] = a * out[i - 1] + (1.0 - a) * sig[i]
-        return out
-
-    return one_pass(one_pass(x)[::-1])[::-1]
-
-
-def channel_features(signal: np.ndarray, rate_hz: float) -> np.ndarray:
-    """Mean, standard deviation, dominant frequency, spectral energy and
-    spectral entropy of one channel."""
-    mean = float(signal.mean())
-    std = float(signal.std())
-    n_fft = 1 << (signal.size - 1).bit_length()
-    padded = np.zeros(n_fft)
-    padded[: signal.size] = signal - mean
-    spectrum = np.fft.rfft(padded)
-    mags_sq = np.abs(spectrum[1:]) ** 2
-    floor = (1e-9 * signal.size * max(1.0, abs(mean) + std)) ** 2
-    if mags_sq.size == 0 or float(mags_sq.max()) <= floor:
-        return np.array([mean, std, 0.0, 0.0, 0.0])
-    energy = float(mags_sq.sum())
-    dominant_bin = int(np.argmax(mags_sq)) + 1
-    dominant_hz = dominant_bin * rate_hz / n_fft
-    p = mags_sq / energy
-    nz = p[p > 0]
-    entropy = float(-(nz * np.log(nz)).sum())
-    return np.array([mean, std, dominant_hz, energy, entropy])
+def channel_means(window) -> np.ndarray:
+    """Each channel's mean squared speed, one channel at a time."""
+    return np.array([channel.mean() for channel in np.asarray(window, dtype=np.float64)])
 
 
 def pegasos_ovr(features, labels, n_classes, lambda_reg, epochs, rng):
@@ -372,17 +338,11 @@ def pegasos_ovr(features, labels, n_classes, lambda_reg, epochs, rng):
     return final[:, :dim], final[:, dim].copy()
 
 
-def train_command_model(samples, k_folds, lambda_reg, epochs, seed, rate_hz, cutoff_hz, classes=COMMANDS):
+def train_command_model(samples, k_folds, lambda_reg, epochs, seed, classes=COMMANDS):
     """(weights, biases, feature mean, feature std, fold accuracies) of
-    `commands.train_command_model`, filtering and summarizing one channel
-    at a time and fitting one fold after the other."""
-    rows = []
-    for s in samples:
-        data = s.speeds_sq
-        if cutoff_hz is not None:
-            data = np.stack([lowpass_filter(ch, cutoff_hz, rate_hz) for ch in data])
-        rows.append(np.concatenate([channel_features(ch, rate_hz) for ch in data]))
-    features = np.stack(rows)
+    `commands.train_command_model`, averaging one channel at a time and
+    fitting one fold after the other."""
+    features = np.stack([channel_means(s.speeds_sq) for s in samples])
     labels = np.array([classes.index(s.label) for s in samples])
 
     def fit(train_idx, rng_seed):
@@ -403,12 +363,9 @@ def train_command_model(samples, k_folds, lambda_reg, epochs, seed, rate_hz, cut
 
 
 def predict_command(model, window):
-    """(label, scores) of one (n_props, window) window, filtered and
-    summarized one channel at a time and scored by `weights @ z`."""
-    data = np.asarray(window, dtype=np.float64)
-    if model.cutoff_hz is not None:
-        data = np.stack([lowpass_filter(ch, model.cutoff_hz, model.rate_hz) for ch in data])
-    features = np.concatenate([channel_features(ch, model.rate_hz) for ch in data])
+    """(label, scores) of one (n_props, window) window, averaged one
+    channel at a time and scored by `weights @ z`."""
+    features = channel_means(window)
     z = (features - model.feature_mean) / np.where(model.feature_std > 0, model.feature_std, 1.0)
     scores = model.weights @ z + model.biases
     return model.classes[int(np.argmax(scores))], scores
@@ -437,13 +394,12 @@ def infer_commands(model, speeds, window_us):
     return rows
 
 
-def extract_features(sample, rate_hz=1000.0):
-    """Five features per channel of one (n_props, window) sample,
-    concatenated channel-major."""
-    data = sample.speeds_sq if isinstance(sample, commands.CommandSample) else np.asarray(sample, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("expected a (n_props, window) array")
-    return commands._features(data, rate_hz).reshape(-1)
+def nearest_mixer_pattern(window, hover_rpm, delta_rpm):
+    """The command whose `command_rpm_pattern`, squared in (rad/s)^2, is
+    nearest (Euclidean, first of ties in COMMANDS order) to the window's
+    per-rotor mean squared speeds."""
+    patterns = np.stack([np.square(rpm_to_rad_s(command_rpm_pattern(c, hover_rpm, delta_rpm))) for c in COMMANDS])
+    return COMMANDS[int(np.argmin(np.linalg.norm(patterns - channel_means(window), axis=1)))]
 
 
 @dataclass

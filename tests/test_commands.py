@@ -1,4 +1,3 @@
-import math
 import re
 import warnings
 
@@ -7,20 +6,19 @@ import oracles
 import pytest
 
 from rotorsense import commands
-from rotorsense.cli import EXIT_NUMERIC, EXIT_OK, main
+from rotorsense.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rotorsense.commands import (
     CommandModel,
     CommandSample,
     load_model,
-    lowpass_filter,
     predict_command,
     predict_commands,
     save_model,
     stratified_folds,
     train_command_model,
 )
-from rotorsense.dynamics import COMMANDS, rpm_to_rad_s
-from rotorsense.errors import ConfigError, DataError, NumericalError
+from rotorsense.dynamics import COMMANDS, command_rpm_pattern, rpm_to_rad_s
+from rotorsense.errors import DataError, NumericalError
 from rotorsense.sim import NO_NOISE, DroneSpec, generate_command_dataset, simulate_flight
 
 
@@ -31,78 +29,22 @@ def dataset():
     return [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
 
 
-class TestLowpass:
-    def test_constant_trace_unchanged(self):
-        x = np.full(200, 7.5)
-        assert lowpass_filter(x, 20.0, 1000.0) == pytest.approx(x)
-
-    def test_high_frequency_attenuation_matches_pole(self):
-        """Two-pass gain of a single pole at f: ((1-a)^2 /
-        (1 - 2a cos(2 pi f/fs) + a^2)); a tone far above cutoff drops
-        below 0.1 amplitude."""
-        fs, fc, f = 1000.0, 20.0, 200.0
-        n = 4096
-        t = np.arange(n) / fs
-        x = np.sin(2 * np.pi * f * t)
-        y = lowpass_filter(x, fc, fs)
-        measured = np.abs(y[n // 4 : -n // 4]).max()
-        a = math.exp(-2 * math.pi * fc / fs)
-        expected = (1 - a) ** 2 / (1 - 2 * a * math.cos(2 * math.pi * f / fs) + a**2)
-        assert measured < 0.1
-        assert measured == pytest.approx(expected, rel=0.05)
-
-    def test_step_response_monotone_no_overshoot(self):
-        x = np.concatenate([np.zeros(100), np.ones(100)])
-        y = lowpass_filter(x, 30.0, 1000.0)
-        assert np.all(np.diff(y) >= -1e-12)
-        assert y.max() <= 1.0 + 1e-12
-
-    def test_cutoff_above_nyquist_rejected(self):
-        with pytest.raises(ConfigError, match="Nyquist"):
-            lowpass_filter(np.ones(10), 600.0, 1000.0)
-
-
 class TestFeatures:
     def test_constant_trace_features(self):
-        sample = np.full((1, 100), 42.0)
-        f = oracles.extract_features(sample, rate_hz=1000.0)
-        mean, std, domfreq, energy, entropy = f
-        assert mean == pytest.approx(42.0)
-        assert std == pytest.approx(0.0)
-        assert domfreq == 0.0 and energy == 0.0 and entropy == 0.0
-
-    def test_sinusoid_dominant_frequency_within_one_bin(self):
-        fs, f0, n = 1000.0, 10.0, 1024
-        t = np.arange(n) / fs
-        sample = (5.0 + np.sin(2 * np.pi * f0 * t))[None, :]
-        feats = oracles.extract_features(sample, rate_hz=fs)
-        bin_hz = fs / n  # ~0.977 Hz
-        assert abs(feats[2] - f0) <= bin_hz
-
-    def test_entropy_noise_above_tone(self):
-        fs, n = 1000.0, 256
-        t = np.arange(n) / fs
-        tone = (np.sin(2 * np.pi * 25.0 * t))[None, :] + 2.0
-        wins = 0
-        for seed in range(50):
-            noise = np.abs(np.random.default_rng(seed).normal(2.0, 1.0, n))[None, :]
-            e_noise = oracles.extract_features(noise, fs)[4]
-            e_tone = oracles.extract_features(tone, fs)[4]
-            wins += e_noise > e_tone
-        assert wins == 50
+        assert np.array_equal(commands._features(np.full((1, 100), 42.0)), [42.0])
 
     def test_deterministic_bit_for_bit(self, dataset):
-        a = oracles.extract_features(dataset[0])
-        b = oracles.extract_features(dataset[0])
+        a = commands._features(dataset[0].speeds_sq)
+        b = commands._features(dataset[0].speeds_sq)
         assert np.array_equal(a, b)
 
-    def test_dimension_is_five_per_channel(self, dataset):
-        assert oracles.extract_features(dataset[0]).shape == (5 * 4,)
+    def test_dimension_is_one_per_channel(self, dataset):
+        assert commands._features(dataset[0].speeds_sq).shape == (4,)
 
 
 def flat_and_spiky_windows(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of length n: random, constant, constant plus a ripple below the
-    flat floor, zero, and a square-speed-like trace."""
+    """Rows of length n: random, constant, constant plus a tiny ripple,
+    zero, a square-speed-like trace and small values."""
     base = 1e5 + rng.normal(0.0, 1.0, size=n)
     return np.stack([
         rng.normal(size=n), np.full(n, 42.0), 42.0 + 1e-13 * rng.normal(size=n), np.zeros(n),
@@ -111,69 +53,39 @@ def flat_and_spiky_windows(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestBatchedMatchesOracles:
-    """The stacked filter, the feature kernel and lockstep fits give the
-    per-channel, per-fit references' bits."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 99, 100, 101])
-    def test_filter_stack_equals_scalar_loop(self, n):
-        rng = np.random.default_rng(n)
-        stack = rng.normal(1e5, 300.0, size=(3, 4, n))
-        got = lowpass_filter(stack, 50.0, 1000.0)
-        assert got.shape == stack.shape
-        for block, want_block in zip(got, stack):
-            for row, trace in zip(block, want_block):
-                assert np.array_equal(row, oracles.lowpass_filter(trace, 50.0, 1000.0))
-        assert np.array_equal(lowpass_filter(stack[0, 0], 50.0, 1000.0), oracles.lowpass_filter(stack[0, 0], 50.0, 1000.0))
+    """The feature kernel and lockstep fits give the per-channel, per-fit
+    references' bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 99, 100, 101, 128])
     def test_features_equal_per_channel(self, n):
         rows = flat_and_spiky_windows(n, np.random.default_rng(n))
-        got = commands._features(rows, 1000.0)
-        want = np.stack([oracles.channel_features(row, 1000.0) for row in rows])
-        assert np.array_equal(got, want)
-        assert np.array_equal(oracles.extract_features(rows, 1000.0), want.reshape(-1))
-        if n > 2:  # the constant rows take the flat branch
-            assert np.array_equal(got[1, 2:], np.zeros(3)) and np.array_equal(got[2, 2:], np.zeros(3))
-
-    @pytest.mark.parametrize("signal", [[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, -1.0, 0.0] * 2, [1.0, -1.0] * 8,
-                                        [3.0, 2.0, 1.0, 2.0] * 25])
-    def test_zero_spectral_bin_keeps_the_positive_sum(self, signal):
-        """A row with an exactly-zero bin sums only its positive terms,
-        next to rows without one."""
-        x = np.array(signal)
-        rows = np.stack([x, np.random.default_rng(0).normal(size=x.size), x[::-1].copy()])
-        padded = np.zeros(1 << (x.size - 1).bit_length())
-        padded[: x.size] = x - x.mean()
-        assert (np.abs(np.fft.rfft(padded)[1:]) == 0).any()
-        want = np.stack([oracles.channel_features(row, 1000.0) for row in rows])
-        assert np.array_equal(commands._features(rows, 1000.0), want)
+        want = oracles.channel_means(rows)
+        assert np.array_equal(commands._features(rows), want)
+        stack = np.stack([rows, rows[::-1], rows[:, ::-1]])  # a stack of windows, each row reduced alone
+        got = commands._features(stack)
+        assert got.shape == (3, rows.shape[0])
+        for window, row in zip(stack, got):
+            assert np.array_equal(row, oracles.channel_means(window))
 
     def test_features_do_not_warn(self):
-        rows = np.vstack([flat_and_spiky_windows(100, np.random.default_rng(3)), np.full((1, 100), np.inf)])
+        rows = np.vstack([flat_and_spiky_windows(100, np.random.default_rng(3)), np.full((1, 100), np.inf),
+                          np.full((1, 100), 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            feats = commands._features(rows, 1000.0)
-        assert np.isfinite(feats[:-1]).all() and not np.isfinite(feats[-1]).all()
+            feats = commands._features(rows)
+        assert np.isfinite(feats[:-2]).all() and np.isposinf(feats[-2:]).all()
 
-    def test_floor_of_a_huge_window_is_infinite(self):
-        """A window of mean 1e164 has a floor that overflows a double: the
-        per-channel reference raised OverflowError (exit 1 on
-        `hover_rpm=1e82`); the kernel cannot tell whether the window is
-        flat and gives NaN spectral features, next to finite rows."""
-        rows = 1e164 + 1e150 * np.random.default_rng(2).normal(size=(2, 100))
-        with pytest.raises(OverflowError):
-            oracles.channel_features(rows[0], 1000.0)
-        small = flat_and_spiky_windows(100, np.random.default_rng(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            feats = commands._features(np.vstack([rows, small]), 1000.0)
-        assert np.array_equal(feats[:2, :2], np.stack([rows.mean(axis=1), rows.std(axis=1)], axis=1))
-        assert np.isnan(feats[:2, 2:]).all()
-        assert np.array_equal(feats[2:], commands._features(small, 1000.0))
+    def test_training_rejects_features_that_do_not_vary(self):
+        """Windows whose means are all the same double give a fit with
+        nothing to separate by: NumericalError, not a chance-level model."""
+        samples = [CommandSample(speeds_sq=np.full((4, 10), 1e163), label=c) for c in COMMANDS for _ in range(5)]
+        with pytest.raises(NumericalError, match="no training feature varies"):
+            train_command_model(samples, k_folds=5)
 
     def test_huge_hover_speed_exits_4_with_one_stderr_line(self, tmp_path, capsys):
-        """`hover_rpm=1e82` squares to about 1e164: every window's floor
-        overflows, and training stops before it writes a model."""
+        """`hover_rpm=1e82` squares to about 1e164, where the mixer's offsets
+        and the jitter round away: every window has the same means, and
+        training stops before it writes a model."""
         config = tmp_path / "drone.cfg"
         config.write_text("hover_rpm=1e82\n")
         model = tmp_path / "m.txt"
@@ -184,21 +96,16 @@ class TestBatchedMatchesOracles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical error:")
 
-    @pytest.mark.parametrize(
-        "per_class, k_folds, cutoff_hz, seed",
-        [(7, 5, 50.0, 1), (7, 5, None, 3), (11, 3, 50.0, 7919), (40, 5, 50.0, 11)],
-    )
-    def test_training_equals_per_sample_reference(self, per_class, k_folds, cutoff_hz, seed):
+    @pytest.mark.parametrize("per_class, k_folds, seed", [(7, 5, 1), (7, 5, 3), (11, 3, 7919), (40, 5, 11)])
+    def test_training_equals_per_sample_reference(self, per_class, k_folds, seed):
         """Fold sizes differ when k does not divide the per-class count (7
         per class in 5 folds: 30 and 36 training samples), so the fits step
         in groups of equal size."""
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
         raw = generate_command_dataset(per_class, drone, window_samples=100, rate_hz=1000.0, seed=seed)
         samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
-        model, accs = train_command_model(samples, k_folds=k_folds, seed=seed, epochs=6, cutoff_hz=cutoff_hz)
-        w, b, mean, std, want_accs = oracles.train_command_model(
-            samples, k_folds, 1e-3, 6, seed, 1000.0, cutoff_hz,
-        )
+        model, accs = train_command_model(samples, k_folds=k_folds, seed=seed, epochs=6)
+        w, b, mean, std, want_accs = oracles.train_command_model(samples, k_folds, 1e-3, 6, seed)
         for got, want in ((model.weights, w), (model.biases, b), (model.feature_mean, mean),
                           (model.feature_std, std), (accs, want_accs)):
             assert np.array_equal(got, want)
@@ -234,9 +141,7 @@ class TestTraining:
             for _ in range(20):
                 level = base + float(rng.uniform(-1.0, 1.0))
                 samples.append(CommandSample(speeds_sq=np.full((4, 64), level), label=label))
-        model, accs = train_command_model(
-            samples, k_folds=5, seed=3, cutoff_hz=None, classes=("hover", "climb")
-        )
+        model, accs = train_command_model(samples, k_folds=5, seed=3, classes=("hover", "climb"))
         assert accs.mean() == 1.0
         # a training sample from the separable set maps to its own label
         for s in samples[::5]:
@@ -314,20 +219,26 @@ class TestPredict:
 
 
 class TestBatchedPredict:
-    """`predict_commands` classifies a stack through training's filter,
-    features and standardization with the per-window reference's bits."""
+    """`predict_commands` classifies a stack through training's features
+    and standardization with the per-window reference's bits."""
 
-    @pytest.fixture(scope="class", params=[50.0, None], ids=["cutoff50", "nocutoff"])
-    def model(self, request):
-        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        raw = generate_command_dataset(7, drone, window_samples=100, rate_hz=1000.0, seed=5)
-        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
-        return train_command_model(samples, k_folds=5, seed=5, epochs=6, cutoff_hz=request.param)[0]
+    @pytest.fixture(scope="class", params=[100, 300], ids=["window100", "window300"])
+    def window(self, request):
+        """Window lengths on both sides of the 128-element blocks of numpy's
+        pairwise summation."""
+        return request.param
 
     @pytest.fixture(scope="class")
-    def windows(self):
+    def model(self, window):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        raw = generate_command_dataset(22, drone, window_samples=100, rate_hz=1000.0, seed=17)
+        raw = generate_command_dataset(7, drone, window_samples=window, rate_hz=1000.0, seed=5)
+        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
+        return train_command_model(samples, k_folds=5, seed=5, epochs=6)[0]
+
+    @pytest.fixture(scope="class")
+    def windows(self, window):
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
+        raw = generate_command_dataset(22, drone, window_samples=window, rate_hz=1000.0, seed=17)
         return np.stack([x for x, _ in raw])[np.random.default_rng(17).permutation(len(raw))]
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
@@ -344,8 +255,9 @@ class TestBatchedPredict:
         assert label == want_label
         assert np.array_equal([scores[c] for c in COMMANDS], want_scores)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_non_finite_features_raise_without_a_warning(self, model, windows, bad):
+        """1e308 is finite, but a rotor's window of it sums past a double."""
         stack = windows[:3].copy()
         stack[1, 2] = bad
         with warnings.catch_warnings():
@@ -413,6 +325,41 @@ class TestInferCommandCli:
         assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
+class TestJitterFreeCommands:
+    """Windows without jitter lie outside the jittered training set; each
+    rotor's mean squared speed still carries the mixer's pattern, so the
+    model reads every command, as the untrained nearest-pattern rule of
+    `oracles` does."""
+
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("model") / "model.txt")
+        assert main(["--seed", "11", "train-command", "--model", path]) == EXIT_OK
+        return path
+
+    def test_mixer_pattern_windows_read_as_their_command(self, model_path):
+        model = load_model(model_path)
+        patterns = [np.square(rpm_to_rad_s(command_rpm_pattern(c, 3000.0, 300.0))) for c in COMMANDS]
+        windows = np.stack([np.repeat(p[:, None], model.window, axis=1) for p in patterns])
+        labels, _ = predict_commands(model, windows)
+        assert labels == [oracles.nearest_mixer_pattern(w, 3000.0, 300.0) for w in windows] == list(COMMANDS)
+
+    def test_jitter_free_flight_reads_every_window(self, tmp_path, model_path):
+        script = [(200_000 * k, c) for k, c in enumerate(COMMANDS)]
+        flight = simulate_flight(script, DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=0.0), NO_NOISE,
+                                 duration_us=1_200_000, seed=3, tick_us=1000)
+        times = flight.truth.times_us
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n" + "".join(
+            f"{int(t)},{p},{float(flight.rpm_traces[p, k])!r},0.0\n" for k, t in enumerate(times) for p in range(4)))
+        out = tmp_path / "commands.csv"
+        assert main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        # each 100 ms window lies inside one command's 200 ms
+        assert [label for _, label in rows] == [COMMANDS[(int(t) - 1) // 200_000] for t, _ in rows]
+
+
 class TestFolds:
     def test_folds_disjoint_cover_stratified(self):
         labels = np.repeat(np.arange(6), 25)
@@ -437,11 +384,27 @@ class TestModelFile:
         assert np.array_equal(back.feature_std, model.feature_std)
         assert np.array_equal(back.fold_accuracies, model.fold_accuracies)
         assert back.classes == model.classes
-        assert (back.n_props, back.window, back.rate_hz, back.cutoff_hz) == (
-            model.n_props, model.window, model.rate_hz, model.cutoff_hz,
-        )
+        assert (back.n_props, back.window, back.rate_hz) == (model.n_props, model.window, model.rate_hz)
         for s in dataset[::17]:
             assert predict_command(back, s) == predict_command(model, s)
+
+    def test_a_v1_model_exits_3(self, tmp_path, capsys):
+        """v1 files carried a low-pass cutoff and five spectral features
+        per rotor; their weights do not fit the mean features."""
+        model = tmp_path / "v1.model"
+        model.write_text(
+            "rotorsense-command-model v1\nn_props=1 window=2 rate_hz=1000.0 cutoff_hz=50.0\nclasses=hover,climb\n"
+            "feature_mean=1.0 0.0 0.0 0.0 0.0\nfeature_std=1.0 1.0 1.0 1.0 1.0\n"
+            "class hover bias=0.0 weights=1.0 0.0 0.0 0.0 0.0\nclass climb bias=0.0 weights=-1.0 0.0 0.0 0.0 0.0\n"
+            "fold_accuracies=1.0\n"
+        )
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n" + "".join(f"{t},0,3000.0,0.0\n" for t in range(0, 10_000, 1000)))
+        code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "c.csv"),
+                     "--window-ms", "2"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{model}: not a 'rotorsense-command-model v2' file" in err[0]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.txt"
@@ -457,7 +420,7 @@ class TestModelFileGarbled:
         model = CommandModel(
             weights=np.arange(3.0 * n).reshape(n, 3), biases=np.linspace(-1.0, 1.0, n),
             feature_mean=np.array([0.5, 1.5, 2.5]), feature_std=np.array([1.0, 2.0, 3.0]),
-            n_props=4, window=64, rate_hz=200.0, cutoff_hz=None, fold_accuracies=np.array([0.9, 0.8]),
+            n_props=4, window=64, rate_hz=200.0, fold_accuracies=np.array([0.9, 0.8]),
         )
         path = tmp_path / "model.txt"
         save_model(model, str(path))
@@ -475,7 +438,7 @@ class TestModelFileGarbled:
         "lineno, old, new",
         [
             (2, "n_props=4", "n_props=four"),
-            (2, " cutoff_hz=none", ""),
+            (2, " rate_hz=200.0", ""),
             (3, "classes=", "labels="),
             (4, "0.5", "half"),
             (5, "feature_std=", "feature_std "),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -104,10 +105,49 @@ class TestPipelineConfig:
         """A range check that already failed keeps its message; the others
         now fail too, naming the key."""
         floats = [f.name for f in fields(PipelineConfig) if isinstance(getattr(PipelineConfig(), f.name), float)]
-        assert len(floats) == 19
+        assert len(floats) == 18  # cutoff_hz left with the low-pass filter
         for key in floats:
             with pytest.raises(ConfigError):
                 PipelineConfig.from_dict({key: value})
+
+    def test_every_int_field_must_fit_in_64_bits(self):
+        ints = [f.name for f in fields(PipelineConfig) if type(getattr(PipelineConfig(), f.name)) is int]
+        assert len(ints) == 10
+        for key in ints:
+            for value in (2**63, -(2**63) - 1, 99999999999999999999):
+                with pytest.raises(ConfigError, match=f"^{key} must fit in 64 bits"):
+                    PipelineConfig.from_dict({key: str(value)})
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--config", "{cfg}", "pipeline", "--out", "{out}"], "dt_us"),
+            (["estimate", "{missing}", "--out", "{out}", "--dt-us", "99999999999999999999"], "dt_us"),
+            (["preprocess", "{missing}", "--out", "{out}", "--window-us", "99999999999999999999"], "window_us"),
+            (["--seed", "-1", "estimate", "{missing}", "--out", "{out}"], "seed"),
+            (["estimate", "{missing}", "--out", "{out}", "--bracket-rpm", "0,1e308"], "bracket_rpm_hi"),
+        ],
+    )
+    def test_out_of_range_integers_and_brackets_exit_2(self, tmp_path, capsys, argv, key):
+        """The integers exited 1 with OverflowError (or ValueError from the
+        seed); the bracket exited 0 with no speeds after numpy warnings,
+        its float32 warp angle being infinite."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("dt_us=99999999999999999999\n")
+        paths = {"cfg": cfg, "out": tmp_path / "out", "missing": tmp_path / "missing.bin"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([arg.format(**paths) for arg in argv])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} ")
+
+    def test_largest_float32_safe_bracket_is_accepted(self):
+        """8 ms batches at 1.6e39 RPM turn by about 1.3e36 rad: finite in
+        float32; 1.7e39 RPM exceeds half of float32's range per second."""
+        PipelineConfig(bracket_rpm_hi=1.6e39).validate()
+        with pytest.raises(ConfigError, match="bracket_rpm_hi"):
+            PipelineConfig(bracket_rpm_hi=1.7e39).validate()
 
 
 class TestScenario:
@@ -408,6 +448,28 @@ class TestBench:
         assert report["events_consumed"] > 0
         assert report["threshold_events_per_sec"] == 1
 
+    @pytest.mark.parametrize(
+        "option, value", [("--duration-us", "0"), ("--duration-us", "-1"), ("--min-events-per-sec", "nan"),
+                          ("--min-events-per-sec", "inf"), ("--min-events-per-sec", "-1")],
+    )
+    def test_bad_option_exits_2(self, tmp_path, capsys, option, value):
+        """0 and nan exited 4 with nothing on stderr."""
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), option, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {option} must be")
+        assert not out.exists()
+
+    def test_below_threshold_exits_4_saying_why(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = main(["bench", "--out", str(out), "--duration-us", "20000", "--min-events-per-sec", "1e15"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and re.fullmatch(r"numerical error: \S+ events/s is below --min-events-per-sec 1e\+15", err[0])
+        report = json.loads((out / "benchmark.json").read_text())
+        assert report["pass"] is False and json.loads(captured.out) == report
+
 
 def hover_rows(n_props):
     """A speed table of 300 ms of hover rows, one per rotor per ms."""
@@ -441,7 +503,7 @@ class TestCliMalformedInputs:
 
     def test_truncated_model_exit_3(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
-        model.write_text("rotorsense-command-model v1\n")
+        model.write_text("rotorsense-command-model v2\n")
         speeds = tmp_path / "speeds.csv"
         speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n")
         code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "cmd.csv")])
@@ -481,7 +543,7 @@ class TestCliMalformedInputs:
     @pytest.mark.parametrize(
         ("key", "value"),
         [("rate_hz", "0"), ("rate_hz", "nan"), ("rate_hz", "inf"), ("rate_hz", "1e20"), ("window", "0"),
-         ("n_props", "0"), ("cutoff_hz", "nan")],
+         ("n_props", "0")],
     )
     def test_model_setting_out_of_range_exit_3(self, tmp_path, capsys, model_path, key, value):
         text = open(model_path).read()
@@ -501,7 +563,7 @@ class TestCliMalformedInputs:
         speeds.write_text(hover_rows(2))
         code = main(["infer-command", str(speeds), "--model", str(model), "--out-csv", str(tmp_path / "c.csv")])
         assert code == EXIT_DATA
-        assert "model has 20 features for 2 rotors, not 5 per rotor" in capsys.readouterr().err
+        assert "model has 4 features for 2 rotors, not one per rotor" in capsys.readouterr().err
 
     @pytest.mark.parametrize("window_ms", ["0", "-5", "nan"])
     def test_window_must_be_positive_exit_2(self, tmp_path, model_path, window_ms):
@@ -929,7 +991,7 @@ class TestNonUtf8Inputs:
             ["fuse", "--commands", "{bad}", "--gps", "{ok}", "--out-csv", "{out}"], EXIT_DATA,
         ),
         "load_model": (
-            b"rotorsense-command-model v1\n\xff\n", SPEEDS,
+            b"rotorsense-command-model v2\n\xff\n", SPEEDS,
             ["infer-command", "{ok}", "--model", "{bad}", "--out-csv", "{out}"], EXIT_DATA,
         ),
         "events_read_csv": (
@@ -984,10 +1046,22 @@ class TestFusionNumbers:
         assert setting.split("=")[0] in capsys.readouterr().err
 
     def test_an_overflowing_covariance_exits_4(self, tmp_path, capsys):
-        code = fuse_with(tmp_path, "process_noise_scale=1e300", "1000,0,3000.0,0.0\n2000000000,0,3000.0,0.0\n",
-                         "0,0.0,0.0,0.0\n3000000000,0.0,0.0,0.0\n")
+        """numpy warned twice (process noise, predicted covariance) before
+        the error line."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = fuse_with(tmp_path, "process_noise_scale=1e300", "1000,0,3000.0,0.0\n2000000000,0,3000.0,0.0\n",
+                             "0,0.0,0.0,0.0\n3000000000,0.0,0.0,0.0\n")
         assert code == EXIT_NUMERIC
-        assert "non-finite covariance in predict" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical error: non-finite covariance in predict"]
+
+    def test_an_overflowing_hover_speed_exits_2_without_a_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = fuse_with(tmp_path, "hover_rpm=1e200", "1000,0,3000.0,0.0\n", "0,0.0,0.0,0.0\n")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["config error: predictor gains must be positive"]
 
 
 class TestTrainCommandNumbers:
@@ -999,6 +1073,15 @@ class TestTrainCommandNumbers:
         code = main(["train-command", "--model", str(model), "--samples-per-class", "6", option, value])
         assert code == EXIT_CONFIG
         assert f"drone {field} must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-300"])
+    def test_delta_rpm_must_be_positive(self, tmp_path, capsys, value):
+        """0 exited 0 with a model whose six classes shared one pattern."""
+        model = tmp_path / "model.txt"
+        code = main(["train-command", "--model", str(model), "--samples-per-class", "6", "--delta-rpm", value])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"config error: --delta-rpm must be positive, got {float(value)}"]
         assert not model.exists()
 
     def test_overflowing_features_exit_4(self, tmp_path, capsys):
