@@ -24,7 +24,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, DegenerateInputError
 from .events import EventBatch, EventBundle, Events
 from .motion import ObjectiveEvaluator, patch_for
-from .preprocess import group_keys
+from .preprocess import group_keys, is_dense
 
 
 class StopReason(str, Enum):
@@ -215,11 +215,13 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
 
     Voxels tile (x, y, t) with edges ceil(space_radius_px) pixels and
     ceil(time_radius_us) microseconds, anchored at pixel 0 and at the
-    first event's time. One `group_keys` pass over the voxels of the
-    events' bounding box, time slabs ranked, gives a density proxy that
-    needs no pair checks; every event counts itself, so the result is
-    >= 1. The box holds fewer than 2^32 * len(events) voxels, which fits
-    int64 for any uint16 coordinates and any uint64 time span.
+    first event's time. One count over the voxels of the events'
+    bounding box, time slabs ranked, gives a density proxy that needs no
+    pair checks; every event counts itself, so the result is >= 1. A
+    dense box (`is_dense`) is counted by one bincount read back at each
+    event's voxel, a sparse one by `group_keys`' sort. The box holds
+    fewer than 2^32 * len(events) voxels, which fits int64 for any
+    uint16 coordinates and any uint64 time span.
     """
     n = len(events)
     if n == 0:
@@ -233,7 +235,10 @@ def voxel_density(events: Events, space_radius_px: float, time_radius_us: float)
     # t is nondecreasing, so counting slab changes ranks the time slabs in [0, n)
     ct_rank = np.concatenate([[0], np.cumsum(ct[1:] != ct[:-1])])
     ny, nt = int(cy.max()) + 1, int(ct_rank[-1]) + 1
-    _, inverse, counts = group_keys((cx * ny + cy) * nt + ct_rank, (int(cx.max()) + 1) * ny * nt)
+    keys, size = (cx * ny + cy) * nt + ct_rank, (int(cx.max()) + 1) * ny * nt
+    if is_dense(keys, size):
+        return np.bincount(keys)[keys]
+    _, inverse, counts = group_keys(keys, size)
     return counts[inverse]
 
 

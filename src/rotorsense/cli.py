@@ -77,6 +77,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = parse_scenario(args.scenario)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
         scenario.seed = args.seed
     os.makedirs(args.out, exist_ok=True)
     fmt = args.format

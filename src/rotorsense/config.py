@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import COMMANDS
 from .errors import ConfigError, open_text
 from .events import SensorGeometry
+from .motion import MAX_GRID
 from .sim import FLIGHT_TICK_US, ConstantSpeed, DroneSpec, NoiseSpec, PropellerSpec, RampSpeed, StepSpeed
 
 
@@ -168,8 +169,8 @@ class PipelineConfig:
             raise ConfigError("neighborhood radii must be positive")
         if not 0 <= self.bracket_rpm_lo < self.bracket_rpm_hi:
             raise ConfigError("speed bracket must satisfy 0 <= lo < hi")
-        if self.n_grid < 3:
-            raise ConfigError("n_grid must be at least 3")
+        if not 3 <= self.n_grid <= MAX_GRID:
+            raise ConfigError(f"n_grid must lie in [3, {MAX_GRID}], got {self.n_grid}")
         if self.tol_rpm <= 0:
             raise ConfigError("tol_rpm must be positive")
         if self.epsilon <= 0:
@@ -319,6 +320,8 @@ def parse_scenario(path: str) -> Scenario:
     if scenario.tick_us <= 0:
         raise ConfigError(f"{path}: tick_us: must be positive, got {scenario.tick_us}")
     scenario.seed = num(int, "seed", raw.get("seed", scenario.seed))
+    if scenario.seed < 0:
+        raise ConfigError(f"{path}: seed: must be nonnegative, got {scenario.seed}")
     scenario.render_events = _parse_bool(raw.get("render_events", "0"), f"{path}: render_events")
 
     for idx in sorted(props):

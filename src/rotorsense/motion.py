@@ -8,7 +8,10 @@ count image: an accumulation term sum(exp(h)) that favors tall pile-ups
 and a sparsity term sum(1/(exp(h)-1+eps)) that favors many empty
 pixels. The speed is the argmax of their sum over a bracket, located by
 a scan of every third grid candidate, a scan of the grid candidates
-around its best, and bounded Brent refinement.
+around its best, and bounded Brent refinement. Every candidate, in a
+scan or in Brent, is scored by the same kernel: direct float32 trig of
+its warp angles, a bincount of the warped pixels and two table lookups
+per occupied pixel.
 """
 
 from __future__ import annotations
@@ -46,21 +49,25 @@ LATTICE_STRIDE = 3
 # indices. A batch whose events span more (a stray event thousands of px
 # from the rotor) is degenerate.
 MAX_PATCH_AREA = 2**24
-# Candidates per run of value_grid's rotation recurrence, which restarts
-# from exact trig after that many. For 2000 event times within 10 ms of
-# t_ref, float32 rounding moved |(cos, sin)| by at most 3e-6 after 64
-# steps, 3.5e-5 after 1000 and 8e-4 after 20000, so a run of 1024 stays
-# far inside RADIUS_SLACK.
-RECURRENCE_STEPS = 1024
-# Relative slack on the largest event radius that a patch must hold: the
-# recurrence's drift, plus float32 rounding of the coordinates (2^-24
-# relative) and of the shifted pixel coordinate (2^-13 px in a patch of
-# MAX_PATCH_AREA). PATCH_MARGIN covers it up to that area.
+# Most candidates a speed grid may hold. Brent refines between the best
+# candidate's neighbours, so a finer grid buys no accuracy: 16384 steps
+# resolve a 0-16000 RPM bracket to about 1 RPM, and scoring them all, as a
+# flat lattice's fallback does, takes about a second on a 4500-event batch.
+MAX_GRID = 2**14
+# Relative slack on the largest event radius that a patch must hold:
+# float32 rounding of cos and sin (a few 2^-24 relative on |(cos, sin)|),
+# of the coordinates (2^-24 relative), of the rotated sums and of the
+# shifted pixel coordinate (2^-13 px in a patch of MAX_PATCH_AREA), with
+# room to spare. PATCH_MARGIN covers it up to that area.
 RADIUS_SLACK = 2**-10
 # Pixels `patch_for` adds to the largest event radius.
 PATCH_MARGIN = 2
 # Iterations after which `brent_max` stops short of its tolerance.
 BRENT_MAX_ITER = 100
+# The accumulation reward exp(h) of a pixel holding h events, for every
+# count up to the cap: the scores index it instead of calling exp.
+_H_CAP = int(H_MAX_DEFAULT)
+_EXP_TABLE = np.exp(np.arange(_H_CAP + 1.0))
 
 
 def patch_for(events: Events, center: tuple[float, float]) -> int:
@@ -82,15 +89,14 @@ def patch_for(events: Events, center: tuple[float, float]) -> int:
 class ObjectiveEvaluator:
     """Reusable objective R(omega) for one event batch.
 
-    Precomputes center-relative coordinates and time offsets so each
-    candidate speed costs one trig pass, a rotation into the patch frame
-    and a bincount; a uniform grid of candidates shares a single trig
-    pass (see ``value_grid``). Coordinate math runs in float32
-    (sub-micropixel error over a patch), and only occupied pixels are
-    exponentiated, with counts capped at H_MAX_DEFAULT; empty pixels
-    contribute the closed-form constant (1 + 1/eps) each. R is the
-    unweighted sum of the accumulation and sparsity rewards. Everything
-    is plain vectorized numpy.
+    Precomputes center-relative coordinates, time offsets and the
+    sparsity reward table, so each candidate speed costs one kernel pass:
+    float32 trig of the per-event warp angles, a rotation into the patch
+    frame, a bincount, and two table lookups per occupied pixel, with
+    counts capped at H_MAX_DEFAULT. Empty pixels contribute the
+    closed-form constant (1 + 1/eps) each. R is the unweighted sum of the
+    accumulation and sparsity rewards. ``value`` and ``value_grid`` run
+    the same kernel, so a candidate scores the same bits either way.
 
     The patch is the square of side 2 * half_size + 1 whose pixel (i, j)
     is the sensor pixel (floor(cx) - half_size + i, floor(cy) - half_size
@@ -140,6 +146,8 @@ class ObjectiveEvaluator:
         self._x_shift = np.float32(center[0] - (math.floor(center[0]) - half))
         self._y_shift = np.float32(center[1] - (math.floor(center[1]) - half))
         self._empty_term = 1.0 + 1.0 / self.eps
+        # the sparsity reward 1 / (exp(h) - 1 + eps) of a pixel holding h
+        self._spa_table = 1.0 / (_EXP_TABLE - 1.0 + self.eps)
 
     def _indices_from(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         # the shifted coordinates of a contained warp are positive, so
@@ -149,52 +157,25 @@ class ObjectiveEvaluator:
         return ix * self.side + iy
 
     def _score(self, counts: np.ndarray) -> float:
-        occupied = np.minimum(counts[counts > 0].astype(np.float64), H_MAX_DEFAULT)
-        e = np.exp(occupied)
-        r_acc = float(e.sum())
-        r_spa = float((1.0 / (e - 1.0 + self.eps)).sum())
+        occupied = counts[counts > 0]
+        np.minimum(occupied, _H_CAP, out=occupied)
+        r_acc = float(_EXP_TABLE[occupied].sum())
+        r_spa = float(self._spa_table[occupied].sum())
         return r_acc + r_spa + (self.area - occupied.size) * self._empty_term
 
-    def _score_at(self, c: np.ndarray, s: np.ndarray) -> float:
-        """R for per-event rotations (cos, sin): rotate, bincount, score."""
-        return self._score(np.bincount(self._indices_from(c, s), minlength=self.area))
+    def _value(self, omega_rad_s: float) -> float:
+        """R at one speed: warp angles, rotate, bincount, score."""
+        theta = self._dt * np.float32(omega_rad_s)
+        counts = np.bincount(self._indices_from(np.cos(theta), np.sin(theta)), minlength=self.area)
+        return self._score(counts)
 
     def value(self, omega_rad_s: float) -> float:
-        if self.n_events == 0:
-            return self.area * self._empty_term
-        theta = self._dt * np.float32(omega_rad_s)
-        return self._score_at(np.cos(theta), np.sin(theta))
+        return self._value(omega_rad_s)
 
-    def value_grid(self, omegas: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """R at uniformly spaced candidate speeds omegas[start:stop].
-
-        The rotation for step k+1 is the step-k rotation composed with a
-        fixed per-event increment, so the whole scan costs one trig pass
-        total instead of one per candidate. The recurrence always starts
-        at omegas[0], and restarts from exact trig every RECURRENCE_STEPS
-        candidates, so a window's scores are bit-equal to the same
-        candidates' scores in the full scan. A grid of fewer than two
-        candidates, or one whose steps differ, raises ConfigError.
-        """
-        omegas = np.asarray(omegas, dtype=np.float64)
-        steps = np.diff(omegas)
-        if not (steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
-            raise ConfigError(f"value_grid needs at least 2 uniformly spaced candidates, got {omegas.size}")
-        stop = omegas.size if stop is None else stop
-        if self.n_events == 0:
-            return np.full(stop - start, self.area * self._empty_term)
-        out = np.empty(stop - start)
-        dc = np.cos(self._dt * np.float32(steps[0]))
-        ds = np.sin(self._dt * np.float32(steps[0]))
-        for k in range(stop):
-            if k % RECURRENCE_STEPS == 0:
-                theta = self._dt * np.float32(omegas[k])
-                c, s = np.cos(theta), np.sin(theta)
-            else:
-                c, s = c * dc - s * ds, s * dc + c * ds
-            if k >= start:
-                out[k - start] = self._score_at(c, s)
-        return out
+    def value_grid(self, omegas: np.ndarray) -> np.ndarray:
+        """R at each candidate speed of omegas, spaced in any way; each
+        score is bit-equal to ``value`` at that speed."""
+        return np.array([self._value(w) for w in omegas], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -309,11 +290,10 @@ def estimate_speed(
     one is kept when it lies inside that window, or on a window edge
     that is also the lattice's edge; a best point on any other window
     edge, or a flat window, falls back to scoring the whole lattice.
-    Window scores are bit-equal to the whole lattice's, and the fine
-    candidates' scores to a scan of the whole grid, so the result
-    differs from a full grid scan only when the lattice's best lies more
-    than LATTICE_STRIDE - 1 steps from the grid's argmax (a second peak,
-    as where a batch straddles a speed change), or when a lesser peak
+    A candidate scores the same bits in any scan, so the result differs
+    from a full grid scan only when the lattice's best lies more than
+    LATTICE_STRIDE - 1 steps from the grid's argmax (a second peak, as
+    where a batch straddles a speed change), or when a lesser peak
     inside the window is kept.
     """
     if len(events) == 0:
@@ -321,8 +301,8 @@ def estimate_speed(
     lo, hi = float(bracket_rad_s[0]), float(bracket_rad_s[1])
     if not (hi > lo):
         raise ConfigError(f"bracket must satisfy lo < hi, got {bracket_rad_s}")
-    if n_grid < 3:
-        raise ConfigError("n_grid must be at least 3")
+    if not 3 <= n_grid <= MAX_GRID:
+        raise ConfigError(f"n_grid must lie in [3, {MAX_GRID}], got {n_grid}")
     if t_ref_us is None:
         t_ref_us = int(events.t[0])
 
@@ -338,7 +318,7 @@ def estimate_speed(
             j = int(np.clip(np.searchsorted(grid, prior_rad_s) - m // 2, 0, n_grid - m))
             # the lattice points inside the window grid[j:j + m]
             a, b = -(-j // stride), (j + m - 1) // stride + 1
-            window = evaluator.value_grid(lattice, a, b)
+            window = evaluator.value_grid(lattice[a:b])
             k = int(np.argmax(window))
             if not _is_flat(window) and (0 < k < b - a - 1 or a + k in (0, lattice.size - 1)):
                 best, best_value = a + k, float(window[k])
@@ -354,10 +334,9 @@ def estimate_speed(
         best = int(np.argmax(values))
         best_value = float(values[best])
     if stride > 1:
-        # the fine candidates around the lattice's best; the recurrence
-        # starts at grid[0], so they score as in a scan of the whole grid
+        # the fine candidates around the lattice's best
         a = max(stride * best - (stride - 1), 0)
-        fine = evaluator.value_grid(grid, a, min(stride * best + stride, n_grid))
+        fine = evaluator.value_grid(grid[a : stride * best + stride])
         best = a + int(np.argmax(fine))
         best_value = float(fine[best - a])
     bracket_lo = grid[max(best - 1, 0)]

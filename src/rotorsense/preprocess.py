@@ -167,14 +167,20 @@ DENSE_CELLS_PER_KEY = 16
 DENSE_CELLS_FLOOR = 2**14
 
 
+def is_dense(keys: np.ndarray, size: int) -> bool:
+    """True when the range [0, size) holds at most DENSE_CELLS_PER_KEY
+    cells per key (plus DENSE_CELLS_FLOOR): a bincount over it is then
+    cheaper than sorting the keys."""
+    return size <= DENSE_CELLS_PER_KEY * keys.size + DENSE_CELLS_FLOOR
+
+
 def group_keys(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.unique(keys, return_inverse=True, return_counts=True) for integer
     keys in [0, size): the distinct keys in ascending order, each key's
-    index among them, and how often each occurs. A range of at most
-    DENSE_CELLS_PER_KEY cells per key (plus DENSE_CELLS_FLOOR) is counted
-    by one bincount and indexed by a lookup over the range, in linear
-    time; a sparser one is sorted."""
-    if size > DENSE_CELLS_PER_KEY * keys.size + DENSE_CELLS_FLOOR:
+    index among them, and how often each occurs. A dense range
+    (`is_dense`) is counted by one bincount and indexed by a lookup over
+    the range, in linear time; a sparser one is sorted."""
+    if not is_dense(keys, size):
         return np.unique(keys, return_inverse=True, return_counts=True)
     counts = np.bincount(keys, minlength=size)
     distinct = np.flatnonzero(counts > 0)

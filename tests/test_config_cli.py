@@ -126,12 +126,15 @@ class TestPipelineConfig:
             (["preprocess", "{missing}", "--out", "{out}", "--window-us", "99999999999999999999"], "window_us"),
             (["--seed", "-1", "estimate", "{missing}", "--out", "{out}"], "seed"),
             (["estimate", "{missing}", "--out", "{out}", "--bracket-rpm", "0,1e308"], "bracket_rpm_hi"),
+            (["estimate", "{missing}", "--out", "{out}", "--grid", "9223372036854775807"], "n_grid"),
+            (["estimate", "{missing}", "--out", "{out}", "--grid", "1000000000000"], "n_grid"),
         ],
     )
     def test_out_of_range_integers_and_brackets_exit_2(self, tmp_path, capsys, argv, key):
         """The integers exited 1 with OverflowError (or ValueError from the
         seed); the bracket exited 0 with no speeds after numpy warnings,
-        its float32 warp angle being infinite."""
+        its float32 warp angle being infinite; the grids exited 1 with
+        IndexError from np.linspace and MemoryError for a 7.28 TiB grid."""
         cfg = tmp_path / "big.cfg"
         cfg.write_text("dt_us=99999999999999999999\n")
         paths = {"cfg": cfg, "out": tmp_path / "out", "missing": tmp_path / "missing.bin"}
@@ -688,6 +691,22 @@ class TestScenarioNumbers:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert f"{scene}: {key}:" in err
+
+    @pytest.mark.parametrize(
+        ("seed_option", "old", "new"),
+        [(["--seed", "-1"], "seed=9", "seed=9"), ([], "seed=9", "seed=-5")],
+        ids=["option", "scenario_file"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed_option, old, new):
+        """Both exited 1 with numpy's ValueError: a scenario's seed never
+        passed a check before it reached the generator."""
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE.replace(old, new))
+        code = main([*seed_option, "simulate", str(scene), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and "seed" in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(("scene", "line", "message"), OUT_OF_RANGE, ids=[line for _, line, _ in OUT_OF_RANGE])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, scene, line, message):
