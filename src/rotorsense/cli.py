@@ -28,7 +28,7 @@ from .fusion import KinematicPredictor, run_fusion
 from .metrics import localization_error
 from . import pipeline as pl
 from . import tables
-from .sim import generate_command_dataset, simulate_flight, simulate_propellers
+from .sim import MAX_SAMPLES_PER_CLASS, generate_command_dataset, simulate_flight, simulate_propellers
 
 LOG = logging.getLogger("rotorsense")
 
@@ -142,6 +142,11 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
     drone = DroneSpec(hover_rpm=cfg.hover_rpm, delta_rpm=args.delta_rpm, rpm_jitter=args.jitter_rpm)
     if not args.delta_rpm > 0:  # at 0 every command has the hover pattern
         raise ConfigError(f"--delta-rpm must be positive, got {args.delta_rpm}")
+    if not cfg.svm_folds <= args.samples_per_class <= MAX_SAMPLES_PER_CLASS:  # a fold needs a sample of each class
+        raise ConfigError(
+            f"--samples-per-class must lie in [svm_folds = {cfg.svm_folds}, {MAX_SAMPLES_PER_CLASS}], "
+            f"got {args.samples_per_class}"
+        )
     window = int(cfg.window_ms * cfg.resample_hz / 1000.0)
     raw = generate_command_dataset(args.samples_per_class, drone, window, cfg.resample_hz, cfg.seed)
     samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
@@ -175,8 +180,8 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     if speeds.shape[0] == 0:
         raise DataError(f"{args.input}: no speed rows")
     window_us = args.window_ms * 1000.0
-    if not window_us > 0:
-        raise ConfigError(f"--window-ms must be positive, got {args.window_ms}")
+    if not 0 < window_us < math.inf:
+        raise ConfigError(f"--window-ms must be positive and finite, got {args.window_ms}")
     # a window of W us resamples to the samples at 0, P, 2P, ... below W + P/2
     period_us = 1e6 / model.rate_hz
     if window_us <= (model.window - 1.5) * period_us:
@@ -321,8 +326,15 @@ def _number_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option error exits 2 with one stderr line, without the usage."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rotorsense", description=__doc__)
+    parser = _Parser(prog="rotorsense", description=__doc__)
     parser.add_argument("--config", help="pipeline config file (key=value lines)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", dest="global_out", default=None, help="default output directory")

@@ -173,8 +173,8 @@ class PipelineConfig:
             raise ConfigError(f"n_grid must lie in [3, {MAX_GRID}], got {self.n_grid}")
         if self.tol_rpm <= 0:
             raise ConfigError("tol_rpm must be positive")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (self.epsilon > 0 and math.isfinite(1.0 / self.epsilon)):  # the sparsity reward of an empty pixel
+            raise ConfigError(f"epsilon must be positive with a finite reciprocal, got {self.epsilon!r}")
         if self.input_format not in ("csv", "bin") or self.output_format not in ("csv", "bin"):
             raise ConfigError("event file formats must be 'csv' or 'bin'")
         if self.svm_folds < 2:

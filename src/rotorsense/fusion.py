@@ -15,11 +15,11 @@ speed and the command in force forward, finds the dropped rows and the
 steps, and computes every step's acceleration. Its loop visits only the
 prediction steps, GPS updates and dropped rows, and writes each state
 into preallocated time (n,), mean (n, 6) and covariance (n, 6, 6)
-arrays; `FusionResult.states` shows them as one `FusedState` per
-measurement. It checks the steps it predicted together: before each GPS
-update, before it raises any other error or logs a dropped measurement,
-every CHECK_STEPS steps and at the end. Either way the first failing
-step raises the error `predict` raises there.
+arrays; `FusionResult.states` shows them as one `FusedState` per state
+the filter makes. It checks the steps it predicted together: before
+each GPS update, before it raises any other error or logs a dropped
+measurement, every CHECK_STEPS steps and at the end. Either way the
+first failing step raises the error `predict` raises there.
 """
 
 from __future__ import annotations
@@ -260,36 +260,32 @@ def update(state: FusedState, gps_xyz: np.ndarray, r_gps: np.ndarray) -> FusedSt
 
 
 class FusedStates(Sequence):
-    """The state after each measurement of a `run_fusion` stream, as
-    `FusedState`s made on access from arrays of the distinct states:
-    t_us (n,), mean (n, 6), cov (n, 6, 6), and index, the distinct state
-    each measurement shows (non-decreasing: a measurement that needs no
-    prediction shows the state before it). Slicing gives a list."""
+    """The states of a `run_fusion` stream, in the order the filter makes
+    them, as `FusedState`s made on access from the arrays t_us (n,), mean
+    (n, 6) and cov (n, 6, 6). Slicing gives a list."""
 
-    def __init__(self, t_us: np.ndarray, mean: np.ndarray, cov: np.ndarray, index: np.ndarray) -> None:
-        self.t_us, self.mean, self.cov, self.index = t_us, mean, cov, index
+    def __init__(self, t_us: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> None:
+        self.t_us, self.mean, self.cov = t_us, mean, cov
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.t_us)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        j = self.index[i]
-        return FusedState(t_us=int(self.t_us[j]), mean=self.mean[j], cov=self.cov[j])
+        return FusedState(t_us=int(self.t_us[i]), mean=self.mean[i], cov=self.cov[i])
 
 
 @dataclass
 class FusionResult:
-    """Filter outputs: the state after every measurement plus per-update NIS."""
+    """Filter outputs: every state the filter made plus per-update NIS."""
 
     states: FusedStates
     nis: list[float]
 
     def positions(self) -> np.ndarray:
         """(t_us, x, y, z) rows of `states`."""
-        index = self.states.index
-        return np.column_stack([self.states.t_us[index], self.states.mean[index, :3]])
+        return np.column_stack([self.states.t_us, self.states.mean[:, :3]])
 
 
 def _speed_rows(speed_stream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,7 +350,6 @@ class _Schedule(NamedTuple):
     row from the first fix that steps, updates or is dropped, in order."""
 
     t_us: np.ndarray  # (n,) each state's time: the clock after the row that made it
-    index: np.ndarray  # the state each measurement shows
     accels: np.ndarray  # (n, 3) the acceleration each predicted state was stepped with
     means: np.ndarray  # (n, 6) b @ that acceleration, b of its step: the loop adds f @ the mean before
     gaps: list[int]  # per visited row, the step it takes (us), or 0
@@ -421,9 +416,8 @@ def _schedule(
     is_fix[fix_rows[1 : np.searchsorted(fix_rows, stop)] - first - 1] = True
     is_fix &= ~dropped
     made = is_step.view(np.int8) + is_fix.view(np.int8)
-    state_after = np.cumsum(made)
     t_states = np.concatenate([clock[:1], np.repeat(clock[1 : n + 1], made)])
-    step_states = (state_after - is_fix)[is_step]
+    step_states = (np.cumsum(made) - is_fix)[is_step]
     step_accels, means = np.zeros((len(t_states), 3)), np.zeros((len(t_states), 6))
     step_accels[step_states] = accels[:n_steps]
     gaps = gaps[:n_steps]
@@ -437,8 +431,7 @@ def _schedule(
     visit_gaps[is_step[visit]] = gaps
     fixes = np.where(is_fix[visit], np.searchsorted(fix_rows, first + 1 + visit), np.where(dropped[visit], -2, -1))
     return _Schedule(
-        t_states, np.concatenate([[0], state_after[~dropped]]), step_accels, means,
-        visit_gaps.tolist(), fixes.tolist(), t[first + 1 : stop][dropped].tolist(), error,
+        t_states, step_accels, means, visit_gaps.tolist(), fixes.tolist(), t[first + 1 : stop][dropped].tolist(), error,
     )
 
 
@@ -456,9 +449,11 @@ def run_fusion(
     speed_stream rows are (t_us, prop_id, rpm); command_stream entries
     are (t_us, label); gps_stream rows are (t_us, x, y, z). The filter
     initializes at the first GPS fix, predicts to each incoming
-    measurement's time, updates on GPS, and emits the state after each
-    measurement from the first fix on. Streams merge in their given order: a measurement older than
-    the filter clock beyond OUT_OF_ORDER_TOLERANCE_US is dropped with a
+    measurement's time and updates on GPS. It emits each state it makes
+    once, from the first fix on: a measurement that steps the clock adds
+    the predicted state, and a GPS fix then adds the updated one after
+    it. Streams merge in their given order: a measurement older than the
+    filter clock beyond OUT_OF_ORDER_TOLERANCE_US is dropped with a
     warning, not re-sorted. A negative rotor speed raises DataError, and
     a negative process_noise_scale ConfigError, at the first prediction
     step they would drive. The predicted steps are checked together (see
@@ -477,8 +472,7 @@ def run_fusion(
             speed_t, props, rpm, gps[:, 0].astype(np.int64), predictor, process_noise_scale,
         )
         if plan is None:
-            empty = FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6)), np.zeros(0, np.int64))
-            return FusionResult(empty, [])
+            return FusionResult(FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6))), [])
 
         r_gps = gps_sigma_m**2 * np.eye(3)
         means, covs = plan.means, np.zeros((len(plan.t_us), 6, 6))
@@ -514,4 +508,4 @@ def run_fusion(
         check()
         if plan.error is not None:
             raise plan.error
-        return FusionResult(FusedStates(plan.t_us, means, covs, plan.index), nis)
+        return FusionResult(FusedStates(plan.t_us, means, covs), nis)

@@ -17,7 +17,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from . import tables
 from .dynamics import rad_s_to_rpm, rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
-from .fusion import FusedState, FusedStates
+from .fusion import FusedStates
 from .metrics import rmae
 from .motion import ObjectiveEvaluator, SpeedEstimate, estimate_speed
 from .preprocess import build_heatmaps, filter_noise, robust_center, segment_propellers
@@ -39,20 +38,11 @@ LOG = logging.getLogger(__name__)
 # --- CSV artifacts (declared in `tables`) ---
 
 
-def write_fused_csv(path: str, states: Iterable[FusedState]) -> None:
+def write_fused_csv(path: str, states: FusedStates) -> None:
     """The fused track: t, position, velocity and the covariance trace of
-    each state, one row per state. `run_fusion`'s states are written from
-    their arrays: each distinct state is formatted once and its line
-    repeated for every measurement that shows it."""
-    if not isinstance(states, FusedStates):
-        states = list(states)
-        states = FusedStates(
-            np.array([s.t_us for s in states], dtype=np.int64), np.array([s.mean for s in states]).reshape(-1, 6),
-            np.array([s.cov for s in states]).reshape(-1, 6, 6), np.arange(len(states)),
-        )
+    each state, one row per state, written from the state arrays."""
     trace = np.trace(states.cov, axis1=1, axis2=2)
-    repeats = np.bincount(states.index, minlength=len(states.t_us))
-    tables.FUSED.write(path, [states.t_us, *states.mean.T, trace], repeats=repeats)
+    tables.FUSED.write(path, [states.t_us, *states.mean.T, trace])
 
 
 def _speed_columns(estimates: list[SpeedEstimate]) -> list[np.ndarray]:

@@ -650,6 +650,14 @@ def simulate_flight(
 # --- Classifier dataset synthesis ---
 
 
+# Most samples per command class `train-command` draws. The dataset holds
+# 6 classes x n x n_rotors x window float64 squares, drawn one window at a
+# time: at the bound, a quadrotor's default 100-sample windows (100 ms at
+# 1 kHz) take 6 x 10^4 x 4 x 100 x 8 B = 192 MB, and `train-command` runs
+# 27 s at a 325 MB peak on a 2-core x86 host. The default is 200.
+MAX_SAMPLES_PER_CLASS = 10**4
+
+
 def generate_command_dataset(
     n_per_class: int,
     drone_spec: DroneSpec,

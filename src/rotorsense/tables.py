@@ -2,19 +2,17 @@
 
 A `Table` is the header line of one CSV artifact plus the kind of each
 column and whether `#` lines are comments. `Table.read` parses blocks of
-lines in one pass over their fields, once per run of identical rows, and
-names `path:line` of the first bad line. `Table.write` formats a block
-of rows as one `%` string whose template numpy renders: each int column
-as a space-padded matrix of decimal digits, side by side with the `%r`
-and `%s` of the float and text columns and the separators, without the
-padding. Ints are written in decimal and floats in `repr` form, so
+lines in one pass over their fields and names `path:line` of the first
+bad line. `Table.write` formats a block of rows as one `%` string whose
+template numpy renders: each int column as a space-padded matrix of
+decimal digits, side by side with the `%r` and `%s` of the float and
+text columns and the separators, without the padding. Ints are written in decimal and floats in `repr` form, so
 values read back bit-exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -150,9 +148,8 @@ class Table(str):
 
     def _parse_block(self, path, lines, first_lineno, n_fields, columns, comments) -> None:
         """Append consecutive body lines' rows to `columns`, checked and
-        parsed in one pass over the fields of the first line of each run
-        of identical rows, then repeated over the run; a rejected block is
-        walked line by line only to name its first bad line."""
+        parsed in one pass over their fields; a rejected block is walked
+        line by line only to name its first bad line."""
         rows = list(filter(None, map(str.strip, lines)))
         if self.comments and "#" in "".join(rows):
             numbered = [(lineno, line.strip()) for lineno, line in enumerate(lines, start=first_lineno)]
@@ -160,14 +157,6 @@ class Table(str):
             rows = [line for _, line in numbered if line[:1] not in ("", "#")]
         if not rows:
             return
-        # comparing every row with the one before costs 5-9 % of the read of
-        # a table that repeats none (speeds.csv, event CSVs), so only a block
-        # whose first 64 rows repeat one is searched for runs
-        repeats = None
-        if any(map(operator.eq, rows[1:64], rows[:63])):
-            starts = [0, *itertools.compress(range(1, len(rows)), map(operator.ne, rows[1:], rows[:-1]))]
-            repeats = np.diff(starts, append=len(rows))
-            rows = [rows[start] for start in starts]
         try:
             if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
                 raise ValueError("wrong field count")
@@ -176,7 +165,7 @@ class Table(str):
         except (ValueError, OverflowError) as exc:
             raise self._first_bad_line(path, lines, first_lineno, n_fields) from exc
         for blocks, values in zip(columns, parsed):
-            blocks.append(values if repeats is None else np.repeat(values, repeats))
+            blocks.append(values)
 
     def _first_bad_line(self, path, lines, first_lineno, n_fields) -> DataError:
         for lineno, line in enumerate(lines, start=first_lineno):
@@ -191,14 +180,11 @@ class Table(str):
                     return DataError(f"{path}:{lineno}: {problem}")
         return DataError(f"{path}: malformed table")
 
-    def write(
-        self, path: str, columns: Sequence[Sequence], comments: Sequence[str] = (), repeats: np.ndarray | None = None
-    ) -> None:
+    def write(self, path: str, columns: Sequence[Sequence], comments: Sequence[str] = ()) -> None:
         """The `#` comment lines, the header, then one row per index of
         `columns` (one sequence per column), BLOCK_LINES rows per pass:
         the `%` of the block's template (`_template`) over the values of
-        its float and text columns. With `repeats`, row i is formatted
-        once and its line written repeats[i] times."""
+        its float and text columns."""
         n_rows, n_others = len(columns[0]), len(self._others)
         with open(path, "w", newline="\n") as fh:
             fh.writelines(f"{line}\n" for line in [*comments, self])
@@ -207,12 +193,7 @@ class Table(str):
                 fields = [None] * ((stop - start) * n_others)  # row-major, filled a column at a time
                 for i, (col, dtype) in enumerate(self._others):
                     fields[i::n_others] = np.asarray(columns[col][start:stop], dtype).tolist()
-                text = self._template(columns, start, stop) % tuple(fields)
-                if repeats is None:
-                    fh.write(text)
-                else:
-                    lines = text.split("\n")[:-1]
-                    fh.writelines(f"{line}\n" * count for line, count in zip(lines, repeats[start:stop].tolist()))
+                fh.write(self._template(columns, start, stop) % tuple(fields))
 
     def _template(self, columns: Sequence[Sequence], start: int, stop: int) -> str:
         """`row` once per row in [start, stop), each `%d` replaced by the

@@ -20,7 +20,8 @@ pass. `nearest_mixer_pattern` is the untrained baseline the classifier
 is checked against: the command whose mixer pattern lies nearest a
 window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
-row, building a `FusedState` per step and a list of them per check;
+row, building a `FusedState` per step and per update, which it emits
+once each, and a list of them per check;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
 pass and steps state arrays over the steps, GPS fixes and dropped rows.
 """
@@ -404,7 +405,7 @@ def nearest_mixer_pattern(window, hover_rpm, delta_rpm):
 
 @dataclass
 class FusionTrack:
-    """The state after every measurement plus per-update NIS."""
+    """Every state the filter makes plus per-update NIS."""
 
     states: list = field(default_factory=list)
     nis: list = field(default_factory=list)
@@ -495,6 +496,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 raise ConfigError("process noise scale must be nonnegative")
             accel = command_acceleration(command, speeds, *gains)
             state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
+            result.states.append(state)
             steps.append(state)
             accels.append(accel)
             if len(accels) == fusion.CHECK_STEPS:
@@ -504,8 +506,8 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
             _check_steps(steps, accels)
             mean, cov, nis = fusion._update(state.mean, state.cov, value, r_gps)
             state = fusion.FusedState(t_us=state.t_us, mean=mean, cov=cov)
+            result.states.append(state)
             steps, accels = [state], []
             result.nis.append(nis)
-        result.states.append(state)
     _check_steps(steps, accels)
     return result

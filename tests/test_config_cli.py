@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from rotorsense import cli
+from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rotorsense.config import _SPEC_KEYS, PipelineConfig, parse_scenario
 from rotorsense.errors import ConfigError
 from rotorsense import pipeline as pl
 from rotorsense import sim
-from rotorsense.sim import DroneSpec, NoiseSpec
+from rotorsense.sim import MAX_SAMPLES_PER_CLASS, DroneSpec, NoiseSpec
 
 
 SCENE = """
@@ -128,6 +129,7 @@ class TestPipelineConfig:
             (["estimate", "{missing}", "--out", "{out}", "--bracket-rpm", "0,1e308"], "bracket_rpm_hi"),
             (["estimate", "{missing}", "--out", "{out}", "--grid", "9223372036854775807"], "n_grid"),
             (["estimate", "{missing}", "--out", "{out}", "--grid", "1000000000000"], "n_grid"),
+            (["estimate", "{missing}", "--out", "{out}", "--epsilon", "1e-320"], "epsilon"),
         ],
     )
     def test_out_of_range_integers_and_brackets_exit_2(self, tmp_path, capsys, argv, key):
@@ -144,6 +146,21 @@ class TestPipelineConfig:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {key} ")
+
+    def test_epsilon_with_an_infinite_reciprocal_in_a_config_exits_2(self, tmp_path, capsys):
+        """1e-320 is positive, but the sparsity reward 1 / epsilon of an empty
+        pixel overflows: this exited 0 with no speeds after a numpy warning
+        (as `--epsilon 1e-320` did, tested above)."""
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("epsilon=1e-320\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg), "estimate", str(tmp_path / "missing.bin"), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: epsilon must be positive with a finite reciprocal, got 1e-320"
+        ]
+        PipelineConfig(epsilon=1e-300).validate()  # its reciprocal, 1e300, is finite
 
     def test_largest_float32_safe_bracket_is_accepted(self):
         """8 ms batches at 1.6e39 RPM turn by about 1.3e36 rad: finite in
@@ -568,12 +585,18 @@ class TestCliMalformedInputs:
         assert code == EXIT_DATA
         assert "model has 4 features for 2 rotors, not one per rotor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window_ms", ["0", "-5", "nan"])
-    def test_window_must_be_positive_exit_2(self, tmp_path, model_path, window_ms):
+    @pytest.mark.parametrize("window_ms", ["0", "-5", "nan", "inf", "1e308"])
+    def test_window_must_be_positive_exit_2(self, tmp_path, capsys, model_path, window_ms):
+        """An infinite window in us (inf, 1e308) exited 3 after two numpy warnings."""
         speeds = tmp_path / "speeds.csv"
         speeds.write_text("t_ref,prop_id,rpm,objective\n0,0,3000.0,0.0\n")
         argv = ["infer-command", str(speeds), "--model", model_path, "--window-ms", window_ms]
-        assert main(argv + ["--out-csv", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out-csv", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --window-ms must be positive and finite, got {float(window_ms)}"
+        ]
 
 
     def test_window_shorter_than_model_exit_2(self, tmp_path, capsys, model_path):
@@ -1102,6 +1125,30 @@ class TestTrainCommandNumbers:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"config error: --delta-rpm must be positive, got {float(value)}"]
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "value", [0, -1, PipelineConfig().svm_folds - 1, MAX_SAMPLES_PER_CLASS + 1, 2**63]
+    )
+    def test_samples_per_class_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        """Below svm_folds a fold lacks a class: 0, -1 and 4 exited 3 as data
+        errors. Nothing bounded it from above."""
+
+        def generate(*args):
+            raise AssertionError("generated a dataset")
+
+        monkeypatch.setattr(cli, "generate_command_dataset", generate)
+        model = tmp_path / "model.txt"
+        code = main(["train-command", "--model", str(model), "--samples-per-class", str(value)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --samples-per-class must lie in [svm_folds = 5, {MAX_SAMPLES_PER_CLASS}], got {value}"
+        ]
+        assert not model.exists()
+
+    def test_samples_per_class_at_svm_folds_trains(self, tmp_path):
+        model = tmp_path / "model.txt"
+        assert main(["--seed", "1", "train-command", "--model", str(model), "--samples-per-class", "5"]) == EXIT_OK
+        assert model.exists()
 
     def test_overflowing_features_exit_4(self, tmp_path, capsys):
         """The squared speeds overflow: this exited 0 and wrote a model of

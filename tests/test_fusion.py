@@ -14,6 +14,7 @@ from rotorsense.errors import ConfigError, DataError, NumericalError
 from rotorsense.fusion import (
     CHECK_STEPS,
     FusedState,
+    FusedStates,
     KinematicPredictor,
     MotionPrior,
     _check_cov,
@@ -160,7 +161,9 @@ class TestRunFusion:
         speeds = np.array([[100_000, 0, 3000.0], [100_000, 1, 3000.0]])
         commands = [(50_000, "hover")]
         result = run_fusion(speeds, commands, gps, predictor)
-        assert len(result.states) == 1 + 3 + 1  # init + 2 speed rows + command + final gps
+        # init, steps to the command and the speed rows, then the step to
+        # the final fix and its update; the second speed row makes none
+        assert [s.t_us for s in result.states] == [0, 50_000, 100_000, 200_000, 200_000]
 
     def test_innovation_whiteness_on_matched_simulation(self, predictor):
         """Normalized innovation squared over >= 1000 updates stays inside
@@ -276,11 +279,13 @@ class TestWriteFusedCsv:
         gps = np.array([[0, 0, 0, 0], [200_000, 1, 0, 0], [400_000, 2, 1, 0]])
         speeds = np.array([[100_000, 0, 3000.0], [100_000, 1, 3100.0], [300_000, 2, 2900.0]])
         states += run_fusion(speeds, [(50_000, "climb")], gps, predictor).states
-        # repeats of one state object, and distinct states at one time
+        # repeats of one state, and distinct states at one time
         states += [states[0], states[0], states[1], states[0], states[0]]
         states += [random_state(rng, t_us=5), random_state(rng, t_us=5), random_state(rng, t_us=5)]
+        arrays = FusedStates(np.array([s.t_us for s in states]), np.array([s.mean for s in states]),
+                             np.array([s.cov for s in states]))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_fused_csv(str(got), iter(states))
+        write_fused_csv(str(got), arrays)
         reference_fused_csv(str(want), states)
         assert got.read_bytes() == want.read_bytes()
         rows = got.read_text().splitlines()
@@ -324,9 +329,10 @@ def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_
         if t_us > state.t_us:
             prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)
             state = predict(state, prior, (t_us - state.t_us) * 1e-6, predictor)
+            result.states.append(state)
         if kind == 2:
             state = update(state, payload[0], r_gps)
-        result.states.append(state)
+            result.states.append(state)
     return result
 
 
@@ -365,6 +371,13 @@ def flight_streams(ms=600, gps_every_ms=200):
     gps_t = np.arange(0, ms + 1, gps_every_ms) * 1000
     gps = np.column_stack([gps_t, rng.normal(0, 2.0, (gps_t.size, 3))])
     return speeds, commands, gps
+
+
+def n_states(speeds, gps):
+    """The states of `flight_streams`' fusion: the first fix, a step to
+    each speed row time and an update per later fix (each fix and command
+    falls on a speed row time)."""
+    return len(np.unique(speeds[:, 0])) + len(gps)
 
 
 def with_row(speeds, row, after=None):
@@ -410,7 +423,7 @@ class TestDeferredChecks:
     def test_no_failure_bit_equal(self, predictor):
         speeds, commands, gps = flight_streams()
         states = self.compare((speeds, commands, gps), predictor)
-        assert len(states) == len(speeds) + len(gps) + 1  # each row, fix and the command after the first fix
+        assert len(states) == n_states(speeds, gps)
 
     def test_non_psd_step_inside_an_interval(self, predictor, bad_q_at):
         count = bad_q_at(57)
@@ -435,7 +448,7 @@ class TestDeferredChecks:
         speeds, commands, gps = flight_streams()
         at = int(np.searchsorted(speeds[:, 0], 123_000))  # rotor 0's row predicts to t = 123 ms
         speeds = with_row(with_row(speeds, [123_000, 2, -1.0], after=at), [123_000, 2, 3000.0], after=at + 1)
-        assert len(self.compare((speeds, commands, gps), predictor)) == len(speeds) + len(gps) + 1
+        assert len(self.compare((speeds, commands, gps), predictor)) == n_states(speeds, gps)
 
     def test_negative_process_noise(self, predictor):
         got = self.compare(flight_streams(), predictor, process_noise_scale=-0.1)
@@ -494,8 +507,8 @@ class TestDeferredChecks:
         speeds, commands, gps = flight_streams(ms=2 * CHECK_STEPS + 300, gps_every_ms=10_000)
         assert len(gps) == 1
         states = self.compare((speeds, commands, gps), predictor)
-        assert len(states) == len(speeds) + 2
         n_steps = len(np.unique(speeds[:, 0])) + 1  # and the roll command's
+        assert len(states) == 1 + n_steps
         # a failing step is found by the check after every CHECK_STEPS steps, or at the end
         for bad_step, found_after in [(1000, CHECK_STEPS), (2 * CHECK_STEPS + 200, n_steps)]:
             count = bad_q_at(bad_step)
@@ -507,7 +520,7 @@ class TestDeferredChecks:
         speeds, commands, gps = flight_streams(ms=40, gps_every_ms=20)
         speeds = with_row(speeds, [5_000, fusion.MAX_ROTOR_ID - 1, 2900.0])
         assert fusion.SPEED_BLOCK // fusion.MAX_ROTOR_ID < 40  # a block holds fewer steps than the run takes
-        assert len(self.compare((speeds, commands, gps), predictor)) == len(speeds) + len(gps) + 1
+        assert len(self.compare((speeds, commands, gps), predictor)) == n_states(speeds, gps)
 
     def test_mean_overflow_fails_at_the_next_step(self):
         """A finite acceleration can overflow the mean: that step passes, the
@@ -541,7 +554,7 @@ class TestDeferredChecks:
         monkeypatch.setattr(fusion, "MotionPrior", no_prior)
         got = self.compare((speeds, commands, gps), predictor)
         assert_same_outcome(got, want)
-        assert len(got) == len(speeds) + len(gps) + 1
+        assert len(got) == n_states(speeds, gps)
 
 
 class TestCheckPsd:
@@ -656,6 +669,9 @@ def test_fuse_writes_the_reference_bytes_without_a_state_per_measurement(tmp_pat
     rc = main(["fuse", "--speeds", paths["speeds"], "--commands", paths["commands"], "--gps", paths["gps"],
                "--out-csv", paths["fused"]])
     assert rc == 0
-    assert open(paths["fused"], "rb").read() == open(paths["want"], "rb").read()
-    assert len(want.states) > len(t)  # a line per measurement from the first fix
+    fused = open(paths["fused"], "rb").read()
+    assert fused == open(paths["want"], "rb").read()
+    lines = fused.splitlines()
+    # a line per state, none repeated: one per step of the 1 kHz clock, one per update
+    assert len(lines) == 1 + len(want.states) < len(t) and all(a != b for a, b in zip(lines, lines[1:]))
     assert calls[0] <= len(flight.gps)

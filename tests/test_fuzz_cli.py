@@ -1,5 +1,6 @@
-"""The CLI exit-code contract under mutated inputs: whatever the bytes of
-an input file, `cli.main` returns 0, 2, 3 or 4 and raises nothing.
+"""The CLI exit-code contract under mutated inputs and option values:
+whatever the bytes of an input file or the value of a numeric option,
+`cli.main` returns 0, 2, 3 or 4 and raises nothing.
 
 Each example takes one valid file (every declared table, the command
 model or a pipeline config), mutates it once (truncation, a flipped
@@ -8,9 +9,15 @@ command that reads it. Tables that no command reads go through their
 reader, which returns or raises DataError. Scenario files go through
 `parse_scenario` alone, which returns or raises ConfigError: their numbers
 size the simulation, so a mutated one can ask for any amount of work.
+
+The option grid gives each numeric option of `preprocess`, `estimate`,
+`train-command`, `infer-command` and `bench`, and the global `--seed`,
+each value of OPTION_VALUES on tiny inputs: no warning may be emitted,
+and an error exits with one stderr line.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -183,3 +190,51 @@ def test_fuse_bounds_the_rotor_id(corpus, prop_id, code):
     argv = ["fuse", "--speeds", str(speeds), "--commands", str(d / "commands.csv"), "--gps", str(d / "gps.csv"),
             "--out-csv", str(d / "out")]
     assert main(argv) == code
+
+
+OPTION_VALUES = ["0", "1", "-1", "nan", "inf", "-inf", str(2**63), "1e20", "1e308", "1e-320"]
+# command: the options of the grid, each a format of its argv value; a
+# `lo,hi` option is tried on each side, the other at its default
+OPTIONS = {
+    "preprocess": ["--window-us={}", "--bin={}", "--k={}", "--count-ratio={}", "--polarity-band={},0.7",
+                   "--polarity-band=0.3,{}"],
+    "estimate": ["--bracket-rpm={},12000", "--bracket-rpm=500,{}", "--grid={}", "--tol={}", "--epsilon={}",
+                 "--dt-us={}", "--delta={}", "--beta={}", "--sample-fraction={}", "--st-ratio={}"],
+    "train-command": ["--samples-per-class={}", "--delta-rpm={}", "--jitter-rpm={}"],
+    "infer-command": ["--window-ms={}"],
+    "bench": ["--duration-us={}", "--sample-fraction={}", "--min-events-per-sec={}"],
+    "--seed": ["--seed={}"],
+}
+
+
+def base_argv(d, command):
+    """The command on the corpus's tiny inputs, with a small workload;
+    `--seed` is tried on `preprocess`."""
+    out = str(d / "option_out")
+    return {
+        "preprocess": ["preprocess", str(d / "events.csv"), "--format", "csv", "--k", "1", "--out", out],
+        "estimate": ["estimate", str(d / "events.csv"), "--format", "csv", "--out", out],
+        "train-command": ["train-command", "--model", str(d / "option_model.txt"), "--samples-per-class", "6"],
+        "infer-command": ["infer-command", str(d / "speeds.csv"), "--model", str(d / "model.txt"), "--out-csv", out],
+        "bench": ["bench", "--duration-us", "2000", "--min-events-per-sec", "0", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("value", OPTION_VALUES)
+@pytest.mark.parametrize(
+    ("command", "option"), [(command, option) for command, options in OPTIONS.items() for option in options]
+)
+def test_exit_code_contract_holds_for_option_values(corpus, capsys, command, option, value):
+    d, _ = corpus
+    argv = [option.format(value)]
+    argv = argv + base_argv(d, "preprocess") if command == "--seed" else base_argv(d, command) + argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4)
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == (0 if code == 0 else 1), errors

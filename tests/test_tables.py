@@ -563,11 +563,6 @@ def test_every_table_writes_what_one_row_format_wrote(tmp_path, name, int_dtype)
         table.write(str(tmp_path / "got.csv"), columns, comments)
         reference_write(table, str(tmp_path / "want.csv"), columns, comments)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (name, n)
-        if n == rows + 1:  # over a block boundary, each row formatted once and written 0 to 3 times
-            repeats = rng.integers(0, 4, n)
-            table.write(str(tmp_path / "got.csv"), columns, comments, repeats=repeats)
-            reference_write(table, str(tmp_path / "want.csv"), [np.repeat(c, repeats) for c in columns], comments)
-            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (name, n, "repeats")
 
 
 def test_int_columns_take_lists_and_truncated_floats(tmp_path):
@@ -648,7 +643,7 @@ def test_window_ends_are_the_first_time_plus_whole_windows():
         assert cursor == 3.0 + k * 33.3
 
 
-# --- runs of identical lines: parsed once, read back as every line ---
+# --- runs of identical lines: read back as every line ---
 
 
 def per_line_columns(table, text):
@@ -685,16 +680,6 @@ def test_runs_read_as_every_line(tmp_path, body):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_each_run_is_parsed_once(tmp_path, monkeypatch):
-    path = tmp_path / "gps.csv"
-    path.write_text(tables.GPS + "\n" + RUN_BODIES["runs in one block"])
-    parsed = []
-    parse = tables.Kind.parse
-    monkeypatch.setattr(tables.Kind, "parse", lambda kind, fields: parsed.append(len(fields)) or parse(kind, fields))
-    (t, *_), _ = tables.GPS.read(str(path))
-    assert parsed == [300] * 4 and len(t) == sum(1 + k % 4 for k in range(300))
-
-
 def test_a_comment_between_equal_rows(tmp_path):
     text = "t,prop_id,rpm\n" + ("1000,0,3000.5\n" * 3 + "# prop0_center=1.0,2.0\n" + "1000,0,3000.5\n" * 2) * 5
     path = tmp_path / "truth_rpm.csv"
@@ -728,6 +713,6 @@ def test_fused_csv_round_trips_bit_exactly(tmp_path):
     got, _ = tables.FUSED.read(str(path))
     want = [np.array([s.t_us for s in states]), *np.array([s.mean for s in states]).T,
             np.array([np.trace(s.cov) for s in states])]
-    assert len(got[0]) == len(states) > 4 * 3000
+    assert len(got[0]) == len(states) > 3000  # a row per step and per update, not per speed row
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.astype(a.dtype).view(np.int64))
