@@ -58,6 +58,7 @@ from .sim import (
     NoiseSpec,
     PropellerSpec,
     RampSpeed,
+    SpeedProfile,
     StepSpeed,
     simulate_flight,
     simulate_propellers,

@@ -18,7 +18,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .commands import CommandSample, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model
+from .commands import (
+    MAX_RATE_HZ, CommandSample, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model,
+)
 from .commands import predict_command  # noqa: F401  (perfbench's tracer wraps this name here)
 from .config import PipelineConfig, parse_scenario
 from .dynamics import rpm_to_rad_s
@@ -28,7 +30,7 @@ from .fusion import KinematicPredictor, run_fusion
 from .metrics import localization_error
 from . import pipeline as pl
 from . import tables
-from .sim import MAX_SAMPLES_PER_CLASS, generate_command_dataset, simulate_flight, simulate_propellers
+from .sim import MAX_CLASS_SPEEDS, MAX_SAMPLES_PER_CLASS, generate_command_dataset, simulate_flight, simulate_propellers
 
 LOG = logging.getLogger("rotorsense")
 
@@ -147,8 +149,17 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
             f"--samples-per-class must lie in [svm_folds = {cfg.svm_folds}, {MAX_SAMPLES_PER_CLASS}], "
             f"got {args.samples_per_class}"
         )
-    window = int(cfg.window_ms * cfg.resample_hz / 1000.0)
-    raw = generate_command_dataset(args.samples_per_class, drone, window, cfg.resample_hz, cfg.seed)
+    if not 0 < cfg.resample_hz <= MAX_RATE_HZ:  # what load_model accepts
+        raise ConfigError(f"resample_hz must lie in (0, {MAX_RATE_HZ:g}], got {cfg.resample_hz}")
+    window = cfg.window_ms * cfg.resample_hz / 1000.0  # samples
+    if not window >= 1:
+        raise ConfigError(f"window_ms * resample_hz / 1000 must be at least 1 sample, got {window:.3g}")
+    if window * args.samples_per_class > MAX_CLASS_SPEEDS:
+        raise ConfigError(
+            f"window_ms * resample_hz / 1000 too large: {window:.3g}-sample windows x {args.samples_per_class} "
+            f"samples per class exceed {MAX_CLASS_SPEEDS:.0e} speeds per class"
+        )
+    raw = generate_command_dataset(args.samples_per_class, drone, int(window), cfg.resample_hz, cfg.seed)
     samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
     model, accuracies = train_command_model(
         samples, k_folds=cfg.svm_folds, lambda_reg=cfg.svm_lambda, epochs=cfg.svm_epochs,

@@ -261,6 +261,9 @@ def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> 
 # --- Model file format (versioned plain text) ---
 
 _MODEL_HEADER = "rotorsense-command-model v2"
+# Highest resampling rate of a model: speed rows are stamped in whole
+# microseconds, so a finer grid than 1 MHz adds nothing.
+MAX_RATE_HZ = 1e6
 
 
 def _fmt_vec(values: np.ndarray) -> str:
@@ -315,8 +318,7 @@ def load_model(path: str) -> CommandModel:
         n_props, window, rate_hz = int(fields["n_props"]), int(fields["window"]), float(fields["rate_hz"])
     except ValueError as exc:
         raise DataError(f"{path}:2: non-numeric setting in {lines[1]!r}") from exc
-    # speed rows are stamped in whole microseconds: a finer grid than 1 MHz adds nothing
-    if n_props < 1 or window < 1 or not 0 < rate_hz <= 1e6:
+    if n_props < 1 or window < 1 or not 0 < rate_hz <= MAX_RATE_HZ:
         raise DataError(f"{path}:2: setting out of range in {lines[1]!r}")
     classes = tuple(_model_value(path, 3, lines[2], "classes").split(","))
     mean = _model_floats(path, 4, _model_value(path, 4, lines[3], "feature_mean"))

@@ -26,7 +26,7 @@ from .dynamics import (
     command_rpm_pattern,
     rpm_to_rad_s,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .events import Events, SensorGeometry
 
 RPM_TO_RAD_US = 2.0 * math.pi / 60.0 * 1e-6
@@ -38,100 +38,91 @@ ORIGIN_HOT_PIXEL = -2
 # --- Speed profiles ---
 
 
-class ConstantSpeed:
+def _breakpoints(points: Sequence[tuple[float, float]] | np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The times and speeds of (t_us, rpm) breakpoints, checked."""
+    if len(points) == 0:
+        raise ConfigError(f"{kind} needs at least one breakpoint")
+    t_us, rpm = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
+    if np.any(t_us[1:] < t_us[:-1]):
+        raise ConfigError(f"{kind} breakpoints must be nondecreasing in time")
+    if np.any(rpm < 0):
+        raise ConfigError("speed must be nonnegative")
+    return t_us, rpm
+
+
+class SpeedProfile:
+    """Rotational speed through (t_us, rpm) breakpoints: linear between
+    neighbours, constant before the first and after the last. Two
+    breakpoints at one time make a step; the later value holds from that
+    time on."""
+
+    def __init__(self, points: Sequence[tuple[float, float]] | np.ndarray) -> None:
+        self.t_us, self.rpm = _breakpoints(points, "speed profile")
+        # the breakpoint times with 0 among them, and the rotation (radians)
+        # from 0 to each: the segments' trapezoids, summed outward from 0 so
+        # that a breakpoint far from 0 cancels nothing
+        i = int(np.searchsorted(self.t_us, 0.0, side="right"))
+        self._cuts = np.insert(self.t_us, i, 0.0)
+        rate = np.insert(self.rpm, i, self.rpm_at(0.0)) * RPM_TO_RAD_US
+        area = 0.5 * (rate[:-1] + rate[1:]) * np.diff(self._cuts)
+        self._rotation = np.concatenate([-np.cumsum(area[:i][::-1])[::-1], [0.0], np.cumsum(area[i:])])
+
+    def rpm_at(self, t_us):
+        """The speed at t_us, a time or an array of them."""
+        t = np.asarray(t_us, dtype=np.float64)
+        k = np.maximum(np.searchsorted(self.t_us, t, side="right") - 1, 0)  # the segment's first breakpoint
+        nxt = np.minimum(k + 1, self.t_us.size - 1)
+        t0, t1, r0, r1 = self.t_us[k], self.t_us[nxt], self.rpm[k], self.rpm[nxt]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # outside the segments' interiors
+            ramp = r0 + (t - t0) / (t1 - t0) * (r1 - r0)
+        return np.where((t > t0) & (t < t1), ramp, r0)[()]
+
+    def phase_advance(self, t0_us, t1_us):
+        """Blade rotation (radians) from t0_us to t1_us, either a time or an
+        array of them."""
+        return self._rotation_at(t1_us) - self._rotation_at(t0_us)
+
+    def _rotation_at(self, t_us):
+        """Rotation from 0 to t_us: from the last cut at or before it (or
+        the first cut), on the trapezoid of the speed between them."""
+        t = np.asarray(t_us, dtype=np.float64)
+        k = np.maximum(np.searchsorted(self._cuts, t, side="right") - 1, 0)
+        cut = self._cuts[k]
+        rate = 0.5 * (self.rpm_at(cut) * RPM_TO_RAD_US + self.rpm_at(t) * RPM_TO_RAD_US)
+        return (self._rotation[k] + rate * (t - cut))[()]
+
+    def max_rpm(self, t0_us: float, t1_us: float) -> float:
+        inner = self.rpm[(self.t_us > t0_us) & (self.t_us < t1_us)]
+        return float(max(self.rpm_at(t0_us), self.rpm_at(t1_us), inner.max(initial=0.0)))
+
+
+def ConstantSpeed(rpm: float) -> SpeedProfile:
     """Fixed rotational speed."""
-
-    def __init__(self, rpm: float) -> None:
-        if rpm < 0:
-            raise ConfigError("speed must be nonnegative")
-        self.rpm = float(rpm)
-
-    def rpm_at(self, t_us: float) -> float:
-        return self.rpm
-
-    def phase_advance(self, t0_us: float, t1_us: float) -> float:
-        """Unsigned blade rotation (radians) accumulated over [t0, t1]."""
-        return self.rpm * RPM_TO_RAD_US * (t1_us - t0_us)
-
-    def max_rpm(self, t0_us: float, t1_us: float) -> float:
-        return self.rpm
+    return SpeedProfile([(0.0, rpm)])
 
 
-class StepSpeed:
-    """Piecewise-constant speed given as (t_us, rpm) breakpoints."""
-
-    def __init__(self, points: Sequence[tuple[float, float]]) -> None:
-        if not points:
-            raise ConfigError("step profile needs at least one breakpoint")
-        times = [float(t) for t, _ in points]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ConfigError("step profile breakpoints must be nondecreasing in time")
-        if any(rpm < 0 for _, rpm in points):
-            raise ConfigError("speed must be nonnegative")
-        self.points = [(float(t), float(rpm)) for t, rpm in points]
-
-    def rpm_at(self, t_us: float) -> float:
-        rpm = self.points[0][1]
-        for t, value in self.points:
-            if t_us >= t:
-                rpm = value
-            else:
-                break
-        return rpm
-
-    def phase_advance(self, t0_us: float, t1_us: float) -> float:
-        if t1_us < t0_us:
-            raise ConfigError("phase interval is inverted")
-        total = 0.0
-        edges = [t for t, _ in self.points if t0_us < t < t1_us]
-        cuts = [t0_us] + edges + [t1_us]
-        for a, b in zip(cuts, cuts[1:]):
-            total += self.rpm_at(a) * RPM_TO_RAD_US * (b - a)
-        return total
-
-    def max_rpm(self, t0_us: float, t1_us: float) -> float:
-        rpms = [self.rpm_at(t0_us)]
-        rpms += [rpm for t, rpm in self.points if t0_us <= t <= t1_us]
-        return max(rpms)
+def StepSpeed(points: Sequence[tuple[float, float]] | np.ndarray) -> SpeedProfile:
+    """Piecewise-constant speed: each (t_us, rpm) breakpoint's speed holds
+    until the next breakpoint's time."""
+    t, rpm = _breakpoints(points, "step profile")
+    # a hold at each later breakpoint's time, then the step
+    return SpeedProfile(np.column_stack([np.repeat(t, 2)[1:], np.repeat(rpm, 2)[:-1]]))
 
 
-class RampSpeed:
+def RampSpeed(t0_us: float, rpm0: float, t1_us: float, rpm1: float) -> SpeedProfile:
     """Linear speed ramp between two times, clamped outside the ramp."""
-
-    def __init__(self, t0_us: float, rpm0: float, t1_us: float, rpm1: float) -> None:
-        if t1_us <= t0_us:
-            raise ConfigError("ramp must span a positive interval")
-        if rpm0 < 0 or rpm1 < 0:
-            raise ConfigError("speed must be nonnegative")
-        self.t0, self.rpm0 = float(t0_us), float(rpm0)
-        self.t1, self.rpm1 = float(t1_us), float(rpm1)
-
-    def rpm_at(self, t_us: float) -> float:
-        if t_us <= self.t0:
-            return self.rpm0
-        if t_us >= self.t1:
-            return self.rpm1
-        frac = (t_us - self.t0) / (self.t1 - self.t0)
-        return self.rpm0 + frac * (self.rpm1 - self.rpm0)
-
-    def phase_advance(self, t0_us: float, t1_us: float) -> float:
-        if t1_us < t0_us:
-            raise ConfigError("phase interval is inverted")
-        total = 0.0
-        cuts = sorted({t0_us, t1_us, min(max(self.t0, t0_us), t1_us), min(max(self.t1, t0_us), t1_us)})
-        for a, b in zip(cuts, cuts[1:]):
-            # rpm is linear on each cut, so the trapezoid rule is exact
-            total += 0.5 * (self.rpm_at(a) + self.rpm_at(b)) * RPM_TO_RAD_US * (b - a)
-        return total
-
-    def max_rpm(self, t0_us: float, t1_us: float) -> float:
-        return max(self.rpm_at(t0_us), self.rpm_at(t1_us))
-
-
-SpeedProfile = ConstantSpeed | StepSpeed | RampSpeed
+    if t1_us <= t0_us:
+        raise ConfigError("ramp must span a positive interval")
+    return SpeedProfile([(t0_us, rpm0), (t1_us, rpm1)])
 
 
 # --- Specs ---
+
+
+# Most blades a propeller may carry. Drone propellers carry two to six and
+# ducted fans about a dozen; the painter evaluates every blade of every
+# rotor on every tick, so a count from a typo (2^63) would never finish.
+MAX_BLADES = 64
 
 
 @dataclass(frozen=True)
@@ -149,8 +140,8 @@ class PropellerSpec:
     spin: int = +1
 
     def __post_init__(self) -> None:
-        if self.n_blades < 1:
-            raise ConfigError("propeller needs at least one blade")
+        if not 1 <= self.n_blades <= MAX_BLADES:
+            raise ConfigError(f"propeller needs 1 to {MAX_BLADES} blades, got {self.n_blades}")
         if not (self.blade_length > self.blade_width > 0):
             raise ConfigError("blade_length must exceed blade_width, both positive")
         if self.spin not in (-1, +1):
@@ -305,9 +296,15 @@ class _BladePainter:
 
 def _validate_tick(spec: PropellerSpec, duration_us: int, tick_us: int) -> None:
     peak_rpm = spec.speed_profile.max_rpm(0, duration_us)
-    tip_speed = rpm_to_rad_s(peak_rpm) * spec.blade_length  # px/s
+    # python floats: a product past float64's range is inf, without a warning
+    tip_speed = peak_rpm * (2.0 * math.pi / 60.0) * float(spec.blade_length)  # px/s
     if tip_speed * tick_us * 1e-6 > 1.0:
-        required = int(1e6 / tip_speed) if tip_speed > 0 else tick_us
+        required = int(1e6 / tip_speed)
+        if required < 1:
+            raise ConfigError(
+                f"speed {peak_rpm:.4g} RPM or blade_length {spec.blade_length:.4g} px too large: "
+                f"the blade tip moves more than 1 px in a 1 us tick"
+            )
         raise ConfigError(
             f"tick {tick_us} us too coarse: blade tip moves "
             f"{tip_speed * tick_us * 1e-6:.2f} px per tick at {peak_rpm:.0f} RPM; "
@@ -317,8 +314,11 @@ def _validate_tick(spec: PropellerSpec, duration_us: int, tick_us: int) -> None:
 
 # Most ticks a simulation may take. Tick times, phases, speeds and a
 # flight's states are held per tick: about 1.5 GB for a four-rotor flight
-# at the bound, where a 1e13-tick scene asked for 72.8 TiB. The acceptance
-# scenes take at most 160k ticks.
+# at the bound, where a 1e13-tick scene asked for 72.8 TiB. A rendered
+# flight also holds its rotors' speed profiles, 256 B per truth tick for
+# four rotors: 2.6 GB more at the bound, which it reaches only with a
+# truth tick of at most 40 us. The acceptance scenes take at most 160k
+# ticks.
 MAX_TICKS = 10**7
 
 
@@ -345,7 +345,6 @@ def _columns(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
 
 def _render(
     specs: Sequence[PropellerSpec],
-    phases: list[np.ndarray],
     tick_times: np.ndarray,
     noise: NoiseSpec,
     geometry: SensorGeometry | None,
@@ -353,10 +352,11 @@ def _render(
     rng: np.random.Generator,
 ) -> tuple[Events, np.ndarray]:
     """Events and their origins: each propeller's coverage transitions over
-    the shared ticks (propeller i at phases[i]), background and hot-pixel
-    events over [0, duration_us], then positional jitter on the blade
-    events, all merged by time. Draws from `rng` in that order."""
+    the shared ticks, background and hot-pixel events over [0,
+    duration_us], then positional jitter on the blade events, all merged
+    by time. Draws from `rng` in that order."""
     geometry = geometry or default_geometry(specs)
+    phases = [spec.initial_phase - spec.spin * spec.speed_profile.phase_advance(0, tick_times) for spec in specs]
     painters = [_BladePainter(spec, geometry) for spec in specs]
     margins = [painter.margins([float(phase[0])])[0] for painter, phase in zip(painters, phases)]
     times = tick_times.astype(np.float64)
@@ -453,27 +453,8 @@ def simulate_propellers(
         _validate_tick(spec, duration_us, tick_us)
 
     tick_times = np.arange(n_ticks + 1, dtype=np.int64) * tick_us
-    phases = []
-    rpm = np.zeros((len(specs), tick_times.size))
-    for i, spec in enumerate(specs):
-        profile = spec.speed_profile
-        phase = np.empty(tick_times.size)
-        acc = spec.initial_phase
-        phase[0] = acc
-        for k in range(1, tick_times.size):
-            step = profile.phase_advance(float(tick_times[k - 1]), float(tick_times[k]))
-            acc -= spec.spin * step
-            # accumulated phase must equal the closed-form advance from t=0
-            direct = spec.initial_phase - spec.spin * profile.phase_advance(0.0, float(tick_times[k]))
-            if abs(acc - direct) > 1e-6 * max(1.0, abs(direct)):
-                raise NumericalError(
-                    f"speed profile phase drift at t={int(tick_times[k])} us: {acc} vs {direct}"
-                )
-            phase[k] = acc
-        phases.append(phase)
-        rpm[i] = [profile.rpm_at(float(t)) for t in tick_times]
-
-    events, origin = _render(specs, phases, tick_times, noise, geometry, duration_us, np.random.default_rng(seed))
+    rpm = np.array([spec.speed_profile.rpm_at(tick_times) for spec in specs])
+    events, origin = _render(specs, tick_times, noise, geometry, duration_us, np.random.default_rng(seed))
     truth = GroundTruth(tick_us=tick_us, times_us=tick_times, rpm=rpm, event_origin=origin)
     return events, truth
 
@@ -613,27 +594,20 @@ def simulate_flight(
 
     events, origin = Events.empty(), np.empty(0, dtype=np.int16)
     if render_events:
+        # each rotor holds its traced speed from one truth tick to the next
         specs = [
             PropellerSpec(
                 center=c, n_blades=drone_spec.n_blades, blade_length=drone_spec.blade_length,
                 blade_width=drone_spec.blade_width, initial_phase=0.0,
-                speed_profile=ConstantSpeed(float(np.max(traces))), spin=int(ROTOR_SPINS[i % 4]),
+                speed_profile=StepSpeed(np.column_stack([tick_times, trace])), spin=int(ROTOR_SPINS[i % 4]),
             )
-            for i, c in enumerate(drone_spec.rotor_centers)
+            for i, (c, trace) in enumerate(zip(drone_spec.rotor_centers, traces))
         ]
         end_us = int(tick_times[-1])
         for spec in specs:
             _validate_tick(spec, end_us, RENDER_TICK_US)
         render_times = np.arange(0, end_us + 1, RENDER_TICK_US, dtype=np.int64)
-        # zero-order-hold phase integral of the per-tick traces
-        idx = np.minimum(render_times // tick_us, n_ticks)
-        frac = (render_times - tick_times[idx]).astype(np.float64)
-        phases = []
-        for spec, trace in zip(specs, traces):
-            omega_rad_us = trace * RPM_TO_RAD_US
-            coarse = np.concatenate([[0.0], np.cumsum(omega_rad_us[:-1] * np.diff(tick_times))])
-            phases.append(spec.initial_phase - spec.spin * (coarse[idx] + omega_rad_us[idx] * frac))
-        events, origin = _render(specs, phases, render_times, noise, geometry, end_us, rng)
+        events, origin = _render(specs, render_times, noise, geometry, end_us, rng)
 
     truth = GroundTruth(
         tick_us=tick_us,
@@ -656,6 +630,10 @@ def simulate_flight(
 # 1 kHz) take 6 x 10^4 x 4 x 100 x 8 B = 192 MB, and `train-command` runs
 # 27 s at a 325 MB peak on a 2-core x86 host. The default is 200.
 MAX_SAMPLES_PER_CLASS = 10**4
+# Most speeds per rotor a class may hold, samples per class times window
+# samples: the bound above at the default window, so the dataset stays
+# within the 192 MB sized there whatever the window.
+MAX_CLASS_SPEEDS = 100 * MAX_SAMPLES_PER_CLASS
 
 
 def generate_command_dataset(

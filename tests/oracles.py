@@ -4,10 +4,13 @@
 and `reward_accumulation` and `reward_sparsity` score a whole count
 image, pixel by pixel; `ObjectiveEvaluator` fuses these steps, and the
 tests compare the two. `simulate_flight` evaluates the command mixer and
-the acceleration model at every tick, and paints, draws noise and merges
-a rendered flight's events in separate passes; `sim.simulate_flight`
-tabulates each command once and renders through the renderer it shares
-with `sim.simulate_propellers`. `BladePainter` evaluates every disk
+the acceleration model at every tick, integrates a rendered flight's
+phases from its speed traces, and paints, draws noise and merges its
+events in separate passes; `sim.simulate_flight` tabulates each command
+once, holds each trace in a `SpeedProfile` and renders through the
+renderer it shares with `sim.simulate_propellers`. `phases` accumulates
+a blade's phase tick by tick, where `SpeedProfile.phase_advance` gives
+it in closed form. `BladePainter` evaluates every disk
 pixel's coverage margin on every tick, and `render` paints with it one
 tick at a time; `sim._render` paints blocks of ticks and evaluates only
 the pixels that can flip. `pegasos_ovr` runs one classifier fit and
@@ -291,10 +294,12 @@ def paint(specs, phases, tick_times, geometry) -> list[tuple[np.ndarray, ...]]:
     return blade
 
 
-def render(specs, phases, tick_times, noise, geometry, duration_us, rng):
-    """`sim._render` with the per-tick painter: paint, draw background and
-    hot pixels, jitter the blade events, merge by time."""
+def render(specs, tick_times, noise, geometry, duration_us, rng):
+    """`sim._render` with the per-tick painter: paint at the profiles'
+    phases, draw background and hot pixels, jitter the blade events, merge
+    by time."""
     geometry = geometry or sim.default_geometry(specs)
+    phases = [spec.initial_phase - spec.spin * spec.speed_profile.phase_advance(0, tick_times) for spec in specs]
     blade = paint(specs, phases, tick_times, geometry)
     background = sim._background(noise, geometry, duration_us, rng)
     t, x, y, p, origin = sim._columns(blade)
@@ -304,6 +309,21 @@ def render(specs, phases, tick_times, noise, geometry, duration_us, rng):
     t, x, y, p, origin = sim._columns([(t, x, y, p, origin), *background])
     order = np.argsort(t, kind="stable")
     return Events(t[order].astype(np.uint64), x[order], y[order], p[order], validate=False), origin[order]
+
+
+def phases(spec: sim.PropellerSpec, tick_times: np.ndarray) -> np.ndarray:
+    """The blade phase at each tick, accumulated tick by tick. Each tick's
+    advance sums the midpoint rule over the pieces between the profile's
+    breakpoints, which is exact where the speed is linear."""
+    profile = spec.speed_profile
+    phase = np.empty(tick_times.size)
+    acc = phase[0] = spec.initial_phase
+    for k in range(1, tick_times.size):
+        a, b = float(tick_times[k - 1]), float(tick_times[k])
+        cuts = np.unique(np.concatenate([[a, b], profile.t_us[(profile.t_us > a) & (profile.t_us < b)]]))
+        acc -= spec.spin * float(np.sum(profile.rpm_at(0.5 * (cuts[:-1] + cuts[1:])) * np.diff(cuts))) * sim.RPM_TO_RAD_US
+        phase[k] = acc
+    return phase
 
 
 def channel_means(window) -> np.ndarray:

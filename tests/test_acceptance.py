@@ -327,7 +327,10 @@ def _fuse_flight(script, duration_us, seed):
                           gps_sigma_m=2.0, process_noise_scale=25.0)
     truth_series = np.column_stack([truth.times_us, truth.positions])
     err_fused, _ = localization_error(fused.positions(), truth_series)
-    err_gps, _ = localization_error(gps_only.positions(), truth_series)
+    # the GPS-only filter's updated states: at each fix it emits the
+    # predicted state, then the updated one
+    gps_track = gps_only.positions()
+    err_gps, _ = localization_error(gps_track[np.append(gps_track[1:, 0] != gps_track[:-1, 0], True)], truth_series)
     for state in fused.states[:: max(len(fused.states) // 200, 1)]:
         assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
     return err_fused, err_gps, fused

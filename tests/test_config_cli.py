@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rotorsense import cli
 from rotorsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rotorsense.config import _SPEC_KEYS, PipelineConfig, parse_scenario
-from rotorsense.errors import ConfigError
+from rotorsense.errors import ConfigError, DataError
 from rotorsense import pipeline as pl
 from rotorsense import sim
 from rotorsense.sim import MAX_SAMPLES_PER_CLASS, DroneSpec, NoiseSpec
@@ -687,6 +687,18 @@ OUT_OF_RANGE = [
     # exited 1 allocating the ticks (_ArrayMemoryError, 72.8 TiB and up)
     (SCENE, "duration_us=10000000000000", "duration_us / tick_us too large"),
     (FLIGHT, "duration_us=10000000000000000", "duration_us / tick_us too large"),
+    # hung in the painter's loop over blades
+    (SCENE, f"prop0.blades={2**63}", f"propeller needs 1 to {sim.MAX_BLADES} blades"),
+    (SCENE, f"prop0.blades={sim.MAX_BLADES + 1}", f"propeller needs 1 to {sim.MAX_BLADES} blades"),
+    (FLIGHT, f"seed=3\nrender_events=1\ndrone.n_blades={2**63}", f"propeller needs 1 to {sim.MAX_BLADES} blades"),
+    # overflowed the tip speed with a RuntimeWarning, then advised "use tick <= 0 us"
+    (SCENE, "prop0.rpm=1e308", "speed 1e+308 RPM or blade_length 30 px too large"),
+    (SCENE, "prop0.blade_length=1e308", "speed 3000 RPM or blade_length 1e+308 px too large"),
+]
+# the same, for a speed profile in place of `prop0.rpm`
+OUT_OF_RANGE += [
+    (SCENE.replace("prop0.rpm=3000", line), line, "speed 1e+308 RPM or blade_length 30 px too large")
+    for line in ["prop0.rpm_step=0:3000,20000:1e308", "prop0.rpm_ramp=0:1e308,20000:3000"]
 ]
 
 
@@ -733,15 +745,19 @@ class TestScenarioNumbers:
 
     @pytest.mark.parametrize(("scene", "line", "message"), OUT_OF_RANGE, ids=[line for _, line, _ in OUT_OF_RANGE])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, scene, line, message):
-        """Each value replaces its key's line; all failed other than with exit 2."""
+        """Each value replaces its key's line; all failed other than with
+        exit 2. Each now exits without a warning, with one stderr line."""
         key = line.split("=")[0]
         text, n = re.subn(rf"^{re.escape(key)}=.*$", line, scene, flags=re.M)
         assert n == 1
         path = tmp_path / "scene.cfg"
         path.write_text(text)
-        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
 
     def test_noise_bound_is_on_the_expected_count(self):
         """Background draws one count, hot pixels one per pixel: the bound
@@ -1144,6 +1160,52 @@ class TestTrainCommandNumbers:
             f"config error: --samples-per-class must lie in [svm_folds = 5, {MAX_SAMPLES_PER_CLASS}], got {value}"
         ]
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        ("setting", "message"),
+        [
+            ("window_ms=1e12", "window_ms * resample_hz / 1000 too large: 1e+12-sample windows"),
+            ("window_ms=1e308", "window_ms * resample_hz / 1000 too large: inf-sample windows"),
+            ("window_ms=100.1", "window_ms * resample_hz / 1000 too large: 100-sample windows"),
+            ("window_ms=0.1", "window_ms * resample_hz / 1000 must be at least 1 sample, got 0.1"),
+            ("resample_hz=1e-3", "window_ms * resample_hz / 1000 must be at least 1 sample, got 0.0001"),
+            ("resample_hz=1e7", "resample_hz must lie in (0, 1e+06], got 10000000.0"),
+            ("resample_hz=0", "resample_hz must lie in (0, 1e+06], got 0.0"),
+        ],
+    )
+    def test_window_bounds_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch, setting, message):
+        """1e12 ms asked numpy for 29.1 TiB (exit 1); a 0-sample window
+        warned "Mean of empty slice" and exited 4; 1e7 Hz wrote a model
+        that load_model rejects."""
+
+        def generate(*args):
+            raise AssertionError("generated a dataset")
+
+        monkeypatch.setattr(cli, "generate_command_dataset", generate)
+        config, model = tmp_path / "train.cfg", tmp_path / "model.txt"
+        config.write_text(setting + "\n")
+        argv = ["--config", str(config), "train-command", "--model", str(model),
+                "--samples-per-class", str(MAX_SAMPLES_PER_CLASS)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        assert not model.exists()
+
+    def test_window_bound_admits_the_default_window_at_the_sample_bound(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def generate(n, drone, window, rate_hz, seed):
+            drawn.append((n, window, rate_hz))
+            raise DataError("stop after the checks")
+
+        monkeypatch.setattr(cli, "generate_command_dataset", generate)
+        argv = ["train-command", "--model", str(tmp_path / "m.txt"), "--samples-per-class", str(MAX_SAMPLES_PER_CLASS)]
+        assert main(argv) == EXIT_DATA
+        assert drawn == [(MAX_SAMPLES_PER_CLASS, 100, 1000.0)]
+        assert MAX_SAMPLES_PER_CLASS * 100 == sim.MAX_CLASS_SPEEDS
 
     def test_samples_per_class_at_svm_folds_trains(self, tmp_path):
         model = tmp_path / "model.txt"

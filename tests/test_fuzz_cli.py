@@ -13,7 +13,9 @@ size the simulation, so a mutated one can ask for any amount of work.
 The option grid gives each numeric option of `preprocess`, `estimate`,
 `train-command`, `infer-command` and `bench`, and the global `--seed`,
 each value of OPTION_VALUES on tiny inputs: no warning may be emitted,
-and an error exits with one stderr line.
+and an error exits with one stderr line. The scenario grid does the same
+for each number of a tiny scene that `simulate` runs, and for the config
+fields that size `train-command`'s windows.
 """
 
 import re
@@ -228,6 +230,45 @@ def test_exit_code_contract_holds_for_option_values(corpus, capsys, command, opt
     d, _ = corpus
     argv = [option.format(value)]
     argv = argv + base_argv(d, "preprocess") if command == "--seed" else base_argv(d, command) + argv
+    assert_contract(argv, capsys)
+
+
+# each number of SCENE's propeller, speed profiles and clock, as the line
+# that sets it; a profile's line replaces `prop0.rpm`
+SCENARIO_LINES = [
+    "prop0.rpm={}",
+    "prop0.rpm_step={}:3000,2000:4500", "prop0.rpm_step=0:{},2000:4500", "prop0.rpm_step=0:3000,{}:4500",
+    "prop0.rpm_step=0:3000,2000:{}",
+    "prop0.rpm_ramp={}:3000,4000:4500", "prop0.rpm_ramp=0:{},4000:4500", "prop0.rpm_ramp=0:3000,{}:4500",
+    "prop0.rpm_ramp=0:3000,4000:{}",
+    "prop0.phase={}", "prop0.blades={}", "prop0.blade_length={}", "prop0.blade_width={}",
+    "prop0.center={},20", "prop0.center=20,{}", "duration_us={}", "tick_us={}",
+]
+
+
+@pytest.mark.parametrize("value", OPTION_VALUES)
+@pytest.mark.parametrize("line", SCENARIO_LINES)
+def test_exit_code_contract_holds_for_scenario_values(corpus, capsys, line, value):
+    d, _ = corpus
+    key = line.split("=")[0]
+    drop = "prop0.rpm=" if key.startswith("prop0.rpm") else f"{key}="
+    scene = d / "grid_scene.cfg"
+    scene.write_text("".join(f"{kept}\n" for kept in SCENE.splitlines() if not kept.startswith(drop)) + line.format(value))
+    assert_contract(["simulate", str(scene), "--out", str(d / "grid_out")], capsys)
+
+
+@pytest.mark.parametrize("value", OPTION_VALUES)
+@pytest.mark.parametrize("field", ["window_ms", "resample_hz"])
+def test_exit_code_contract_holds_for_train_command_config_values(corpus, capsys, field, value):
+    d, _ = corpus
+    config = d / "grid_train.cfg"
+    config.write_text(f"{field}={value}\n")
+    assert_contract(["--config", str(config)] + base_argv(d, "train-command"), capsys)
+
+
+def assert_contract(argv, capsys):
+    """`cli.main(argv)` exits 0, 2, 3 or 4 without a warning, and an error
+    with one stderr line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

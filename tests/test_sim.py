@@ -13,6 +13,7 @@ from rotorsense.sim import (
     NoiseSpec,
     PropellerSpec,
     RampSpeed,
+    SpeedProfile,
     StepSpeed,
     simulate_flight,
     simulate_propellers,
@@ -45,6 +46,81 @@ class TestSpeedProfiles:
         whole = p.phase_advance(0, 12_000)
         parts = sum(p.phase_advance(a, a + 1_000) for a in range(0, 12_000, 1_000))
         assert parts == pytest.approx(whole, rel=1e-12)
+
+    def test_one_profile_type(self):
+        for profile in (ConstantSpeed(10.0), StepSpeed([(0, 1.0), (5, 2.0)]), RampSpeed(0, 1.0, 5, 2.0)):
+            assert type(profile) is SpeedProfile
+
+    def test_a_step_holds_the_later_value_from_its_time_on(self):
+        p = SpeedProfile([(0, 1000.0), (500, 1000.0), (500, 2500.0), (500, 2000.0), (900, 3000.0)])
+        t = np.array([-10.0, 0.0, 499.0, 500.0, 700.0, 900.0, 1e9])
+        assert p.rpm_at(t).tolist() == [1000.0, 1000.0, 1000.0, 2000.0, 2500.0, 3000.0, 3000.0]
+        # 500 us at 1000 RPM, then 400 us from 2000 to 3000 RPM
+        assert p.phase_advance(0, 900) == pytest.approx((500 * 1000.0 + 400 * 2500.0) * sim.RPM_TO_RAD_US)
+        assert p.max_rpm(0, 900) == 3000.0
+        # 2500 RPM holds at no time, and 1000 RPM only before 500 us
+        assert p.max_rpm(500, 600) == pytest.approx(2250.0)
+
+    def test_ramp_speeds_keep_the_ramp_formula(self):
+        t0, r0, t1, r1 = 1_000.0, 500.0, 9_000.0, 6000.0
+        t = np.arange(0, 10_000, 7, dtype=np.int64)
+        want = [r0 if x <= t0 else r1 if x >= t1 else r0 + (x - t0) / (t1 - t0) * (r1 - r0) for x in t.tolist()]
+        assert RampSpeed(t0, r0, t1, r1).rpm_at(t).tolist() == want
+        assert [RampSpeed(t0, r0, t1, r1).rpm_at(float(x)) for x in t[:50]] == want[:50]
+
+    @pytest.mark.parametrize("far", [1e20, -1e20])
+    def test_a_breakpoint_far_from_zero_cancels_nothing(self, far):
+        """Rotation is summed outward from t = 0: a profile whose
+        breakpoints lie 1e20 us away still turns at its speed near 0."""
+        p = RampSpeed(far, 3000.0, far + 1e19, 4000.0) if far > 0 else RampSpeed(far, 4000.0, far + 1e19, 3000.0)
+        # 3000 RPM is 50 rev/s: 20 ms per revolution
+        assert p.phase_advance(0, 20_000) == pytest.approx(2 * np.pi, rel=1e-12)
+        assert p.phase_advance(0, np.array([10_000, 40_000])) == pytest.approx([np.pi, 4 * np.pi], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: ConstantSpeed(-1.0), "speed must be nonnegative"),
+            (lambda: StepSpeed([]), "step profile needs at least one breakpoint"),
+            (lambda: StepSpeed([(5, 1.0), (4, 2.0)]), "step profile breakpoints must be nondecreasing in time"),
+            (lambda: StepSpeed([(0, 1.0), (4, -2.0)]), "speed must be nonnegative"),
+            (lambda: RampSpeed(5, 1.0, 5, 2.0), "ramp must span a positive interval"),
+            (lambda: RampSpeed(0, -1.0, 5, 2.0), "speed must be nonnegative"),
+            (lambda: SpeedProfile([]), "speed profile needs at least one breakpoint"),
+            (lambda: SpeedProfile([(5, 1.0), (4, 2.0)]), "speed profile breakpoints must be nondecreasing in time"),
+        ],
+    )
+    def test_constructors_keep_their_checks(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_the_per_tick_accumulation(self, data):
+        """The closed-form phase at every tick lies within the old drift
+        check's tolerance, 1e-6 relative, of the phase accumulated tick by
+        tick, on constant, step, ramp and zero-order-hold profiles."""
+        rpm = st.floats(0.0, 20_000.0)
+        tick_us = data.draw(st.integers(1, 500))
+        tick_times = np.arange(data.draw(st.integers(1, 300)), dtype=np.int64) * tick_us
+        end = float(tick_times[-1])
+        kind = data.draw(st.sampled_from(["constant", "step", "ramp", "hold"]))
+        if kind == "constant":
+            profile = ConstantSpeed(data.draw(rpm))
+        elif kind == "step":
+            times = sorted(data.draw(st.lists(st.floats(-0.5 * end - 1, 1.5 * end + 1), min_size=1, max_size=6)))
+            profile = StepSpeed([(t, data.draw(rpm)) for t in times])
+        elif kind == "ramp":
+            t0 = data.draw(st.floats(-end - 1, end))
+            profile = RampSpeed(t0, data.draw(rpm), t0 + data.draw(st.floats(1e-3, 2 * end + 1)), data.draw(rpm))
+        else:
+            trace = data.draw(st.lists(rpm, min_size=tick_times.size, max_size=tick_times.size))
+            profile = StepSpeed(np.column_stack([tick_times, trace]))
+        spec = PropellerSpec(CENTER, 2, 30.0, 5.0, data.draw(st.floats(-20.0, 20.0)), profile,
+                             spin=data.draw(st.sampled_from([-1, 1])))
+        direct = spec.initial_phase - spec.spin * profile.phase_advance(0, tick_times)
+        accumulated = oracles.phases(spec, tick_times)
+        assert np.all(np.abs(accumulated - direct) <= 1e-6 * np.maximum(1.0, np.abs(direct)))
 
 
 class TestSimulatePropellers:
