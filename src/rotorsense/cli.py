@@ -23,7 +23,7 @@ from .commands import (
 )
 from .commands import predict_command  # noqa: F401  (perfbench's tracer wraps this name here)
 from .config import PipelineConfig, parse_scenario
-from .dynamics import rpm_to_rad_s
+from .dynamics import N_ROTORS, rpm_to_rad_s
 from .errors import ConfigError, DataError, EstimationError, NumericalError, RotorSenseError
 from .events import read_events, write_events
 from .fusion import KinematicPredictor, run_fusion
@@ -190,6 +190,10 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     speeds = pl.read_speed_csv(args.input)
     if speeds.shape[0] == 0:
         raise DataError(f"{args.input}: no speed rows")
+    props = speeds[:, 1]
+    outside = (props < 0) | (props >= model.n_props)
+    if outside.any():
+        raise DataError(f"{args.input}: rotor id {int(props[outside.argmax()])} outside the model's 0..{model.n_props - 1}")
     window_us = args.window_ms * 1000.0
     if not 0 < window_us < math.inf:
         raise ConfigError(f"--window-ms must be positive and finite, got {args.window_ms}")
@@ -240,7 +244,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     speeds = pl.read_speed_csv(args.speeds) if args.speeds else np.zeros((0, 4))
     commands = pl.read_command_csv(args.commands) if args.commands else []
     gps = pl.read_table(args.gps, tables.GPS)
-    hover = np.full(4, rpm_to_rad_s(cfg.hover_rpm))
+    hover = np.full(N_ROTORS, rpm_to_rad_s(cfg.hover_rpm))
     predictor = KinematicPredictor.from_hover_calibration(hover, tilt_fraction=cfg.tilt_fraction)
     result = run_fusion(
         speeds[:, :3], commands, gps, predictor,

@@ -21,6 +21,7 @@ COMMANDS = ("hover", "climb", "descent", "yaw", "roll", "pitch")
 GRAVITY = 9.80665  # m/s^2
 
 ROTOR_SPINS = np.array([+1, -1, +1, -1], dtype=np.int8)
+N_ROTORS = len(ROTOR_SPINS)
 
 # Per-command multiplier of the speed offset, one entry per rotor.
 _MIXER = {
@@ -36,10 +37,9 @@ _MIXER = {
 }
 
 
-def command_rpm_pattern(command: str, hover_rpm: float, delta_rpm: float, n_rotors: int = 4) -> np.ndarray:
-    """Per-rotor RPM for a command: hover speed plus the mixer offset."""
-    if n_rotors != 4:
-        raise ConfigError("the mixer is defined for quadrotors (n_rotors=4)")
+def command_rpm_pattern(command: str, hover_rpm: float, delta_rpm: float) -> np.ndarray:
+    """The N_ROTORS rotor speeds (RPM) of a command: hover speed plus the
+    mixer offset."""
     mult = _MIXER.get(command)
     if mult is None:
         raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
@@ -65,27 +65,6 @@ def calibrate_thrust_gain(hover_speeds_rad_s: np.ndarray, gravity: float = GRAVI
     return gravity / s
 
 
-def command_acceleration(
-    command: str,
-    speeds_rad_s: np.ndarray,
-    k_f: float,
-    hover_speed_sq_sum: float,
-    tilt_fraction: float = 0.2,
-) -> np.ndarray:
-    """Linear acceleration (m/s^2, world frame) implied by a command.
-
-    climb/descent move along +/-z with the net thrust surplus
-    k_f * (sum(omega^2) - sum(omega_hover^2)); hover and yaw produce no
-    linear acceleration; roll/pitch tilt the total thrust vector, giving
-    a lateral component of tilt_fraction * k_f * sum(omega^2) along
-    +x / +y respectively.
-    """
-    if command not in _MIXER:
-        raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
-    speeds = np.asarray(speeds_rad_s, dtype=np.float64).reshape(1, -1)
-    return command_accelerations([COMMANDS.index(command)], speeds, k_f, hover_speed_sq_sum, tilt_fraction)[0]
-
-
 def command_accelerations(
     command_ids: np.ndarray,
     speeds_rad_s: np.ndarray,
@@ -93,10 +72,17 @@ def command_accelerations(
     hover_speed_sq_sum: float,
     tilt_fraction: float = 0.2,
 ) -> np.ndarray:
-    """`command_acceleration` of each row: (n, 3) accelerations of the
-    commands COMMANDS[command_ids[i]] at rotor speeds speeds_rad_s[i], an
-    (n, n_rotors) array. Each row's squares are summed over its rotors as
-    one contiguous row, the float operations of a single speed vector."""
+    """Linear accelerations (n, 3) (m/s^2, world frame) of the commands
+    COMMANDS[command_ids[i]] at rotor speeds speeds_rad_s[i], an
+    (n, N_ROTORS) array.
+
+    climb/descent move along +/-z with the net thrust surplus
+    k_f * (sum(omega^2) - sum(omega_hover^2)); hover and yaw produce no
+    linear acceleration; roll/pitch tilt the total thrust vector, giving
+    a lateral component of tilt_fraction * k_f * sum(omega^2) along
+    +x / +y respectively. Each row's squares are summed over its rotors as
+    one contiguous row, so a row gets the same bits alone or in a stack.
+    """
     ids = np.asarray(command_ids)
     total_sq = np.square(np.asarray(speeds_rad_s, dtype=np.float64)).sum(axis=1)
     accel = np.zeros((ids.size, 3))

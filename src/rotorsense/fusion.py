@@ -10,16 +10,17 @@ symmetrized after every step. `predict` and `update` check their result
 at once.
 
 `run_fusion` works on state arrays. One numpy pass orders the rows of
-the three streams as a timestamp merge takes them, carries each rotor's
-speed and the command in force forward, finds the dropped rows and the
-steps, and computes every step's acceleration. Its loop visits only the
-prediction steps, GPS updates and dropped rows, and writes each state
-into preallocated time (n,), mean (n, 6) and covariance (n, 6, 6)
-arrays; `FusionResult.states` shows them as one `FusedState` per state
-the filter makes. It checks the steps it predicted together: before
-each GPS update, before it raises any other error or logs a dropped
-measurement, every CHECK_STEPS steps and at the end. Either way the
-first failing step raises the error `predict` raises there.
+the three streams as a timestamp merge takes them, carries the speed of
+each of the mixer's N_ROTORS rotors and the command in force forward,
+finds the dropped rows and the steps, and computes every step's
+acceleration with one `command_accelerations` call. Its loop visits
+only the prediction steps, GPS updates and dropped rows, and writes
+each state into preallocated time (n,), mean (n, 6) and covariance
+(n, 6, 6) arrays; `FusionResult.states` shows them as one `FusedState`
+per state the filter makes. It checks the steps it predicted together:
+before each GPS update, before it raises any other error or logs a
+dropped measurement, every CHECK_STEPS steps and at the end. Either way
+the first failing step raises the error `predict` raises there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import COMMANDS, GRAVITY, calibrate_thrust_gain, command_acceleration, command_accelerations
+from .dynamics import COMMANDS, GRAVITY, N_ROTORS, calibrate_thrust_gain, command_accelerations
 from .errors import ConfigError, DataError, NumericalError
 
 LOG = logging.getLogger(__name__)
@@ -48,13 +49,6 @@ CHECK_STEPS = 1024
 INIT_VELOCITY_SIGMA = 2.0
 # how far (us) a measurement may lag the filter clock and still be used
 OUT_OF_ORDER_TOLERANCE_US = 0
-# rotor ids in the speed stream lie below this bound: `run_fusion` sums one
-# speed per id up to the largest at every step, so the bound caps a step's
-# row at 512 KB, far above the 4 to 8 rotors of a multirotor
-MAX_ROTOR_ID = 2**16
-# most rotor speeds `run_fusion` holds at once to sum each step's squares:
-# 32 KB, 1024 steps of a quadrotor; a step of MAX_ROTOR_ID rotors is one block
-SPEED_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -92,19 +86,14 @@ class MotionPrior:
         if self.process_noise_scale < 0:
             raise ConfigError("process noise scale must be nonnegative")
 
-    @property
-    def one_hot(self) -> np.ndarray:
-        vec = np.zeros(len(COMMANDS))
-        vec[COMMANDS.index(self.command)] = 1.0
-        return vec
-
 
 class KinematicPredictor:
-    """Reference command-conditioned acceleration model.
+    """Gains of the command-conditioned acceleration model.
 
     Calibrated from one hover segment: k_f * sum(omega_hover^2) = g.
-    `predict` calls `acceleration(prior)`; `run_fusion` builds no prior
-    and calls `command_accelerations` on all its steps with the same gains.
+    `predict` calls `acceleration(prior)`, `command_accelerations` on the
+    prior's one row of speeds; `run_fusion` builds no prior and calls it
+    once on all its steps with the same gains.
     """
 
     def __init__(self, k_f: float, hover_speed_sq_sum: float, tilt_fraction: float = 0.2) -> None:
@@ -122,9 +111,10 @@ class KinematicPredictor:
         return cls(k_f=k_f, hover_speed_sq_sum=hover_sq, tilt_fraction=tilt_fraction)
 
     def acceleration(self, prior: MotionPrior) -> np.ndarray:
-        return command_acceleration(
-            prior.command, prior.speeds_rad_s, self.k_f, self.hover_speed_sq_sum, self.tilt_fraction
-        )
+        return command_accelerations(
+            [COMMANDS.index(prior.command)], prior.speeds_rad_s[None], self.k_f, self.hover_speed_sq_sum,
+            self.tilt_fraction,
+        )[0]
 
 
 def _check_psd(covs: np.ndarray, where: str) -> None:
@@ -291,16 +281,17 @@ class FusionResult:
 def _speed_rows(speed_stream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time (us), rotor id and rpm columns of (t_us, prop_id, rpm, ...)
     rows; numpy truncates the time and id toward zero, as int() would. A
-    time or id that is not finite or not inside int64, or a rotor id at or
-    above MAX_ROTOR_ID, raises DataError."""
+    time or id that is not finite or not inside int64, or a rotor id that
+    is not one of the mixer's 0..N_ROTORS-1, raises DataError."""
     rows = np.asarray(speed_stream, dtype=np.float64)
     if not rows.size:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     if not (np.abs(rows[:, :2]) < 2.0**63).all():
         raise DataError("non-finite or out-of-range time or rotor id in the speed stream")
-    if not rows[:, 1].max() < MAX_ROTOR_ID:
-        raise DataError(f"rotor id {int(rows[:, 1].max())} in the speed stream is not below {MAX_ROTOR_ID}")
     t_us, props = rows[:, :2].astype(np.int64).T
+    outside = (props < 0) | (props >= N_ROTORS)
+    if outside.any():
+        raise DataError(f"rotor id {props[outside.argmax()]} in the speed stream is outside 0..{N_ROTORS - 1}")
     return t_us, props, rows[:, 2]
 
 
@@ -310,39 +301,17 @@ def _step_accelerations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The acceleration of each step and whether a rotor speed is negative
     there. speed_rows are the merged rows (ascending) that set rotor
-    speed_props (ignored below 0) to speed_omega (rad/s); a step at row
-    step_rows[j] sees each rotor's speed from its latest row at or before
-    it, the hover speed before its first, and the command step_commands[j].
-    One speed is held per rotor id up to the largest, and at least 4. Steps
-    go through `command_accelerations` in blocks of at most SPEED_BLOCK
-    speeds."""
-    n_props = max(4, int(speed_props.max(initial=3)) + 1)
-    hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
-    rotors = np.unique(speed_props)
-    rotors = rotors[rotors >= 0]
-    # each speed row's key (its rotor's column, then its row), in order: the
-    # last key at or below (column, step row) is that rotor's latest row. A
-    # negative id's rows take the column past the last, which no step reads
-    stride = int(max(speed_rows.max(initial=0), step_rows.max(initial=0))) + 1
-    keys = np.searchsorted(rotors, speed_props)
-    keys[speed_props < 0] = len(rotors)
-    keys *= stride
-    keys += speed_rows
-    by_key = np.argsort(keys)
-    keys, omega = keys[by_key], speed_omega[by_key]
-    column_keys = np.arange(len(rotors)) * stride
+    speed_props to speed_omega (rad/s); a step at row step_rows[j] sees
+    each rotor's speed from its latest row at or before it, the hover
+    speed before its first, and the command step_commands[j]."""
+    held = np.full((len(step_rows), N_ROTORS), math.sqrt(predictor.hover_speed_sq_sum / N_ROTORS))
+    for rotor in range(N_ROTORS):
+        mine = speed_props == rotor
+        latest = np.searchsorted(speed_rows[mine], step_rows, "right") - 1
+        seen = latest >= 0
+        held[seen, rotor] = speed_omega[mine][latest[seen]]
     gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
-    accels, negative = np.empty((len(step_rows), 3)), np.empty(len(step_rows), bool)
-    block = max(1, SPEED_BLOCK // n_props)
-    for start in range(0, len(step_rows), block):
-        at = slice(start, start + block)
-        latest = np.searchsorted(keys, column_keys + step_rows[at, None], "right") - 1
-        held = np.where((latest >= 0) & (keys[latest] >= column_keys), omega[latest], hover_rad_s)
-        speeds = np.full((len(held), n_props), hover_rad_s)
-        speeds[:, rotors] = held
-        accels[at] = command_accelerations(step_commands[at], speeds, *gains)
-        negative[at] = (held < 0).any(axis=1)
-    return accels, negative
+    return command_accelerations(step_commands, held, *gains), (held < 0).any(axis=1)
 
 
 class _Schedule(NamedTuple):
@@ -454,7 +423,8 @@ def run_fusion(
     the predicted state, and a GPS fix then adds the updated one after
     it. Streams merge in their given order: a measurement older than the
     filter clock beyond OUT_OF_ORDER_TOLERANCE_US is dropped with a
-    warning, not re-sorted. A negative rotor speed raises DataError, and
+    warning, not re-sorted. A rotor id outside 0..N_ROTORS-1 raises
+    DataError before any step. A negative rotor speed raises DataError, and
     a negative process_noise_scale ConfigError, at the first prediction
     step they would drive. The predicted steps are checked together (see
     the module docstring); a failing one raises the error `predict` would

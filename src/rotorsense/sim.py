@@ -20,9 +20,10 @@ import numpy as np
 
 from .dynamics import (
     COMMANDS,
+    N_ROTORS,
     ROTOR_SPINS,
     calibrate_thrust_gain,
-    command_acceleration,
+    command_accelerations,
     command_rpm_pattern,
     rpm_to_rad_s,
 )
@@ -358,6 +359,7 @@ def _render(
     geometry = geometry or default_geometry(specs)
     phases = [spec.initial_phase - spec.spin * spec.speed_profile.phase_advance(0, tick_times) for spec in specs]
     painters = [_BladePainter(spec, geometry) for spec in specs]
+    background = _background(noise, geometry, duration_us, rng)  # checks the noise bounds before any painting
     margins = [painter.margins([float(phase[0])])[0] for painter, phase in zip(painters, phases)]
     times = tick_times.astype(np.float64)
     blade = []
@@ -372,7 +374,6 @@ def _render(
         tick, *columns = (np.concatenate(column) for column in zip(*found))
         order = np.argsort(tick, kind="stable")
         blade.append(tuple(column[order] for column in columns))
-    background = _background(noise, geometry, duration_us, rng)
     t, x, y, p, origin = _columns(blade)
     if noise.vibration_jitter_px > 0 and t.size:
         x = np.clip(np.rint(x + rng.normal(0, noise.vibration_jitter_px, t.size)), 0, geometry.width - 1).astype(np.int64)
@@ -464,7 +465,8 @@ def simulate_propellers(
 
 @dataclass(frozen=True)
 class DroneSpec:
-    """Quadrotor scenario parameters for flight simulation."""
+    """Quadrotor scenario parameters for flight simulation: one rotor
+    center per rotor of the mixer, in its order."""
 
     hover_rpm: float = 3000.0
     delta_rpm: float = 300.0
@@ -491,10 +493,8 @@ class DroneSpec:
         for name in ("gps_sigma_m", "rpm_jitter"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"drone {name} must be nonnegative, got {getattr(self, name)!r}")
-
-    @property
-    def n_rotors(self) -> int:
-        return len(self.rotor_centers)
+        if len(self.rotor_centers) != N_ROTORS:
+            raise ConfigError(f"drone needs {N_ROTORS} rotor centers, one per mixer rotor, not {len(self.rotor_centers)}")
 
 
 @dataclass
@@ -503,7 +503,7 @@ class FlightResult:
 
     events: Events
     truth: GroundTruth
-    rpm_traces: np.ndarray  # (n_rotors, T) jittered, tachometer-like
+    rpm_traces: np.ndarray  # (N_ROTORS, T) jittered, tachometer-like
     gps: np.ndarray  # (M, 4): t_us, x, y, z
 
 
@@ -560,24 +560,20 @@ def simulate_flight(
     # rotor speeds, and the position and velocity steps of the acceleration,
     # once per command the script uses
     used = np.unique(command_ids).tolist()
-    n_rotors = drone_spec.n_rotors
-    pattern = np.zeros((len(COMMANDS), n_rotors))
+    pattern = np.zeros((len(COMMANDS), N_ROTORS))
     for c in used:
-        pattern[c] = command_rpm_pattern(COMMANDS[c], drone_spec.hover_rpm, drone_spec.delta_rpm, n_rotors)
+        pattern[c] = command_rpm_pattern(COMMANDS[c], drone_spec.hover_rpm, drone_spec.delta_rpm)
     clean_rpm = pattern[command_ids].T
     jitter = rng.normal(0.0, drone_spec.rpm_jitter, size=clean_rpm.shape) if drone_spec.rpm_jitter > 0 else 0.0
     traces = np.maximum(clean_rpm + jitter, 0.0)
 
-    hover_speeds = rpm_to_rad_s(
-        command_rpm_pattern("hover", drone_spec.hover_rpm, drone_spec.delta_rpm, n_rotors)
-    )
+    hover_speeds = rpm_to_rad_s(command_rpm_pattern("hover", drone_spec.hover_rpm, drone_spec.delta_rpm))
     k_f = calibrate_thrust_gain(hover_speeds)
     hover_sq = float(np.sum(np.square(hover_speeds)))
     dt_s = tick_us * 1e-6
-    dx, dv = np.zeros((len(COMMANDS), 3)), np.zeros((len(COMMANDS), 3))
-    for c in used:
-        accel = command_acceleration(COMMANDS[c], rpm_to_rad_s(pattern[c]), k_f, hover_sq, drone_spec.tilt_fraction)
-        dx[c], dv[c] = 0.5 * accel * dt_s**2, accel * dt_s
+    accel = np.zeros((len(COMMANDS), 3))
+    accel[used] = command_accelerations(used, rpm_to_rad_s(pattern[used]), k_f, hover_sq, drone_spec.tilt_fraction)
+    dx, dv = 0.5 * accel * dt_s**2, accel * dt_s
 
     positions = np.zeros((tick_times.size, 3))
     velocities = np.zeros((tick_times.size, 3))
@@ -599,7 +595,7 @@ def simulate_flight(
             PropellerSpec(
                 center=c, n_blades=drone_spec.n_blades, blade_length=drone_spec.blade_length,
                 blade_width=drone_spec.blade_width, initial_phase=0.0,
-                speed_profile=StepSpeed(np.column_stack([tick_times, trace])), spin=int(ROTOR_SPINS[i % 4]),
+                speed_profile=StepSpeed(np.column_stack([tick_times, trace])), spin=int(ROTOR_SPINS[i]),
             )
             for i, (c, trace) in enumerate(zip(drone_spec.rotor_centers, traces))
         ]
@@ -625,7 +621,7 @@ def simulate_flight(
 
 
 # Most samples per command class `train-command` draws. The dataset holds
-# 6 classes x n x n_rotors x window float64 squares, drawn one window at a
+# 6 classes x n x N_ROTORS x window float64 squares, drawn one window at a
 # time: at the bound, a quadrotor's default 100-sample windows (100 ms at
 # 1 kHz) take 6 x 10^4 x 4 x 100 x 8 B = 192 MB, and `train-command` runs
 # 27 s at a 325 MB peak on a 2-core x86 host. The default is 200.
@@ -645,7 +641,7 @@ def generate_command_dataset(
 ) -> list[tuple[np.ndarray, str]]:
     """Labelled squared-speed windows for classifier training.
 
-    Each sample is an (n_rotors, window) array of squared angular speeds
+    Each sample is an (N_ROTORS, window) array of squared angular speeds
     (rad/s)^2 following the command mixer plus per-step Gaussian jitter.
     A square that overflows is inf, which training rejects as a
     non-finite feature.
@@ -653,9 +649,9 @@ def generate_command_dataset(
     rng = np.random.default_rng(seed)
     samples = []
     for command in COMMANDS:
-        pattern = command_rpm_pattern(command, drone_spec.hover_rpm, drone_spec.delta_rpm, drone_spec.n_rotors)
+        pattern = command_rpm_pattern(command, drone_spec.hover_rpm, drone_spec.delta_rpm)
         for _ in range(n_per_class):
-            rpm = pattern[:, None] + rng.normal(0.0, drone_spec.rpm_jitter, size=(drone_spec.n_rotors, window_samples))
+            rpm = pattern[:, None] + rng.normal(0.0, drone_spec.rpm_jitter, size=(N_ROTORS, window_samples))
             omega = rpm_to_rad_s(np.maximum(rpm, 0.0))
             with np.errstate(over="ignore"):
                 samples.append((np.square(omega), command))

@@ -42,9 +42,10 @@ from rotorsense import commands, fusion, sim
 from rotorsense.cli import _command_windows
 from rotorsense.dynamics import (
     COMMANDS,
+    N_ROTORS,
     ROTOR_SPINS,
     calibrate_thrust_gain,
-    command_acceleration,
+    command_accelerations,
     command_rpm_pattern,
     rpm_to_rad_s,
 )
@@ -139,21 +140,20 @@ def simulate_flight(script, drone, noise, duration_us, seed, tick_us=1000, rende
     rng = np.random.default_rng(seed)
     tick_times = np.arange(duration_us // tick_us + 1, dtype=np.int64) * tick_us
     command_ids = sim._script_commands(list(script), tick_times)
-    n_rotors = drone.n_rotors
-    clean_rpm = np.zeros((n_rotors, tick_times.size))
+    clean_rpm = np.zeros((N_ROTORS, tick_times.size))
     for k in range(tick_times.size):
-        clean_rpm[:, k] = command_rpm_pattern(COMMANDS[command_ids[k]], drone.hover_rpm, drone.delta_rpm, n_rotors)
+        clean_rpm[:, k] = command_rpm_pattern(COMMANDS[command_ids[k]], drone.hover_rpm, drone.delta_rpm)
     jitter = rng.normal(0.0, drone.rpm_jitter, size=clean_rpm.shape) if drone.rpm_jitter > 0 else 0.0
     traces = np.maximum(clean_rpm + jitter, 0.0)
-    hover_speeds = rpm_to_rad_s(command_rpm_pattern("hover", drone.hover_rpm, drone.delta_rpm, n_rotors))
+    hover_speeds = rpm_to_rad_s(command_rpm_pattern("hover", drone.hover_rpm, drone.delta_rpm))
     k_f = calibrate_thrust_gain(hover_speeds)
     hover_sq = float(np.sum(np.square(hover_speeds)))
     dt_s = tick_us * 1e-6
     positions = np.zeros((tick_times.size, 3))
     velocities = np.zeros((tick_times.size, 3))
     for k in range(1, tick_times.size):
-        cmd = COMMANDS[command_ids[k - 1]]
-        accel = command_acceleration(cmd, rpm_to_rad_s(clean_rpm[:, k - 1]), k_f, hover_sq, drone.tilt_fraction)
+        speeds = rpm_to_rad_s(clean_rpm[:, k - 1])
+        accel = command_accelerations([command_ids[k - 1]], speeds[None], k_f, hover_sq, drone.tilt_fraction)[0]
         positions[k] = positions[k - 1] + velocities[k - 1] * dt_s + 0.5 * accel * dt_s**2
         velocities[k] = velocities[k - 1] + accel * dt_s
     gps_period_us = max(int(round(1e6 / drone.gps_rate_hz)), tick_us)
@@ -171,7 +171,7 @@ def _render_flight(drone, noise, traces, tick_times, geometry, rng, render_tick_
     specs = [
         sim.PropellerSpec(
             center=c, n_blades=drone.n_blades, blade_length=drone.blade_length, blade_width=drone.blade_width,
-            initial_phase=0.0, speed_profile=sim.ConstantSpeed(float(np.max(traces))), spin=int(ROTOR_SPINS[i % 4]),
+            initial_phase=0.0, speed_profile=sim.ConstantSpeed(float(np.max(traces))), spin=int(ROTOR_SPINS[i]),
         )
         for i, c in enumerate(drone.rotor_centers)
     ]
@@ -452,9 +452,9 @@ def _check_steps(states, accels):
 
 def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
     """`fusion.run_fusion` row by row: the streams merged by `heapq.merge`
-    on (t, kind), each step's acceleration from `command_acceleration`
-    and its state a new `FusedState`, the steps since the last check
-    checked together in the same places."""
+    on (t, kind), each step's acceleration from `command_accelerations` on
+    one row and its state a new `FusedState`, the steps since the last
+    check checked together in the same places."""
     commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
     speed_stream = np.asarray(speed_stream, dtype=np.float64)
     speeds_q = _speed_queue(speed_stream)
@@ -463,11 +463,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
     events = heapq.merge(commands_q, speeds_q, gps_q, key=lambda e: (e[0], e[1]))
 
     r_gps = gps_sigma_m**2 * np.eye(3)
-    n_props = 4
-    if speed_stream.size:
-        n_props = max(n_props, int(speed_stream[:, 1].max()) + 1)
-    hover_rad_s = math.sqrt(predictor.hover_speed_sq_sum / n_props)
-    speeds = np.full(n_props, hover_rad_s)
+    speeds = np.full(N_ROTORS, math.sqrt(predictor.hover_speed_sq_sum / N_ROTORS))
     negative: set[int] = set()  # rotors whose speed is negative
     gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
     command = "hover"
@@ -485,12 +481,11 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 raise DataError(f"unknown command {value!r} in command stream")
             command = value
         elif kind == 1:
-            if 0 <= value < speeds.size:
-                speeds[value] = omega = rpm * 2.0 * math.pi / 60.0
-                if omega < 0:
-                    negative.add(value)
-                elif negative:
-                    negative.discard(value)
+            speeds[value] = omega = rpm * 2.0 * math.pi / 60.0
+            if omega < 0:
+                negative.add(value)
+            elif negative:
+                negative.discard(value)
         if state is None:
             if kind == 2:
                 mean = np.zeros(6)
@@ -514,7 +509,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 if negative:
                     raise DataError("rotor speeds must be nonnegative")
                 raise ConfigError("process noise scale must be nonnegative")
-            accel = command_acceleration(command, speeds, *gains)
+            accel = command_accelerations([COMMANDS.index(command)], speeds[None], *gains)[0]
             state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
             result.states.append(state)
             steps.append(state)

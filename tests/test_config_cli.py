@@ -552,6 +552,18 @@ class TestCliMalformedInputs:
         assert code == EXIT_DATA
         assert f"{speeds}:3: non-integer field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prop_id", [-1, 4, 2**40])
+    def test_rotor_id_outside_the_model_exit_3(self, tmp_path, capsys, model_path, prop_id):
+        """A row of a rotor the model has no channel for was dropped
+        silently; it now exits 3 as `fuse` does, naming the file and id."""
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(4) + f"150000,{prop_id},3000.0,0.0\n")
+        code = main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(tmp_path / "c.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {speeds}: rotor id {prop_id} outside the model's 0..3"
+        ]
+
     def test_far_speed_row_costs_one_window(self, tmp_path, model_path):
         rows = "".join(f"{t},{prop},3000.0,0.0\n" for t in range(0, 1_000_000, 1000) for prop in range(4))
         speeds = tmp_path / "speeds.csv"
@@ -701,6 +713,8 @@ OUT_OF_RANGE += [
     for line in ["prop0.rpm_step=0:3000,20000:1e308", "prop0.rpm_ramp=0:1e308,20000:3000"]
 ]
 
+NOISE_OUT_OF_RANGE = [case for case in OUT_OF_RANGE if case[1].startswith("noise.")]
+
 
 class TestScenarioNumbers:
     @pytest.mark.parametrize(
@@ -743,10 +757,10 @@ class TestScenarioNumbers:
         assert len(err) == 1 and "seed" in err[0]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize(("scene", "line", "message"), OUT_OF_RANGE, ids=[line for _, line, _ in OUT_OF_RANGE])
-    def test_out_of_range_value_exit_2(self, tmp_path, capsys, scene, line, message):
-        """Each value replaces its key's line; all failed other than with
-        exit 2. Each now exits without a warning, with one stderr line."""
+    @staticmethod
+    def simulate_with(tmp_path, capsys, scene, line):
+        """Exit code and stderr lines of `simulate` on `scene` with `line`
+        in place of its key's line, any warning raised as an error."""
         key = line.split("=")[0]
         text, n = re.subn(rf"^{re.escape(key)}=.*$", line, scene, flags=re.M)
         assert n == 1
@@ -755,8 +769,28 @@ class TestScenarioNumbers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(("scene", "line", "message"), OUT_OF_RANGE, ids=[line for _, line, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, scene, line, message):
+        """Each value replaces its key's line; all failed other than with
+        exit 2. Each now exits without a warning, with one stderr line."""
+        code, err = self.simulate_with(tmp_path, capsys, scene, line)
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize(
+        ("scene", "line", "message"), NOISE_OUT_OF_RANGE, ids=[line for _, line, _ in NOISE_OUT_OF_RANGE]
+    )
+    def test_noise_bounds_are_checked_before_painting(self, tmp_path, capsys, monkeypatch, scene, line, message):
+        """A noise rate over its bound exited 2 only after every blade was
+        painted; it now exits before the first."""
+        def paint(*args):
+            raise AssertionError("a blade was painted before the noise bounds were checked")
+
+        monkeypatch.setattr(sim._BladePainter, "paint", paint)
+        code, err = self.simulate_with(tmp_path, capsys, scene, line)
+        assert code == EXIT_CONFIG
         assert len(err) == 1 and message in err[0]
 
     def test_noise_bound_is_on_the_expected_count(self):

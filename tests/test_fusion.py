@@ -44,11 +44,6 @@ def make_state(mean=None, cov=None, t_us=0):
 
 
 class TestMotionPrior:
-    def test_one_hot(self):
-        prior = MotionPrior(command="yaw", speeds_rad_s=HOVER, process_noise_scale=0.1)
-        assert prior.one_hot.sum() == 1.0
-        assert prior.one_hot[3] == 1.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             MotionPrior(command="sideways", speeds_rad_s=HOVER, process_noise_scale=0.1)
@@ -299,23 +294,22 @@ class TestWriteFusedCsv:
 def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
     """`run_fusion` as it ran with a check at every step: a MotionPrior and
     a checked `predict` per prediction, `update` per GPS fix."""
-    speed_stream = np.asarray(speed_stream, dtype=np.float64).reshape(-1, 3)
+    speed_t, props, rpm = (column.tolist() for column in fusion._speed_rows(speed_stream))
     events = heapq.merge(
         [(int(t_us), 0, (label,)) for t_us, label in command_stream],
-        [(int(t_us), 1, (int(prop), rpm)) for t_us, prop, rpm in speed_stream.tolist()],
+        [(t_us, 1, (prop, rpm)) for t_us, prop, rpm in zip(speed_t, props, rpm)],
         [(int(row[0]), 2, (np.array(row[1:4]),)) for row in np.asarray(gps_stream, dtype=np.float64).tolist()],
         key=lambda e: (e[0], e[1]),
     )
     r_gps = gps_sigma_m**2 * np.eye(3)
-    n_props = max(4, int(speed_stream[:, 1].max()) + 1) if speed_stream.size else 4
-    speeds = np.full(n_props, math.sqrt(predictor.hover_speed_sq_sum / n_props))
+    speeds = np.full(4, math.sqrt(predictor.hover_speed_sq_sum / 4))
     command, state, result = "hover", None, oracles.FusionTrack()
     for t_us, kind, payload in events:
         if kind == 0:
             if payload[0] not in COMMANDS:
                 raise DataError(f"unknown command {payload[0]!r} in command stream")
             command = payload[0]
-        elif kind == 1 and 0 <= payload[0] < speeds.size:
+        elif kind == 1:
             speeds[payload[0]] = payload[1] * 2.0 * math.pi / 60.0
         if state is None:
             if kind == 2:
@@ -516,11 +510,22 @@ class TestDeferredChecks:
             assert got[0] is NumericalError and count[0] == found_after
             assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
 
-    def test_the_largest_rotor_id_sums_its_speeds_in_blocks(self, predictor):
+    @pytest.mark.parametrize("prop_id", [-1, 4, 65535])
+    def test_a_rotor_id_outside_the_mixer_fails_before_any_step(self, predictor, bad_q_at, prop_id):
+        """A late row of rotor id -1, 4 or 65535 raises DataError naming the
+        id, not the error of the first step, which fails."""
         speeds, commands, gps = flight_streams(ms=40, gps_every_ms=20)
-        speeds = with_row(speeds, [5_000, fusion.MAX_ROTOR_ID - 1, 2900.0])
-        assert fusion.SPEED_BLOCK // fusion.MAX_ROTOR_ID < 40  # a block holds fewer steps than the run takes
-        assert len(self.compare((speeds, commands, gps), predictor)) == n_states(speeds, gps)
+        speeds = with_row(speeds, [35_000, prop_id, 2900.0])
+        got = self.compare((speeds, commands, gps), predictor, lambda: bad_q_at(1))
+        assert got == (DataError, f"rotor id {prop_id} in the speed stream is outside 0..3")
+
+    def test_an_eight_rotor_stream_is_rejected(self, predictor):
+        """Eight rotors at hover speed under climb would count rotors 4-7 as
+        thrust surplus: the stream is rejected, not fused."""
+        gps = np.array([[0, 0.0, 0.0, 0.0], [10_000, 0.0, 0.0, 0.0]])
+        speeds = np.array([[1000, p, 3000.0] for p in range(8)])
+        got = self.compare((speeds, [(0, "climb")], gps), predictor)
+        assert got == (DataError, "rotor id 4 in the speed stream is outside 0..3")
 
     def test_mean_overflow_fails_at_the_next_step(self):
         """A finite acceleration can overflow the mean: that step passes, the
@@ -611,7 +616,7 @@ RPMS = st.one_of(st.floats(2500.0, 3500.0), st.sampled_from([-1.0, 0.0, np.nan, 
 class TestMerge:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
-        speeds=st.lists(st.tuples(TIMES, st.integers(-1, 5), RPMS), max_size=30),
+        speeds=st.lists(st.tuples(TIMES, st.integers(0, 3), RPMS), max_size=30),
         commands=st.lists(st.tuples(TIMES, st.sampled_from(COMMANDS * 3 + ("jump",))), max_size=6),
         fixes=st.lists(st.tuples(TIMES, *[st.floats(-5.0, 5.0)] * 3), max_size=6),
     )

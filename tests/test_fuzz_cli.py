@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from rotorsense import tables
 from rotorsense.cli import EXIT_DATA, EXIT_OK, main
-from rotorsense.fusion import MAX_ROTOR_ID
 from rotorsense.config import parse_scenario
 from rotorsense.errors import ConfigError, DataError
 
@@ -179,11 +178,12 @@ def test_scenario_parser_raises_only_config_errors(tmp_path_factory, data):
 
 @pytest.mark.parametrize(
     ("prop_id", "code"),
-    [(2**50, EXIT_DATA), (MAX_ROTOR_ID, EXIT_DATA), (MAX_ROTOR_ID - 1, EXIT_OK)],
+    [(2**50, EXIT_DATA), (4, EXIT_DATA), (-1, EXIT_DATA), (3, EXIT_OK)],
 )
 def test_fuse_bounds_the_rotor_id(corpus, prop_id, code):
-    """A speed row's rotor id sizes fusion's speed vector: 2^50 asked for
-    8 PiB and exited 1. Ids below MAX_ROTOR_ID still fuse."""
+    """A speed row's rotor id must name one of the mixer's four rotors:
+    2^50 once sized an 8 PiB speed vector and exited 1, and -1 was
+    skipped silently. Ids 0 to 3 still fuse."""
     d, targets = corpus
     header, first, *rest = targets["speeds/fuse"][1].decode().splitlines()
     t, _, rpm, objective = first.split(",")

@@ -232,6 +232,12 @@ class TestSimulateFlight:
         mean = flight.gps[:, 1:4].mean(axis=0)
         assert np.all(np.abs(mean) < 0.05)
 
+    @pytest.mark.parametrize("n_rotors", [3, 5])
+    def test_a_drone_has_one_center_per_mixer_rotor(self, n_rotors):
+        centers = tuple((100.0 * i, 100.0) for i in range(n_rotors))
+        with pytest.raises(ConfigError, match=f"drone needs 4 rotor centers, one per mixer rotor, not {n_rotors}"):
+            DroneSpec(rotor_centers=centers)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError, match="unknown command"):
             simulate_flight([(0, "wiggle")], DroneSpec(), NO_NOISE, duration_us=10_000, seed=0)
