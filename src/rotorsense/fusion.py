@@ -70,7 +70,8 @@ class FusedState:
 
 @dataclass(frozen=True)
 class MotionPrior:
-    """Inferred command plus rotor speeds driving one prediction step."""
+    """Inferred command plus the mixer's N_ROTORS rotor speeds driving one
+    prediction step."""
 
     command: str
     speeds_rad_s: np.ndarray
@@ -80,6 +81,8 @@ class MotionPrior:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         speeds = np.asarray(self.speeds_rad_s, dtype=np.float64)
+        if speeds.shape != (N_ROTORS,):
+            raise DataError(f"a motion prior takes {N_ROTORS} rotor speeds, got shape {speeds.shape}")
         if (speeds < 0).any():
             raise DataError("rotor speeds must be nonnegative")
         object.__setattr__(self, "speeds_rad_s", speeds)

@@ -152,11 +152,23 @@ def _match_tracks(
 
 def preprocess_stream(events: Events, cfg: PipelineConfig) -> TrackedStream:
     """Window-by-window noise filtering and propeller segmentation with
-    stable track identities across windows. Window k holds the events
-    with (t - t0) // window_us == k; only windows that hold events are
-    visited."""
+    stable track identities across windows (`_track_windows`). A stream
+    that leaves fewer than k_props tracks, none when the filter keeps no
+    event, logs one warning naming the counts."""
     if len(events) == 0:
-        return TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
+        tracked = TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
+    else:
+        tracked = _track_windows(events, cfg)
+    if len(tracked.centroids) < cfg.k_props:
+        LOG.warning("preprocessing kept %d of %d events and found %d of k_props=%d tracks; "
+                    "a missing track gets no speed estimates", len(tracked.events), len(events),
+                    len(tracked.centroids), cfg.k_props)
+    return tracked
+
+
+def _track_windows(events: Events, cfg: PipelineConfig) -> TrackedStream:
+    """Window k holds the events with (t - t0) // window_us == k; only
+    windows that hold events are visited."""
     t0 = int(events.t[0])
     window_of = (events.t - events.t[0]) // np.uint64(cfg.window_us)
     edges = np.concatenate([[0], np.flatnonzero(window_of[1:] != window_of[:-1]) + 1, [len(events)]]).tolist()

@@ -2,12 +2,20 @@
 
 A `Table` is the header line of one CSV artifact plus the kind of each
 column and whether `#` lines are comments. `Table.read` parses blocks of
-lines in one pass over their fields and names `path:line` of the first
-bad line. `Table.write` formats a block of rows as one `%` string whose
-template numpy renders: each int column as a space-padded matrix of
-decimal digits, side by side with the `%r` and `%s` of the float and
-text columns and the separators, without the padding. Ints are written in decimal and floats in `repr` form, so
-values read back bit-exactly.
+lines with numpy's C reader (`np.loadtxt`). A block that reader refuses
+takes the refusal path: split into fields, each column parsed the way
+Python's int() and float() parse, which reads the spellings only Python
+takes (`1_000`, `٣`, `-0` in an unsigned column) or names `path:line` of
+the first bad line. So does a block the C reader must not see: one with
+a character outside ASCII (its int parser takes some of them for digits)
+or one of `\x1c`-`\x1f` (it skips them as whitespace inside a field,
+where Python refuses them).
+
+`Table.write` formats a block of rows as one `%` string whose template
+numpy renders: each int column as a space-padded matrix of decimal
+digits, side by side with the `%r` and `%s` of the float and text columns
+and the separators, without the padding. Ints are written in decimal and
+floats in `repr` form, so values read back bit-exactly.
 """
 
 from __future__ import annotations
@@ -21,23 +29,35 @@ from .dynamics import COMMANDS
 from .errors import DataError, open_text
 
 # lines parsed, or rows written, per pass: bounds the Python objects a block
-# holds. 16384-line blocks read no faster and raise flight_fuse's peak RSS by
-# 2-3 MB; they write a 227k-row assignments.csv in 24 ms instead of 29, but a
-# 10k-row state table in 80 ms instead of 75, at a 4.2 MB traced peak, not 1.7
+# holds. Through numpy's C reader 16384-line blocks read flight_fuse's tables
+# no faster (speeds.csv 19.4-20.7 ms against 18.5-19.1, fused.csv 17.1-18.2
+# against 17.8-18.2, truth_state.csv 12.2-12.9 against 12.1-12.7; 2-vCPU Xeon)
+# and raise its op's peak RSS from 47.5 to 50.5 MB. They write a 227k-row
+# assignments.csv in 24 ms instead of 29, but a 10k-row state table in 80 ms
+# instead of 75, at a 4.2 MB traced peak, not 1.7
 BLOCK_LINES = 4096
+# the ASCII characters numpy's C reader skips as whitespace inside a field,
+# where Python's int() and float() refuse them
+C_READER_BLIND = "\x1c\x1d\x1e\x1f"
 
 
 class Kind(NamedTuple):
-    """A column's values, parsed as `dtype` (object: text) the way Python's
-    int() and float() parse, so an integer must fit the dtype's range;
-    `values`, when given, are the only ones allowed, called `name` in errors."""
+    """A column's values, of `dtype` (object: text); an integer must fit the
+    dtype's range. `values`, when given, are the only ones allowed, called
+    `name` in errors. numpy's C reader parses the numeric columns of a
+    block and `check` tests their values; on the refusal path `parse`
+    converts a column's fields the way Python's int() and float() do, and
+    `problem` names what is wrong with one field."""
 
     dtype: type
     values: tuple | None = None
     name: str = ""
 
     def parse(self, fields: list[str]) -> np.ndarray:
-        column = np.array(fields, dtype=self.dtype)  # ValueError, or OverflowError out of range
+        return self.check(np.array(fields, dtype=self.dtype))  # ValueError, or OverflowError out of range
+
+    def check(self, column: np.ndarray) -> np.ndarray:
+        """`column`; ValueError when it holds a value outside `values`."""
         if self.values is not None and not np.isin(column, self.values).all():
             raise ValueError(f"unknown {self.name}")
         return column
@@ -57,6 +77,15 @@ class Kind(NamedTuple):
         if self.values is not None and value not in self.values:
             return f"unknown {self.name} {field!r}"
         return None
+
+
+def _counted(rows: list[str], n_fields: int) -> list[str]:
+    """`rows` stripped, less the blank ones; ValueError unless each holds
+    `n_fields` fields."""
+    rows = list(filter(None, map(str.strip, rows)))
+    if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
+        raise ValueError("wrong field count")
+    return rows
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:
@@ -117,6 +146,9 @@ class Table(str):
         table._pieces = texts[:1] + [piece for col, text in zip(ints, texts[1:]) for piece in (col, text)]
         table._others = [(col, np.float64 if kind.dtype is np.float64 else None)
                         for col, kind in enumerate(kinds) if col not in ints]
+        # the numeric columns, which numpy's C reader parses into one record per row
+        table._numeric = [col for col, kind in enumerate(kinds) if kind.dtype is not object]
+        table._record = np.dtype([(f"f{col}", kinds[col].dtype) for col in table._numeric])
         return table
 
     def read(self, path: str, extra_columns: bool = False) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
@@ -124,7 +156,10 @@ class Table(str):
         comment. With extra_columns the header may name further columns,
         whose fields are counted, not parsed. Blank lines are skipped and
         lines stripped; a wrong header, a wrong field count or a field
-        that does not fit its kind raises DataError naming path:line."""
+        that does not fit its kind raises DataError naming path:line.
+        BLOCK_LINES lines at a time go to numpy's C reader, or to the
+        refusal path (see the module docstring), which reads the same
+        values and names the same lines."""
         names = self.split(",")
         columns = [[np.zeros(0, kind.dtype)] for kind in self.kinds]
         comments: list[tuple[int, str]] = []
@@ -147,25 +182,53 @@ class Table(str):
         return [np.concatenate(blocks) for blocks in columns], comments
 
     def _parse_block(self, path, lines, first_lineno, n_fields, columns, comments) -> None:
-        """Append consecutive body lines' rows to `columns`, checked and
-        parsed in one pass over their fields; a rejected block is walked
-        line by line only to name its first bad line."""
-        rows = list(filter(None, map(str.strip, lines)))
-        if self.comments and "#" in "".join(rows):
+        """Append consecutive body lines' rows to `columns`: numpy's C reader
+        parses the block (`_read_c`); a block it refuses or must not see
+        takes the refusal path (`_read_split`), which is walked line by
+        line only to name its first bad line."""
+        text = "".join(lines)
+        rows = lines
+        if self.comments and "#" in text:
             numbered = [(lineno, line.strip()) for lineno, line in enumerate(lines, start=first_lineno)]
             comments.extend((lineno, line) for lineno, line in numbered if line[:1] == "#")
             rows = [line for _, line in numbered if line[:1] not in ("", "#")]
-        if not rows:
+            text = "\n".join(rows)
+        if not rows or text.isspace():
             return
-        try:
-            if set(map(str.count, rows, itertools.repeat(","))) != {n_fields - 1}:
-                raise ValueError("wrong field count")
-            flat = ",".join(rows).split(",")
-            parsed = [kind.parse(flat[col::n_fields]) for col, kind in enumerate(self.kinds)]
-        except (ValueError, OverflowError) as exc:
-            raise self._first_bad_line(path, lines, first_lineno, n_fields) from exc
+        parsed = None
+        if text.isascii() and not any(char in text for char in C_READER_BLIND):
+            parsed = self._read_c(rows, n_fields)
+        if parsed is None:
+            try:
+                parsed = self._read_split(rows, n_fields)
+            except (ValueError, OverflowError) as exc:
+                raise self._first_bad_line(path, lines, first_lineno, n_fields) from exc
         for blocks, values in zip(columns, parsed):
             blocks.append(values)
+
+    def _read_c(self, rows, n_fields) -> list[np.ndarray] | None:
+        """The columns of `rows` from numpy's C reader, or None where it
+        refuses them. With a text column or extra columns the rows are
+        split in Python too: the reader neither counts the fields it is not
+        asked for nor parses text, so the split counts each row's fields
+        and holds the text."""
+        split = len(self._record) < n_fields
+        try:
+            if split:
+                rows = _counted(rows, n_fields)
+            record = np.loadtxt(rows, self._record, delimiter=",", comments=None, ndmin=1,
+                                usecols=self._numeric if split else None)
+            flat = ",".join(rows).split(",") if len(self._record) < len(self.kinds) else []
+            return [kind.parse(flat[col::n_fields]) if kind.dtype is object else kind.check(record[f"f{col}"])
+                    for col, kind in enumerate(self.kinds)]
+        except ValueError:
+            return None
+
+    def _read_split(self, rows, n_fields) -> list[np.ndarray]:
+        """The columns of `rows`, split into fields and each column parsed
+        by its Kind; ValueError or OverflowError on a bad row."""
+        flat = ",".join(_counted(rows, n_fields)).split(",")
+        return [kind.parse(flat[col::n_fields]) for col, kind in enumerate(self.kinds)]
 
     def _first_bad_line(self, path, lines, first_lineno, n_fields) -> DataError:
         for lineno, line in enumerate(lines, start=first_lineno):

@@ -1,28 +1,9 @@
 import numpy as np
 import pytest
+from propellers import make_spec
 
 from rotorsense.events import SensorGeometry
-from rotorsense.sim import (
-    ConstantSpeed,
-    NO_NOISE,
-    NoiseSpec,
-    PropellerSpec,
-    simulate_propellers,
-)
-
-CENTER = (60.0, 60.0)
-
-
-def make_spec(rpm=3000.0, center=CENTER, blade_length=30.0, blade_width=5.0, phase=0.3, spin=1):
-    return PropellerSpec(
-        center=center,
-        n_blades=2,
-        blade_length=blade_length,
-        blade_width=blade_width,
-        initial_phase=phase,
-        speed_profile=ConstantSpeed(rpm),
-        spin=spin,
-    )
+from rotorsense.sim import NO_NOISE, NoiseSpec, simulate_propellers
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,9 @@ row, building a `FusedState` per step and per update, which it emits
 once each, and a list of them per check;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
 pass and steps state arrays over the steps, GPS fixes and dropped rows.
+`read_table` splits a whole table into fields and parses each column
+through Python's int() and float() rules, where `tables.Table.read` hands
+each block to numpy's C reader and splits only the blocks it refuses.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from rotorsense.dynamics import (
     command_rpm_pattern,
     rpm_to_rad_s,
 )
-from rotorsense.errors import ConfigError, DataError
+from rotorsense.errors import ConfigError, DataError, open_text
 from rotorsense.events import Events
 from rotorsense.motion import H_MAX_DEFAULT, US_TO_S
 
@@ -526,3 +529,71 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
             result.nis.append(nis)
     _check_steps(steps, accels)
     return result
+
+
+def _parse(kind, fields):
+    column = np.array(fields, dtype=kind.dtype)  # ValueError, or OverflowError out of range
+    if kind.values is not None and not np.isin(column, kind.values).all():
+        raise ValueError(f"unknown {kind.name}")
+    return column
+
+
+def _problem(kind, field, line):
+    """Why one field of `line` does not fit `kind`, or None."""
+    try:
+        value = np.array(field, dtype=kind.dtype).item()
+    except OverflowError:
+        return f"field out of range in {line!r}"
+    except ValueError:
+        try:
+            float(field)
+        except ValueError:
+            return f"non-numeric field in {line!r}"
+        return f"non-integer field in {line!r}"
+    if kind.values is not None and value not in kind.values:
+        return f"unknown {kind.name} {field!r}"
+    return None
+
+
+def read_table(table, path, extra_columns=False):
+    """`table.read` with every body line in one block, split into fields
+    and each column parsed by `np.array(fields, dtype)`; a rejected block
+    is walked line by line to name its first bad line."""
+    names = table.split(",")
+    comments = []
+    with open_text(path) as fh:
+        lineno, found = 0, ""
+        for raw in fh:
+            lineno, found = lineno + 1, raw.strip()
+            if not (table.comments and found[:1] in ("", "#")):
+                break
+            if found:
+                comments.append((lineno, found))
+        else:
+            lineno, found = lineno + 1, ""
+        fields = found.split(",")
+        if fields[: len(names)] != names or (len(fields) != len(names) and not extra_columns):
+            raise DataError(f"{path}:{lineno}: unexpected header {found!r}, expected {str(table)!r}")
+        lines = list(fh)
+    n_fields, first_lineno = len(fields), lineno + 1
+    numbered = [(number, line.strip()) for number, line in enumerate(lines, start=first_lineno)]
+    if table.comments:
+        comments.extend((number, line) for number, line in numbered if line[:1] == "#")
+    rows = [line for _, line in numbered if line and not (table.comments and line[0] == "#")]
+    try:
+        if rows and set(map(str.count, rows, [","] * len(rows))) != {n_fields - 1}:
+            raise ValueError("wrong field count")
+        flat = ",".join(rows).split(",") if rows else []
+        columns = [_parse(kind, flat[col::n_fields]) for col, kind in enumerate(table.kinds)]
+    except (ValueError, OverflowError) as exc:
+        for number, line in numbered:
+            if not line or (table.comments and line[0] == "#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise DataError(f"{path}:{number}: expected {n_fields} fields, got {len(parts)}") from exc
+            for kind, part in zip(table.kinds, parts):
+                if problem := _problem(kind, part, line):
+                    raise DataError(f"{path}:{number}: {problem}") from exc
+        raise DataError(f"{path}: malformed table") from exc
+    return columns, comments

@@ -18,7 +18,7 @@ from rotorsense.events import EventBundle, Events, slice_bundles
 from rotorsense.motion import ObjectiveEvaluator, patch_for
 from rotorsense.events import concat_events
 from rotorsense.sim import NO_NOISE, PropellerSpec, StepSpeed, simulate_propellers
-from conftest import CENTER, make_spec
+from propellers import CENTER, make_spec
 
 
 def make_events(rows):

@@ -957,7 +957,7 @@ class TestStrayEvent:
 
     @pytest.mark.parametrize("stray_t, plots", [(10_004, 0), (5_500, 1)])
     def test_pipeline_exits_0(self, tmp_path, stray_t, plots):
-        from conftest import make_spec
+        from propellers import make_spec
         from rotorsense.events import Events, SensorGeometry, concat_events, write_events
         from rotorsense.sim import NO_NOISE, simulate_propellers
 

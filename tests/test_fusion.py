@@ -50,6 +50,13 @@ class TestMotionPrior:
         with pytest.raises(DataError):
             MotionPrior(command="hover", speeds_rad_s=-HOVER, process_noise_scale=0.1)
 
+    @pytest.mark.parametrize("shape", [(8,), (3,), (0,), (1, 4), ()])
+    def test_one_speed_per_mixer_rotor(self, shape):
+        # eight hover speeds under climb used to step +9.80665 m/s^2: the
+        # four extra rotors counted as thrust
+        with pytest.raises(DataError, match=rf"takes 4 rotor speeds, got shape \({', '.join(map(str, shape))},?\)"):
+            MotionPrior(command="climb", speeds_rad_s=np.full(shape, HOVER[0]), process_noise_scale=0.0)
+
 
 class TestPredict:
     def test_hover_zero_velocity_mean_unchanged_cov_grows(self, predictor):

@@ -20,7 +20,7 @@ from rotorsense.motion import (
     patch_for,
 )
 from rotorsense.sim import NO_NOISE, simulate_propellers
-from conftest import CENTER, make_spec
+from propellers import CENTER, make_spec
 from oracles import accumulate, blade_mask, reward_accumulation, reward_sparsity, warp
 
 

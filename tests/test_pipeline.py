@@ -1,3 +1,4 @@
+import logging
 import os
 import sys
 import types
@@ -11,7 +12,7 @@ from rotorsense import tables
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.errors import DataError
-from rotorsense.events import EventBundle, Events, SensorGeometry, slice_bundles, write_events
+from rotorsense.events import EventBundle, Events, SensorGeometry, read_events, slice_bundles, write_events
 from rotorsense.motion import SpeedEstimate
 from rotorsense.pipeline import (
     TrackedStream,
@@ -36,7 +37,7 @@ from rotorsense.sim import (
     simulate_flight,
     simulate_propellers,
 )
-from conftest import make_spec
+from propellers import make_spec
 
 
 class TestArtifactRoundTrips:
@@ -226,6 +227,46 @@ class TestRunPipelineFromFile:
         assert result.estimates  # speeds produced without a truth sidecar
         assert not any(m["metric"] == "rmae_percent" for m in result.metrics)
 
+
+
+
+class TestShortTracks:
+    """A run that keeps no event, or finds fewer tracks than k_props, exits 0
+    with its artifacts and says so in one warning line."""
+
+    WARNING = "preprocessing kept {kept} of {n} events and found 0 of k_props={k} tracks"
+
+    def run(self, tmp_path, caplog, config):
+        from rotorsense.cli import main
+
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(config)
+        with caplog.at_level(logging.WARNING, logger="rotorsense.pipeline"):
+            code = main(["--config", str(cfg), "pipeline", "--out", str(tmp_path / "out")])
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        return code, warnings, read_speed_csv(str(tmp_path / "out" / "speeds.csv"))
+
+    def test_a_filter_that_keeps_nothing(self, tmp_path, caplog):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("mode=propellers\nwidth=100\nheight=100\nduration_us=20000\ntick_us=50\nseed=2\n"
+                         "prop0.center=50,50\nprop0.blade_length=30\nprop0.blade_width=5\nprop0.rpm=3000\n")
+        code, warnings, speeds = self.run(tmp_path, caplog, f"scenario={scene}\ncount_ratio=1e9\nk_props=1\n")
+        n = len(read_events(str(tmp_path / "out" / "events.bin"), "bin")[0])
+        assert code == 0 and len(speeds) == 0 and n > 1000
+        assert len(warnings) == 1 and warnings[0].startswith(self.WARNING.format(kept=0, n=n, k=1))
+
+    def test_fewer_distinct_pixels_than_tracks(self, tmp_path, caplog):
+        events = Events(np.arange(5, dtype=np.uint64) * 1000, np.full(5, 3), np.full(5, 4), np.ones(5, np.int8))
+        write_events(events, SensorGeometry(10, 10), str(tmp_path / "in.bin"), "bin")
+        code, warnings, speeds = self.run(tmp_path, caplog, f"input={tmp_path / 'in.bin'}\nfilter_enabled=0\nk_props=2\n")
+        assert code == 0 and len(speeds) == 0
+        assert len(warnings) == 1 and warnings[0].startswith(self.WARNING.format(kept=5, n=5, k=2))
+
+    def test_a_run_with_its_tracks_is_silent(self, tmp_path, caplog):
+        events, _ = simulate_propellers([make_spec()], NO_NOISE, duration_us=20_000, tick_us=50, seed=1)
+        write_events(events, SensorGeometry(120, 120), str(tmp_path / "in.bin"), "bin")
+        code, warnings, speeds = self.run(tmp_path, caplog, f"input={tmp_path / 'in.bin'}\nk_props=1\n")
+        assert code == 0 and len(speeds) > 0 and warnings == []
 
 
 

@@ -13,7 +13,7 @@ from rotorsense.preprocess import (
     robust_center,
     segment_propellers,
 )
-from conftest import make_spec
+from propellers import make_spec
 from rotorsense.events import SensorGeometry
 from rotorsense.sim import NO_NOISE, NoiseSpec, simulate_propellers
 

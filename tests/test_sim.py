@@ -18,7 +18,7 @@ from rotorsense.sim import (
     simulate_flight,
     simulate_propellers,
 )
-from conftest import CENTER, make_spec
+from propellers import CENTER, make_spec
 import oracles
 
 

@@ -1,10 +1,13 @@
 """The declared tables' one reader and one writer against the per-row
-writers and per-line readers they replaced, kept here as oracles."""
+writers and per-line readers they replaced, kept here as oracles, and the
+reader's C path against the split it replaced (`oracles.read_table`)."""
 
 import types
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rotorsense import tables
 from rotorsense.cli import _command_windows
@@ -503,6 +506,112 @@ class TestDeclarations:
     def test_a_kind_per_column_is_required(self):
         with pytest.raises(ValueError, match="one kind per column"):
             tables.Table("a,b", (tables.INT,))
+
+
+
+# --- the C reader against the split it replaced ---
+
+# characters a field is drawn from: the ones numbers are spelled with, the
+# whitespace and separators either parser may skip, and the ones only
+# Python reads as digits or whitespace
+FIELD_ALPHABET = "0123456789.eE+-_ \t\r\x1c\x1d\x1e\x1f\x00\u0663\xa0"
+SPELLINGS = [
+    "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+inf", "Infinity", "-Infinity", "iNfInItY", "infinit",
+    "1_000", "-0", "+0", "-0.0", "\u0663", "1e3", "1.5", ".5", "5.", "1e-400", "1e400", "", " ",
+    "9" * 19, "1" + "0" * 19, "9" * 20, "-" + "9" * 19, "-9223372036854775809", "9223372036854775807",
+    "18446744073709551615", "18446744073709551616", "65535", "65536", "127", "128", "-128", "-129",
+    "hover", "climb", "jump",
+]
+# (table, file header, extra_columns)
+LAYOUTS = {
+    "SPEEDS": (tables.SPEEDS, tables.SPEEDS, False),
+    "FUSED": (tables.FUSED, tables.FUSED, False),
+    "STATE": (tables.STATE, tables.STATE + ",command,note", True),
+    "EVENTS": (tables.EVENTS, "# width=640 height=480\n\n" + tables.EVENTS, False),
+    "COMMAND_LOG": (tables.COMMAND_LOG, tables.COMMAND_LOG, False),
+}
+
+
+def valid_fields(kind):
+    if kind.dtype is object:
+        return st.sampled_from(COMMANDS)
+    if kind.values is not None:
+        return st.sampled_from([str(v) for v in kind.values])
+    if kind.dtype is np.float64:
+        return st.floats().map(repr)
+    info = np.iinfo(kind.dtype)
+    return st.integers(int(info.min), int(info.max)).map(str)
+
+
+def odd_fields(kind):
+    return st.one_of(valid_fields(kind), st.sampled_from(SPELLINGS), st.text(FIELD_ALPHABET, max_size=6))
+
+
+def body_lines(kinds):
+    """Rows of `kinds`, most of them valid and padded with spaces or tabs;
+    some with odd fields, a field more or less, blank lines and `#` lines."""
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+
+    def row(fields):
+        return st.tuples(*[st.tuples(pad, field, pad).map("".join) for field in fields]).map(",".join)
+
+    valid = row([valid_fields(kind) for kind in kinds])
+    odd = row([odd_fields(kind) for kind in kinds])
+    short = row([valid_fields(kind) for kind in kinds[:-1]])
+    long = row([valid_fields(kind) for kind in kinds] + [valid_fields(kinds[0])])
+    other = st.sampled_from(["", "   ", "\t", "# prop0_center=1.0,2.0", "#", "\x1c"])
+    line = st.one_of(valid, valid, valid, valid, odd, short, long, other)
+    return st.lists(st.tuples(line, st.sampled_from(["\n", "\n", "\r\n"])).map("".join), max_size=12)
+
+
+def read_outcome(read):
+    try:
+        columns, comments = read()
+    except DataError as exc:
+        return None, str(exc)
+    return [(c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns], comments
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_c_reader_reads_what_the_split_read(tmp_path, layout, data):
+    table, header, extra_columns = LAYOUTS[layout]
+    kinds = table.kinds + ((tables.COMMAND, tables.Kind(object)) if extra_columns else ())
+    lines = data.draw(body_lines(kinds), label="lines")
+    path = tmp_path / "table.csv"
+    path.write_bytes((header + "\n" + "".join(lines)).encode())
+    block_lines = data.draw(st.sampled_from([1, 2, 5, tables.BLOCK_LINES]), label="block_lines")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "BLOCK_LINES", block_lines)
+        got = read_outcome(lambda: table.read(str(path), extra_columns))
+    assert got == read_outcome(lambda: oracles.read_table(table, str(path), extra_columns))
+
+
+def test_a_python_only_spelling_sends_its_block_alone_to_the_split(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "BLOCK_LINES", 4)
+    rows = [f"{k},{k % 4},{3000.0 + k / 7!r},0.0\n" for k in range(12)]
+    rows[5] = "5,1,1_000,0.0\n"
+    path = tmp_path / "speeds.csv"
+    path.write_text(tables.SPEEDS + "\n" + "".join(rows))
+    calls = []
+    read_c, read_split = tables.Table._read_c, tables.Table._read_split
+
+    def spy(name, read):
+        def wrapped(table, rows, n_fields):
+            parsed = read(table, rows, n_fields)
+            calls.append((name, rows[0].split(",")[0], parsed is not None))
+            return parsed
+        return wrapped
+
+    monkeypatch.setattr(tables.Table, "_read_c", spy("c", read_c))
+    monkeypatch.setattr(tables.Table, "_read_split", spy("split", read_split))
+    got, _ = tables.SPEEDS.read(str(path))
+    want, _ = oracles.read_table(tables.SPEEDS, str(path))
+    assert got[2][5] == 1000.0
+    assert [(a.dtype, a.tobytes()) for a in got] == [(b.dtype, b.tobytes()) for b in want]
+    # blocks 1 and 3 are read by the C reader; block 2 is refused and split
+    assert calls == [("c", "0", True), ("c", "4", False), ("split", "4", True), ("c", "8", True)]
 
 
 # --- the column-matrix writer against one `%` string per row ---

@@ -18,7 +18,7 @@ from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.pipeline import TrackedStream, _acquire, _match_tracks, estimate_track, preprocess_stream
 from rotorsense.preprocess import build_heatmaps, distinct_pixels, filter_noise, robust_center, segment_propellers
 from rotorsense.sim import NO_NOISE, NoiseSpec, simulate_propellers
-from conftest import make_spec
+from propellers import make_spec
 
 
 # --- the replaced walks ---
