@@ -17,14 +17,13 @@ from .batching import (
 )
 from .commands import (
     CommandModel,
-    CommandSample,
     load_model,
     predict_command,
     predict_commands,
     save_model,
     train_command_model,
 )
-from .dynamics import COMMANDS, command_rpm_pattern, rad_s_to_rpm, rpm_to_rad_s
+from .dynamics import COMMANDS, command_rpm_pattern, rpm_to_rad_s
 from .errors import (
     ConfigError,
     DataError,

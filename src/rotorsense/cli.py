@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .commands import (
-    MAX_RATE_HZ, CommandSample, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model,
+    MAX_RATE_HZ, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model,
 )
 from .commands import predict_command  # noqa: F401  (perfbench's tracer wraps this name here)
 from .config import PipelineConfig, parse_scenario
@@ -127,7 +127,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     events, _ = read_events(args.input, args.format)
     tracked = pl.preprocess_stream(events, cfg)
-    _, estimates = pl.estimate_tracks(tracked, cfg)
+    estimates = pl.estimate_tracks(tracked, cfg)
     os.makedirs(args.out, exist_ok=True)
     speeds_path = os.path.join(args.out, "speeds.csv")
     pl.write_speed_csv(speeds_path, estimates)
@@ -159,10 +159,9 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
             f"window_ms * resample_hz / 1000 too large: {window:.3g}-sample windows x {args.samples_per_class} "
             f"samples per class exceed {MAX_CLASS_SPEEDS:.0e} speeds per class"
         )
-    raw = generate_command_dataset(args.samples_per_class, drone, int(window), cfg.resample_hz, cfg.seed)
-    samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
+    windows, labels = generate_command_dataset(args.samples_per_class, drone, int(window), cfg.resample_hz, cfg.seed)
     model, accuracies = train_command_model(
-        samples, k_folds=cfg.svm_folds, lambda_reg=cfg.svm_lambda, epochs=cfg.svm_epochs,
+        windows, labels, k_folds=cfg.svm_folds, lambda_reg=cfg.svm_lambda, epochs=cfg.svm_epochs,
         seed=cfg.seed, rate_hz=cfg.resample_hz,
     )
     save_model(model, args.model)
@@ -258,26 +257,34 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# eval's input flags that score together: the speed flags give RMAE, the
+# fused pair the localization error
+_EVAL_GROUPS = (("speeds", "truth_rpm", "tracks"), ("fused", "truth_state"))
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    for group in _EVAL_GROUPS:
+        flags = {f"--{dest.replace('_', '-')}": bool(getattr(args, dest)) for dest in group}
+        given, missing = [f for f, on in flags.items() if on], [f for f, on in flags.items() if not on]
+        if given and missing:
+            raise ConfigError(f"eval {' '.join(given)} needs {' and '.join(missing)}")
     entries = []
-    if args.speeds and args.truth_rpm:
-        if not args.tracks:
-            raise ConfigError("eval --truth-rpm needs --tracks, the tracks.csv written with --speeds")
+    if args.speeds:
         speeds = pl.read_speed_csv(args.speeds)
         truth_rows, centers = pl.read_truth_rpm_csv(args.truth_rpm)
         centroids = pl.read_track_centroids(args.tracks)
         if not centers:
             raise DataError(f"{args.truth_rpm}: no '# propN_center=x,y' comments to pair tracks with")
         entries += pl.score_speeds(speeds, truth_rows, centroids, centers)
-    if args.fused and args.truth_state:
+    if args.fused:
         fused = pl.read_table(args.fused, tables.FUSED)
         truth = pl.read_table(args.truth_state, tables.STATE, extra_columns=True)
         mean_err, cdf = localization_error(fused, truth)
         entries.append({"metric": "mean_3d_error_m", "value": mean_err})
         entries.append({"metric": "error_cdf", "value": [[q, e] for q, e in cdf]})
     if not entries:
-        raise ConfigError("eval needs --speeds/--truth-rpm and/or --fused/--truth-state")
+        raise ConfigError("eval needs --speeds/--truth-rpm/--tracks and/or --fused/--truth-state")
     pl.write_jsonl(args.report, entries)
     pl.write_manifest(args.report + ".manifest.json", cfg.content_hash(), cfg.seed, [args.report])
     for entry in entries:

@@ -19,24 +19,6 @@ from .dynamics import COMMANDS
 from .errors import DataError, NumericalError, open_text
 
 
-@dataclass(frozen=True)
-class CommandSample:
-    """Squared-speed windows, one row per propeller, plus an optional label."""
-
-    speeds_sq: np.ndarray  # (n_props, window), (rad/s)^2
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.speeds_sq, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataError("sample must be a 2-D (n_props, window) array")
-        if np.any(arr < 0):
-            raise DataError("squared speeds must be nonnegative")
-        object.__setattr__(self, "speeds_sq", arr)
-        if self.label is not None and self.label not in COMMANDS:
-            raise DataError(f"unknown label {self.label!r}")
-
-
 def _features(windows: np.ndarray) -> np.ndarray:
     """Each rotor's mean squared speed: the means over the last axis of an
     (..., n_props, window) array.
@@ -148,7 +130,8 @@ def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> li
 
 
 def train_command_model(
-    samples: list[CommandSample],
+    windows: np.ndarray,
+    labels: list[str],
     k_folds: int = 5,
     lambda_reg: float = 1e-3,
     epochs: int = 20,
@@ -157,38 +140,47 @@ def train_command_model(
     rate_hz: float = 1000.0,
     classes: tuple[str, ...] = COMMANDS,
 ) -> tuple[CommandModel, np.ndarray]:
-    """Fit the classifier and score it by stratified k-fold validation.
+    """Fit the classifier to an (n, n_props, window) stack of squared-speed
+    windows, (rad/s)^2, and their n command labels, and score it by
+    stratified k-fold validation.
 
-    Deterministic per seed. Raises DataError when an expected class is
-    missing from the training set or has fewer than k samples. The
-    expected class set defaults to all six commands; reduced synthetic
-    problems may pass a subset. Raises NumericalError when the features,
-    or their mean or spread, are not finite, or when no feature varies.
-    rate_hz is the sample rate of the windows, which `infer-command`
-    resamples speed rows to.
+    Deterministic per seed. Raises DataError when the stack is not 3-D,
+    holds a negative square or does not match the label count, when a
+    label is not a command, or when an expected class is missing from the
+    training set or has fewer than k samples. The expected class set
+    defaults to all six commands; reduced synthetic problems may pass a
+    subset. Raises NumericalError when the features, or their mean or
+    spread, are not finite, or when no feature varies. rate_hz is the
+    sample rate of the windows, which `infer-command` resamples speed
+    rows to.
     """
-    if not samples:
+    data = np.asarray(windows, dtype=np.float64)
+    if data.ndim != 3:
+        raise DataError("sample must be a 2-D (n_props, window) array")
+    if len(labels) != len(data):
+        raise DataError(f"{len(labels)} labels for {len(data)} windows")
+    if not len(data):
         raise DataError("no training samples")
-    labels_str = [s.label for s in samples]
-    if any(lab is None for lab in labels_str):
-        raise DataError("all training samples must be labelled")
-    missing = [c for c in classes if c not in labels_str]
+    if np.any(data < 0):
+        raise DataError("squared speeds must be nonnegative")
+    unknown = [lab for lab in labels if lab not in COMMANDS]
+    if unknown:
+        raise DataError(f"unknown label {unknown[0]!r}")
+    missing = [c for c in classes if c not in labels]
     if missing:
         raise DataError(f"classes missing from training data: {', '.join(missing)}")
-    extra = sorted(set(labels_str) - set(classes))
+    extra = sorted(set(labels) - set(classes))
     if extra:
         raise DataError(f"samples labelled outside the class set: {', '.join(extra)}")
-    labels = np.array([classes.index(lab) for lab in labels_str])
-    scarce = [classes[c] for c in range(len(classes)) if int((labels == c).sum()) < k_folds]
+    label_ids = np.array([classes.index(lab) for lab in labels])
+    scarce = [classes[c] for c in range(len(classes)) if int((label_ids == c).sum()) < k_folds]
     if scarce:
         raise DataError(f"need at least {k_folds} samples per class, too few for: {', '.join(scarce)}")
-    n_props, window = samples[0].speeds_sq.shape
-    if any(s.speeds_sq.shape != (n_props, window) for s in samples):
-        raise DataError("all samples must share the same channel count and window length")
+    n_props, window = data.shape[1:]
 
-    features_raw = np.stack([_features(s.speeds_sq) for s in samples])
-    every = np.arange(len(samples))
-    folds = stratified_folds(labels, k_folds, np.random.default_rng(seed))
+    features_raw = _features(data)
+    every = np.arange(len(data))
+    folds = stratified_folds(label_ids, k_folds, np.random.default_rng(seed))
     # training rows and seed of each fold fit, then of the final fit on every sample
     rows = [np.setdiff1d(every, val_idx) for val_idx in folds] + [every]
     seeds = [seed + 1 + f for f in range(k_folds)] + [seed]
@@ -199,7 +191,7 @@ def train_command_model(
         group = [i for i, r in enumerate(rows) if r.size == size]
         w, b = _pegasos_ovr(
             np.stack([_standardize(features_raw[rows[i]], *stats[i]) for i in group]),
-            np.stack([labels[rows[i]] for i in group]),
+            np.stack([label_ids[rows[i]] for i in group]),
             len(classes), lambda_reg, epochs, [np.random.default_rng(seeds[i]) for i in group],
         )
         for j, i in enumerate(group):
@@ -207,7 +199,7 @@ def train_command_model(
     accuracies = np.zeros(k_folds)
     for f, val_idx in enumerate(folds):
         scores = _scores(*fits[f], _standardize(features_raw[val_idx], *stats[f]))
-        accuracies[f] = float((np.argmax(scores, axis=1) == labels[val_idx]).mean())
+        accuracies[f] = float((np.argmax(scores, axis=1) == label_ids[val_idx]).mean())
 
     (mean, std), (w, b) = stats[k_folds], fits[k_folds]
     model = CommandModel(
@@ -247,9 +239,11 @@ def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str
     return [model.classes[c] for c in best], scores
 
 
-def predict_command(model: CommandModel, sample: CommandSample | np.ndarray) -> tuple[str, dict[str, float]]:
-    """Classify one window: `predict_commands` on a stack of one."""
-    data = sample.speeds_sq if isinstance(sample, CommandSample) else np.asarray(sample, dtype=np.float64)
+def predict_command(model: CommandModel, window: np.ndarray) -> tuple[str, dict[str, float]]:
+    """Classify one (n_props, window) array of squared speeds:
+    `predict_commands` on a stack of one; returns the label and the
+    score of each class."""
+    data = np.asarray(window, dtype=np.float64)
     if data.shape != (model.n_props, model.window):
         raise DataError(
             f"sample shape {data.shape} does not match the model's ({model.n_props}, {model.window})"

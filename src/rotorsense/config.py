@@ -111,7 +111,7 @@ class PipelineConfig:
     gps_sigma_m: float = 2.0
     process_noise_scale: float = 0.05
     tilt_fraction: float = 0.2
-    # plots are best-effort artifacts; CSV series are always written
+    # write plots/objective_curve.csv, the objective around one estimate
     plots: bool = False
 
     @classmethod

@@ -53,10 +53,6 @@ def rpm_to_rad_s(rpm: np.ndarray | float) -> np.ndarray | float:
     return np.multiply(rpm, 2.0 * np.pi / 60.0)
 
 
-def rad_s_to_rpm(omega: np.ndarray | float) -> np.ndarray | float:
-    return np.multiply(omega, 60.0 / (2.0 * np.pi))
-
-
 def calibrate_thrust_gain(hover_speeds_rad_s: np.ndarray, gravity: float = GRAVITY) -> float:
     """Solve k_f * sum(omega_hover^2) = g from one hover segment."""
     s = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))

@@ -210,16 +210,8 @@ class EventBatch:
                 raise DataError("batch bundles are not time-contiguous")
 
     @property
-    def n_events(self) -> int:
-        return sum(len(b) for b in self.bundles)
-
-    @property
     def t_start(self) -> int:
         return self.bundles[0].t_start
-
-    @property
-    def t_end(self) -> int:
-        return self.bundles[-1].t_end
 
     def events(self) -> Events:
         return concat_events([b.events for b in self.bundles])

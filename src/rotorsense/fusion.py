@@ -59,14 +59,6 @@ class FusedState:
     mean: np.ndarray  # (6,)
     cov: np.ndarray  # (6, 6)
 
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[3:]
-
 
 @dataclass(frozen=True)
 class MotionPrior:

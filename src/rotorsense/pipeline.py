@@ -3,8 +3,7 @@
 Stages run in order, write every intermediate artifact into the output
 directory, and finish with a JSON-lines metrics report plus a manifest
 listing the config hash, seed, and artifact checksums. All artifacts
-are deterministic for a fixed (input, config, seed) triple; optional
-plot images are best-effort extras excluded from the manifest.
+are deterministic for a fixed (input, config, seed) triple.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .batching import StopReason, density_downsample, grow_batch
 from .config import PipelineConfig, Scenario, parse_scenario
 from . import tables
-from .dynamics import rad_s_to_rpm, rpm_to_rad_s
+from .dynamics import rpm_to_rad_s
 from .errors import ConfigError, DataError, DegenerateInputError, EstimationError, RotorSenseError
 from .events import Events, SensorGeometry, concat_events, read_events, slice_bundles, write_events
 from .fusion import FusedStates
@@ -333,18 +332,16 @@ def estimate_track(
     return out
 
 
-def estimate_tracks(
-    tracked: TrackedStream, cfg: PipelineConfig
-) -> tuple[list[TrackEstimates], list[SpeedEstimate]]:
-    """Run ``estimate_track`` on every track; returns the per-track results
-    and all estimates ordered by (t_ref, prop_id)."""
-    per_track = [
-        estimate_track(tracked.track_events(prop), center, cfg, prop_id=prop)
+def estimate_tracks(tracked: TrackedStream, cfg: PipelineConfig) -> list[SpeedEstimate]:
+    """Run ``estimate_track`` on every track; returns all estimates ordered
+    by (t_ref, prop_id)."""
+    estimates = [
+        est
         for prop, center in enumerate(tracked.warp_centers)
+        for est in estimate_track(tracked.track_events(prop), center, cfg, prop_id=prop).estimates
     ]
-    estimates = [est for track in per_track for est in track.estimates]
     estimates.sort(key=lambda e: (e.t_ref_us, e.prop_id))
-    return per_track, estimates
+    return estimates
 
 
 # --- Full pipeline ---
@@ -398,52 +395,29 @@ class PipelineResult:
     estimates: list[SpeedEstimate]
 
 
-def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, per_track: list[TrackEstimates]) -> list[str]:
-    """Objective-vs-speed and RPM-trace series as CSV; PNGs best-effort."""
-    plot_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plot_dir, exist_ok=True)
-    artifacts = []
-    curve_path = os.path.join(plot_dir, "objective_curve.csv")
-    curve = None
-    for track in per_track:
-        if not track.estimates:
-            continue
-        first = track.estimates[0]
-        events = tracked.track_events(track.prop_id)
-        sub = events.time_slice(first.t_ref_us, first.t_ref_us + cfg.beta * cfg.dt_us)
+def _emit_plots(out_dir: str, tracked: TrackedStream, cfg: PipelineConfig, estimates: list[SpeedEstimate]) -> list[str]:
+    """plots/objective_curve.csv: the objective around the first estimate
+    of the lowest-numbered track whose first batch scores; the paths
+    written, none when no track's does."""
+    firsts: dict[int, SpeedEstimate] = {}
+    for est in estimates:
+        firsts.setdefault(est.prop_id, est)
+    for prop, first in sorted(firsts.items()):
+        sub = tracked.track_events(prop).time_slice(first.t_ref_us, first.t_ref_us + cfg.beta * cfg.dt_us)
         if len(sub) == 0:
             continue
         try:
-            evaluator = ObjectiveEvaluator(sub, tracked.warp_centers[track.prop_id], first.t_ref_us, eps=cfg.epsilon)
+            evaluator = ObjectiveEvaluator(sub, tracked.warp_centers[prop], first.t_ref_us, eps=cfg.epsilon)
         except DegenerateInputError:  # a stray event makes the patch too large
             continue
         omegas = np.linspace(0.5 * first.omega_rad_s, 1.5 * first.omega_rad_s, 101)
         values = [evaluator.value(float(w)) for w in omegas]
-        curve = (track.prop_id, omegas, values)
-        break
-    if curve is not None:
-        tables.OBJECTIVE_CURVE.write(curve_path, [[curve[0]] * len(curve[1]), curve[1], curve[2]])
-        artifacts.append(curve_path)
-    trace_path = os.path.join(plot_dir, "rpm_traces.csv")
-    estimates = [est for track in per_track for est in track.estimates]
-    tables.RPM_TRACES.write(trace_path, _speed_columns(estimates)[:3])
-    artifacts.append(trace_path)
-    try:  # images are optional; CSV is the contract
-        import matplotlib
-    except ImportError:
-        LOG.info("plot images skipped (matplotlib is not installed)")
-        return artifacts
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    if curve is not None:
-        fig, ax = plt.subplots()
-        ax.plot(rad_s_to_rpm(curve[1]), curve[2])
-        ax.set_xlabel("candidate speed (RPM)")
-        ax.set_ylabel("objective")
-        fig.savefig(os.path.join(plot_dir, "objective_curve.png"))
-        plt.close(fig)
-    return artifacts
+        plot_dir = os.path.join(out_dir, "plots")
+        os.makedirs(plot_dir, exist_ok=True)
+        curve_path = os.path.join(plot_dir, "objective_curve.csv")
+        tables.OBJECTIVE_CURVE.write(curve_path, [[prop] * omegas.size, omegas, values])
+        return [curve_path]
+    return []
 
 
 def simulate_scene(scenario: Scenario, out_dir: str, fmt: str) -> tuple[Events, SensorGeometry, GroundTruth, list[str]]:
@@ -491,7 +465,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
 
     # stage: estimate
     with _stage("estimate"):
-        per_track, all_estimates = estimate_tracks(tracked, cfg)
+        all_estimates = estimate_tracks(tracked, cfg)
     speeds_path = os.path.join(out_dir, "speeds.csv")
     write_speed_csv(speeds_path, all_estimates)
     artifacts.append(speeds_path)
@@ -508,7 +482,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
     artifacts.append(metrics_path)
 
     if cfg.plots:
-        artifacts.extend(_emit_plots(out_dir, tracked, cfg, per_track))
+        artifacts.extend(_emit_plots(out_dir, tracked, cfg, all_estimates))
 
     manifest_path = write_manifest(os.path.join(out_dir, "manifest.json"), cfg.content_hash(), cfg.seed, artifacts)
     return PipelineResult(out_dir=out_dir, artifacts=artifacts + [manifest_path], metrics=metrics, estimates=all_estimates)

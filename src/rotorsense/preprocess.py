@@ -117,10 +117,6 @@ class PropellerTrack:
     members: np.ndarray  # ascending indices of the track's events in the segmented stream
     centroid: tuple[float, float]
 
-    @property
-    def member_count(self) -> int:
-        return len(self.members)
-
 
 def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> tuple[float, float]:
     """Rotation-center estimate tolerant of residual background noise.

@@ -638,21 +638,22 @@ def generate_command_dataset(
     window_samples: int,
     rate_hz: float,
     seed: int,
-) -> list[tuple[np.ndarray, str]]:
-    """Labelled squared-speed windows for classifier training.
+) -> tuple[np.ndarray, list[str]]:
+    """Labelled squared-speed windows for classifier training: an
+    (n_per_class * 6, N_ROTORS, window) stack of squared angular speeds
+    (rad/s)^2, n_per_class windows of each command in COMMANDS order, and
+    their labels.
 
-    Each sample is an (N_ROTORS, window) array of squared angular speeds
-    (rad/s)^2 following the command mixer plus per-step Gaussian jitter.
-    A square that overflows is inf, which training rejects as a
-    non-finite feature.
+    Each window follows the command mixer plus per-step Gaussian jitter,
+    drawn for all of a command's windows at once, which gives the draws
+    of one window after another. A square that overflows is inf, which
+    training rejects as a non-finite feature.
     """
     rng = np.random.default_rng(seed)
-    samples = []
-    for command in COMMANDS:
+    windows = np.empty((len(COMMANDS), n_per_class, N_ROTORS, window_samples))
+    for stack, command in zip(windows, COMMANDS):
         pattern = command_rpm_pattern(command, drone_spec.hover_rpm, drone_spec.delta_rpm)
-        for _ in range(n_per_class):
-            rpm = pattern[:, None] + rng.normal(0.0, drone_spec.rpm_jitter, size=(N_ROTORS, window_samples))
-            omega = rpm_to_rad_s(np.maximum(rpm, 0.0))
-            with np.errstate(over="ignore"):
-                samples.append((np.square(omega), command))
-    return samples
+        rpm = pattern[:, None] + rng.normal(0.0, drone_spec.rpm_jitter, size=stack.shape)
+        with np.errstate(over="ignore"):
+            np.square(rpm_to_rad_s(np.maximum(rpm, 0.0)), out=stack)
+    return windows.reshape(-1, N_ROTORS, window_samples), [c for c in COMMANDS for _ in range(n_per_class)]

@@ -283,7 +283,6 @@ COMMAND_LOG = Table("t,command", (INT, COMMAND))  # commands.csv
 TRACKS = Table("prop_id,centroid_x,centroid_y,n_events", (INT, FLOAT, FLOAT, INT))  # tracks.csv
 ASSIGNMENTS = Table("event_index,prop_id", (INT, INT))  # assignments.csv
 OBJECTIVE_CURVE = Table("prop_id,omega_rad_s,objective", (INT, FLOAT, FLOAT))  # plots/objective_curve.csv
-RPM_TRACES = Table("t_ref,prop_id,rpm", (INT, INT, FLOAT))  # plots/rpm_traces.csv
 # event CSVs: a `# width=W height=H` line, then t in [0, 2^64), x and y < 2^16, p in {-1, 1}
 EVENTS = Table(
     "t,x,y,p", (Kind(np.uint64), Kind(np.uint16), Kind(np.uint16), Kind(np.int8, (-1, 1), "polarity")), comments=True

@@ -13,15 +13,17 @@ a blade's phase tick by tick, where `SpeedProfile.phase_advance` gives
 it in closed form. `BladePainter` evaluates every disk
 pixel's coverage margin on every tick, and `render` paints with it one
 tick at a time; `sim._render` paints blocks of ticks and evaluates only
-the pixels that can flip. `pegasos_ovr` runs one classifier fit and
-`train_command_model` averages one channel at a time and fits one fold
-after the other; `commands` averages stacks of windows and steps fits of
-equal size in lockstep. `predict_command` classifies one window channel
-by channel, and `infer_commands` runs it on each window `infer-command`
-collects; `commands.predict_commands` classifies every window in one
-pass. `nearest_mixer_pattern` is the untrained baseline the classifier
-is checked against: the command whose mixer pattern lies nearest a
-window's mean squared speeds.
+the pixels that can flip. `generate_command_dataset` draws one training
+window's jitter after another, where `sim.generate_command_dataset`
+draws all of a command's windows at once. `pegasos_ovr` runs one
+classifier fit and `train_command_model` averages one channel at a time
+and fits one fold after the other; `commands` averages stacks of windows
+and steps fits of equal size in lockstep. `predict_command` classifies
+one window channel by channel, and `infer_commands` runs it on each
+window `infer-command` collects; `commands.predict_commands` classifies
+every window in one pass. `nearest_mixer_pattern` is the untrained
+baseline the classifier is checked against: the command whose mixer
+pattern lies nearest a window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
 row, building a `FusedState` per step and per update, which it emits
 once each, and a list of them per check;
@@ -329,6 +331,20 @@ def phases(spec: sim.PropellerSpec, tick_times: np.ndarray) -> np.ndarray:
     return phase
 
 
+def generate_command_dataset(n_per_class, drone, window_samples, seed):
+    """(windows, labels) of `sim.generate_command_dataset`, each window
+    drawn, clipped and squared on its own."""
+    rng = np.random.default_rng(seed)
+    windows, labels = [], []
+    for command in COMMANDS:
+        pattern = command_rpm_pattern(command, drone.hover_rpm, drone.delta_rpm)
+        for _ in range(n_per_class):
+            rpm = pattern[:, None] + rng.normal(0.0, drone.rpm_jitter, size=(N_ROTORS, window_samples))
+            windows.append(np.square(rpm_to_rad_s(np.maximum(rpm, 0.0))))
+            labels.append(command)
+    return np.stack(windows), labels
+
+
 def channel_means(window) -> np.ndarray:
     """Each channel's mean squared speed, one channel at a time."""
     return np.array([channel.mean() for channel in np.asarray(window, dtype=np.float64)])
@@ -362,12 +378,12 @@ def pegasos_ovr(features, labels, n_classes, lambda_reg, epochs, rng):
     return final[:, :dim], final[:, dim].copy()
 
 
-def train_command_model(samples, k_folds, lambda_reg, epochs, seed, classes=COMMANDS):
+def train_command_model(windows, labels, k_folds, lambda_reg, epochs, seed, classes=COMMANDS):
     """(weights, biases, feature mean, feature std, fold accuracies) of
     `commands.train_command_model`, averaging one channel at a time and
     fitting one fold after the other."""
-    features = np.stack([channel_means(s.speeds_sq) for s in samples])
-    labels = np.array([classes.index(s.label) for s in samples])
+    features = np.stack([channel_means(window) for window in windows])
+    labels = np.array([classes.index(label) for label in labels])
 
     def fit(train_idx, rng_seed):
         mean, std = features[train_idx].mean(axis=0), features[train_idx].std(axis=0)
@@ -379,10 +395,10 @@ def train_command_model(samples, k_folds, lambda_reg, epochs, seed, classes=COMM
     folds = commands.stratified_folds(labels, k_folds, np.random.default_rng(seed))
     accuracies = np.zeros(k_folds)
     for f, val_idx in enumerate(folds):
-        w, b, mean, _, std_safe = fit(np.setdiff1d(np.arange(len(samples)), val_idx), seed + 1 + f)
+        w, b, mean, _, std_safe = fit(np.setdiff1d(np.arange(len(features)), val_idx), seed + 1 + f)
         pred = np.argmax((features[val_idx] - mean) / std_safe @ w.T + b, axis=1)
         accuracies[f] = float((pred == labels[val_idx]).mean())
-    w, b, mean, std, _ = fit(np.arange(len(samples)), seed)
+    w, b, mean, std, _ = fit(np.arange(len(features)), seed)
     return w, b, mean, std, accuracies
 
 

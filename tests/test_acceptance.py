@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from rotorsense.batching import StopReason, density_downsample, grow_batch
-from rotorsense.commands import CommandSample, predict_command, train_command_model
+from rotorsense.commands import predict_command, train_command_model
 from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import GRAVITY, rpm_to_rad_s
 from rotorsense.events import SensorGeometry, read_events, slice_bundles, write_events
@@ -297,11 +297,10 @@ def test_09_command_inference():
     """6-class dataset, 200 samples/class: 5-fold mean accuracy >= 90%;
     one prediction <= 10 ms."""
     drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-    raw = generate_command_dataset(200, drone, window_samples=100, rate_hz=1000.0, seed=11)
-    samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
-    model, accuracies = train_command_model(samples, k_folds=5, seed=11)
+    windows, labels = generate_command_dataset(200, drone, window_samples=100, rate_hz=1000.0, seed=11)
+    model, accuracies = train_command_model(windows, labels, k_folds=5, seed=11)
     t0 = time.perf_counter()
-    predict_command(model, samples[0])
+    predict_command(model, windows[0])
     latency_ms = (time.perf_counter() - t0) * 1e3
     report(
         "09 command-inference",

@@ -129,7 +129,7 @@ class TestGrowBatch:
         a = grow_batch(bundles, cfg, rpm_to_rad_s(3000), CENTER)
         b = grow_batch(bundles, cfg, rpm_to_rad_s(3000), CENTER)
         assert a.reason == b.reason and a.next_index == b.next_index
-        assert a.batch.n_events == b.batch.n_events
+        assert len(a.batch.events()) == len(b.batch.events())
 
 
 class TestLocalDensity:

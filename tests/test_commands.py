@@ -9,7 +9,6 @@ from rotorsense import commands
 from rotorsense.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rotorsense.commands import (
     CommandModel,
-    CommandSample,
     load_model,
     predict_command,
     predict_commands,
@@ -24,9 +23,9 @@ from rotorsense.sim import NO_NOISE, DroneSpec, generate_command_dataset, simula
 
 @pytest.fixture(scope="module")
 def dataset():
+    """(windows, labels): 40 jittered windows of each command."""
     drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-    raw = generate_command_dataset(40, drone, window_samples=100, rate_hz=1000.0, seed=11)
-    return [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
+    return generate_command_dataset(40, drone, window_samples=100, rate_hz=1000.0, seed=11)
 
 
 class TestFeatures:
@@ -34,12 +33,12 @@ class TestFeatures:
         assert np.array_equal(commands._features(np.full((1, 100), 42.0)), [42.0])
 
     def test_deterministic_bit_for_bit(self, dataset):
-        a = commands._features(dataset[0].speeds_sq)
-        b = commands._features(dataset[0].speeds_sq)
+        a = commands._features(dataset[0][0])
+        b = commands._features(dataset[0][0])
         assert np.array_equal(a, b)
 
     def test_dimension_is_one_per_channel(self, dataset):
-        assert commands._features(dataset[0].speeds_sq).shape == (4,)
+        assert commands._features(dataset[0][0]).shape == (4,)
 
 
 def flat_and_spiky_windows(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,8 +52,17 @@ def flat_and_spiky_windows(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestBatchedMatchesOracles:
-    """The feature kernel and lockstep fits give the per-channel, per-fit
-    references' bits."""
+    """The dataset draw, the feature kernel and lockstep fits give the
+    per-window, per-channel, per-fit references' bits."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 60.0])
+    def test_dataset_equals_per_window_draws(self, jitter):
+        drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=jitter)
+        windows, labels = generate_command_dataset(7, drone, window_samples=50, rate_hz=1000.0, seed=3)
+        want_windows, want_labels = oracles.generate_command_dataset(7, drone, 50, seed=3)
+        assert windows.shape == (7 * len(COMMANDS), 4, 50) and windows.dtype == np.float64
+        assert windows.tobytes() == want_windows.tobytes()
+        assert labels == want_labels
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 99, 100, 101, 128])
     def test_features_equal_per_channel(self, n):
@@ -78,9 +86,9 @@ class TestBatchedMatchesOracles:
     def test_training_rejects_features_that_do_not_vary(self):
         """Windows whose means are all the same double give a fit with
         nothing to separate by: NumericalError, not a chance-level model."""
-        samples = [CommandSample(speeds_sq=np.full((4, 10), 1e163), label=c) for c in COMMANDS for _ in range(5)]
+        labels = [c for c in COMMANDS for _ in range(5)]
         with pytest.raises(NumericalError, match="no training feature varies"):
-            train_command_model(samples, k_folds=5)
+            train_command_model(np.full((len(labels), 4, 10), 1e163), labels, k_folds=5)
 
     def test_huge_hover_speed_exits_4_with_one_stderr_line(self, tmp_path, capsys):
         """`hover_rpm=1e82` squares to about 1e164, where the mixer's offsets
@@ -102,10 +110,9 @@ class TestBatchedMatchesOracles:
         per class in 5 folds: 30 and 36 training samples), so the fits step
         in groups of equal size."""
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        raw = generate_command_dataset(per_class, drone, window_samples=100, rate_hz=1000.0, seed=seed)
-        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
-        model, accs = train_command_model(samples, k_folds=k_folds, seed=seed, epochs=6)
-        w, b, mean, std, want_accs = oracles.train_command_model(samples, k_folds, 1e-3, 6, seed)
+        windows, labels = generate_command_dataset(per_class, drone, window_samples=100, rate_hz=1000.0, seed=seed)
+        model, accs = train_command_model(windows, labels, k_folds=k_folds, seed=seed, epochs=6)
+        w, b, mean, std, want_accs = oracles.train_command_model(windows, labels, k_folds, 1e-3, 6, seed)
         for got, want in ((model.weights, w), (model.biases, b), (model.feature_mean, mean),
                           (model.feature_std, std), (accs, want_accs)):
             assert np.array_equal(got, want)
@@ -134,36 +141,49 @@ class TestBatchedMatchesOracles:
 class TestTraining:
     def test_linearly_separable_two_class_perfect_folds(self):
         rng = np.random.default_rng(0)
-        samples = []
+        windows, labels = [], []
         for label, base in (("hover", 50.0), ("climb", 200.0)):
             # constant traces at class-distinct levels: separation lives
             # entirely in the mean feature
             for _ in range(20):
                 level = base + float(rng.uniform(-1.0, 1.0))
-                samples.append(CommandSample(speeds_sq=np.full((4, 64), level), label=label))
-        model, accs = train_command_model(samples, k_folds=5, seed=3, classes=("hover", "climb"))
+                windows.append(np.full((4, 64), level))
+                labels.append(label)
+        model, accs = train_command_model(np.stack(windows), labels, k_folds=5, seed=3, classes=("hover", "climb"))
         assert accs.mean() == 1.0
         # a training sample from the separable set maps to its own label
-        for s in samples[::5]:
-            assert predict_command(model, s)[0] == s.label
+        for window, label in zip(windows[::5], labels[::5]):
+            assert predict_command(model, window)[0] == label
 
     def test_generated_dataset_reaches_90_percent(self, dataset):
-        model, accs = train_command_model(dataset, k_folds=5, seed=11)
+        model, accs = train_command_model(*dataset, k_folds=5, seed=11)
         assert accs.mean() >= 0.90
 
     def test_missing_class_listed(self, dataset):
-        partial = [s for s in dataset if s.label != "yaw"]
+        windows, labels = dataset
+        partial = [i for i, label in enumerate(labels) if label != "yaw"]
         with pytest.raises(DataError, match="yaw"):
-            train_command_model(partial, k_folds=5)
+            train_command_model(windows[partial], [labels[i] for i in partial], k_folds=5)
 
     def test_too_few_samples_per_class(self, dataset):
-        small = dataset[:1] + [s for s in dataset if s.label != "hover"]
+        windows, labels = dataset
+        small = [0] + [i for i, label in enumerate(labels) if label != "hover"]
         with pytest.raises(DataError, match="hover"):
-            train_command_model(small, k_folds=5)
+            train_command_model(windows[small], [labels[i] for i in small], k_folds=5)
+
+    @pytest.mark.parametrize("windows, labels, message", [
+        (np.ones((6, 10)), list(COMMANDS), "sample must be a 2-D"),
+        (np.full((6, 4, 10), -1.0), list(COMMANDS), "squared speeds must be nonnegative"),
+        (np.ones((6, 4, 10)), [*COMMANDS[:5], "flip"], "unknown label 'flip'"),
+        (np.ones((6, 4, 10)), list(COMMANDS[:5]), "5 labels for 6 windows"),
+    ], ids=["2d_stack", "negative_square", "unknown_label", "label_count"])
+    def test_bad_training_data_raises(self, windows, labels, message):
+        with pytest.raises(DataError, match=message):
+            train_command_model(windows, labels, k_folds=1)
 
     def test_determinism_per_seed(self, dataset):
-        m1, a1 = train_command_model(dataset, k_folds=5, seed=7)
-        m2, a2 = train_command_model(dataset, k_folds=5, seed=7)
+        m1, a1 = train_command_model(*dataset, k_folds=5, seed=7)
+        m2, a2 = train_command_model(*dataset, k_folds=5, seed=7)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
         assert np.array_equal(a1, a2)
@@ -172,45 +192,47 @@ class TestTraining:
         """Duplicating every sample (with lambda adjusted for the doubled
         pass length) changes the shuffle but not the learned decision in
         any material way."""
-        m1, a1 = train_command_model(dataset, k_folds=5, seed=7, lambda_reg=1e-3)
-        m2, a2 = train_command_model(dataset + dataset, k_folds=5, seed=7, lambda_reg=5e-4)
-        agree = np.mean([predict_command(m1, s)[0] == predict_command(m2, s)[0] for s in dataset])
+        windows, labels = dataset
+        m1, a1 = train_command_model(windows, labels, k_folds=5, seed=7, lambda_reg=1e-3)
+        m2, a2 = train_command_model(np.concatenate([windows, windows]), labels + labels, k_folds=5, seed=7,
+                                     lambda_reg=5e-4)
+        agree = np.mean([predict_command(m1, w)[0] == predict_command(m2, w)[0] for w in windows])
         assert agree >= 0.95
         assert abs(a1.mean() - a2.mean()) <= 0.05
 
     def test_scale_invariance_after_refit(self, dataset):
         """Scaling all raw traces by a constant and refitting the
         standardization leaves every prediction unchanged."""
-        scaled = [CommandSample(speeds_sq=s.speeds_sq * 4.0, label=s.label) for s in dataset]
-        m1, _ = train_command_model(dataset, k_folds=5, seed=5)
-        m2, _ = train_command_model(scaled, k_folds=5, seed=5)
-        for s, ss in zip(dataset, scaled):
-            assert predict_command(m1, s)[0] == predict_command(m2, ss)[0]
+        windows, labels = dataset
+        m1, _ = train_command_model(windows, labels, k_folds=5, seed=5)
+        m2, _ = train_command_model(windows * 4.0, labels, k_folds=5, seed=5)
+        for w in windows:
+            assert predict_command(m1, w)[0] == predict_command(m2, w * 4.0)[0]
 
 
 class TestPredict:
     def test_training_samples_mostly_self_labelled(self, dataset):
-        model, _ = train_command_model(dataset, k_folds=5, seed=1)
-        correct = np.mean([predict_command(model, s)[0] == s.label for s in dataset])
+        model, _ = train_command_model(*dataset, k_folds=5, seed=1)
+        correct = np.mean([predict_command(model, w)[0] == label for w, label in zip(*dataset)])
         assert correct >= 0.95
 
     def test_zero_scores_tie_break_to_hover(self, dataset):
-        model, _ = train_command_model(dataset, k_folds=5, seed=2)
+        model, _ = train_command_model(*dataset, k_folds=5, seed=2)
         model.weights = np.zeros_like(model.weights)
         model.biases = np.zeros_like(model.biases)
-        label, scores = predict_command(model, dataset[-1])
+        label, scores = predict_command(model, dataset[0][-1])
         assert label == "hover"
         assert set(scores) == set(COMMANDS)
 
     def test_dimension_mismatch(self, dataset):
-        model, _ = train_command_model(dataset, k_folds=5, seed=2)
+        model, _ = train_command_model(*dataset, k_folds=5, seed=2)
         with pytest.raises(DataError, match="shape"):
             predict_command(model, np.ones((4, 17)))
 
     def test_climb_offset_on_hover_sample(self, dataset):
         """A hover-pattern window shifted up by delta on every rotor is
         read as climb."""
-        model, _ = train_command_model(dataset, k_folds=5, seed=11)
+        model, _ = train_command_model(*dataset, k_folds=5, seed=11)
         rng = np.random.default_rng(99)
         for _ in range(10):
             rpm = 3000.0 + rng.normal(0, 60.0, size=(4, 100))
@@ -231,15 +253,14 @@ class TestBatchedPredict:
     @pytest.fixture(scope="class")
     def model(self, window):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        raw = generate_command_dataset(7, drone, window_samples=window, rate_hz=1000.0, seed=5)
-        samples = [CommandSample(speeds_sq=x, label=lab) for x, lab in raw]
-        return train_command_model(samples, k_folds=5, seed=5, epochs=6)[0]
+        dataset = generate_command_dataset(7, drone, window_samples=window, rate_hz=1000.0, seed=5)
+        return train_command_model(*dataset, k_folds=5, seed=5, epochs=6)[0]
 
     @pytest.fixture(scope="class")
     def windows(self, window):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        raw = generate_command_dataset(22, drone, window_samples=window, rate_hz=1000.0, seed=17)
-        return np.stack([x for x, _ in raw])[np.random.default_rng(17).permutation(len(raw))]
+        windows, _ = generate_command_dataset(22, drone, window_samples=window, rate_hz=1000.0, seed=17)
+        return windows[np.random.default_rng(17).permutation(len(windows))]
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_stack_equals_per_window_reference(self, model, windows, n):
@@ -374,7 +395,7 @@ class TestFolds:
 
 class TestModelFile:
     def test_round_trip(self, dataset, tmp_path):
-        model, _ = train_command_model(dataset, k_folds=5, seed=4)
+        model, _ = train_command_model(*dataset, k_folds=5, seed=4)
         path = str(tmp_path / "model.txt")
         save_model(model, path)
         back = load_model(path)
@@ -385,8 +406,8 @@ class TestModelFile:
         assert np.array_equal(back.fold_accuracies, model.fold_accuracies)
         assert back.classes == model.classes
         assert (back.n_props, back.window, back.rate_hz) == (model.n_props, model.window, model.rate_hz)
-        for s in dataset[::17]:
-            assert predict_command(back, s) == predict_command(model, s)
+        for window in dataset[0][::17]:
+            assert predict_command(back, window) == predict_command(model, window)
 
     def test_a_v1_model_exits_3(self, tmp_path, capsys):
         """v1 files carried a low-pass cutoff and five spectral features

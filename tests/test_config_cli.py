@@ -333,6 +333,36 @@ class TestCliExitCodes:
         lines = [json.loads(line) for line in open(report)]
         assert any(entry["metric"] == "rmae_percent" for entry in lines)
 
+    # eval's valid inputs, by flag; each scores alone with its group
+    EVAL_INPUTS = {
+        "--speeds": "t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n",
+        "--truth-rpm": "# prop0_center=0.0,0.0\nt,prop_id,rpm\n0,0,3000.0\n",
+        "--tracks": "prop_id,centroid_x,centroid_y,n_events\n0,0.0,0.0,1\n",
+        "--fused": "t,x,y,z,vx,vy,vz,cov_trace\n0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n",
+        "--truth-state": "t,x,y,z,vx,vy,vz\n0,0.0,0.0,0.0,0.0,0.0,0.0\n",
+    }
+
+    @pytest.mark.parametrize("flag, missing", [
+        ("--speeds", "--truth-rpm and --tracks"), ("--truth-rpm", "--speeds and --tracks"),
+        ("--tracks", "--speeds and --truth-rpm"), ("--fused", "--truth-state"), ("--truth-state", "--fused"),
+    ])
+    def test_eval_flag_without_its_partners_exits_2(self, tmp_path, capsys, flag, missing):
+        """A flag beside the other group's complete inputs wrote that
+        group's metrics alone and exited 0, dropping the flag's metric."""
+        other = ("--fused", "--truth-state") if flag in ("--speeds", "--truth-rpm", "--tracks") else (
+            "--speeds", "--truth-rpm", "--tracks")
+        report = tmp_path / "report.jsonl"
+        argv = ["eval", "--report", str(report)]
+        for name in (flag, *other):
+            path = tmp_path / (name[2:] + ".csv")
+            path.write_text(self.EVAL_INPUTS[name])
+            argv += [name, str(path)]
+        assert main(argv[:3] + argv[5:]) == EXIT_OK  # the other group scores alone
+        report.unlink()
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"config error: eval {flag} needs {missing}"]
+        assert not report.exists()
+
     def test_preprocess_subcommand(self, scene_file, tmp_path):
         out = str(tmp_path / "sim")
         main(["simulate", scene_file, "--out", out])

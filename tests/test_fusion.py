@@ -80,8 +80,8 @@ class TestPredict:
         dt = 0.04
         out = predict(state, prior, dt_s=dt, predictor=predictor)
         accel = predictor.k_f * (np.sum(speeds**2) - predictor.hover_speed_sq_sum)
-        assert out.velocity[2] == pytest.approx(accel * dt, rel=1e-12)
-        assert out.position[2] == pytest.approx(0.5 * accel * dt**2, rel=1e-12)
+        assert out.mean[5] == pytest.approx(accel * dt, rel=1e-12)
+        assert out.mean[2] == pytest.approx(0.5 * accel * dt**2, rel=1e-12)
         # sanity: 10% overspeed is about 0.21 g upward
         assert accel == pytest.approx(GRAVITY * (1.1**2 - 1.0), rel=1e-12)
 
@@ -143,7 +143,7 @@ class TestRunFusion:
         truth = np.zeros((t.size, 3))
         gps = np.column_stack([t, truth + rng.normal(0, 2.0, truth.shape)])
         result = run_fusion(np.zeros((0, 3)), [], gps, predictor, gps_sigma_m=2.0, process_noise_scale=25.0)
-        errors = np.linalg.norm(np.array([s.position for s in result.states]), axis=1)
+        errors = np.linalg.norm(np.array([s.mean[:3] for s in result.states]), axis=1)
         assert errors.mean() < 2.0 * math.sqrt(3)  # within the noise floor
 
     def test_zero_duration_stream_empty_output(self, predictor):

@@ -89,7 +89,6 @@ def corpus(tmp_path_factory):
                  "--gps", str(d / "gps.csv"), "--out-csv", str(d / "fused.csv")]) == 0
     assert main(["preprocess", str(d / "events.csv"), "--format", "csv", "--k", "1", "--out", str(d)]) == 0
     tables.OBJECTIVE_CURVE.write(str(d / "objective_curve.csv"), [[0, 0], [310.5, 320.0], [1.5e6, 1.7e6]])
-    tables.RPM_TRACES.write(str(d / "rpm_traces.csv"), [[1000, 2000], [0, 0], [2999.5, 3001.25]])
 
     def path(name):
         return str(d / name)
@@ -116,7 +115,6 @@ def corpus(tmp_path_factory):
         "tracks": ("tracks.csv", eval_rpm),
         "assignments": ("assignments.csv", tables.ASSIGNMENTS),
         "objective_curve": ("objective_curve.csv", tables.OBJECTIVE_CURVE),
-        "rpm_traces": ("rpm_traces.csv", tables.RPM_TRACES),
     }
     return d, {name: (path(file), (d / file).read_bytes(), use) for name, (file, use) in targets.items()}
 

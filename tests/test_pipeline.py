@@ -1,7 +1,6 @@
+import json
 import logging
 import os
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -184,25 +183,29 @@ class TestAssignmentsCsv:
 
 
 class TestEmitPlots:
-    @staticmethod
-    def emit(out_dir):
+    def test_without_estimates_nothing_is_written(self, tmp_path):
         tracked = TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
-        return _emit_plots(str(out_dir), tracked, PipelineConfig(), [])
+        assert _emit_plots(str(tmp_path), tracked, PipelineConfig(), []) == []
+        assert not (tmp_path / "plots").exists()
 
-    def test_without_matplotlib_the_csv_series_remain(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
-        assert self.emit(tmp_path) == [os.path.join(str(tmp_path), "plots", "rpm_traces.csv")]
-
-    def test_a_plotting_failure_is_not_swallowed(self, tmp_path, monkeypatch):
-        fake = types.ModuleType("matplotlib")
-
-        def use(backend):
-            raise RuntimeError(f"backend {backend} broke")
-
-        fake.use = use
-        monkeypatch.setitem(sys.modules, "matplotlib", fake)
-        with pytest.raises(RuntimeError, match="backend Agg broke"):
-            self.emit(tmp_path)
+    def test_the_objective_curve_is_the_one_plot_output(self, tmp_path):
+        """`plots=1` writes the objective around track 0's first estimate,
+        and nothing else under plots/."""
+        specs = [make_spec(center=(35.0, 35.0), blade_length=20.0), make_spec(4000.0, (95.0, 95.0), 20.0)]
+        events, _ = simulate_propellers(specs, NO_NOISE, duration_us=30_000, tick_us=50, seed=4,
+                                        geometry=SensorGeometry(130, 130))
+        path = str(tmp_path / "in.bin")
+        write_events(events, SensorGeometry(130, 130), path, "bin")
+        cfg = PipelineConfig(seed=4, input=path, window_us=10_000, k_props=2, bracket_rpm_lo=1000,
+                             bracket_rpm_hi=6000, plots=True)
+        result = run_pipeline(cfg, str(tmp_path / "run"))
+        assert os.listdir(tmp_path / "run" / "plots") == ["objective_curve.csv"]
+        with open(tmp_path / "run" / "manifest.json") as fh:
+            listed = [name for name in json.load(fh)["artifacts"] if name.startswith("plots")]
+        assert listed == ["plots/objective_curve.csv"]
+        (props, omegas, _), _ = tables.OBJECTIVE_CURVE.read(str(tmp_path / "run" / "plots" / "objective_curve.csv"))
+        first = next(est for est in result.estimates if est.prop_id == 0)
+        assert set(props.tolist()) == {0} and omegas[0] == 0.5 * first.omega_rad_s
 
 
 class TestRunPipelineFromFile:

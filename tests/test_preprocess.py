@@ -173,7 +173,7 @@ class TestSegmentation:
         assert len(tracks) == 1
         coords = np.column_stack([events.x, events.y]).astype(float)
         assert tracks[0].centroid == pytest.approx(tuple(coords.mean(axis=0)))
-        assert tracks[0].member_count == len(events)
+        assert len(tracks[0].members) == len(events)
 
     def test_four_simulated_propellers(self):
         centers = [(80.0, 60.0), (240.0, 60.0), (80.0, 180.0), (240.0, 180.0)]
@@ -204,7 +204,7 @@ class TestSegmentation:
         b = segment_propellers(shuffled, 2)
         for ta, tb in zip(a, b):
             assert ta.centroid == tb.centroid
-            assert ta.member_count == tb.member_count
+            assert len(ta.members) == len(tb.members)
 
     def test_k_exceeding_distinct_points(self):
         events = make_events([(0, 1, 1, 1), (1, 1, 1, -1)])
@@ -435,7 +435,7 @@ class TestPixelSegmentation:
         assert len(tracks) == k
         for track, centroid, members in zip(tracks, ref_centroids, ref_members):
             assert track.centroid == (float(centroid[0]), float(centroid[1]))
-            assert track.member_count == members.size
+            assert len(track.members) == members.size
             # t is the event index, so the track's timestamps are its members
             assert np.array_equal(events.t[track.members], members.astype(np.uint64))
 
@@ -455,5 +455,5 @@ class TestPixelSegmentation:
         a = segment_propellers(events, 3)
         b = segment_propellers(shuffled, 3)
         assert [t.centroid for t in a] == [t.centroid for t in b]
-        assert [t.member_count for t in a] == [t.member_count for t in b]
+        assert [len(t.members) for t in a] == [len(t.members) for t in b]
         assert all(events.select(ta.members) == shuffled.select(tb.members) for ta, tb in zip(a, b))

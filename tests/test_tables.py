@@ -11,14 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rotorsense import tables
 from rotorsense.cli import _command_windows
-from rotorsense.config import PipelineConfig
 from rotorsense.dynamics import COMMANDS
 from rotorsense.errors import DataError
 from rotorsense.events import Events, SensorGeometry, read_events, write_events
 from rotorsense.motion import SpeedEstimate
 from rotorsense.pipeline import (
     TrackedStream,
-    _emit_plots,
     prop_rpm_columns,
     read_command_csv,
     read_truth_rpm_csv,
@@ -97,14 +95,6 @@ def reference_tracks_csv(path, tracked):
         for prop, centroid in enumerate(tracked.centroids):
             n = int((tracked.assignments == prop).sum())
             fh.write(f"{prop},{centroid[0]!r},{centroid[1]!r},{n}\n")
-
-
-def reference_rpm_traces(path, per_track):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_ref,prop_id,rpm\n")
-        for track in per_track:
-            for est in track.estimates:
-                fh.write(f"{est.t_ref_us},{est.prop_id},{est.rpm!r}\n")
 
 
 def reference_write_events_csv(events, geometry, path):
@@ -304,7 +294,7 @@ class TestWritersMatchTheReplacedLoops:
         assert back == events and geometry_back == geometry
 
 
-def test_tracks_and_plot_series(tmp_path):
+def test_tracks_csv_matches_the_replaced_loop(tmp_path):
     rng = np.random.default_rng(2)
     n = 20_000
     events = Events(np.arange(n, dtype=np.uint64), rng.integers(0, 64, n), rng.integers(0, 64, n), np.ones(n, np.int8))
@@ -313,18 +303,6 @@ def test_tracks_and_plot_series(tmp_path):
     write_preprocess_artifacts(str(tmp_path), tracked, SensorGeometry(64, 64), "bin")
     reference_tracks_csv(str(tmp_path / "want.csv"), tracked)
     assert (tmp_path / "tracks.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    per_track = [
-        types.SimpleNamespace(prop_id=p, estimates=[
-            SpeedEstimate(prop_id=p, t_ref_us=1000 * k, omega_rad_s=float(w), objective_value=1.0, n_events_used=1)
-            for k, w in enumerate(floats(rng, 50))
-        ])
-        for p in (1, 0)
-    ]
-    empty = TrackedStream(Events.empty(), np.zeros(0, dtype=np.int64), [], [])
-    _emit_plots(str(tmp_path), empty, PipelineConfig(), per_track)
-    reference_rpm_traces(str(tmp_path / "want_traces.csv"), per_track)
-    assert (tmp_path / "plots" / "rpm_traces.csv").read_bytes() == (tmp_path / "want_traces.csv").read_bytes()
 
 
 def test_objective_curve_matches_the_replaced_loop(tmp_path):
@@ -498,7 +476,7 @@ def test_negative_zero_time_reads_as_zero(tmp_path):
 class TestDeclarations:
     def test_every_table_has_one_kind_per_column(self):
         declared = [v for v in vars(tables).values() if isinstance(v, tables.Table)]
-        assert len(declared) == 13
+        assert len(declared) == 12
         for table in declared:
             assert len(table.kinds) == len(table.split(","))
             assert table.row.count("%") == len(table.kinds)
