@@ -159,7 +159,7 @@ def _cmd_train_command(args: argparse.Namespace) -> int:
             f"window_ms * resample_hz / 1000 too large: {window:.3g}-sample windows x {args.samples_per_class} "
             f"samples per class exceed {MAX_CLASS_SPEEDS:.0e} speeds per class"
         )
-    windows, labels = generate_command_dataset(args.samples_per_class, drone, int(window), cfg.resample_hz, cfg.seed)
+    windows, labels = generate_command_dataset(args.samples_per_class, drone, int(window), cfg.seed)
     model, accuracies = train_command_model(
         windows, labels, k_folds=cfg.svm_folds, lambda_reg=cfg.svm_lambda, epochs=cfg.svm_epochs,
         seed=cfg.seed, rate_hz=cfg.resample_hz,

@@ -5,27 +5,31 @@ prediction step propagates a constant-acceleration model whose
 acceleration comes from the inferred command and the measured rotor
 speeds (`KinematicPredictor` maps thrust surplus to climb/descent and a
 tilt fraction of total thrust to lateral motion). GPS fixes enter
-through a standard linear update in Joseph form. The covariance is
-symmetrized after every step. `predict` and `update` check their result
-at once.
+through a standard linear update in Joseph form, symmetrized after it. A
+prediction works on the 3x3 blocks of the covariance and keeps it exactly
+symmetric (`_predict_run`). `predict` and `update` check their result at
+once.
 
 `run_fusion` works on state arrays. One numpy pass orders the rows of
 the three streams as a timestamp merge takes them, carries the speed of
 each of the mixer's N_ROTORS rotors and the command in force forward,
-finds the dropped rows and the steps, and computes every step's
-acceleration with one `command_accelerations` call. Its loop visits
-only the prediction steps, GPS updates and dropped rows, and writes
-each state into preallocated time (n,), mean (n, 6) and covariance
-(n, 6, 6) arrays; `FusionResult.states` shows them as one `FusedState`
-per state the filter makes. It checks the steps it predicted together:
-before each GPS update, before it raises any other error or logs a
-dropped measurement, every CHECK_STEPS steps and at the end. Either way
-the first failing step raises the error `predict` raises there.
+finds the dropped rows and the steps, computes every step's
+acceleration with one `command_accelerations` call and each distinct
+step length's scalars once. Its loop visits only the GPS updates, the
+dropped rows and the points where steps are checked, and predicts each
+run of steps between them with one `_predict_run` call, a prefix sum
+over time per block of the state with the bits of one `predict` per
+step. It writes each state into preallocated time (n,), mean (n, 6) and
+covariance (n, 6, 6) arrays; `FusionResult.states` shows them as one
+`FusedState` per state the filter makes. It checks the steps it
+predicted together: before each GPS update, before it raises any other
+error or logs a dropped measurement, every CHECK_STEPS steps and at the
+end. Either way the first failing step raises the error `predict`
+raises there.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -49,6 +53,7 @@ CHECK_STEPS = 1024
 INIT_VELOCITY_SIGMA = 2.0
 # how far (us) a measurement may lag the filter clock and still be used
 OUT_OF_ORDER_TOLERANCE_US = 0
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -140,42 +145,50 @@ def _check_cov(cov: np.ndarray, where: str) -> np.ndarray:
     return cov
 
 
-def _transition(dt_s: float) -> tuple[np.ndarray, np.ndarray]:
-    f = np.eye(6)
-    f[:3, 3:] = dt_s * np.eye(3)
-    b = np.zeros((6, 3))
-    b[:3] = 0.5 * dt_s**2 * np.eye(3)
-    b[3:] = dt_s * np.eye(3)
-    return f, b
+def _step_terms(dt_s: float, accel_variance: float) -> tuple[float, float, float, float, float]:
+    """The scalars of one step of dt_s seconds, as Python floats: dt_s,
+    h = 0.5 dt^2, with b = [[h I], [dt I]], and q_pp, q_pv and q_vv, with
+    the white-acceleration process noise
+    Q = [[q_pp I, q_pv I], [q_pv I, q_vv I]]. `predict` and `run_fusion`
+    both take them from here."""
+    return (
+        dt_s, 0.5 * dt_s**2, accel_variance * (0.25 * dt_s**4), accel_variance * (0.5 * dt_s**3),
+        accel_variance * dt_s**2,
+    )
 
 
-def process_noise(dt_s: float, accel_variance: float) -> np.ndarray:
-    """White-acceleration process noise for the constant-velocity pair."""
-    q = np.zeros((6, 6))
-    q[:3, :3] = 0.25 * dt_s**4 * np.eye(3)
-    q[:3, 3:] = 0.5 * dt_s**3 * np.eye(3)
-    q[3:, :3] = 0.5 * dt_s**3 * np.eye(3)
-    q[3:, 3:] = dt_s**2 * np.eye(3)
-    return accel_variance * q
+def _predict_run(means: np.ndarray, covs: np.ndarray, k: int, accels: np.ndarray, terms: np.ndarray) -> None:
+    """Step states k + 1 .. k + r of means (n, 6) and covs (n, 6, 6) from
+    state k in place, unchecked: step j (r = len(accels)) has acceleration
+    accels[j] and the `_step_terms` terms[j] = (dt, h, q_pp, q_pv, q_vv).
+    With P = [[A, B], [B.T, C]] and b @ accel = (h accel, dt accel) =
+    (b_p, b_v), a step makes
 
+        C' = C + q_vv I
+        B' = B + (dt C + q_pv I)
+        A' = A + ((dt (B + B.T) + (dt dt) C) + q_pp I)
+        v' = v + b_v
+        p' = p + (dt v + b_p)
 
-@functools.lru_cache(maxsize=16)
-def _step_matrices(dt_s: float, accel_variance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only F, B and Q of one prediction step, built once per
-    (dt_s, accel_variance): a fixed-rate stream repeats the same step."""
-    f, b = _transition(dt_s)
-    q = process_noise(dt_s, accel_variance)
-    for matrix in (f, b, q):
-        matrix.flags.writeable = False
-    return f, b, q
-
-
-def _step(mean: np.ndarray, cov: np.ndarray, f: np.ndarray, q: np.ndarray, b_accel: np.ndarray):
-    """One constant-acceleration prediction, unchecked: the mean
-    f @ mean + b @ accel from b_accel = b @ accel, and the symmetrized
-    covariance f @ cov @ f.T + q."""
-    cov = f @ cov @ f.T + q
-    return f @ mean + b_accel, 0.5 * (cov + cov.T)
+    F P F.T + Q and F x + b @ accel in exact arithmetic; the covariance
+    stays exactly symmetric. Each block is a cumsum over time of its
+    increments, the additions of r steps one after another."""
+    run, step, before = slice(k, k + len(accels) + 1), slice(k + 1, k + len(accels) + 1), slice(k, k + len(accels))
+    dt = terms[:, 0, None, None]
+    q_pp, q_pv, q_vv = (terms[:, i, None, None] * _EYE3 for i in range(2, 5))
+    a, b, c = covs[:, :3, :3], covs[:, :3, 3:], covs[:, 3:, 3:]
+    c[step] = q_vv
+    np.cumsum(c[run], axis=0, out=c[run])
+    b[step] = dt * c[before] + q_pv
+    np.cumsum(b[run], axis=0, out=b[run])
+    covs[step, 3:, :3] = b[step].transpose(0, 2, 1)
+    a[step] = (dt * (b[before] + b[before].transpose(0, 2, 1)) + (dt * dt) * c[before]) + q_pp
+    np.cumsum(a[run], axis=0, out=a[run])
+    p, v = means[:, :3], means[:, 3:]
+    v[step] = dt[:, 0] * accels
+    np.cumsum(v[run], axis=0, out=v[run])
+    p[step] = dt[:, 0] * v[before] + terms[:, 1, None] * accels
+    np.cumsum(p[run], axis=0, out=p[run])
 
 
 def _check_steps(means: np.ndarray, covs: np.ndarray, accels: np.ndarray) -> None:
@@ -202,14 +215,17 @@ def _check_steps(means: np.ndarray, covs: np.ndarray, accels: np.ndarray) -> Non
 
 
 def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: KinematicPredictor) -> FusedState:
-    """Constant-acceleration propagation with command-derived acceleration."""
+    """Constant-acceleration propagation with command-derived acceleration:
+    one step of `_predict_run`, in 3x3 blocks P = [[A, B], [B.T, C]] of the
+    covariance, from the state's A, B and C, then checked."""
     if dt_s <= 0:
         raise ConfigError(f"dt must be positive, got {dt_s}")
     accel = predictor.acceleration(prior)
-    f, b, q = _step_matrices(dt_s, prior.process_noise_scale)
-    mean, cov = _step(state.mean, state.cov, f, q, b @ accel)
-    _check_steps(np.stack([state.mean, mean]), np.stack([state.cov, cov]), accel[None])
-    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
+    means = np.array([state.mean, state.mean], dtype=np.float64)
+    covs = np.array([state.cov, state.cov], dtype=np.float64)
+    _predict_run(means, covs, 0, accel[None], np.array([_step_terms(dt_s, prior.process_noise_scale)]))
+    _check_steps(means, covs, accel[None])
+    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=means[1], cov=covs[1])
 
 
 def _update(
@@ -311,13 +327,15 @@ def _step_accelerations(
 
 class _Schedule(NamedTuple):
     """What `run_fusion`'s loop takes from its numpy pass. It visits each
-    row from the first fix that steps, updates or is dropped, in order."""
+    row from the first fix that updates or is dropped, in order, and steps
+    the states between them in runs."""
 
     t_us: np.ndarray  # (n,) each state's time: the clock after the row that made it
     accels: np.ndarray  # (n, 3) the acceleration each predicted state was stepped with
-    means: np.ndarray  # (n, 6) b @ that acceleration, b of its step: the loop adds f @ the mean before
-    gaps: list[int]  # per visited row, the step it takes (us), or 0
-    fixes: list[int]  # per visited row, the GPS fix it updates with, -1 for none, -2 if dropped
+    terms: np.ndarray  # (m, 5) the `_step_terms` of each distinct step length
+    step_terms: np.ndarray  # (n,) the row of `terms` of the step that made each predicted state
+    ends: list[int]  # per visited row, the last state made before it
+    fixes: list[int]  # per visited row, the GPS fix it updates with, or -1 if dropped
     dropped_t_us: list[int]  # the time of each dropped row
     error: Exception | None  # what ends the run once the steps are checked, or None
 
@@ -380,22 +398,23 @@ def _schedule(
     is_fix[fix_rows[1 : np.searchsorted(fix_rows, stop)] - first - 1] = True
     is_fix &= ~dropped
     made = is_step.view(np.int8) + is_fix.view(np.int8)
+    last_state = np.cumsum(made)  # the last state made by each row, or before it
     t_states = np.concatenate([clock[:1], np.repeat(clock[1 : n + 1], made)])
-    step_states = (np.cumsum(made) - is_fix)[is_step]
-    step_accels, means = np.zeros((len(t_states), 3)), np.zeros((len(t_states), 6))
+    step_states = (last_state - is_fix)[is_step]
+    step_accels = np.zeros((len(t_states), 3))
     step_accels[step_states] = accels[:n_steps]
-    gaps = gaps[:n_steps]
-    for gap in np.unique(gaps).tolist():
-        _, b = _transition(gap * 1e-6)
-        same = step_states[gaps == gap]
-        means[same] = np.matmul(b, step_accels[same, :, None])[..., 0]
+    # each distinct step length's terms, computed once as `predict` computes them
+    gaps, which = np.unique(gaps[:n_steps], return_inverse=True)
+    terms = np.array([_step_terms(gap * 1e-6, process_noise_scale) for gap in gaps.tolist()]).reshape(-1, 5)
+    step_terms = np.zeros(len(t_states), np.intp)
+    step_terms[step_states] = which
 
-    visit = np.flatnonzero(made | dropped)
-    visit_gaps = np.zeros(len(visit), np.uint64)
-    visit_gaps[is_step[visit]] = gaps
-    fixes = np.where(is_fix[visit], np.searchsorted(fix_rows, first + 1 + visit), np.where(dropped[visit], -2, -1))
+    visit = np.flatnonzero(is_fix | dropped)
+    ends = last_state[visit] - is_fix[visit]
+    fixes = np.where(is_fix[visit], np.searchsorted(fix_rows, first + 1 + visit), -1)
     return _Schedule(
-        t_states, step_accels, means, visit_gaps.tolist(), fixes.tolist(), t[first + 1 : stop][dropped].tolist(), error,
+        t_states, step_accels, terms, step_terms, ends.tolist(), fixes.tolist(),
+        t[first + 1 : stop][dropped].tolist(), error,
     )
 
 
@@ -440,7 +459,7 @@ def run_fusion(
             return FusionResult(FusedStates(np.zeros(0, np.int64), np.zeros((0, 6)), np.zeros((0, 6, 6))), [])
 
         r_gps = gps_sigma_m**2 * np.eye(3)
-        means, covs = plan.means, np.zeros((len(plan.t_us), 6, 6))
+        means, covs = np.zeros((len(plan.t_us), 6)), np.zeros((len(plan.t_us), 6, 6))
         means[0, :3] = gps[0, 1:4]
         covs[0, :3, :3] = r_gps
         covs[0, 3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
@@ -451,25 +470,30 @@ def run_fusion(
         def check() -> None:
             _check_steps(means[checked : k + 1], covs[checked : k + 1], plan.accels[checked + 1 : k + 1])
 
-        for gap, fix in zip(plan.gaps, plan.fixes):
-            if fix == -2:
-                check()
+        def predict_to(end: int) -> None:
+            """Step to state `end` in runs that stop where CHECK_STEPS steps are due a check."""
+            nonlocal k, checked
+            while k < end:
+                r = min(end - k, checked + CHECK_STEPS - k)
+                steps = slice(k + 1, k + r + 1)
+                _predict_run(means, covs, k, plan.accels[steps], plan.terms[plan.step_terms[steps]])
+                k += r
+                if k - checked == CHECK_STEPS:
+                    check()
+                    checked = k
+
+        for end, fix in zip(plan.ends, plan.fixes):
+            predict_to(end)
+            check()
+            if fix < 0:
                 checked = k
                 t_us = next(dropped_t_us)
                 LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, plan.t_us[k])
                 continue
-            if gap:
-                f, _, q = _step_matrices(gap * 1e-6, process_noise_scale)
-                means[k + 1], covs[k + 1] = _step(means[k], covs[k], f, q, means[k + 1])
-                k += 1
-                if k - checked == CHECK_STEPS:
-                    check()
-                    checked = k
-            if fix >= 0:
-                check()
-                means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
-                k = checked = k + 1
-                nis.append(fix_nis)
+            means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
+            k = checked = k + 1
+            nis.append(fix_nis)
+        predict_to(len(plan.t_us) - 1)
         check()
         if plan.error is not None:
             raise plan.error

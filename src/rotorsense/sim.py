@@ -636,7 +636,6 @@ def generate_command_dataset(
     n_per_class: int,
     drone_spec: DroneSpec,
     window_samples: int,
-    rate_hz: float,
     seed: int,
 ) -> tuple[np.ndarray, list[str]]:
     """Labelled squared-speed windows for classifier training: an

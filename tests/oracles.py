@@ -28,7 +28,8 @@ pattern lies nearest a window's mean squared speeds.
 row, building a `FusedState` per step and per update, which it emits
 once each, and a list of them per check;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
-pass and steps state arrays over the steps, GPS fixes and dropped rows.
+pass and steps state arrays from one GPS fix, dropped row or check to
+the next with one prefix sum over time per block of the state.
 `read_table` splits a whole table into fields and parses each column
 through Python's int() and float() rules, where `tables.Table.read` hands
 each block to numpy's C reader and splits only the blocks it refuses.
@@ -56,6 +57,7 @@ from rotorsense.dynamics import (
 )
 from rotorsense.errors import ConfigError, DataError, open_text
 from rotorsense.events import Events
+from rotorsense.fusion import _step_terms
 from rotorsense.motion import H_MAX_DEFAULT, US_TO_S
 
 
@@ -457,11 +459,19 @@ def _speed_queue(speed_stream):
 
 
 def _step(state, accel, dt_s, accel_variance):
-    """One constant-acceleration prediction, unchecked."""
-    f, b, q = fusion._step_matrices(dt_s, accel_variance)
-    mean = f @ state.mean + b @ accel
-    cov = f @ state.cov @ f.T + q
-    return fusion.FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=0.5 * (cov + cov.T))
+    """One constant-acceleration prediction, unchecked, in 3x3 blocks
+    P = [[A, B], [B.T, C]] of the covariance and x = (p, v) of the mean."""
+    _, half_dt2, q_pp, q_pv, q_vv = _step_terms(dt_s, accel_variance)
+    eye = np.eye(3)
+    a, b, c = state.cov[:3, :3], state.cov[:3, 3:], state.cov[3:, 3:]
+    cov = np.empty((6, 6))
+    cov[3:, 3:] = c + q_vv * eye
+    cov[:3, 3:] = b + (dt_s * c + q_pv * eye)
+    cov[3:, :3] = cov[:3, 3:].T
+    cov[:3, :3] = a + ((dt_s * (b + b.T) + (dt_s * dt_s) * c) + q_pp * eye)
+    p, v = state.mean[:3], state.mean[3:]
+    mean = np.concatenate([p + (dt_s * v + half_dt2 * accel), v + dt_s * accel])
+    return fusion.FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
 
 
 def _check_steps(states, accels):

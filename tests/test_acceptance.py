@@ -297,7 +297,7 @@ def test_09_command_inference():
     """6-class dataset, 200 samples/class: 5-fold mean accuracy >= 90%;
     one prediction <= 10 ms."""
     drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-    windows, labels = generate_command_dataset(200, drone, window_samples=100, rate_hz=1000.0, seed=11)
+    windows, labels = generate_command_dataset(200, drone, window_samples=100, seed=11)
     model, accuracies = train_command_model(windows, labels, k_folds=5, seed=11)
     t0 = time.perf_counter()
     predict_command(model, windows[0])

@@ -25,7 +25,7 @@ from rotorsense.sim import NO_NOISE, DroneSpec, generate_command_dataset, simula
 def dataset():
     """(windows, labels): 40 jittered windows of each command."""
     drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-    return generate_command_dataset(40, drone, window_samples=100, rate_hz=1000.0, seed=11)
+    return generate_command_dataset(40, drone, window_samples=100, seed=11)
 
 
 class TestFeatures:
@@ -58,7 +58,7 @@ class TestBatchedMatchesOracles:
     @pytest.mark.parametrize("jitter", [0.0, 60.0])
     def test_dataset_equals_per_window_draws(self, jitter):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=jitter)
-        windows, labels = generate_command_dataset(7, drone, window_samples=50, rate_hz=1000.0, seed=3)
+        windows, labels = generate_command_dataset(7, drone, window_samples=50, seed=3)
         want_windows, want_labels = oracles.generate_command_dataset(7, drone, 50, seed=3)
         assert windows.shape == (7 * len(COMMANDS), 4, 50) and windows.dtype == np.float64
         assert windows.tobytes() == want_windows.tobytes()
@@ -110,7 +110,7 @@ class TestBatchedMatchesOracles:
         per class in 5 folds: 30 and 36 training samples), so the fits step
         in groups of equal size."""
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        windows, labels = generate_command_dataset(per_class, drone, window_samples=100, rate_hz=1000.0, seed=seed)
+        windows, labels = generate_command_dataset(per_class, drone, window_samples=100, seed=seed)
         model, accs = train_command_model(windows, labels, k_folds=k_folds, seed=seed, epochs=6)
         w, b, mean, std, want_accs = oracles.train_command_model(windows, labels, k_folds, 1e-3, 6, seed)
         for got, want in ((model.weights, w), (model.biases, b), (model.feature_mean, mean),
@@ -253,13 +253,13 @@ class TestBatchedPredict:
     @pytest.fixture(scope="class")
     def model(self, window):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        dataset = generate_command_dataset(7, drone, window_samples=window, rate_hz=1000.0, seed=5)
+        dataset = generate_command_dataset(7, drone, window_samples=window, seed=5)
         return train_command_model(*dataset, k_folds=5, seed=5, epochs=6)[0]
 
     @pytest.fixture(scope="class")
     def windows(self, window):
         drone = DroneSpec(hover_rpm=3000.0, delta_rpm=300.0, rpm_jitter=60.0)
-        windows, _ = generate_command_dataset(22, drone, window_samples=window, rate_hz=1000.0, seed=17)
+        windows, _ = generate_command_dataset(22, drone, window_samples=window, seed=17)
         return windows[np.random.default_rng(17).permutation(len(windows))]
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])

@@ -1261,14 +1261,14 @@ class TestTrainCommandNumbers:
     def test_window_bound_admits_the_default_window_at_the_sample_bound(self, tmp_path, monkeypatch):
         drawn = []
 
-        def generate(n, drone, window, rate_hz, seed):
-            drawn.append((n, window, rate_hz))
+        def generate(n, drone, window, seed):
+            drawn.append((n, window))
             raise DataError("stop after the checks")
 
         monkeypatch.setattr(cli, "generate_command_dataset", generate)
         argv = ["train-command", "--model", str(tmp_path / "m.txt"), "--samples-per-class", str(MAX_SAMPLES_PER_CLASS)]
         assert main(argv) == EXIT_DATA
-        assert drawn == [(MAX_SAMPLES_PER_CLASS, 100, 1000.0)]
+        assert drawn == [(MAX_SAMPLES_PER_CLASS, 100)]
         assert MAX_SAMPLES_PER_CLASS * 100 == sim.MAX_CLASS_SPEEDS
 
     def test_samples_per_class_at_svm_folds_trains(self, tmp_path):

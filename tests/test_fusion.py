@@ -18,10 +18,7 @@ from rotorsense.fusion import (
     KinematicPredictor,
     MotionPrior,
     _check_cov,
-    _step_matrices,
-    _transition,
     predict,
-    process_noise,
     run_fusion,
     update,
 )
@@ -35,6 +32,15 @@ HOVER = np.full(4, rpm_to_rad_s(3000.0))
 @pytest.fixture()
 def predictor():
     return KinematicPredictor.from_hover_calibration(HOVER)
+
+
+def transition_and_noise(dt_s, accel_variance):
+    """F and the white-acceleration Q of one step, as 6x6 matrices."""
+    f, q = np.eye(6), np.zeros((6, 6))
+    f[:3, 3:] = dt_s * np.eye(3)
+    for rows, cols, scale in [(0, 0, 0.25 * dt_s**4), (0, 3, 0.5 * dt_s**3), (3, 0, 0.5 * dt_s**3), (3, 3, dt_s**2)]:
+        q[rows : rows + 3, cols : cols + 3] = accel_variance * scale * np.eye(3)
+    return f, q
 
 
 def make_state(mean=None, cov=None, t_us=0):
@@ -64,10 +70,8 @@ class TestPredict:
         prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.2)
         out = predict(state, prior, dt_s=0.05, predictor=predictor)
         assert out.mean == pytest.approx(np.zeros(6))
-        expected_cov = state.cov.copy()
-        f = np.eye(6)
-        f[:3, 3:] = 0.05 * np.eye(3)
-        expected_cov = f @ expected_cov @ f.T + process_noise(0.05, 0.2)
+        f, q = transition_and_noise(0.05, 0.2)
+        expected_cov = f @ state.cov @ f.T + q
         assert out.cov == pytest.approx(expected_cov)
         assert np.trace(out.cov) > np.trace(state.cov)
 
@@ -198,48 +202,42 @@ def same_bits(a, b):
 
 def random_state(rng, t_us=0):
     a = rng.normal(size=(6, 6))
-    return FusedState(t_us=t_us, mean=rng.normal(0, 10, 6), cov=a @ a.T + 0.1 * np.eye(6))
+    cov = a @ a.T + 0.1 * np.eye(6)
+    return FusedState(t_us=t_us, mean=rng.normal(0, 10, 6), cov=0.5 * (cov + cov.T))
 
 
-class TestStepMatrices:
+class TestPredictStep:
     @pytest.mark.parametrize("dt_s", [1e-6, 0.001, 0.0125, 1 / 3, 0.2, 7.0])
     @pytest.mark.parametrize("command", ["hover", "climb", "roll"])
     def test_predict_is_bit_equal_to_the_explicit_formula(self, predictor, dt_s, command):
+        """The 3x3 block step, each scalar of b and Q a Python float, and
+        F P F.T + Q, F x + b a up to rounding."""
         rng = np.random.default_rng(int(dt_s * 1e6))
         speeds = np.abs(HOVER + rng.normal(0, 20, 4))
+        eye = np.eye(3)
         for noise_scale in (0.0, 0.05, 1.7):
             prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=noise_scale)
             state = random_state(rng, t_us=123)
-            f, b = _transition(dt_s)
             accel = predictor.acceleration(prior)
-            mean = f @ state.mean + b @ accel
-            cov = _check_cov(f @ state.cov @ f.T + process_noise(dt_s, noise_scale), "test")
-            for _ in range(2):  # the second call reads the cached matrices
-                out = predict(state, prior, dt_s, predictor)
-                assert same_bits(out.mean, mean)
-                assert same_bits(out.cov, cov)
-                assert out.t_us == 123 + int(round(dt_s * 1e6))
-
-    def test_cached_matrices_are_read_only(self):
-        for matrix in _step_matrices(0.001, 0.05):
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 1.0
-        assert _step_matrices(0.001, 0.05)[2] is _step_matrices(0.001, 0.05)[2]
-
-    def test_public_builders_return_fresh_writable_arrays(self, predictor):
-        state = make_state()
-        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.05)
-        before = predict(state, prior, 0.001, predictor)
-        q = process_noise(0.001, 0.05)
-        f, b = _transition(0.001)
-        assert q.flags.writeable and f.flags.writeable and b.flags.writeable
-        assert q is not process_noise(0.001, 0.05)
-        assert q is not _step_matrices(0.001, 0.05)[2]
-        q[:] = 1e6
-        f[:] = 0.0
-        after = predict(state, prior, 0.001, predictor)
-        assert same_bits(after.mean, before.mean) and same_bits(after.cov, before.cov)
+            q_pp, q_pv, q_vv = noise_scale * (0.25 * dt_s**4), noise_scale * (0.5 * dt_s**3), noise_scale * dt_s**2
+            p, v = state.mean[:3], state.mean[3:]
+            a, b, c = state.cov[:3, :3], state.cov[:3, 3:], state.cov[3:, 3:]
+            mean = np.concatenate([p + (dt_s * v + (0.5 * dt_s**2) * accel), v + dt_s * accel])
+            b_next = b + (dt_s * c + q_pv * eye)
+            cov = np.block([
+                [a + ((dt_s * (b + b.T) + (dt_s * dt_s) * c) + q_pp * eye), b_next],
+                [b_next.T, c + q_vv * eye],
+            ])
+            out = predict(state, prior, dt_s, predictor)
+            assert same_bits(out.mean, mean)
+            assert same_bits(out.cov, cov)
+            assert same_bits(_check_cov(cov, "test"), cov)  # exactly symmetric
+            assert out.t_us == 123 + int(round(dt_s * 1e6))
+            f, q = transition_and_noise(dt_s, noise_scale)
+            b_matrix = np.vstack([0.5 * dt_s**2 * eye, dt_s * eye])
+            scale = np.abs(state.cov).max() + abs(q).max()
+            np.testing.assert_allclose(out.mean, f @ state.mean + b_matrix @ accel, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out.cov, f @ state.cov @ f.T + q, rtol=0, atol=1e-12 * scale * (1 + dt_s) ** 2)
 
 
 class TestSpeedQueue:
@@ -389,20 +387,32 @@ def with_row(speeds, row, after=None):
 
 @pytest.fixture()
 def bad_q_at(monkeypatch):
-    """Make the n-th step's process noise lose positive semidefiniteness."""
+    """Make the process noise of the n-th prediction step (counted from 1)
+    lose positive semidefiniteness: q_pp = -1e3 where each filter reads the
+    steps' Q scalars, `fusion._predict_run` (`run_fusion` and `predict`)
+    and the oracle's `_step_terms`. `install` returns the count of steps
+    read so far."""
 
-    def install(*calls):
+    predict_run, step_terms = fusion._predict_run, oracles._step_terms
+
+    def install(*steps):
         count = [0]
 
-        def step_matrices(dt_s, accel_variance):
-            f, b, q = _step_matrices(dt_s, accel_variance)
-            count[0] += 1
-            if count[0] in calls:
-                q = q.copy()
-                q[0, 0] = -1e3
-            return f, b, q
+        def poisoned_run(means, covs, k, accels, terms):
+            bad = [n - 1 - count[0] for n in steps if count[0] < n <= count[0] + len(accels)]
+            count[0] += len(accels)
+            if bad:
+                terms = terms.copy()
+                terms[bad, 2] = -1e3
+            predict_run(means, covs, k, accels, terms)
 
-        monkeypatch.setattr(fusion, "_step_matrices", step_matrices)
+        def poisoned_terms(dt_s, accel_variance):
+            count[0] += 1
+            dt_s, half_dt2, q_pp, q_pv, q_vv = step_terms(dt_s, accel_variance)
+            return dt_s, half_dt2, -1e3 if count[0] in steps else q_pp, q_pv, q_vv
+
+        monkeypatch.setattr(fusion, "_predict_run", poisoned_run)
+        monkeypatch.setattr(oracles, "_step_terms", poisoned_terms)
         return count
 
     return install
@@ -567,6 +577,54 @@ class TestDeferredChecks:
         got = self.compare((speeds, commands, gps), predictor)
         assert_same_outcome(got, want)
         assert len(got) == n_states(speeds, gps)
+
+
+class TestPredictRuns:
+    """`run_fusion` steps the states between GPS fixes, dropped rows and
+    checks in runs, with the bits of one `predict` per step."""
+
+    def test_irregular_gaps_in_one_interval(self, predictor, bad_q_at):
+        """Jittered row times, tied times, a 7 ms gap and more than
+        CHECK_STEPS steps between two fixes."""
+        rng = np.random.default_rng(28)
+        gaps = rng.integers(1, 1500, CHECK_STEPS + 300)
+        gaps[rng.choice(len(gaps), 40, replace=False)] = 0  # a row at the time of the row before
+        gaps[700] = 7000
+        t = 100 + np.cumsum(gaps)
+        speeds = np.column_stack([t, rng.integers(0, 4, t.size), 3000.0 + rng.normal(0, 60, t.size)])
+        commands = [(0, "climb"), (int(t[400]) + 3, "roll")]
+        gps = np.array([[0, 0.0, 0.0, 0.0], [t[-1] + 500, 1.0, -1.0, 0.5]])
+        got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
+        assert_references(got, (speeds, commands, gps), predictor)
+        steps = np.diff([s.t_us for s in got])
+        assert len(got) == 1 + len(np.unique(t)) + 1 + 2  # the roll command's step, the last fix's step and update
+        assert 7000 in steps and len(np.unique(steps)) > 500 and (steps > 0).sum() > CHECK_STEPS
+        for bad_step in (702, CHECK_STEPS + 100):  # just after the 7 ms gap, and past the first check
+            bad_q_at(bad_step)
+            got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
+            assert got[0] is NumericalError
+            assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
+
+    @pytest.mark.parametrize("streams", [{}, {"ms": 2 * CHECK_STEPS + 300, "gps_every_ms": 10_000}])
+    def test_one_run_per_interval(self, predictor, monkeypatch, streams):
+        """No step is its own loop iteration: the runs number at most the
+        fixes, dropped rows, CHECK_STEPS blocks of steps and one more, and
+        every covariance is exactly symmetric."""
+        runs = []
+        predict_run = fusion._predict_run
+
+        def counted(means, covs, k, accels, terms):
+            runs.append(len(accels))
+            predict_run(means, covs, k, accels, terms)
+
+        monkeypatch.setattr(fusion, "_predict_run", counted)
+        speeds, commands, gps = flight_streams(**streams)
+        states = run_fusion(speeds, commands, gps, predictor).states
+        n_steps = sum(runs)
+        assert n_steps == len(states) - len(gps)
+        fixes, dropped = len(gps), 0
+        assert len(runs) <= fixes + dropped + math.ceil(n_steps / CHECK_STEPS) + 1
+        assert same_bits(states.cov, states.cov.transpose(0, 2, 1))
 
 
 class TestCheckPsd:
