@@ -193,14 +193,17 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
     outside = (props < 0) | (props >= model.n_props)
     if outside.any():
         raise DataError(f"{args.input}: rotor id {int(props[outside.argmax()])} outside the model's 0..{model.n_props - 1}")
-    window_us = args.window_ms * 1000.0
+    window_ms = model.window * 1000.0 / model.rate_hz if args.window_ms is None else args.window_ms
+    window_us = window_ms * 1000.0
     if not 0 < window_us < math.inf:
-        raise ConfigError(f"--window-ms must be positive and finite, got {args.window_ms}")
-    # a window of W us resamples to the samples at 0, P, 2P, ... below W + P/2
+        raise ConfigError(f"--window-ms must be positive and finite, got {window_ms}")
+    # a window of W us resamples to the samples at 0, P, 2P, ... below W + P/2,
+    # of which the model reads the first model.window
     period_us = 1e6 / model.rate_hz
-    if window_us <= (model.window - 1.5) * period_us:
+    too_short = window_us <= (model.window - 1.5) * period_us
+    if too_short or window_us > (model.window + 0.5) * period_us:
         raise ConfigError(
-            f"--window-ms {args.window_ms} is shorter than the model's window of "
+            f"--window-ms {window_ms} is {'shorter' if too_short else 'longer'} than the model's window of "
             f"{model.window} samples at {model.rate_hz:g} Hz"
         )
     # the zero-order hold looks rows up by time: take them in time order,
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer-command", help="classify flight commands from a speed CSV")
     p.add_argument("input", help="speed CSV from `estimate`")
     p.add_argument("--model", required=True)
-    p.add_argument("--window-ms", type=float, default=100.0, dest="window_ms")
+    p.add_argument("--window-ms", type=float, dest="window_ms", help="default: the model's window")
     p.add_argument("--out-csv", default="commands.csv", dest="out_csv")
     p.set_defaults(func=_cmd_infer_command)
 

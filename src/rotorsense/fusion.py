@@ -15,16 +15,15 @@ the three streams as a timestamp merge takes them, carries the speed of
 each of the mixer's N_ROTORS rotors and the command in force forward,
 finds the dropped rows and the steps, computes every step's
 acceleration with one `command_accelerations` call and each distinct
-step length's scalars once. Its loop visits only the GPS updates, the
-dropped rows and the points where steps are checked, and predicts each
-run of steps between them with one `_predict_run` call, a prefix sum
-over time per block of the state with the bits of one `predict` per
-step. It writes each state into preallocated time (n,), mean (n, 6) and
-covariance (n, 6, 6) arrays; `FusionResult.states` shows them as one
-`FusedState` per state the filter makes. It checks the steps it
-predicted together: before each GPS update, before it raises any other
-error or logs a dropped measurement, every CHECK_STEPS steps and at the
-end. Either way the first failing step raises the error `predict`
+step length's scalars once. Its loop visits only the GPS updates and
+the dropped rows. It predicts the run of steps before each of them, and
+the run after the last, with one `_predict_run` call, a prefix sum over
+time per block of the state with the bits of one `predict` per step, and
+checks that run with one `_check_steps` call before it updates, logs the
+dropped measurement or raises any other error. It writes each state into
+preallocated time (n,), mean (n, 6) and covariance (n, 6, 6) arrays;
+`FusionResult.states` shows them as one `FusedState` per state the
+filter makes. The first failing step of a run raises the error `predict`
 raises there.
 """
 
@@ -44,15 +43,8 @@ from .errors import ConfigError, DataError, NumericalError
 LOG = logging.getLogger(__name__)
 
 PSD_TOLERANCE = -1e-9
-# most predicted steps `run_fusion` checks together: 5 Hz GPS fixes over
-# 1 kHz speed rows check every 200 steps, so this bound only caps a check's
-# slice (1024 6x6 covariances, 295 KB) and the steps computed past a failing
-# one in a stream without GPS
-CHECK_STEPS = 1024
 # standard deviation (m/s) of each velocity component at the first GPS fix
 INIT_VELOCITY_SIGMA = 2.0
-# how far (us) a measurement may lag the filter clock and still be used
-OUT_OF_ORDER_TOLERANCE_US = 0
 _EYE3 = np.eye(3)
 
 
@@ -220,11 +212,12 @@ def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: Kinem
     covariance, from the state's A, B and C, then checked."""
     if dt_s <= 0:
         raise ConfigError(f"dt must be positive, got {dt_s}")
-    accel = predictor.acceleration(prior)
-    means = np.array([state.mean, state.mean], dtype=np.float64)
-    covs = np.array([state.cov, state.cov], dtype=np.float64)
-    _predict_run(means, covs, 0, accel[None], np.array([_step_terms(dt_s, prior.process_noise_scale)]))
-    _check_steps(means, covs, accel[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # the step check reports what overflows
+        accel = predictor.acceleration(prior)
+        means = np.array([state.mean, state.mean], dtype=np.float64)
+        covs = np.array([state.cov, state.cov], dtype=np.float64)
+        _predict_run(means, covs, 0, accel[None], np.array([_step_terms(dt_s, prior.process_noise_scale)]))
+        _check_steps(means, covs, accel[None])
     return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=means[1], cov=covs[1])
 
 
@@ -241,16 +234,17 @@ def _update(
         raise ConfigError("R_gps must be a 3x3 covariance")
     h = np.zeros((3, 6))
     h[:, :3] = np.eye(3)
-    innovation = z - h @ mean
-    s = h @ cov @ h.T + r
-    try:
-        s_inv = np.linalg.inv(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular innovation covariance") from exc
-    gain = cov @ h.T @ s_inv
-    joseph = np.eye(6) - gain @ h
-    new_cov = _check_cov(joseph @ cov @ joseph.T + gain @ r @ gain.T, "update")
-    nis = float(innovation @ s_inv @ innovation)
+    with np.errstate(over="ignore", invalid="ignore"):  # the covariance check reports what overflows
+        innovation = z - h @ mean
+        s = h @ cov @ h.T + r
+        try:
+            s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular innovation covariance") from exc
+        gain = cov @ h.T @ s_inv
+        joseph = np.eye(6) - gain @ h
+        new_cov = _check_cov(joseph @ cov @ joseph.T + gain @ r @ gain.T, "update")
+        nis = float(innovation @ s_inv @ innovation)
     return mean + gain @ innovation, new_cov, nis
 
 
@@ -375,7 +369,7 @@ def _schedule(
     # clock before it is dropped, one ahead of it is a step of the gap
     # between them (unsigned: the int64 times may lie 2^63 or more apart)
     clock = np.maximum.accumulate(t[first:stop])
-    dropped = t[first + 1 : stop] < clock[:-1] - OUT_OF_ORDER_TOLERANCE_US
+    dropped = t[first + 1 : stop] < clock[:-1]
     is_step = t[first + 1 : stop] > clock[:-1]
     step_rows = first + 1 + np.flatnonzero(is_step)
     gaps = clock[step_rows - first].view(np.uint64) - clock[step_rows - first - 1].view(np.uint64)
@@ -436,13 +430,13 @@ def run_fusion(
     once, from the first fix on: a measurement that steps the clock adds
     the predicted state, and a GPS fix then adds the updated one after
     it. Streams merge in their given order: a measurement older than the
-    filter clock beyond OUT_OF_ORDER_TOLERANCE_US is dropped with a
-    warning, not re-sorted. A rotor id outside 0..N_ROTORS-1 raises
-    DataError before any step. A negative rotor speed raises DataError, and
-    a negative process_noise_scale ConfigError, at the first prediction
-    step they would drive. The predicted steps are checked together (see
-    the module docstring); a failing one raises the error `predict` would
-    have raised at that step, before any later step's.
+    filter clock is dropped with a warning, not re-sorted. A rotor id
+    outside 0..N_ROTORS-1 raises DataError before any step. A negative
+    rotor speed raises DataError, and a negative process_noise_scale
+    ConfigError, at the first prediction step they would drive. The steps
+    between two visited rows are checked together (see the module
+    docstring); a failing one raises the error `predict` would have raised
+    at that step, before any later step's.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks report what overflows
         speed_t, props, rpm = _speed_rows(speed_stream)
@@ -465,36 +459,22 @@ def run_fusion(
         covs[0, 3:, 3:] = INIT_VELOCITY_SIGMA**2 * np.eye(3)
         nis: list[float] = []
         dropped_t_us = iter(plan.dropped_t_us)
-        k = checked = 0  # the current state and the last checked one
-
-        def check() -> None:
-            _check_steps(means[checked : k + 1], covs[checked : k + 1], plan.accels[checked + 1 : k + 1])
-
-        def predict_to(end: int) -> None:
-            """Step to state `end` in runs that stop where CHECK_STEPS steps are due a check."""
-            nonlocal k, checked
-            while k < end:
-                r = min(end - k, checked + CHECK_STEPS - k)
-                steps = slice(k + 1, k + r + 1)
-                _predict_run(means, covs, k, plan.accels[steps], plan.terms[plan.step_terms[steps]])
-                k += r
-                if k - checked == CHECK_STEPS:
-                    check()
-                    checked = k
-
-        for end, fix in zip(plan.ends, plan.fixes):
-            predict_to(end)
-            check()
+        k = 0  # the current state
+        # each visited row's run, then the run to the last state, which no row ends
+        for end, fix in zip([*plan.ends, len(plan.t_us) - 1], [*plan.fixes, None]):
+            steps = slice(k + 1, end + 1)
+            _predict_run(means, covs, k, plan.accels[steps], plan.terms[plan.step_terms[steps]])
+            _check_steps(means[k : end + 1], covs[k : end + 1], plan.accels[steps])
+            k = end
+            if fix is None:
+                break
             if fix < 0:
-                checked = k
                 t_us = next(dropped_t_us)
                 LOG.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, plan.t_us[k])
                 continue
             means[k + 1], covs[k + 1], fix_nis = _update(means[k], covs[k], gps[fix, 1:4], r_gps)
-            k = checked = k + 1
+            k += 1
             nis.append(fix_nis)
-        predict_to(len(plan.t_us) - 1)
-        check()
         if plan.error is not None:
             raise plan.error
         return FusionResult(FusedStates(plan.t_us, means, covs), nis)

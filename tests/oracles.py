@@ -26,10 +26,11 @@ baseline the classifier is checked against: the command whose mixer
 pattern lies nearest a window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
 row, building a `FusedState` per step and per update, which it emits
-once each, and a list of them per check;
+once each, and checks the steps pending since the last check only at a
+fix, at a dropped row, before an error it defers and at the end;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
-pass and steps state arrays from one GPS fix, dropped row or check to
-the next with one prefix sum over time per block of the state.
+pass and steps state arrays from one GPS fix or dropped row to the next
+with one prefix sum over time per block of the state.
 `read_table` splits a whole table into fields and parses each column
 through Python's int() and float() rules, where `tables.Table.read` hands
 each block to numpy's C reader and splits only the blocks it refuses.
@@ -483,7 +484,8 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
     """`fusion.run_fusion` row by row: the streams merged by `heapq.merge`
     on (t, kind), each step's acceleration from `command_accelerations` on
     one row and its state a new `FusedState`, the steps since the last
-    check checked together in the same places."""
+    fix or dropped row checked together there, before a deferred error
+    and at the end."""
     commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
     speed_stream = np.asarray(speed_stream, dtype=np.float64)
     speeds_q = _speed_queue(speed_stream)
@@ -527,7 +529,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 result.states.append(state)
             continue
         dt_us = t_us - state.t_us
-        if dt_us < -fusion.OUT_OF_ORDER_TOLERANCE_US:
+        if dt_us < 0:
             _check_steps(steps, accels)
             steps, accels = [state], []
             log.warning("dropping out-of-order measurement at t=%d us (filter at %d us)", t_us, state.t_us)
@@ -538,14 +540,12 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 if negative:
                     raise DataError("rotor speeds must be nonnegative")
                 raise ConfigError("process noise scale must be nonnegative")
-            accel = command_accelerations([COMMANDS.index(command)], speeds[None], *gains)[0]
-            state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
+            with np.errstate(over="ignore", invalid="ignore"):  # the checks report what overflows
+                accel = command_accelerations([COMMANDS.index(command)], speeds[None], *gains)[0]
+                state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
             result.states.append(state)
             steps.append(state)
             accels.append(accel)
-            if len(accels) == fusion.CHECK_STEPS:
-                _check_steps(steps, accels)
-                steps, accels = [state], []
         if kind == 2:
             _check_steps(steps, accels)
             mean, cov, nis = fusion._update(state.mean, state.cov, value, r_gps)

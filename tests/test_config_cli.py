@@ -649,6 +649,32 @@ class TestCliMalformedInputs:
         err = capsys.readouterr().err
         assert "--window-ms 50.0" in err and "window of 100 samples" in err
 
+    def test_window_defaults_to_the_models_and_may_not_exceed_it(self, tmp_path, capsys, model_path):
+        """A 50-sample model classified 100 ms windows without --window-ms,
+        and labelled a 400 ms window from its first 50 ms; it now takes its
+        windows from the model, and a window that resamples to more than
+        the model's 50 samples + 1 exits 2."""
+        config = tmp_path / "short.cfg"
+        config.write_text("window_ms=50\n")
+        model = str(tmp_path / "model.txt")
+        argv = ["--seed", "11", "--config", str(config), "train-command", "--model", model, "--samples-per-class", "10"]
+        assert main(argv) == EXIT_OK
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text(hover_rows(4))
+        out = tmp_path / "c.csv"
+        assert main(["infer-command", str(speeds), "--model", model, "--out-csv", str(out)]) == EXIT_OK
+        assert [int(row.split(",")[0]) for row in out.read_text().splitlines()[1:]] == [50_000, 100_000, 150_000,
+                                                                                        200_000, 250_000]
+        for window_ms, code in [("50.5", EXIT_OK), ("50.6", EXIT_CONFIG), ("400", EXIT_CONFIG)]:
+            assert main(["infer-command", str(speeds), "--model", model, "--window-ms", window_ms,
+                         "--out-csv", str(out)]) == code
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: --window-ms 400.0 is longer than the model's window of 50 samples at 1000 Hz"
+        )
+        # the 100-sample model still takes 100 ms windows named explicitly
+        assert main(["infer-command", str(speeds), "--model", model_path, "--window-ms", "100",
+                     "--out-csv", str(out)]) == EXIT_OK
+
 
 class TestClosedStdout:
     """A reader that closed its end of stdout before the command printed

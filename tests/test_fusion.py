@@ -12,7 +12,6 @@ from rotorsense import fusion
 from rotorsense.dynamics import COMMANDS, GRAVITY, rpm_to_rad_s
 from rotorsense.errors import ConfigError, DataError, NumericalError
 from rotorsense.fusion import (
-    CHECK_STEPS,
     FusedState,
     FusedStates,
     KinematicPredictor,
@@ -514,17 +513,18 @@ class TestDeferredChecks:
             assert got[0] is NumericalError and ("out-of-order" in caplog.text) == warned
             assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
 
-    def test_steps_past_check_steps_without_gps(self, predictor, bad_q_at):
-        speeds, commands, gps = flight_streams(ms=2 * CHECK_STEPS + 300, gps_every_ms=10_000)
+    def test_one_check_over_a_long_interval_without_gps(self, predictor, bad_q_at):
+        """2349 steps after the only fix are predicted and checked as one
+        run: a failing step early or late in it raises what both references
+        raise, once the whole run is computed."""
+        speeds, commands, gps = flight_streams(ms=2348, gps_every_ms=10_000)
         assert len(gps) == 1
         states = self.compare((speeds, commands, gps), predictor)
-        n_steps = len(np.unique(speeds[:, 0])) + 1  # and the roll command's
-        assert len(states) == 1 + n_steps
-        # a failing step is found by the check after every CHECK_STEPS steps, or at the end
-        for bad_step, found_after in [(1000, CHECK_STEPS), (2 * CHECK_STEPS + 200, n_steps)]:
+        assert len(states) == 1 + 2349  # a step per speed row time and the roll command's
+        for bad_step in (1000, 2248):
             count = bad_q_at(bad_step)
             got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
-            assert got[0] is NumericalError and count[0] == found_after
+            assert got[0] is NumericalError and count[0] == 2349
             assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
 
     @pytest.mark.parametrize("prop_id", [-1, 4, 65535])
@@ -580,14 +580,14 @@ class TestDeferredChecks:
 
 
 class TestPredictRuns:
-    """`run_fusion` steps the states between GPS fixes, dropped rows and
-    checks in runs, with the bits of one `predict` per step."""
+    """`run_fusion` steps the states between GPS fixes and dropped rows in
+    runs, with the bits of one `predict` per step."""
 
     def test_irregular_gaps_in_one_interval(self, predictor, bad_q_at):
-        """Jittered row times, tied times, a 7 ms gap and more than
-        CHECK_STEPS steps between two fixes."""
+        """Jittered row times, tied times, a 7 ms gap and more than 1024
+        steps between two fixes."""
         rng = np.random.default_rng(28)
-        gaps = rng.integers(1, 1500, CHECK_STEPS + 300)
+        gaps = rng.integers(1, 1500, 1324)
         gaps[rng.choice(len(gaps), 40, replace=False)] = 0  # a row at the time of the row before
         gaps[700] = 7000
         t = 100 + np.cumsum(gaps)
@@ -598,32 +598,41 @@ class TestPredictRuns:
         assert_references(got, (speeds, commands, gps), predictor)
         steps = np.diff([s.t_us for s in got])
         assert len(got) == 1 + len(np.unique(t)) + 1 + 2  # the roll command's step, the last fix's step and update
-        assert 7000 in steps and len(np.unique(steps)) > 500 and (steps > 0).sum() > CHECK_STEPS
-        for bad_step in (702, CHECK_STEPS + 100):  # just after the 7 ms gap, and past the first check
+        assert 7000 in steps and len(np.unique(steps)) > 500 and (steps > 0).sum() > 1024
+        for bad_step in (702, 1124):  # just after the 7 ms gap, and 400 steps later
             bad_q_at(bad_step)
             got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
             assert got[0] is NumericalError
             assert_references(got, (speeds, commands, gps), predictor, lambda: bad_q_at(bad_step))
 
-    @pytest.mark.parametrize("streams", [{}, {"ms": 2 * CHECK_STEPS + 300, "gps_every_ms": 10_000}])
-    def test_one_run_per_interval(self, predictor, monkeypatch, streams):
-        """No step is its own loop iteration: the runs number at most the
-        fixes, dropped rows, CHECK_STEPS blocks of steps and one more, and
-        every covariance is exactly symmetric."""
-        runs = []
-        predict_run = fusion._predict_run
+    @pytest.mark.parametrize(("ms", "gps_every_ms", "dropped"), [(600, 200, 0), (600, 200, 1), (2348, 10_000, 0)])
+    def test_one_run_per_interval(self, predictor, monkeypatch, ms, gps_every_ms, dropped):
+        """No step is its own loop iteration: one run and one check per fix
+        after the first and per dropped row, and one more of each at the
+        end; the runs number at most the fixes, dropped rows and one more,
+        and every covariance is exactly symmetric."""
+        runs, checks = [], []
+        predict_run, check_steps = fusion._predict_run, fusion._check_steps
 
-        def counted(means, covs, k, accels, terms):
+        def counted_run(means, covs, k, accels, terms):
             runs.append(len(accels))
             predict_run(means, covs, k, accels, terms)
 
-        monkeypatch.setattr(fusion, "_predict_run", counted)
-        speeds, commands, gps = flight_streams(**streams)
+        def counted_check(means, covs, accels):
+            checks.append(len(accels))
+            check_steps(means, covs, accels)
+
+        monkeypatch.setattr(fusion, "_predict_run", counted_run)
+        monkeypatch.setattr(fusion, "_check_steps", counted_check)
+        speeds, commands, gps = flight_streams(ms, gps_every_ms)
+        if dropped:
+            last = int(np.searchsorted(speeds[:, 0], 260_000, side="right")) - 1
+            speeds = with_row(speeds, [250_000, 0, 3000.0], after=last)  # behind the clock at t = 260 ms
         states = run_fusion(speeds, commands, gps, predictor).states
-        n_steps = sum(runs)
-        assert n_steps == len(states) - len(gps)
-        fixes, dropped = len(gps), 0
-        assert len(runs) <= fixes + dropped + math.ceil(n_steps / CHECK_STEPS) + 1
+        assert sum(runs) == sum(checks) == len(states) - len(gps)
+        fixes = len(gps)
+        assert len(runs) <= fixes + dropped + 1
+        assert len(checks) == (fixes - 1) + dropped + 1
         assert same_bits(states.cov, states.cov.transpose(0, 2, 1))
 
 
