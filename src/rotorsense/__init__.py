@@ -13,13 +13,11 @@ from .batching import (
     density_downsample,
     grow_batch,
     local_density,
-    voxel_density,
 )
 from .commands import (
     CommandModel,
     load_model,
     predict_command,
-    predict_commands,
     save_model,
     train_command_model,
 )
@@ -42,7 +40,7 @@ from .events import (
     slice_bundles,
     write_events,
 )
-from .fusion import FusedState, KinematicPredictor, MotionPrior, predict, run_fusion, update
+from .fusion import FusedState, KinematicPredictor, run_fusion
 from .metrics import localization_error, rmae
 from .motion import (
     ObjectiveEvaluator,

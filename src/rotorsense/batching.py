@@ -8,8 +8,7 @@ batches can then be thinned by density importance sampling: events are
 kept with probability proportional to the number of events in their
 spatiotemporal voxel (ceil(space_radius_px) pixels square by
 ceil(time_radius_us) microseconds), which discards isolated noise before
-the (per-candidate-speed) warp evaluations run. The exact cylinder
-neighbor count, ``local_density``, stays available as a reference.
+the (per-candidate-speed) warp evaluations run.
 """
 
 from __future__ import annotations
@@ -121,96 +120,7 @@ def grow_batch(
     return GrowResult(batch=EventBatch(tuple(taken)), reason=reason, next_index=m)
 
 
-def _count_pairs_numpy(
-    src_cell, nbr_cell, cell_starts, cell_sizes, xs, ys, ts, r2, rt, density, max_pairs_per_chunk
-):
-    cum = np.cumsum(cell_sizes[src_cell] * cell_sizes[nbr_cell])
-    lo = 0
-    while lo < src_cell.size:
-        base = int(cum[lo - 1]) if lo > 0 else 0
-        hi = int(np.searchsorted(cum, base + max_pairs_per_chunk, side="right"))
-        hi = min(max(hi, lo + 1), src_cell.size)
-        sc, nc = src_cell[lo:hi], nbr_cell[lo:hi]
-        si, ni = cell_starts[sc], cell_starts[nc]
-        ss, ns = cell_sizes[sc], cell_sizes[nc]
-        counts = ss * ns
-        total = int(counts.sum())
-        if total:
-            rep = np.repeat(np.arange(sc.size, dtype=np.int64), counts)
-            shift = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            local = np.arange(total, dtype=np.int64) - shift[rep]
-            i = si[rep] + local // ns[rep]
-            j = ni[rep] + local % ns[rep]
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            dt = ts[i] - ts[j]
-            ok = (dx * dx + dy * dy <= r2) & (np.abs(dt) <= rt)
-            density += np.bincount(i[ok], minlength=density.size)
-        lo = hi
-
-
-def local_density(
-    events: Events,
-    space_radius_px: float,
-    time_radius_us: float,
-    max_pairs_per_chunk: int = 2_000_000,
-) -> np.ndarray:
-    """Self-inclusive neighbor count within a spatiotemporal cylinder.
-
-    A neighbor satisfies both dx^2 + dy^2 <= space_radius^2 and
-    |dt| <= time_radius. Uses a uniform grid hash with cells at least as
-    large as the radii, so only the 27 adjacent cells need exact checks;
-    counting is exact, linear-time expected. Candidate pairs are
-    enumerated in vectorized chunks of at most max_pairs_per_chunk.
-
-    This is the exact reference count; ``density_downsample`` weights
-    events by the cheaper ``voxel_density`` instead.
-    """
-    n = len(events)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    x = events.x.astype(np.float32)
-    y = events.y.astype(np.float32)
-    t_rel = (events.t - events.t[0]).astype(np.int64)
-    t = t_rel.astype(np.float32)
-    cx = np.floor_divide(events.x.astype(np.int64), int(math.ceil(space_radius_px)))
-    cy = np.floor_divide(events.y.astype(np.int64), int(math.ceil(space_radius_px)))
-    ky = int(cy.max()) + 2
-    xy_key = cx * ky + cy
-    r2 = np.float32(space_radius_px * space_radius_px)
-    rt_f = np.float32(time_radius_us)
-    density_sorted = np.zeros(n, dtype=np.int64)
-
-    ct = t_rel // int(math.ceil(time_radius_us))
-    kt = int(ct.max()) + 2
-    key = xy_key * kt + ct
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    xs, ys, ts = x[order], y[order], t[order]
-    boundaries = np.flatnonzero(np.diff(skey)) + 1
-    cell_starts = np.concatenate([[0], boundaries]).astype(np.int64)
-    cell_sizes = np.diff(np.concatenate([cell_starts, [n]])).astype(np.int64)
-    cell_keys = skey[cell_starts]
-    offsets = np.array(
-        [((ox * ky) + oy) * kt + ot for ox in (-1, 0, 1) for oy in (-1, 0, 1) for ot in (-1, 0, 1)],
-        dtype=np.int64,
-    )
-    n_cells = cell_keys.size
-    targets = (cell_keys[None, :] + offsets[:, None]).ravel()
-    pos = np.searchsorted(cell_keys, targets)
-    pos_c = np.minimum(pos, n_cells - 1)
-    valid = cell_keys[pos_c] == targets
-    src_cell = np.tile(np.arange(n_cells, dtype=np.int64), offsets.size)[valid]
-    nbr_cell = pos_c[valid]
-    _count_pairs_numpy(
-        src_cell, nbr_cell, cell_starts, cell_sizes, xs, ys, ts, r2, rt_f, density_sorted, max_pairs_per_chunk
-    )
-    density = np.empty(n, dtype=np.int64)
-    density[order] = density_sorted
-    return density
-
-
-def voxel_density(events: Events, space_radius_px: float, time_radius_us: float) -> np.ndarray:
+def local_density(events: Events, space_radius_px: float, time_radius_us: float) -> np.ndarray:
     """Self-inclusive count of the events sharing each event's voxel.
 
     Voxels tile (x, y, t) with edges ceil(space_radius_px) pixels and
@@ -247,7 +157,7 @@ def density_downsample(batch: Events, cfg: PipelineConfig, seed: int) -> Events:
     with probability proportional to local density; time order is
     preserved and the result is deterministic per seed.
 
-    The density weight of an event is ``voxel_density``: the number of
+    The density weight of an event is ``local_density``: the number of
     events in its voxel of ceil(space_radius_px) x ceil(space_radius_px)
     pixels by ceil(time_radius_us) microseconds. Sampling uses
     exponential keys: item i survives ranking by log(u_i) / w_i with u_i
@@ -259,7 +169,7 @@ def density_downsample(batch: Events, cfg: PipelineConfig, seed: int) -> Events:
     if cfg.sample_fraction >= 1.0 or n == 0:
         return batch
     n_keep = math.ceil(cfg.sample_fraction * n)
-    weights = voxel_density(batch, cfg.space_radius_px, cfg.time_radius_us).astype(np.float64)
+    weights = local_density(batch, cfg.space_radius_px, cfg.time_radius_us).astype(np.float64)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     keys = np.log(u) / weights  # weights >= 1 by self-inclusion

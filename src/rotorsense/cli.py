@@ -19,9 +19,8 @@ from typing import TextIO
 import numpy as np
 
 from .commands import (
-    MAX_RATE_HZ, load_model, predict_commands, resample_zero_order_hold, save_model, train_command_model,
+    MAX_RATE_HZ, load_model, predict_command, resample_zero_order_hold, save_model, train_command_model,
 )
-from .commands import predict_command  # noqa: F401  (perfbench's tracer wraps this name here)
 from .config import PipelineConfig, parse_scenario
 from .dynamics import N_ROTORS, rpm_to_rad_s
 from .errors import ConfigError, DataError, EstimationError, NumericalError, RotorSenseError
@@ -231,9 +230,9 @@ def _cmd_infer_command(args: argparse.Namespace) -> int:
             windows.append(np.stack(channels))
     if not windows:
         raise DataError("no complete windows: need speed rows for every propeller channel")
-    with np.errstate(over="ignore"):  # predict_commands rejects squares that overflow
+    with np.errstate(over="ignore"):  # predict_command rejects squares that overflow
         speeds_sq = np.square(np.stack(windows))
-    labels, _scores = predict_commands(model, speeds_sq)
+    labels, _scores = predict_command(model, speeds_sq)
     rows = list(zip(ends, labels))
     pl.write_command_csv(args.out_csv, rows)
     pl.write_manifest(args.out_csv + ".manifest.json", cfg.content_hash(), cfg.seed, [args.out_csv])

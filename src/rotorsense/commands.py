@@ -216,7 +216,7 @@ def train_command_model(
     return model, accuracies
 
 
-def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str], np.ndarray]:
+def predict_command(model: CommandModel, windows: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Classify an (n, n_props, window) stack of squared-speed windows
     through training's features and standardization; returns the labels
     and the (n, classes) scores. Ties break in fixed class order. Raises
@@ -237,19 +237,6 @@ def predict_commands(model: CommandModel, windows: np.ndarray) -> tuple[list[str
         raise NumericalError("window features or their scores are not finite or overflow: cannot classify them")
     best = np.argmax(scores, axis=1)  # first max wins: fixed class order
     return [model.classes[c] for c in best], scores
-
-
-def predict_command(model: CommandModel, window: np.ndarray) -> tuple[str, dict[str, float]]:
-    """Classify one (n_props, window) array of squared speeds:
-    `predict_commands` on a stack of one; returns the label and the
-    score of each class."""
-    data = np.asarray(window, dtype=np.float64)
-    if data.shape != (model.n_props, model.window):
-        raise DataError(
-            f"sample shape {data.shape} does not match the model's ({model.n_props}, {model.window})"
-        )
-    labels, scores = predict_commands(model, data[None])
-    return labels[0], {c: float(v) for c, v in zip(model.classes, scores[0])}
 
 
 # --- Model file format (versioned plain text) ---

@@ -3,12 +3,10 @@
 The filter tracks a 6-state belief (3-D position and velocity). The
 prediction step propagates a constant-acceleration model whose
 acceleration comes from the inferred command and the measured rotor
-speeds (`KinematicPredictor` maps thrust surplus to climb/descent and a
-tilt fraction of total thrust to lateral motion). GPS fixes enter
-through a standard linear update in Joseph form, symmetrized after it. A
-prediction works on the 3x3 blocks of the covariance and keeps it exactly
-symmetric (`_predict_run`). `predict` and `update` check their result at
-once.
+speeds (`KinematicPredictor`'s gains map thrust surplus to climb/descent
+and a tilt fraction of total thrust to lateral motion). GPS fixes enter
+through a standard linear update in Joseph form, symmetrized after it
+and checked at once (`_update`).
 
 `run_fusion` works on state arrays. One numpy pass orders the rows of
 the three streams as a timestamp merge takes them, carries the speed of
@@ -17,14 +15,15 @@ finds the dropped rows and the steps, computes every step's
 acceleration with one `command_accelerations` call and each distinct
 step length's scalars once. Its loop visits only the GPS updates and
 the dropped rows. It predicts the run of steps before each of them, and
-the run after the last, with one `_predict_run` call, a prefix sum over
-time per block of the state with the bits of one `predict` per step, and
-checks that run with one `_check_steps` call before it updates, logs the
-dropped measurement or raises any other error. It writes each state into
-preallocated time (n,), mean (n, 6) and covariance (n, 6, 6) arrays;
+the run after the last, with one `predict` call: a prefix sum over time
+per 3x3 block of the state, with the bits of stepping one state at a
+time, that keeps each covariance exactly symmetric. It checks that run
+with one `_check_steps` call before it updates, logs the dropped
+measurement or raises any other error. It writes each state into preallocated time
+(n,), mean (n, 6) and covariance (n, 6, 6) arrays;
 `FusionResult.states` shows them as one `FusedState` per state the
-filter makes. The first failing step of a run raises the error `predict`
-raises there.
+filter makes. The first failing step of a run raises the error a check
+of that step alone raises.
 """
 
 from __future__ import annotations
@@ -57,35 +56,12 @@ class FusedState:
     cov: np.ndarray  # (6, 6)
 
 
-@dataclass(frozen=True)
-class MotionPrior:
-    """Inferred command plus the mixer's N_ROTORS rotor speeds driving one
-    prediction step."""
-
-    command: str
-    speeds_rad_s: np.ndarray
-    process_noise_scale: float  # white-acceleration variance, (m/s^2)^2
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        speeds = np.asarray(self.speeds_rad_s, dtype=np.float64)
-        if speeds.shape != (N_ROTORS,):
-            raise DataError(f"a motion prior takes {N_ROTORS} rotor speeds, got shape {speeds.shape}")
-        if (speeds < 0).any():
-            raise DataError("rotor speeds must be nonnegative")
-        object.__setattr__(self, "speeds_rad_s", speeds)
-        if self.process_noise_scale < 0:
-            raise ConfigError("process noise scale must be nonnegative")
-
-
 class KinematicPredictor:
     """Gains of the command-conditioned acceleration model.
 
     Calibrated from one hover segment: k_f * sum(omega_hover^2) = g.
-    `predict` calls `acceleration(prior)`, `command_accelerations` on the
-    prior's one row of speeds; `run_fusion` builds no prior and calls it
-    once on all its steps with the same gains.
+    `run_fusion` passes the gains to one `command_accelerations` call on
+    all its steps.
     """
 
     def __init__(self, k_f: float, hover_speed_sq_sum: float, tilt_fraction: float = 0.2) -> None:
@@ -101,12 +77,6 @@ class KinematicPredictor:
             k_f = calibrate_thrust_gain(hover_speeds_rad_s, GRAVITY)
             hover_sq = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
         return cls(k_f=k_f, hover_speed_sq_sum=hover_sq, tilt_fraction=tilt_fraction)
-
-    def acceleration(self, prior: MotionPrior) -> np.ndarray:
-        return command_accelerations(
-            [COMMANDS.index(prior.command)], prior.speeds_rad_s[None], self.k_f, self.hover_speed_sq_sum,
-            self.tilt_fraction,
-        )[0]
 
 
 def _check_psd(covs: np.ndarray, where: str) -> None:
@@ -141,15 +111,15 @@ def _step_terms(dt_s: float, accel_variance: float) -> tuple[float, float, float
     """The scalars of one step of dt_s seconds, as Python floats: dt_s,
     h = 0.5 dt^2, with b = [[h I], [dt I]], and q_pp, q_pv and q_vv, with
     the white-acceleration process noise
-    Q = [[q_pp I, q_pv I], [q_pv I, q_vv I]]. `predict` and `run_fusion`
-    both take them from here."""
+    Q = [[q_pp I, q_pv I], [q_pv I, q_vv I]]. `run_fusion` computes each
+    distinct step length's terms here once."""
     return (
         dt_s, 0.5 * dt_s**2, accel_variance * (0.25 * dt_s**4), accel_variance * (0.5 * dt_s**3),
         accel_variance * dt_s**2,
     )
 
 
-def _predict_run(means: np.ndarray, covs: np.ndarray, k: int, accels: np.ndarray, terms: np.ndarray) -> None:
+def predict(means: np.ndarray, covs: np.ndarray, k: int, accels: np.ndarray, terms: np.ndarray) -> None:
     """Step states k + 1 .. k + r of means (n, 6) and covs (n, 6, 6) from
     state k in place, unchecked: step j (r = len(accels)) has acceleration
     accels[j] and the `_step_terms` terms[j] = (dt, h, q_pp, q_pv, q_vv).
@@ -167,14 +137,15 @@ def _predict_run(means: np.ndarray, covs: np.ndarray, k: int, accels: np.ndarray
     increments, the additions of r steps one after another."""
     run, step, before = slice(k, k + len(accels) + 1), slice(k + 1, k + len(accels) + 1), slice(k, k + len(accels))
     dt = terms[:, 0, None, None]
-    q_pp, q_pv, q_vv = (terms[:, i, None, None] * _EYE3 for i in range(2, 5))
+    q_pp, q_pv, q_vv = (terms[:, i, None, None] for i in range(2, 5))
     a, b, c = covs[:, :3, :3], covs[:, :3, 3:], covs[:, 3:, 3:]
-    c[step] = q_vv
+    # each (r, 3, 3) q I stack is built where it is added, so at most one is alive
+    c[step] = q_vv * _EYE3
     np.cumsum(c[run], axis=0, out=c[run])
-    b[step] = dt * c[before] + q_pv
+    b[step] = dt * c[before] + q_pv * _EYE3
     np.cumsum(b[run], axis=0, out=b[run])
     covs[step, 3:, :3] = b[step].transpose(0, 2, 1)
-    a[step] = (dt * (b[before] + b[before].transpose(0, 2, 1)) + (dt * dt) * c[before]) + q_pp
+    a[step] = (dt * (b[before] + b[before].transpose(0, 2, 1)) + (dt * dt) * c[before]) + q_pp * _EYE3
     np.cumsum(a[run], axis=0, out=a[run])
     p, v = means[:, :3], means[:, 3:]
     v[step] = dt[:, 0] * accels
@@ -206,21 +177,6 @@ def _check_steps(means: np.ndarray, covs: np.ndarray, accels: np.ndarray) -> Non
         raise DataError("non-finite filter state")
 
 
-def predict(state: FusedState, prior: MotionPrior, dt_s: float, predictor: KinematicPredictor) -> FusedState:
-    """Constant-acceleration propagation with command-derived acceleration:
-    one step of `_predict_run`, in 3x3 blocks P = [[A, B], [B.T, C]] of the
-    covariance, from the state's A, B and C, then checked."""
-    if dt_s <= 0:
-        raise ConfigError(f"dt must be positive, got {dt_s}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the step check reports what overflows
-        accel = predictor.acceleration(prior)
-        means = np.array([state.mean, state.mean], dtype=np.float64)
-        covs = np.array([state.cov, state.cov], dtype=np.float64)
-        _predict_run(means, covs, 0, accel[None], np.array([_step_terms(dt_s, prior.process_noise_scale)]))
-        _check_steps(means, covs, accel[None])
-    return FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=means[1], cov=covs[1])
-
-
 def _update(
     mean: np.ndarray, cov: np.ndarray, gps_xyz: np.ndarray, r_gps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -246,12 +202,6 @@ def _update(
         new_cov = _check_cov(joseph @ cov @ joseph.T + gain @ r @ gain.T, "update")
         nis = float(innovation @ s_inv @ innovation)
     return mean + gain @ innovation, new_cov, nis
-
-
-def update(state: FusedState, gps_xyz: np.ndarray, r_gps: np.ndarray) -> FusedState:
-    """Joseph-form EKF update with the linear position observation."""
-    mean, cov, _ = _update(state.mean, state.cov, gps_xyz, r_gps)
-    return FusedState(t_us=state.t_us, mean=mean, cov=cov)
 
 
 class FusedStates(Sequence):
@@ -379,7 +329,7 @@ def _schedule(
     omega *= math.pi
     omega /= 60.0
     accels, negative = _step_accelerations(speed_rows, props, omega, step_rows, step_commands, predictor)
-    if negative.any():  # the errors MotionPrior raises, speeds first
+    if negative.any():  # a negative speed is named before a negative noise scale
         stop, error = step_rows[negative.argmax()], DataError("rotor speeds must be nonnegative")
     if process_noise_scale < 0 and step_rows.size and step_rows[0] < stop:
         stop, error = step_rows[0], ConfigError("process noise scale must be nonnegative")
@@ -397,7 +347,7 @@ def _schedule(
     step_states = (last_state - is_fix)[is_step]
     step_accels = np.zeros((len(t_states), 3))
     step_accels[step_states] = accels[:n_steps]
-    # each distinct step length's terms, computed once as `predict` computes them
+    # each distinct step length's terms, computed once
     gaps, which = np.unique(gaps[:n_steps], return_inverse=True)
     terms = np.array([_step_terms(gap * 1e-6, process_noise_scale) for gap in gaps.tolist()]).reshape(-1, 5)
     step_terms = np.zeros(len(t_states), np.intp)
@@ -435,8 +385,8 @@ def run_fusion(
     rotor speed raises DataError, and a negative process_noise_scale
     ConfigError, at the first prediction step they would drive. The steps
     between two visited rows are checked together (see the module
-    docstring); a failing one raises the error `predict` would have raised
-    at that step, before any later step's.
+    docstring); a failing one raises the error a check of that step alone
+    raises, before any later step's.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks report what overflows
         speed_t, props, rpm = _speed_rows(speed_stream)
@@ -463,7 +413,7 @@ def run_fusion(
         # each visited row's run, then the run to the last state, which no row ends
         for end, fix in zip([*plan.ends, len(plan.t_us) - 1], [*plan.fixes, None]):
             steps = slice(k + 1, end + 1)
-            _predict_run(means, covs, k, plan.accels[steps], plan.terms[plan.step_terms[steps]])
+            predict(means, covs, k, plan.accels[steps], plan.terms[plan.step_terms[steps]])
             _check_steps(means[k : end + 1], covs[k : end + 1], plan.accels[steps])
             k = end
             if fix is None:

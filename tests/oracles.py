@@ -20,17 +20,18 @@ classifier fit and `train_command_model` averages one channel at a time
 and fits one fold after the other; `commands` averages stacks of windows
 and steps fits of equal size in lockstep. `predict_command` classifies
 one window channel by channel, and `infer_commands` runs it on each
-window `infer-command` collects; `commands.predict_commands` classifies
-every window in one pass. `nearest_mixer_pattern` is the untrained
+window `infer-command` collects; `commands.predict_command` classifies
+a stack of windows in one pass. `nearest_mixer_pattern` is the untrained
 baseline the classifier is checked against: the command whose mixer
 pattern lies nearest a window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
-row, building a `FusedState` per step and per update, which it emits
-once each, and checks the steps pending since the last check only at a
-fix, at a dropped row, before an error it defers and at the end;
+row, building a `FusedState` per step (`_step`) and per update, which it
+emits once each, and checks the steps pending since the last check only
+at a fix, at a dropped row, before an error it defers and at the end;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
 pass and steps state arrays from one GPS fix or dropped row to the next
-with one prefix sum over time per block of the state.
+with one `fusion.predict` call, a prefix sum over time per block of the
+state.
 `read_table` splits a whole table into fields and parses each column
 through Python's int() and float() rules, where `tables.Table.read` hands
 each block to numpy's C reader and splits only the blocks it refuses.
@@ -459,6 +460,13 @@ def _speed_queue(speed_stream):
     return list(zip(t_us.tolist(), [1] * len(t_us), props.tolist(), rpm.tolist()))
 
 
+def acceleration(predictor, command, speeds_rad_s):
+    """The acceleration of one step under `command` and one speed (rad/s)
+    per rotor, from `command_accelerations` on that one row."""
+    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
+    return command_accelerations([COMMANDS.index(command)], np.asarray(speeds_rad_s)[None], *gains)[0]
+
+
 def _step(state, accel, dt_s, accel_variance):
     """One constant-acceleration prediction, unchecked, in 3x3 blocks
     P = [[A, B], [B.T, C]] of the covariance and x = (p, v) of the mean."""
@@ -496,7 +504,6 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
     r_gps = gps_sigma_m**2 * np.eye(3)
     speeds = np.full(N_ROTORS, math.sqrt(predictor.hover_speed_sq_sum / N_ROTORS))
     negative: set[int] = set()  # rotors whose speed is negative
-    gains = (predictor.k_f, predictor.hover_speed_sq_sum, predictor.tilt_fraction)
     command = "hover"
     state = None
     # the last checked state, the states predicted from it since, and the
@@ -541,7 +548,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                     raise DataError("rotor speeds must be nonnegative")
                 raise ConfigError("process noise scale must be nonnegative")
             with np.errstate(over="ignore", invalid="ignore"):  # the checks report what overflows
-                accel = command_accelerations([COMMANDS.index(command)], speeds[None], *gains)[0]
+                accel = acceleration(predictor, command, speeds)
                 state = _step(state, accel, dt_us * 1e-6, process_noise_scale)
             result.states.append(state)
             steps.append(state)

@@ -300,7 +300,7 @@ def test_09_command_inference():
     windows, labels = generate_command_dataset(200, drone, window_samples=100, seed=11)
     model, accuracies = train_command_model(windows, labels, k_folds=5, seed=11)
     t0 = time.perf_counter()
-    predict_command(model, windows[0])
+    predict_command(model, windows[:1])
     latency_ms = (time.perf_counter() - t0) * 1e3
     report(
         "09 command-inference",

@@ -10,7 +10,6 @@ from rotorsense.batching import (
     density_downsample,
     grow_batch,
     local_density,
-    voxel_density,
 )
 from rotorsense.dynamics import rpm_to_rad_s
 from rotorsense.config import PipelineConfig
@@ -133,22 +132,6 @@ class TestGrowBatch:
 
 
 class TestLocalDensity:
-    def test_exact_against_brute_force(self, rng):
-        n = 300
-        x = rng.integers(0, 40, n)
-        y = rng.integers(0, 40, n)
-        t = np.sort(rng.integers(0, 5000, n)).astype(np.uint64)
-        events = Events(t, x, y, np.ones(n, np.int8))
-        rs, rt = 2.5, 250.0
-        got = local_density(events, rs, rt)
-        xf, yf, tf = x.astype(float), y.astype(float), t.astype(float)
-        for i in range(0, n, 17):
-            dx = xf - xf[i]
-            dy = yf - yf[i]
-            dt = tf - tf[i]
-            expected = int(((dx * dx + dy * dy <= rs * rs) & (np.abs(dt) <= rt)).sum())
-            assert got[i] == expected
-
     def test_isolated_event_density_one(self):
         events = make_events([(0, 0, 0, 1), (10_000, 200, 200, 1)])
         d = local_density(events, 3.0, 300.0)
@@ -174,7 +157,7 @@ class TestVoxelDensity:
         y = rng.integers(0, 40, n)
         t = np.sort(rng.integers(10_000, 15_000, n)).astype(np.uint64)
         events = Events(t, x, y, np.ones(n, np.int8))
-        got = voxel_density(events, 2.5, 250.0)
+        got = local_density(events, 2.5, 250.0)
         assert got.dtype == np.int64
         assert got.tolist() == brute_voxel_counts(events, 2.5, 250.0)
         assert got.min() >= 1
@@ -183,7 +166,7 @@ class TestVoxelDensity:
         rows = [(k, 10, 10, 1) for k in range(50)]
         rows.append((25, 200, 200, 1))  # isolated in space
         events = make_events(rows)
-        w = voxel_density(events, 3.0, 300.0)
+        w = local_density(events, 3.0, 300.0)
         isolated = w[np.asarray(events.x) == 200]
         clustered = w[np.asarray(events.x) == 10]
         assert isolated[0] == 1
@@ -198,17 +181,17 @@ class TestVoxelDensity:
         t = rng.integers(0, 5, n).astype(np.uint64)
         t[n // 2:] += np.uint64(2**40 - 5)
         events = Events(np.sort(t), x, y, np.ones(n, np.int8))
-        got = voxel_density(events, 1.0, 1.0)
+        got = local_density(events, 1.0, 1.0)
         assert got.tolist() == brute_voxel_counts(events, 1.0, 1.0)
         assert int(events.t[-1] - events.t[0]) >= 2**40 - 9
         assert got.max() > 1
 
     def test_empty(self):
-        assert voxel_density(Events.empty(), 2.0, 200.0).size == 0
+        assert local_density(Events.empty(), 2.0, 200.0).size == 0
 
 
 def reference_voxel_density(events, space_radius_px, time_radius_us):
-    """voxel_density as one np.unique of the voxel keys, the time slabs
+    """local_density as one np.unique of the voxel keys, the time slabs
     ranked by counting slab changes."""
     side = int(math.ceil(space_radius_px))
     cx = events.x.astype(np.int64) // side
@@ -226,7 +209,7 @@ class TestVoxelDensityAgainstTheSort:
         events, _ = clean_3000
         for t0 in range(0, 50_000, 8_000):
             batch = events.time_slice(t0, t0 + 8_000)
-            assert np.array_equal(voxel_density(batch, *radii), reference_voxel_density(batch, *radii))
+            assert np.array_equal(local_density(batch, *radii), reference_voxel_density(batch, *radii))
 
     def test_a_batch_far_from_the_origin_is_counted_without_a_sort(self, clean_3000, monkeypatch):
         # the voxel box starts at the batch's own corner, not at pixel 0
@@ -235,7 +218,7 @@ class TestVoxelDensityAgainstTheSort:
         far = Events(batch.t, batch.x + 60000, batch.y + 60000, batch.p)
         want = reference_voxel_density(far, 2.0, 200.0)
         monkeypatch.setattr(np, "unique", None)
-        assert np.array_equal(voxel_density(far, 2.0, 200.0), want)
+        assert np.array_equal(local_density(far, 2.0, 200.0), want)
 
     @pytest.mark.parametrize("far", [10**12, 2**64 - 1])
     def test_a_time_gap_and_a_stray_pixel(self, clean_3000, far):
@@ -243,7 +226,7 @@ class TestVoxelDensityAgainstTheSort:
         batch = events.time_slice(0, 8_000)
         extra = Events(np.array([far, far], np.uint64), np.array([60000, 5]), np.array([70, 65535]), np.ones(2, np.int8))
         both = concat_events([batch, extra])
-        assert np.array_equal(voxel_density(both, 2.0, 200.0), reference_voxel_density(both, 2.0, 200.0))
+        assert np.array_equal(local_density(both, 2.0, 200.0), reference_voxel_density(both, 2.0, 200.0))
 
 
 class TestDensityDownsample:

@@ -11,7 +11,6 @@ from rotorsense.commands import (
     CommandModel,
     load_model,
     predict_command,
-    predict_commands,
     save_model,
     stratified_folds,
     train_command_model,
@@ -152,8 +151,7 @@ class TestTraining:
         model, accs = train_command_model(np.stack(windows), labels, k_folds=5, seed=3, classes=("hover", "climb"))
         assert accs.mean() == 1.0
         # a training sample from the separable set maps to its own label
-        for window, label in zip(windows[::5], labels[::5]):
-            assert predict_command(model, window)[0] == label
+        assert predict_command(model, np.stack(windows[::5]))[0] == labels[::5]
 
     def test_generated_dataset_reaches_90_percent(self, dataset):
         model, accs = train_command_model(*dataset, k_folds=5, seed=11)
@@ -196,7 +194,7 @@ class TestTraining:
         m1, a1 = train_command_model(windows, labels, k_folds=5, seed=7, lambda_reg=1e-3)
         m2, a2 = train_command_model(np.concatenate([windows, windows]), labels + labels, k_folds=5, seed=7,
                                      lambda_reg=5e-4)
-        agree = np.mean([predict_command(m1, w)[0] == predict_command(m2, w)[0] for w in windows])
+        agree = np.mean(np.array(predict_command(m1, windows)[0]) == np.array(predict_command(m2, windows)[0]))
         assert agree >= 0.95
         assert abs(a1.mean() - a2.mean()) <= 0.05
 
@@ -206,23 +204,23 @@ class TestTraining:
         windows, labels = dataset
         m1, _ = train_command_model(windows, labels, k_folds=5, seed=5)
         m2, _ = train_command_model(windows * 4.0, labels, k_folds=5, seed=5)
-        for w in windows:
-            assert predict_command(m1, w)[0] == predict_command(m2, w * 4.0)[0]
+        assert predict_command(m1, windows)[0] == predict_command(m2, windows * 4.0)[0]
 
 
 class TestPredict:
     def test_training_samples_mostly_self_labelled(self, dataset):
         model, _ = train_command_model(*dataset, k_folds=5, seed=1)
-        correct = np.mean([predict_command(model, w)[0] == label for w, label in zip(*dataset)])
+        labels, _ = predict_command(model, dataset[0])
+        correct = np.mean(np.array(labels) == np.array(dataset[1]))
         assert correct >= 0.95
 
     def test_zero_scores_tie_break_to_hover(self, dataset):
         model, _ = train_command_model(*dataset, k_folds=5, seed=2)
         model.weights = np.zeros_like(model.weights)
         model.biases = np.zeros_like(model.biases)
-        label, scores = predict_command(model, dataset[0][-1])
-        assert label == "hover"
-        assert set(scores) == set(COMMANDS)
+        labels, scores = predict_command(model, dataset[0][-1:])
+        assert labels == ["hover"]
+        assert model.classes == COMMANDS and scores.shape == (1, len(COMMANDS))
 
     def test_dimension_mismatch(self, dataset):
         model, _ = train_command_model(*dataset, k_folds=5, seed=2)
@@ -234,14 +232,13 @@ class TestPredict:
         read as climb."""
         model, _ = train_command_model(*dataset, k_folds=5, seed=11)
         rng = np.random.default_rng(99)
-        for _ in range(10):
-            rpm = 3000.0 + rng.normal(0, 60.0, size=(4, 100))
-            climb_sq = np.square(rpm_to_rad_s(rpm + 300.0))
-            assert predict_command(model, climb_sq)[0] == "climb"
+        rpm = 3000.0 + rng.normal(0, 60.0, size=(10, 4, 100))
+        climb_sq = np.square(rpm_to_rad_s(rpm + 300.0))
+        assert predict_command(model, climb_sq)[0] == ["climb"] * 10
 
 
 class TestBatchedPredict:
-    """`predict_commands` classifies a stack through training's features
+    """`predict_command` classifies a stack through training's features
     and standardization with the per-window reference's bits."""
 
     @pytest.fixture(scope="class", params=[100, 300], ids=["window100", "window300"])
@@ -264,17 +261,11 @@ class TestBatchedPredict:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_stack_equals_per_window_reference(self, model, windows, n):
-        labels, scores = predict_commands(model, windows[:n])
+        labels, scores = predict_command(model, windows[:n])
         assert scores.shape == (n, len(COMMANDS))
         for window, label, row in zip(windows[:n], labels, scores):
             want_label, want_scores = oracles.predict_command(model, window)
             assert label == want_label and np.array_equal(row, want_scores)
-
-    def test_one_window_is_a_stack_of_one(self, model, windows):
-        label, scores = predict_command(model, windows[3])
-        want_label, want_scores = oracles.predict_command(model, windows[3])
-        assert label == want_label
-        assert np.array_equal([scores[c] for c in COMMANDS], want_scores)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_non_finite_features_raise_without_a_warning(self, model, windows, bad):
@@ -284,13 +275,13 @@ class TestBatchedPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="not finite"):
-                predict_commands(model, stack)
+                predict_command(model, stack)
 
     def test_shape_mismatch(self, model, windows):
         with pytest.raises(DataError, match="shape"):
-            predict_commands(model, windows[:, :, :50])
+            predict_command(model, windows[:, :, :50])
         with pytest.raises(DataError, match="no windows"):
-            predict_commands(model, windows[:0])
+            predict_command(model, windows[:0])
 
 
 class TestInferCommandCli:
@@ -362,7 +353,7 @@ class TestJitterFreeCommands:
         model = load_model(model_path)
         patterns = [np.square(rpm_to_rad_s(command_rpm_pattern(c, 3000.0, 300.0))) for c in COMMANDS]
         windows = np.stack([np.repeat(p[:, None], model.window, axis=1) for p in patterns])
-        labels, _ = predict_commands(model, windows)
+        labels, _ = predict_command(model, windows)
         assert labels == [oracles.nearest_mixer_pattern(w, 3000.0, 300.0) for w in windows] == list(COMMANDS)
 
     def test_jitter_free_flight_reads_every_window(self, tmp_path, model_path):
@@ -406,8 +397,9 @@ class TestModelFile:
         assert np.array_equal(back.fold_accuracies, model.fold_accuracies)
         assert back.classes == model.classes
         assert (back.n_props, back.window, back.rate_hz) == (model.n_props, model.window, model.rate_hz)
-        for window in dataset[0][::17]:
-            assert predict_command(back, window) == predict_command(model, window)
+        labels, scores = predict_command(back, dataset[0][::17])
+        want_labels, want_scores = predict_command(model, dataset[0][::17])
+        assert labels == want_labels and np.array_equal(scores, want_scores)
 
     def test_a_v1_model_exits_3(self, tmp_path, capsys):
         """v1 files carried a low-pass cutoff and five spectral features

@@ -1,6 +1,7 @@
 import heapq
 import logging
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,11 +16,8 @@ from rotorsense.fusion import (
     FusedState,
     FusedStates,
     KinematicPredictor,
-    MotionPrior,
     _check_cov,
-    predict,
     run_fusion,
-    update,
 )
 from rotorsense.pipeline import read_table, write_fused_csv
 from rotorsense import tables
@@ -48,26 +46,26 @@ def make_state(mean=None, cov=None, t_us=0):
     return FusedState(t_us=t_us, mean=mean, cov=cov)
 
 
-class TestMotionPrior:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            MotionPrior(command="sideways", speeds_rad_s=HOVER, process_noise_scale=0.1)
-        with pytest.raises(DataError):
-            MotionPrior(command="hover", speeds_rad_s=-HOVER, process_noise_scale=0.1)
+def checked_step(state, command, speeds_rad_s, dt_s, predictor, process_noise_scale):
+    """One prediction step checked at once: `oracles._step`, then
+    `fusion._check_steps` on that one step."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the step check reports what overflows
+        accel = oracles.acceleration(predictor, command, speeds_rad_s)
+        out = oracles._step(state, accel, dt_s, process_noise_scale)
+        fusion._check_steps(np.array([state.mean, out.mean]), np.array([state.cov, out.cov]), accel[None])
+    return out
 
-    @pytest.mark.parametrize("shape", [(8,), (3,), (0,), (1, 4), ()])
-    def test_one_speed_per_mixer_rotor(self, shape):
-        # eight hover speeds under climb used to step +9.80665 m/s^2: the
-        # four extra rotors counted as thrust
-        with pytest.raises(DataError, match=rf"takes 4 rotor speeds, got shape \({', '.join(map(str, shape))},?\)"):
-            MotionPrior(command="climb", speeds_rad_s=np.full(shape, HOVER[0]), process_noise_scale=0.0)
+
+def gps_update(state, gps_xyz, r_gps):
+    """`fusion._update` of one state with one GPS fix."""
+    mean, cov, _ = fusion._update(state.mean, state.cov, gps_xyz, r_gps)
+    return FusedState(t_us=state.t_us, mean=mean, cov=cov)
 
 
 class TestPredict:
     def test_hover_zero_velocity_mean_unchanged_cov_grows(self, predictor):
         state = make_state()
-        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.2)
-        out = predict(state, prior, dt_s=0.05, predictor=predictor)
+        out = checked_step(state, "hover", HOVER, 0.05, predictor, 0.2)
         assert out.mean == pytest.approx(np.zeros(6))
         f, q = transition_and_noise(0.05, 0.2)
         expected_cov = f @ state.cov @ f.T + q
@@ -78,10 +76,9 @@ class TestPredict:
         """With a calibrated thrust gain, dv_z = k_f*(sum w^2 - sum
         w_hover^2) * dt exactly (constant-acceleration kinematics)."""
         speeds = np.full(4, rpm_to_rad_s(3300.0))
-        prior = MotionPrior(command="climb", speeds_rad_s=speeds, process_noise_scale=0.0)
         state = make_state()
         dt = 0.04
-        out = predict(state, prior, dt_s=dt, predictor=predictor)
+        out = checked_step(state, "climb", speeds, dt, predictor, 0.0)
         accel = predictor.k_f * (np.sum(speeds**2) - predictor.hover_speed_sq_sum)
         assert out.mean[5] == pytest.approx(accel * dt, rel=1e-12)
         assert out.mean[2] == pytest.approx(0.5 * accel * dt**2, rel=1e-12)
@@ -89,19 +86,12 @@ class TestPredict:
         assert accel == pytest.approx(GRAVITY * (1.1**2 - 1.0), rel=1e-12)
 
     def test_hover_calibration_balances_gravity(self, predictor):
-        prior = MotionPrior(command="climb", speeds_rad_s=HOVER, process_noise_scale=0.0)
-        assert predictor.acceleration(prior) == pytest.approx(np.zeros(3), abs=1e-12)
+        assert oracles.acceleration(predictor, "climb", HOVER) == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_non_finite_state_rejected(self, predictor):
         state = make_state(mean=[np.nan, 0, 0, 0, 0, 0])
-        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.1)
         with pytest.raises(DataError):
-            predict(state, prior, 0.1, predictor)
-
-    def test_bad_dt_rejected(self, predictor):
-        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.1)
-        with pytest.raises(ConfigError):
-            predict(make_state(), prior, 0.0, predictor)
+            checked_step(state, "hover", HOVER, 0.1, predictor, 0.1)
 
 
 class TestUpdate:
@@ -110,14 +100,14 @@ class TestUpdate:
         posterior mu=0.5, var=0.5 on that axis."""
         cov = np.diag([1.0, 1e6, 1e6, 1e6, 1e6, 1e6])
         state = make_state(cov=cov)
-        out = update(state, np.array([1.0, 0.0, 0.0]), np.diag([1.0, 1e6, 1e6]))
+        out = gps_update(state, np.array([1.0, 0.0, 0.0]), np.diag([1.0, 1e6, 1e6]))
         assert out.mean[0] == pytest.approx(0.5, rel=1e-6)
         assert out.cov[0, 0] == pytest.approx(0.5, rel=1e-6)
 
     def test_uninformative_measurement_leaves_mean(self):
         state = make_state(mean=[1, 2, 3, 0, 0, 0])
         gps = np.array([100.0, 100.0, 100.0])
-        out = update(state, gps, 1e6 * np.eye(3))
+        out = gps_update(state, gps, 1e6 * np.eye(3))
         innovation = gps - state.mean[:3]
         assert np.linalg.norm(out.mean - state.mean) < 1e-3 * np.linalg.norm(innovation)
 
@@ -125,16 +115,15 @@ class TestUpdate:
         cov = np.zeros((6, 6))
         cov[3:, 3:] = np.eye(3)
         state = make_state(mean=[5, 6, 7, 0, 0, 0], cov=cov)
-        out = update(state, np.array([50.0, 60.0, 70.0]), np.eye(3))
+        out = gps_update(state, np.array([50.0, 60.0, 70.0]), np.eye(3))
         assert out.mean[:3] == pytest.approx([5, 6, 7], abs=1e-9)
 
     def test_covariance_stays_symmetric_psd(self, predictor):
         state = make_state(cov=np.diag([4.0, 4.0, 4.0, 1.0, 1.0, 1.0]))
         rng = np.random.default_rng(2)
-        prior = MotionPrior(command="hover", speeds_rad_s=HOVER, process_noise_scale=0.3)
         for _ in range(200):
-            state = predict(state, prior, 0.02, predictor)
-            state = update(state, rng.normal(0, 2, 3), 4.0 * np.eye(3))
+            state = checked_step(state, "hover", HOVER, 0.02, predictor, 0.3)
+            state = gps_update(state, rng.normal(0, 2, 3), 4.0 * np.eye(3))
             assert np.allclose(state.cov, state.cov.T)
             assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
 
@@ -210,14 +199,14 @@ class TestPredictStep:
     @pytest.mark.parametrize("command", ["hover", "climb", "roll"])
     def test_predict_is_bit_equal_to_the_explicit_formula(self, predictor, dt_s, command):
         """The 3x3 block step, each scalar of b and Q a Python float, and
-        F P F.T + Q, F x + b a up to rounding."""
+        F P F.T + Q, F x + b a up to rounding: `fusion.predict` on a run of
+        one step and the checked `oracles._step`."""
         rng = np.random.default_rng(int(dt_s * 1e6))
         speeds = np.abs(HOVER + rng.normal(0, 20, 4))
         eye = np.eye(3)
         for noise_scale in (0.0, 0.05, 1.7):
-            prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=noise_scale)
             state = random_state(rng, t_us=123)
-            accel = predictor.acceleration(prior)
+            accel = oracles.acceleration(predictor, command, speeds)
             q_pp, q_pv, q_vv = noise_scale * (0.25 * dt_s**4), noise_scale * (0.5 * dt_s**3), noise_scale * dt_s**2
             p, v = state.mean[:3], state.mean[3:]
             a, b, c = state.cov[:3, :3], state.cov[:3, 3:], state.cov[3:, 3:]
@@ -227,9 +216,12 @@ class TestPredictStep:
                 [a + ((dt_s * (b + b.T) + (dt_s * dt_s) * c) + q_pp * eye), b_next],
                 [b_next.T, c + q_vv * eye],
             ])
-            out = predict(state, prior, dt_s, predictor)
+            out = checked_step(state, command, speeds, dt_s, predictor, noise_scale)
             assert same_bits(out.mean, mean)
             assert same_bits(out.cov, cov)
+            means, covs = np.array([state.mean, state.mean]), np.array([state.cov, state.cov])
+            fusion.predict(means, covs, 0, accel[None], np.array([fusion._step_terms(dt_s, noise_scale)]))
+            assert same_bits(means[1], mean) and same_bits(covs[1], cov)
             assert same_bits(_check_cov(cov, "test"), cov)  # exactly symmetric
             assert out.t_us == 123 + int(round(dt_s * 1e6))
             f, q = transition_and_noise(dt_s, noise_scale)
@@ -296,8 +288,9 @@ class TestWriteFusedCsv:
 
 
 def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
-    """`run_fusion` as it ran with a check at every step: a MotionPrior and
-    a checked `predict` per prediction, `update` per GPS fix."""
+    """`run_fusion` as it ran with a check at every step: the rotor speeds
+    and the process noise checked and a `checked_step` per prediction, a
+    `gps_update` per GPS fix."""
     speed_t, props, rpm = (column.tolist() for column in fusion._speed_rows(speed_stream))
     events = heapq.merge(
         [(int(t_us), 0, (label,)) for t_us, label in command_stream],
@@ -325,11 +318,14 @@ def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_
         if t_us < state.t_us:
             continue
         if t_us > state.t_us:
-            prior = MotionPrior(command=command, speeds_rad_s=speeds, process_noise_scale=process_noise_scale)
-            state = predict(state, prior, (t_us - state.t_us) * 1e-6, predictor)
+            if (speeds < 0).any():
+                raise DataError("rotor speeds must be nonnegative")
+            if process_noise_scale < 0:
+                raise ConfigError("process noise scale must be nonnegative")
+            state = checked_step(state, command, speeds, (t_us - state.t_us) * 1e-6, predictor, process_noise_scale)
             result.states.append(state)
         if kind == 2:
-            state = update(state, payload[0], r_gps)
+            state = gps_update(state, payload[0], r_gps)
             result.states.append(state)
     return result
 
@@ -388,11 +384,11 @@ def with_row(speeds, row, after=None):
 def bad_q_at(monkeypatch):
     """Make the process noise of the n-th prediction step (counted from 1)
     lose positive semidefiniteness: q_pp = -1e3 where each filter reads the
-    steps' Q scalars, `fusion._predict_run` (`run_fusion` and `predict`)
-    and the oracle's `_step_terms`. `install` returns the count of steps
-    read so far."""
+    steps' Q scalars, `fusion.predict` (`run_fusion`) and the oracle's
+    `_step_terms` (`oracles.run_fusion` and `per_step_fusion`). `install`
+    returns the count of steps read so far."""
 
-    predict_run, step_terms = fusion._predict_run, oracles._step_terms
+    predict_run, step_terms = fusion.predict, oracles._step_terms
 
     def install(*steps):
         count = [0]
@@ -410,7 +406,7 @@ def bad_q_at(monkeypatch):
             dt_s, half_dt2, q_pp, q_pv, q_vv = step_terms(dt_s, accel_variance)
             return dt_s, half_dt2, -1e3 if count[0] in steps else q_pp, q_pv, q_vv
 
-        monkeypatch.setattr(fusion, "_predict_run", poisoned_run)
+        monkeypatch.setattr(fusion, "predict", poisoned_run)
         monkeypatch.setattr(oracles, "_step_terms", poisoned_terms)
         return count
 
@@ -567,21 +563,10 @@ class TestDeferredChecks:
         got = self.compare(flight_streams(), predictor, gps_sigma_m=np.inf)
         assert got == (DataError, "non-finite filter state")
 
-    def test_no_motion_prior_per_step(self, predictor, monkeypatch):
-        def no_prior(**kwargs):
-            raise AssertionError("run_fusion built a MotionPrior")
-
-        speeds, commands, gps = flight_streams()
-        want = fusion_outcome(per_step_fusion, (speeds, commands, gps), predictor)
-        monkeypatch.setattr(fusion, "MotionPrior", no_prior)
-        got = self.compare((speeds, commands, gps), predictor)
-        assert_same_outcome(got, want)
-        assert len(got) == n_states(speeds, gps)
-
 
 class TestPredictRuns:
     """`run_fusion` steps the states between GPS fixes and dropped rows in
-    runs, with the bits of one `predict` per step."""
+    runs, with the bits of stepping one state at a time."""
 
     def test_irregular_gaps_in_one_interval(self, predictor, bad_q_at):
         """Jittered row times, tied times, a 7 ms gap and more than 1024
@@ -612,7 +597,7 @@ class TestPredictRuns:
         end; the runs number at most the fixes, dropped rows and one more,
         and every covariance is exactly symmetric."""
         runs, checks = [], []
-        predict_run, check_steps = fusion._predict_run, fusion._check_steps
+        predict_run, check_steps = fusion.predict, fusion._check_steps
 
         def counted_run(means, covs, k, accels, terms):
             runs.append(len(accels))
@@ -622,7 +607,7 @@ class TestPredictRuns:
             checks.append(len(accels))
             check_steps(means, covs, accels)
 
-        monkeypatch.setattr(fusion, "_predict_run", counted_run)
+        monkeypatch.setattr(fusion, "predict", counted_run)
         monkeypatch.setattr(fusion, "_check_steps", counted_check)
         speeds, commands, gps = flight_streams(ms, gps_every_ms)
         if dropped:
@@ -634,6 +619,34 @@ class TestPredictRuns:
         assert len(runs) <= fixes + dropped + 1
         assert len(checks) == (fixes - 1) + dropped + 1
         assert same_bits(states.cov, states.cov.transpose(0, 2, 1))
+
+    def test_a_long_run_is_stepped_one_state_at_a_time_in_little_memory(self):
+        """One `predict` call over 100 000 irregular steps gives the bits of
+        `oracles._step` one step after another, and its tracemalloc peak
+        stays under 200 bytes a step: each (r, 3, 3) q I stack is made
+        inside the expression that adds it, never all three at once."""
+        n, noise_scale = 100_000, 0.05
+        rng = np.random.default_rng(30)
+        start = random_state(rng)
+        accels = rng.normal(0, 2, (n, 3))
+        dts = (rng.integers(1, 1500, n) * 1e-6).tolist()
+        terms = np.array([fusion._step_terms(dt_s, noise_scale) for dt_s in dts])
+        means, covs = np.zeros((n + 1, 6)), np.zeros((n + 1, 6, 6))
+        means[0], covs[0] = start.mean, start.cov
+        tracemalloc.start()
+        try:
+            fusion.predict(means, covs, 0, accels, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * n, f"{peak / n:.0f} bytes a step"
+        want_means, want_covs = np.empty_like(means), np.empty_like(covs)
+        state = start
+        want_means[0], want_covs[0] = state.mean, state.cov
+        for j, dt_s in enumerate(dts):
+            state = oracles._step(state, accels[j], dt_s, noise_scale)
+            want_means[j + 1], want_covs[j + 1] = state.mean, state.cov
+        assert same_bits(means, want_means) and same_bits(covs, want_covs)
 
 
 class TestCheckPsd:
@@ -653,7 +666,7 @@ class TestCheckPsd:
     def test_non_finite_covariance_in_update(self, bad):
         state = make_state()
         with pytest.raises(NumericalError, match="non-finite covariance in update"):
-            update(state, np.zeros(3), np.diag([1.0, 1.0, bad]))
+            gps_update(state, np.zeros(3), np.diag([1.0, 1.0, bad]))
 
     def test_a_stacked_check_words_its_error_as_the_per_step_check(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,6 @@
 """No package module imports a name it never uses, so a deletion cannot
-leave its imports behind. `__init__.py` imports to re-export, and an
-import line that carries `# noqa: F401` keeps its name on purpose."""
+leave its imports behind. Only `__init__.py` imports to re-export; no
+comment exempts an import elsewhere."""
 
 import ast
 from pathlib import Path
@@ -29,15 +29,12 @@ def annotation_names(tree: ast.AST) -> set[str]:
 
 
 def unused_imports(path: Path) -> list[str]:
-    source = path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=str(path))
+    tree = ast.parse(path.read_text(), filename=str(path))
     imported = {
         alias.asname or alias.name.split(".")[0]: alias.lineno
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
         for alias in node.names
-        if "# noqa: F401" not in lines[alias.lineno - 1]
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | annotation_names(tree)
     return [f"{path.name}:{lineno} {name}" for name, lineno in imported.items() if name not in used]
@@ -47,4 +44,4 @@ def test_package_modules_use_every_name_they_import():
     sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     assert sources
     found = [entry for path in sources for entry in unused_imports(path)]
-    assert not found, f"imported and never used; delete the import or mark it '# noqa: F401': {found}"
+    assert not found, f"imported and never used; delete the import: {found}"
