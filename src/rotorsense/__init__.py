@@ -40,7 +40,7 @@ from .events import (
     slice_bundles,
     write_events,
 )
-from .fusion import FusedState, KinematicPredictor, run_fusion
+from .fusion import KinematicPredictor, run_fusion
 from .metrics import localization_error, rmae
 from .motion import (
     ObjectiveEvaluator,

@@ -21,7 +21,7 @@ import numpy as np
 from .commands import (
     MAX_RATE_HZ, load_model, predict_command, resample_zero_order_hold, save_model, train_command_model,
 )
-from .config import PipelineConfig, parse_scenario
+from .config import PipelineConfig, parse_kv_file, parse_scenario
 from .dynamics import N_ROTORS, rpm_to_rad_s
 from .errors import ConfigError, DataError, EstimationError, NumericalError, RotorSenseError
 from .events import read_events, write_events
@@ -304,6 +304,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.sample_fraction is None and "sample_fraction" not in (parse_kv_file(args.config) if args.config else {}):
+        args.sample_fraction = 0.25
     cfg = _load_config(args)
     if args.duration_us <= 0:
         raise ConfigError(f"--duration-us must be positive, got {args.duration_us}")
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="bin", choices=("csv", "bin"))
     p.add_argument("--out", default=None)
     p.add_argument("--duration-us", type=int, default=400_000, dest="duration_us")
-    p.add_argument("--sample-fraction", type=float, default=0.25, dest="sample_fraction")
+    p.add_argument("--sample-fraction", type=float, dest="sample_fraction", help="default: the config's, else 0.25")
     p.add_argument("--min-events-per-sec", type=float, default=1e6, dest="min_events_per_sec")
     p.set_defaults(func=_cmd_bench, config_options=("sample_fraction",))
     return parser

@@ -6,7 +6,10 @@ thrust scales with speed squared, and the command mixer
 so these means carry the command. They are z-scored with training
 statistics and classified by one-vs-rest linear hinge-loss classifiers
 trained with seeded stochastic subgradient descent. Stratified k-fold
-cross-validation scores ship with the model.
+cross-validation scores ship with the model. Fold validation and
+inference share training's `_features`, `_standardize` and `_scores`,
+which scores each window by its own matrix-vector product, so a stack
+gets the bits of classifying its windows one at a time.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ def _scores(weights: np.ndarray, biases: np.ndarray, z: np.ndarray) -> np.ndarra
 
 def _fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and std; NumericalError when either is not finite,
-    or when no feature varies over the rows, which leaves nothing to
-    separate the classes by."""
+    or when no feature varies over the rows (at hover_rpm=1e82 the mixer's
+    offsets round away), which leaves nothing to separate the classes by."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = features.mean(axis=0), features.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -138,7 +141,6 @@ def train_command_model(
     seed: int = 0,
     *,
     rate_hz: float = 1000.0,
-    classes: tuple[str, ...] = COMMANDS,
 ) -> tuple[CommandModel, np.ndarray]:
     """Fit the classifier to an (n, n_props, window) stack of squared-speed
     windows, (rad/s)^2, and their n command labels, and score it by
@@ -146,13 +148,11 @@ def train_command_model(
 
     Deterministic per seed. Raises DataError when the stack is not 3-D,
     holds a negative square or does not match the label count, when a
-    label is not a command, or when an expected class is missing from the
-    training set or has fewer than k samples. The expected class set
-    defaults to all six commands; reduced synthetic problems may pass a
-    subset. Raises NumericalError when the features, or their mean or
-    spread, are not finite, or when no feature varies. rate_hz is the
-    sample rate of the windows, which `infer-command` resamples speed
-    rows to.
+    label is not a command, or when a command is missing from the
+    training set or has fewer than k samples. Raises NumericalError when
+    the features, or their mean or spread, are not finite, or when no
+    feature varies. rate_hz is the sample rate of the windows, which
+    `infer-command` resamples speed rows to.
     """
     data = np.asarray(windows, dtype=np.float64)
     if data.ndim != 3:
@@ -166,14 +166,11 @@ def train_command_model(
     unknown = [lab for lab in labels if lab not in COMMANDS]
     if unknown:
         raise DataError(f"unknown label {unknown[0]!r}")
-    missing = [c for c in classes if c not in labels]
+    missing = [c for c in COMMANDS if c not in labels]
     if missing:
         raise DataError(f"classes missing from training data: {', '.join(missing)}")
-    extra = sorted(set(labels) - set(classes))
-    if extra:
-        raise DataError(f"samples labelled outside the class set: {', '.join(extra)}")
-    label_ids = np.array([classes.index(lab) for lab in labels])
-    scarce = [classes[c] for c in range(len(classes)) if int((label_ids == c).sum()) < k_folds]
+    label_ids = np.array([COMMANDS.index(lab) for lab in labels])
+    scarce = [COMMANDS[c] for c in range(len(COMMANDS)) if int((label_ids == c).sum()) < k_folds]
     if scarce:
         raise DataError(f"need at least {k_folds} samples per class, too few for: {', '.join(scarce)}")
     n_props, window = data.shape[1:]
@@ -192,7 +189,7 @@ def train_command_model(
         w, b = _pegasos_ovr(
             np.stack([_standardize(features_raw[rows[i]], *stats[i]) for i in group]),
             np.stack([label_ids[rows[i]] for i in group]),
-            len(classes), lambda_reg, epochs, [np.random.default_rng(seeds[i]) for i in group],
+            len(COMMANDS), lambda_reg, epochs, [np.random.default_rng(seeds[i]) for i in group],
         )
         for j, i in enumerate(group):
             fits[i] = w[j], b[j]
@@ -210,7 +207,6 @@ def train_command_model(
         n_props=n_props,
         window=window,
         rate_hz=rate_hz,
-        classes=classes,
         fold_accuracies=accuracies,
     )
     return model, accuracies

@@ -53,12 +53,12 @@ def rpm_to_rad_s(rpm: np.ndarray | float) -> np.ndarray | float:
     return np.multiply(rpm, 2.0 * np.pi / 60.0)
 
 
-def calibrate_thrust_gain(hover_speeds_rad_s: np.ndarray, gravity: float = GRAVITY) -> float:
+def calibrate_thrust_gain(hover_speeds_rad_s: np.ndarray) -> float:
     """Solve k_f * sum(omega_hover^2) = g from one hover segment."""
     s = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
     if s <= 0:
         raise ConfigError("hover speeds must be positive to calibrate the thrust gain")
-    return gravity / s
+    return GRAVITY / s
 
 
 def command_accelerations(

@@ -19,24 +19,22 @@ the run after the last, with one `predict` call: a prefix sum over time
 per 3x3 block of the state, with the bits of stepping one state at a
 time, that keeps each covariance exactly symmetric. It checks that run
 with one `_check_steps` call before it updates, logs the dropped
-measurement or raises any other error. It writes each state into preallocated time
-(n,), mean (n, 6) and covariance (n, 6, 6) arrays;
-`FusionResult.states` shows them as one `FusedState` per state the
-filter makes. The first failing step of a run raises the error a check
-of that step alone raises.
+measurement or raises any other error. It writes each state into
+preallocated time (n,), mean (n, 6) and covariance (n, 6, 6) arrays,
+which `FusionResult.states` holds. The first failing step of a run
+raises the error a check of that step alone raises.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import COMMANDS, GRAVITY, N_ROTORS, calibrate_thrust_gain, command_accelerations
+from .dynamics import COMMANDS, N_ROTORS, calibrate_thrust_gain, command_accelerations
 from .errors import ConfigError, DataError, NumericalError
 
 LOG = logging.getLogger(__name__)
@@ -45,15 +43,6 @@ PSD_TOLERANCE = -1e-9
 # standard deviation (m/s) of each velocity component at the first GPS fix
 INIT_VELOCITY_SIGMA = 2.0
 _EYE3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class FusedState:
-    """Gaussian belief over [position (m), velocity (m/s)] at time t."""
-
-    t_us: int
-    mean: np.ndarray  # (6,)
-    cov: np.ndarray  # (6, 6)
 
 
 class KinematicPredictor:
@@ -74,7 +63,7 @@ class KinematicPredictor:
     @classmethod
     def from_hover_calibration(cls, hover_speeds_rad_s: np.ndarray, tilt_fraction: float = 0.2) -> "KinematicPredictor":
         with np.errstate(over="ignore"):  # squares that overflow give a zero gain, rejected below
-            k_f = calibrate_thrust_gain(hover_speeds_rad_s, GRAVITY)
+            k_f = calibrate_thrust_gain(hover_speeds_rad_s)
             hover_sq = float(np.sum(np.square(np.asarray(hover_speeds_rad_s, dtype=np.float64))))
         return cls(k_f=k_f, hover_speed_sq_sum=hover_sq, tilt_fraction=tilt_fraction)
 
@@ -139,7 +128,8 @@ def predict(means: np.ndarray, covs: np.ndarray, k: int, accels: np.ndarray, ter
     dt = terms[:, 0, None, None]
     q_pp, q_pv, q_vv = (terms[:, i, None, None] for i in range(2, 5))
     a, b, c = covs[:, :3, :3], covs[:, :3, 3:], covs[:, 3:, 3:]
-    # each (r, 3, 3) q I stack is built where it is added, so at most one is alive
+    # each (r, 3, 3) q I stack is built where it is added, so at most one is
+    # alive and a run peaks near 150 bytes a step
     c[step] = q_vv * _EYE3
     np.cumsum(c[run], axis=0, out=c[run])
     b[step] = dt * c[before] + q_pv * _EYE3
@@ -204,21 +194,18 @@ def _update(
     return mean + gain @ innovation, new_cov, nis
 
 
-class FusedStates(Sequence):
+@dataclass
+class FusedStates:
     """The states of a `run_fusion` stream, in the order the filter makes
-    them, as `FusedState`s made on access from the arrays t_us (n,), mean
-    (n, 6) and cov (n, 6, 6). Slicing gives a list."""
+    them: each one's time, and its Gaussian belief over [position (m),
+    velocity (m/s)]."""
 
-    def __init__(self, t_us: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> None:
-        self.t_us, self.mean, self.cov = t_us, mean, cov
+    t_us: np.ndarray  # (n,)
+    mean: np.ndarray  # (n, 6)
+    cov: np.ndarray  # (n, 6, 6)
 
     def __len__(self) -> int:
         return len(self.t_us)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return FusedState(t_us=int(self.t_us[i]), mean=self.mean[i], cov=self.cov[i])
 
 
 @dataclass
@@ -227,10 +214,6 @@ class FusionResult:
 
     states: FusedStates
     nis: list[float]
-
-    def positions(self) -> np.ndarray:
-        """(t_us, x, y, z) rows of `states`."""
-        return np.column_stack([self.states.t_us, self.states.mean[:, :3]])
 
 
 def _speed_rows(speed_stream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import DataError
 
+ALIGN_TOLERANCE_US = 1e6
+
 
 def rmae(estimates: np.ndarray, truth: np.ndarray) -> float:
     """Relative mean absolute error in percent:
@@ -19,17 +21,13 @@ def rmae(estimates: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.abs(est - gt) / gt) * 100.0)
 
 
-def localization_error(
-    fused: np.ndarray,
-    truth: np.ndarray,
-    align_tolerance_us: float = 1e6,
-) -> tuple[float, list[tuple[float, float]]]:
+def localization_error(fused: np.ndarray, truth: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
     """Mean 3-D error over nearest-timestamp-aligned pairs, plus a CDF
     table at 10% quantile steps.
 
     fused and truth are (N, 4+) arrays with columns (t_us, x, y, z, ...).
     Raises DataError when no fused sample aligns with the truth within
-    the tolerance.
+    ALIGN_TOLERANCE_US.
     """
     fused = np.asarray(fused, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -47,7 +45,7 @@ def localization_error(
     pick = np.where(
         np.abs(t_truth[idx_hi] - fused[:, 0]) < np.abs(t_truth[idx_lo] - fused[:, 0]), idx_hi, idx_lo
     )
-    aligned = np.abs(t_truth[pick] - fused[:, 0]) <= align_tolerance_us
+    aligned = np.abs(t_truth[pick] - fused[:, 0]) <= ALIGN_TOLERANCE_US
     if not aligned.any():
         raise DataError("no fused samples align with the truth within the tolerance")
     errors = np.linalg.norm(fused[aligned, 1:4] - xyz_truth[pick[aligned]], axis=1)

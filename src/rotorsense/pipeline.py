@@ -3,7 +3,8 @@
 Stages run in order, write every intermediate artifact into the output
 directory, and finish with a JSON-lines metrics report plus a manifest
 listing the config hash, seed, and artifact checksums. All artifacts
-are deterministic for a fixed (input, config, seed) triple.
+are deterministic for a fixed (input, config, seed) triple; the CLI
+shares `simulate_scene`, `score_speeds` and `write_jsonl` with it.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class TrackedStream:
 def _match_tracks(
     global_centroids: list[tuple[float, float]], window_centroids: list[tuple[float, float]]
 ) -> dict[int, int]:
-    """Greedy nearest-pair matching of this window's clusters onto stable ids."""
+    """{window index: global index}, nearest pair first, equal distances by
+    lower (global, window) index: window clusters to tracks, tracks to truth."""
     pairs = sorted(
         (math.dist(gc, wc), g, w)
         for g, gc in enumerate(global_centroids)
@@ -262,7 +264,6 @@ def _acquire(bundle_events: Events, center: tuple[float, float], cfg: PipelineCo
 
 @dataclass
 class TrackEstimates:
-    prop_id: int
     estimates: list[SpeedEstimate] = field(default_factory=list)
     stop_reasons: list[StopReason] = field(default_factory=list)
 
@@ -283,7 +284,7 @@ def estimate_track(
     still settle on a lesser peak inside it. A consistency stop (speed
     change) resets to the configured bracket and re-acquires.
     """
-    out = TrackEstimates(prop_id=prop_id)
+    out = TrackEstimates()
     bundles = slice_bundles(track_events, cfg.dt_us)
     cfg_lo, cfg_hi = rpm_to_rad_s(cfg.bracket_rpm_lo), rpm_to_rad_s(cfg.bracket_rpm_hi)
     i = 0
@@ -488,33 +489,17 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> PipelineResult:
     return PipelineResult(out_dir=out_dir, artifacts=artifacts + [manifest_path], metrics=metrics, estimates=all_estimates)
 
 
-def _map_tracks_to_truth(
-    centroids: list[tuple[float, float]], true_centers: list[tuple[float, float]]
-) -> dict[int, int | None]:
-    mapping: dict[int, int | None] = {}
-    taken: set[int] = set()
-    for prop, centroid in enumerate(centroids):
-        best, best_d = None, math.inf
-        for truth_prop, center in enumerate(true_centers):
-            d = math.dist(centroid, center)
-            if truth_prop not in taken and d < best_d:
-                best, best_d = truth_prop, d
-        mapping[prop] = best
-        if best is not None:
-            taken.add(best)
-    return mapping
-
-
 def score_speeds(
     speeds: np.ndarray, truth_rows: np.ndarray, centroids: list[tuple[float, float]], true_centers: list[tuple[float, float]]
 ) -> list[dict]:
     """One `rmae_percent` entry per track of the speed rows (t_ref, prop_id,
     rpm, ...). A track is scored against the truth rotor that
-    `_map_tracks_to_truth` pairs with its centroid, at the speed of that
+    `_match_tracks` pairs with its centroid, nearest pair first, so track
+    ids change no pair short of a distance tie, at the speed of that
     rotor's last truth row (t, prop_id, rpm) at or before t_ref, or of its
     first row for an earlier t_ref; estimates whose truth speed is 0 are
     left out."""
-    mapping = _map_tracks_to_truth(centroids, true_centers)
+    mapping = _match_tracks(true_centers, centroids)
     entries = []
     for prop in np.unique(speeds[:, 1]).astype(np.int64).tolist():
         truth_prop = mapping.get(prop)
@@ -536,26 +521,27 @@ def score_speeds(
 
 # --- Benchmark harness ---
 
+BENCH_REPEATS = 3
+
 
 def benchmark_estimate_stage(
     track_events: Events,
     center: tuple[float, float],
     cfg: PipelineConfig,
     min_events_per_sec: float = 1e6,
-    repeats: int = 3,
 ) -> dict:
     """Throughput of the estimate stage (batch growth + downsampling +
     speed search) in consumed events per second, single-threaded.
 
     The stage runs once untimed to warm allocations and caches,
-    then `repeats` timed passes; the best pass is the least
+    then BENCH_REPEATS timed passes; the best pass is the least
     scheduler-contaminated measurement and decides the result.
     """
     estimate_track(track_events, center, cfg)  # warmup
     consumed = len(track_events)
     runs = []
     n_estimates = 0
-    for _ in range(max(repeats, 1)):
+    for _ in range(BENCH_REPEATS):
         start = time.perf_counter()
         track = estimate_track(track_events, center, cfg)
         elapsed = time.perf_counter() - start

@@ -26,6 +26,9 @@ from .events import Events
 # KMEANS_TOL px or more, or after KMEANS_MAX_ITERS iterations
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-3
+# `robust_center` re-averages ROBUST_ITERS times
+ROBUST_TRIM = 1.5
+ROBUST_ITERS = 3
 
 
 @dataclass(frozen=True)
@@ -113,19 +116,18 @@ def filter_noise(
 class PropellerTrack:
     """One propeller's member events and rotation-center estimate."""
 
-    prop_id: int
     members: np.ndarray  # ascending indices of the track's events in the segmented stream
     centroid: tuple[float, float]
 
 
-def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> tuple[float, float]:
+def robust_center(events: Events) -> tuple[float, float]:
     """Rotation-center estimate tolerant of residual background noise.
 
     Starts from the component-wise median and iteratively re-averages the
-    events within trim_factor times the median radius, so uniformly
+    events within ROBUST_TRIM times the median radius, so uniformly
     spread leftover noise far from the rotor cannot drag the center the
-    way a plain mean does. Deterministic; keeps the last center when
-    trimming would discard everything. Runs over the distinct pixels
+    way a plain mean does. Deterministic; a trim of at least 1 keeps the
+    nearest pixel, so no pass is empty. Runs over the distinct pixels
     weighted by their event counts: the medians are those of the events
     and the trimmed means are exact integer sums over the event count,
     so the result is the same doubles as a pass over every event.
@@ -135,11 +137,9 @@ def robust_center(events: Events, trim_factor: float = 1.5, iters: int = 3) -> t
     pixels, counts, _ = distinct_pixels(events)
     coords = pixels.astype(np.float64)
     center = np.array([_weighted_median(coords[:, 0], counts), _weighted_median(coords[:, 1], counts)])
-    for _ in range(iters):
+    for _ in range(ROBUST_ITERS):
         radii = np.hypot(coords[:, 0] - center[0], coords[:, 1] - center[1])
-        keep = radii <= trim_factor * _weighted_median(radii, counts)
-        if not keep.any():
-            break
+        keep = radii <= ROBUST_TRIM * _weighted_median(radii, counts)
         center = counts[keep] @ coords[keep] / counts[keep].sum()
     return float(center[0]), float(center[1])
 
@@ -279,8 +279,8 @@ def segment_propellers(events: Events, k: int) -> list[PropellerTrack]:
     event_assign = assign[inverse]
     order = np.lexsort((centroids[:, 0], centroids[:, 1]))
     tracks = []
-    for new_id, c in enumerate(order):
+    for c in order:
         members = np.flatnonzero(event_assign == c)
         centroid = member_means[c] if members.size else centroids[c]
-        tracks.append(PropellerTrack(prop_id=new_id, members=members, centroid=(float(centroid[0]), float(centroid[1]))))
+        tracks.append(PropellerTrack(members=members, centroid=(float(centroid[0]), float(centroid[1]))))
     return tracks

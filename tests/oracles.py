@@ -25,7 +25,7 @@ a stack of windows in one pass. `nearest_mixer_pattern` is the untrained
 baseline the classifier is checked against: the command whose mixer
 pattern lies nearest a window's mean squared speeds.
 `run_fusion` merges its three streams with `heapq.merge` and walks every
-row, building a `FusedState` per step (`_step`) and per update, which it
+row, building a `State` per step (`_step`) and per update, which it
 emits once each, and checks the steps pending since the last check only
 at a fix, at a dropped row, before an error it defers and at the end;
 `fusion.run_fusion` orders and carries the rows forward in one numpy
@@ -382,17 +382,17 @@ def pegasos_ovr(features, labels, n_classes, lambda_reg, epochs, rng):
     return final[:, :dim], final[:, dim].copy()
 
 
-def train_command_model(windows, labels, k_folds, lambda_reg, epochs, seed, classes=COMMANDS):
+def train_command_model(windows, labels, k_folds, lambda_reg, epochs, seed):
     """(weights, biases, feature mean, feature std, fold accuracies) of
     `commands.train_command_model`, averaging one channel at a time and
     fitting one fold after the other."""
     features = np.stack([channel_means(window) for window in windows])
-    labels = np.array([classes.index(label) for label in labels])
+    labels = np.array([COMMANDS.index(label) for label in labels])
 
     def fit(train_idx, rng_seed):
         mean, std = features[train_idx].mean(axis=0), features[train_idx].std(axis=0)
         std_safe = np.where(std > 0, std, 1.0)
-        w, b = pegasos_ovr((features[train_idx] - mean) / std_safe, labels[train_idx], len(classes), lambda_reg,
+        w, b = pegasos_ovr((features[train_idx] - mean) / std_safe, labels[train_idx], len(COMMANDS), lambda_reg,
                            epochs, np.random.default_rng(rng_seed))
         return w, b, mean, std, std_safe
 
@@ -446,6 +446,25 @@ def nearest_mixer_pattern(window, hover_rpm, delta_rpm):
     return COMMANDS[int(np.argmin(np.linalg.norm(patterns - channel_means(window), axis=1)))]
 
 
+@dataclass(frozen=True)
+class State:
+    """One filter state: its time and its Gaussian belief over [position
+    (m), velocity (m/s)]."""
+
+    t_us: int
+    mean: np.ndarray  # (6,)
+    cov: np.ndarray  # (6, 6)
+
+
+def stack_states(states) -> fusion.FusedStates:
+    """The `fusion.FusedStates` arrays of a list of `State`s."""
+    return fusion.FusedStates(
+        np.array([s.t_us for s in states], dtype=np.int64),
+        np.array([s.mean for s in states]).reshape(-1, 6),
+        np.array([s.cov for s in states]).reshape(-1, 6, 6),
+    )
+
+
 @dataclass
 class FusionTrack:
     """Every state the filter makes plus per-update NIS."""
@@ -480,7 +499,7 @@ def _step(state, accel, dt_s, accel_variance):
     cov[:3, :3] = a + ((dt_s * (b + b.T) + (dt_s * dt_s) * c) + q_pp * eye)
     p, v = state.mean[:3], state.mean[3:]
     mean = np.concatenate([p + (dt_s * v + half_dt2 * accel), v + dt_s * accel])
-    return fusion.FusedState(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
+    return State(t_us=state.t_us + int(round(dt_s * 1e6)), mean=mean, cov=cov)
 
 
 def _check_steps(states, accels):
@@ -491,7 +510,7 @@ def _check_steps(states, accels):
 def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma_m=2.0, process_noise_scale=0.05):
     """`fusion.run_fusion` row by row: the streams merged by `heapq.merge`
     on (t, kind), each step's acceleration from `command_accelerations` on
-    one row and its state a new `FusedState`, the steps since the last
+    one row and its state a new `State`, the steps since the last
     fix or dropped row checked together there, before a deferred error
     and at the end."""
     commands_q = [(int(t_us), 0, label, None) for t_us, label in command_stream]
@@ -531,7 +550,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
                 cov = np.zeros((6, 6))
                 cov[:3, :3] = r_gps
                 cov[3:, 3:] = fusion.INIT_VELOCITY_SIGMA**2 * np.eye(3)
-                state = fusion.FusedState(t_us=t_us, mean=mean, cov=cov)
+                state = State(t_us=t_us, mean=mean, cov=cov)
                 steps = [state]
                 result.states.append(state)
             continue
@@ -556,7 +575,7 @@ def run_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_sigma
         if kind == 2:
             _check_steps(steps, accels)
             mean, cov, nis = fusion._update(state.mean, state.cov, value, r_gps)
-            state = fusion.FusedState(t_us=state.t_us, mean=mean, cov=cov)
+            state = State(t_us=state.t_us, mean=mean, cov=cov)
             result.states.append(state)
             steps, accels = [state], []
             result.nis.append(nis)

@@ -325,13 +325,13 @@ def _fuse_flight(script, duration_us, seed):
     gps_only = run_fusion(np.zeros((0, 3)), [], flight.gps, predictor,
                           gps_sigma_m=2.0, process_noise_scale=25.0)
     truth_series = np.column_stack([truth.times_us, truth.positions])
-    err_fused, _ = localization_error(fused.positions(), truth_series)
+    err_fused, _ = localization_error(np.column_stack([fused.states.t_us, fused.states.mean[:, :3]]), truth_series)
     # the GPS-only filter's updated states: at each fix it emits the
     # predicted state, then the updated one
-    gps_track = gps_only.positions()
+    gps_track = np.column_stack([gps_only.states.t_us, gps_only.states.mean[:, :3]])
     err_gps, _ = localization_error(gps_track[np.append(gps_track[1:, 0] != gps_track[:-1, 0], True)], truth_series)
-    for state in fused.states[:: max(len(fused.states) // 200, 1)]:
-        assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
+    for cov in fused.states.cov[:: max(len(fused.states) // 200, 1)]:
+        assert np.linalg.eigvalsh(cov).min() >= -1e-9
     return err_fused, err_gps, fused
 
 

@@ -138,17 +138,19 @@ class TestBatchedMatchesOracles:
 
 
 class TestTraining:
-    def test_linearly_separable_two_class_perfect_folds(self):
+    def test_linearly_separable_six_class_perfect_folds(self):
         rng = np.random.default_rng(0)
         windows, labels = [], []
-        for label, base in (("hover", 50.0), ("climb", 200.0)):
-            # constant traces at class-distinct levels: separation lives
-            # entirely in the mean feature
+        for k, label in enumerate(COMMANDS):
+            # constant traces whose rotor levels put the classes on the
+            # corners of a hexagon, each one separable from the rest:
+            # separation lives entirely in the mean feature
+            corner = 100.0 * np.array([np.cos(np.pi * k / 3), np.sin(np.pi * k / 3), 0.0, 0.0])
             for _ in range(20):
-                level = base + float(rng.uniform(-1.0, 1.0))
-                windows.append(np.full((4, 64), level))
+                level = 200.0 + corner + rng.uniform(-1.0, 1.0, 4)
+                windows.append(np.repeat(level[:, None], 64, axis=1))
                 labels.append(label)
-        model, accs = train_command_model(np.stack(windows), labels, k_folds=5, seed=3, classes=("hover", "climb"))
+        model, accs = train_command_model(np.stack(windows), labels, k_folds=5, seed=3)
         assert accs.mean() == 1.0
         # a training sample from the separable set maps to its own label
         assert predict_command(model, np.stack(windows[::5]))[0] == labels[::5]

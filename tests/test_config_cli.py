@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -315,6 +316,18 @@ class TestCliExitCodes:
         code = main(["--config", str(cfg), "estimate", missing, "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_global_seed_reseeds_simulate(self, scene_file, tmp_path):
+        """--seed replaces the scenario's seed 9: the manifest records it,
+        and the noisy scene's events change with it."""
+        runs = []
+        for seed in ("9", "4"):
+            out = tmp_path / f"sim{seed}"
+            assert main(["--seed", seed, "simulate", scene_file, "--out", str(out)]) == EXIT_OK
+            runs.append((json.loads((out / "manifest.json").read_text())["seed"], (out / "events.bin").read_bytes()))
+        assert main(["simulate", scene_file, "--out", str(tmp_path / "sim")]) == EXIT_OK
+        assert [seed for seed, _ in runs] == [9, 4]
+        assert runs[0][1] == (tmp_path / "sim" / "events.bin").read_bytes() != runs[1][1]
+
     def test_simulate_then_estimate_then_eval(self, scene_file, tmp_path, capsys):
         out = str(tmp_path / "sim")
         assert main(["simulate", scene_file, "--out", out]) == 0
@@ -521,6 +534,67 @@ class TestBench:
         assert report["pass"] is False and json.loads(captured.out) == report
 
 
+    @pytest.fixture(scope="class")
+    def scene_events(self, tmp_path_factory):
+        """events.bin of the noisy 50 ms SCENE."""
+        d = tmp_path_factory.mktemp("scene")
+        (d / "scene.cfg").write_text(SCENE)
+        assert main(["simulate", str(d / "scene.cfg"), "--out", str(d)]) == EXIT_OK
+        return str(d / "events.bin")
+
+    def test_bench_times_a_bin_input(self, tmp_path, capsys, scene_events):
+        out = tmp_path / "bench"
+        assert main(["bench", "--input", scene_events, "--out", str(out), "--min-events-per-sec", "0"]) == EXIT_OK
+        report = json.loads((out / "benchmark.json").read_text())
+        assert report["n_estimates"] > 0 and report["events_consumed"] > 0
+
+    def test_bench_on_an_input_without_events_exits_3(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("t,x,y,p\n")
+        out = tmp_path / "bench"
+        assert main(["bench", "--input", str(events), "--format", "csv", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: benchmark input produced no tracks\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("config", "flag", "want"), [
+        ("sample_fraction=0.5\n", [], 0.5),
+        ("seed=4\n", [], 0.25),
+        (None, [], 0.25),
+        ("sample_fraction=0.5\n", ["--sample-fraction", "1.0"], 1.0),
+        ("sample_fraction=0.5\n", ["--sample-fraction", "0.25"], 0.25),
+    ], ids=["config", "config_without_the_key", "no_config", "flag_over_config", "flag_at_the_default"])
+    def test_sample_fraction_comes_from_the_flag_then_the_config_then_0_25(
+        self, tmp_path, capsys, monkeypatch, config, flag, want
+    ):
+        seen = []
+
+        def bench(track_events, center, cfg, min_events_per_sec):
+            seen.append(cfg.sample_fraction)
+            return {"pass": True}
+
+        monkeypatch.setattr(pl, "benchmark_estimate_stage", bench)
+        argv = ["bench", "--out", str(tmp_path / "bench"), "--duration-us", "2000", *flag]
+        if config is not None:
+            (tmp_path / "bench.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "bench.cfg"), *argv]
+        assert main(argv) == EXIT_OK
+        assert seen == [want]
+
+
+def test_every_config_option_defaults_to_none():
+    """A config option that is not given leaves the config's value: each
+    dest a subcommand lists in `config_options` has argparse default None,
+    so `_load_config` applies it only when it is given."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = []
+    for name, parser in sub.choices.items():
+        defaults = {action.dest: action.default for action in parser._actions}
+        for dest in parser.get_default("config_options") or ():
+            checked.append(dest)
+            assert defaults[dest] is None, f"{name} {dest} defaults to {defaults[dest]!r}"
+    assert "sample_fraction" in checked and len(checked) >= 15
+
+
 def hover_rows(n_props):
     """A speed table of 300 ms of hover rows, one per rotor per ms."""
     rows = "".join(f"{t},{p},3000.0,0.0\n" for t in range(0, 300_000, 1000) for p in range(n_props))
@@ -574,6 +648,14 @@ class TestCliMalformedInputs:
         path = str(tmp_path_factory.mktemp("model") / "model.txt")
         assert main(["--seed", "11", "train-command", "--model", path, "--samples-per-class", "10"]) == 0
         return path
+
+    def test_speeds_without_rows_exit_3(self, tmp_path, capsys, model_path):
+        speeds = tmp_path / "speeds.csv"
+        speeds.write_text("t_ref,prop_id,rpm,objective\n")
+        code = main(["infer-command", str(speeds), "--model", model_path, "--out-csv", str(tmp_path / "c.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {speeds}: no speed rows\n"
+        assert not (tmp_path / "c.csv").exists()
 
     def test_infinite_speed_time_exit_3(self, tmp_path, capsys, model_path):
         speeds = tmp_path / "speeds.csv"
@@ -954,6 +1036,20 @@ class TestEvalSpeeds:
         code, entries = eval_speeds(tmp_path, speeds, truth, tracks)
         assert code == 0
         assert [(e["prop_id"], e["truth_prop_id"], e["value"]) for e in entries] == [(0, 1, 0.0), (1, 0, 0.0)]
+
+    @pytest.mark.parametrize("near", [0, 1])
+    def test_a_contended_rotor_goes_to_the_nearest_track_whatever_its_id(self, tmp_path, near):
+        """Two tracks and one truth rotor at (60, 60): the track at (61, 60)
+        is scored against it under either numbering, the one at (50, 50)
+        is not scored."""
+        far = 1 - near
+        speeds = f"t_ref,prop_id,rpm,objective\n1000,{near},3000.0,0.0\n1000,{far},1000.0,0.0\n"
+        truth = "# prop0_center=60.0,60.0\nt,prop_id,rpm\n0,0,3000.0\n"
+        centroids = {near: "61.0,60.0", far: "50.0,50.0"}
+        tracks = TRACKS + "".join(f"{i},{centroids[i]},10\n" for i in (0, 1))
+        assert eval_speeds(tmp_path, speeds, truth, tracks) == (0, [
+            {"metric": "rmae_percent", "n_estimates": 1, "prop_id": near, "truth_prop_id": 0, "value": 0.0},
+        ])
 
     def test_prop_without_truth_rows_is_skipped(self, tmp_path):
         speeds = "t_ref,prop_id,rpm,objective\n1000,0,3000.0,0.0\n1000,1,3000.0,0.0\n1000,2,3000.0,0.0\n"

@@ -13,7 +13,6 @@ from rotorsense import fusion
 from rotorsense.dynamics import COMMANDS, GRAVITY, rpm_to_rad_s
 from rotorsense.errors import ConfigError, DataError, NumericalError
 from rotorsense.fusion import (
-    FusedState,
     FusedStates,
     KinematicPredictor,
     _check_cov,
@@ -43,7 +42,7 @@ def transition_and_noise(dt_s, accel_variance):
 def make_state(mean=None, cov=None, t_us=0):
     mean = np.zeros(6) if mean is None else np.asarray(mean, float)
     cov = np.eye(6) if cov is None else np.asarray(cov, float)
-    return FusedState(t_us=t_us, mean=mean, cov=cov)
+    return oracles.State(t_us=t_us, mean=mean, cov=cov)
 
 
 def checked_step(state, command, speeds_rad_s, dt_s, predictor, process_noise_scale):
@@ -59,7 +58,7 @@ def checked_step(state, command, speeds_rad_s, dt_s, predictor, process_noise_sc
 def gps_update(state, gps_xyz, r_gps):
     """`fusion._update` of one state with one GPS fix."""
     mean, cov, _ = fusion._update(state.mean, state.cov, gps_xyz, r_gps)
-    return FusedState(t_us=state.t_us, mean=mean, cov=cov)
+    return oracles.State(t_us=state.t_us, mean=mean, cov=cov)
 
 
 class TestPredict:
@@ -135,12 +134,12 @@ class TestRunFusion:
         truth = np.zeros((t.size, 3))
         gps = np.column_stack([t, truth + rng.normal(0, 2.0, truth.shape)])
         result = run_fusion(np.zeros((0, 3)), [], gps, predictor, gps_sigma_m=2.0, process_noise_scale=25.0)
-        errors = np.linalg.norm(np.array([s.mean[:3] for s in result.states]), axis=1)
+        errors = np.linalg.norm(result.states.mean[:, :3], axis=1)
         assert errors.mean() < 2.0 * math.sqrt(3)  # within the noise floor
 
     def test_zero_duration_stream_empty_output(self, predictor):
         result = run_fusion(np.zeros((0, 3)), [], np.zeros((0, 4)), predictor)
-        assert len(result.states) == 0 and list(result.states) == []
+        assert len(result.states) == 0 and result.states.mean.shape == (0, 6) and result.states.cov.shape == (0, 6, 6)
 
     def test_out_of_order_measurement_dropped_with_warning(self, predictor, caplog):
         gps = np.array([[0, 0, 0, 0], [200_000, 0, 0, 0], [100_000, 5, 5, 5], [400_000, 0, 0, 0]])
@@ -157,7 +156,7 @@ class TestRunFusion:
         result = run_fusion(speeds, commands, gps, predictor)
         # init, steps to the command and the speed rows, then the step to
         # the final fix and its update; the second speed row makes none
-        assert [s.t_us for s in result.states] == [0, 50_000, 100_000, 200_000, 200_000]
+        assert result.states.t_us.tolist() == [0, 50_000, 100_000, 200_000, 200_000]
 
     def test_innovation_whiteness_on_matched_simulation(self, predictor):
         """Normalized innovation squared over >= 1000 updates stays inside
@@ -191,7 +190,7 @@ def same_bits(a, b):
 def random_state(rng, t_us=0):
     a = rng.normal(size=(6, 6))
     cov = a @ a.T + 0.1 * np.eye(6)
-    return FusedState(t_us=t_us, mean=rng.normal(0, 10, 6), cov=0.5 * (cov + cov.T))
+    return oracles.State(t_us=t_us, mean=rng.normal(0, 10, 6), cov=0.5 * (cov + cov.T))
 
 
 class TestPredictStep:
@@ -239,9 +238,7 @@ class TestSpeedQueue:
         commands = [(90_000, "climb")]
         got = run_fusion(ragged, commands, gps, predictor)
         want = run_fusion(truncated, commands, gps, predictor)
-        assert [s.t_us for s in got.states] == [s.t_us for s in want.states]
-        for a, b in zip(got.states, want.states):
-            assert same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
+        assert_same_outcome(got.states, want.states)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**63])
     def test_non_integer_time_or_id_is_a_data_error(self, predictor, bad):
@@ -266,17 +263,16 @@ class TestWriteFusedCsv:
     def test_bytes_match_the_per_state_formatter(self, tmp_path, predictor):
         rng = np.random.default_rng(4)
         states = [random_state(rng, t_us=1000 * k) for k in range(50)]
-        states.append(FusedState(t_us=7, mean=np.array([-0.0, 1e-300, 1e300, 24.0, 0.1, -2.5]), cov=np.diag([4.0, 4, 4, 4, 4, 4])))
+        states.append(oracles.State(t_us=7, mean=np.array([-0.0, 1e-300, 1e300, 24.0, 0.1, -2.5]), cov=np.diag([4.0, 4, 4, 4, 4, 4])))
         gps = np.array([[0, 0, 0, 0], [200_000, 1, 0, 0], [400_000, 2, 1, 0]])
         speeds = np.array([[100_000, 0, 3000.0], [100_000, 1, 3100.0], [300_000, 2, 2900.0]])
-        states += run_fusion(speeds, [(50_000, "climb")], gps, predictor).states
+        fused = run_fusion(speeds, [(50_000, "climb")], gps, predictor).states
+        states += [oracles.State(t_us, mean, cov) for t_us, mean, cov in zip(fused.t_us.tolist(), fused.mean, fused.cov)]
         # repeats of one state, and distinct states at one time
         states += [states[0], states[0], states[1], states[0], states[0]]
         states += [random_state(rng, t_us=5), random_state(rng, t_us=5), random_state(rng, t_us=5)]
-        arrays = FusedStates(np.array([s.t_us for s in states]), np.array([s.mean for s in states]),
-                             np.array([s.cov for s in states]))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_fused_csv(str(got), arrays)
+        write_fused_csv(str(got), oracles.stack_states(states))
         reference_fused_csv(str(want), states)
         assert got.read_bytes() == want.read_bytes()
         rows = got.read_text().splitlines()
@@ -312,7 +308,7 @@ def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_
             if kind == 2:
                 mean, cov = np.zeros(6), np.zeros((6, 6))
                 mean[:3], cov[:3, :3], cov[3:, 3:] = payload[0], r_gps, 4.0 * np.eye(3)
-                state = FusedState(t_us=t_us, mean=mean, cov=cov)
+                state = oracles.State(t_us=t_us, mean=mean, cov=cov)
                 result.states.append(state)
             continue
         if t_us < state.t_us:
@@ -331,11 +327,12 @@ def per_step_fusion(speed_stream, command_stream, gps_stream, predictor, *, gps_
 
 
 def fusion_outcome(run, streams, predictor, **kwargs):
-    """The states `run` emits, or the type and message of what it raises."""
+    """The state arrays `run` emits, or the type and message of what it raises."""
     try:
-        return run(*streams, predictor, **kwargs).states
+        states = run(*streams, predictor, **kwargs).states
     except (ConfigError, DataError, NumericalError) as exc:
         return type(exc), str(exc)
+    return states if isinstance(states, FusedStates) else oracles.stack_states(states)
 
 
 def assert_same_outcome(got, want):
@@ -343,9 +340,8 @@ def assert_same_outcome(got, want):
         assert got == want
     else:
         assert not isinstance(got, tuple), got
-        assert [s.t_us for s in got] == [s.t_us for s in want]
-        for a, b in zip(got, want):
-            assert same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
+        assert got.t_us.tolist() == want.t_us.tolist()
+        assert same_bits(got.mean, want.mean) and same_bits(got.cov, want.cov)
 
 
 def assert_references(got, streams, predictor, install=lambda: None, **kwargs):
@@ -548,7 +544,7 @@ class TestDeferredChecks:
         # about 1e308 m/s^2 from t = 1 us, over 2 s: the mean overflows
         speeds = np.array([[1, p, 3.02e54] for p in range(4)] + [[2_000_001, 0, 3.02e54]])
         states = self.compare((speeds, [(0, "climb")], gps), strong)
-        assert np.isfinite(states[-1].cov).all() and not np.isfinite(states[-1].mean).all()
+        assert np.isfinite(states.cov[-1]).all() and not np.isfinite(states.mean[-1]).all()
         later = np.vstack([speeds, [[3_000_000, 0, 3000.0], [3_000_000, 1, 3000.0]]])
         got = self.compare((later, [(0, "climb")], gps), strong)
         assert got == (DataError, "non-finite filter state")
@@ -581,7 +577,7 @@ class TestPredictRuns:
         gps = np.array([[0, 0.0, 0.0, 0.0], [t[-1] + 500, 1.0, -1.0, 0.5]])
         got = fusion_outcome(run_fusion, (speeds, commands, gps), predictor)
         assert_references(got, (speeds, commands, gps), predictor)
-        steps = np.diff([s.t_us for s in got])
+        steps = np.diff(got.t_us)
         assert len(got) == 1 + len(np.unique(t)) + 1 + 2  # the roll command's step, the last fix's step and update
         assert 7000 in steps and len(np.unique(steps)) > 500 and (steps > 0).sum() > 1024
         for bad_step in (702, 1124):  # just after the 7 ms gap, and 400 steps later
@@ -722,10 +718,9 @@ class TestMerge:
         assert got_warnings == want_warnings
 
 
-def test_fuse_writes_the_reference_bytes_without_a_state_per_measurement(tmp_path, monkeypatch):
+def test_fuse_writes_the_reference_bytes(tmp_path):
     """`fuse` over a 2 s flight's 1 kHz rotor speeds writes the fused.csv
-    of the row-by-row reference and the per-state formatter, and builds at
-    most one FusedState per GPS fix, not one per measurement."""
+    of the row-by-row reference and the per-state formatter."""
     from rotorsense import pipeline as pl
     from rotorsense.cli import main
     from rotorsense.config import PipelineConfig
@@ -750,14 +745,6 @@ def test_fuse_writes_the_reference_bytes_without_a_state_per_measurement(tmp_pat
     )
     reference_fused_csv(paths["want"], want.states)
 
-    calls = [0]
-    init = FusedState.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FusedState, "__init__", counting_init)
     rc = main(["fuse", "--speeds", paths["speeds"], "--commands", paths["commands"], "--gps", paths["gps"],
                "--out-csv", paths["fused"]])
     assert rc == 0
@@ -766,4 +753,3 @@ def test_fuse_writes_the_reference_bytes_without_a_state_per_measurement(tmp_pat
     lines = fused.splitlines()
     # a line per state, none repeated: one per step of the 1 kHz clock, one per update
     assert len(lines) == 1 + len(want.states) < len(t) and all(a != b for a, b in zip(lines, lines[1:]))
-    assert calls[0] <= len(flight.gps)

@@ -75,4 +75,4 @@ class TestLocalizationError:
         truth = self.series(np.zeros((5, 3)))
         fused = self.series(np.zeros((5, 3)), t0=10**9)
         with pytest.raises(DataError):
-            localization_error(fused, truth, align_tolerance_us=1000)
+            localization_error(fused, truth)

@@ -798,8 +798,7 @@ def test_fused_csv_round_trips_bit_exactly(tmp_path):
     path = tmp_path / "fused.csv"
     write_fused_csv(str(path), states)
     got, _ = tables.FUSED.read(str(path))
-    want = [np.array([s.t_us for s in states]), *np.array([s.mean for s in states]).T,
-            np.array([np.trace(s.cov) for s in states])]
+    want = [states.t_us, *states.mean.T, np.array([np.trace(cov) for cov in states.cov])]
     assert len(got[0]) == len(states) > 3000  # a row per step and per update, not per speed row
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.astype(a.dtype).view(np.int64))
